@@ -40,8 +40,6 @@ from .penalty import (
     PenaltyConfig,
     fused_lasso_prox,
     isotonic_project,
-    nonneg_clip,
-    prox_step,
     tv,
 )
 from .solver import (
@@ -109,10 +107,8 @@ __all__ = [
     "nll_dataset",
     "nll_gradient",
     "nll_observation",
-    "nonneg_clip",
     "nonzero_parameter_count",
     "objective",
-    "prox_step",
     "proportional_nll",
     "read_model",
     "read_observations",

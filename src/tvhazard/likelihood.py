@@ -170,14 +170,16 @@ def matrix_model(knots, W):
 
 
 class CensoredDesign:
-    """Precomputed exposure matrices for fast NLL and gradient evaluation.
+    """Precomputed exposures for fast NLL and gradient evaluation.
 
     For coefficient matrix ``W`` (row 0 = intercept) flattened to ``w``, the
-    head term of every observation is the linear form ``U @ w`` (exposure of
-    each coefficient slot on ``[0, e_i]``) and each interval bracket's
-    cumulative hazard is ``V @ w``.  The censored NLL and its gradient are
-    then a handful of matrix-vector products, bitwise reproducible across
-    runs.
+    head term of observation ``i`` is the linear form ``U[i] @ w`` (exposure
+    of each coefficient slot on ``[0, e_i]``) and each interval bracket's
+    cumulative hazard is ``V @ w``.  The dataset NLL needs only the sum of
+    the head terms, ``U.sum(axis=0) @ w``, so :meth:`nll` and
+    :meth:`nll_grad` use that column sum and one product with ``V``; ``U``
+    itself is kept for the subset gradient :meth:`nll_grad_batch`.  Results
+    are bitwise reproducible across runs.
     """
 
     def __init__(self, knots, observations):
@@ -249,8 +251,7 @@ class CensoredDesign:
         boundary); with ``floor = 0`` a zero-mass bracket yields ``+inf``.
         """
         w = np.asarray(w).ravel()
-        heads = self.U @ w
-        total = float(heads.sum())
+        total = float(self._u_colsum @ w)
         if self.V.shape[0]:
             br = self.V @ w
             if floor > 0.0:
@@ -263,8 +264,7 @@ class CensoredDesign:
     def nll_grad(self, w, floor=0.0):
         """NLL value and gradient (flattened) at ``w``, same flooring as :meth:`nll`."""
         w = np.asarray(w).ravel()
-        heads = self.U @ w
-        value = float(heads.sum())
+        value = float(self._u_colsum @ w)
         grad = self._u_colsum.copy()
         if self.V.shape[0]:
             br = self.V @ w

@@ -9,7 +9,8 @@ elementwise clipping for the nonnegativity constraint; in one dimension
 clipping after the TV prox is exact.  In monotone mode the TV of a
 nondecreasing row telescopes to ``w[last] - w[first]``, a linear term the
 solver folds into the smooth objective, so the prox reduces to isotonic
-projection (pool-adjacent-violators) plus clipping.
+projection (pool-adjacent-violators) plus clipping.  The solver applies
+both row by row and clips (``solver._prox_matrix``).
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def fused_lasso_prox(y, weight):
     derivative of the backward value function: left-to-right, each step
     clips the derivative at ``+-weight`` and records the clip locations;
     the right-to-left sweep then reads the solution off the recorded
-    thresholds.  Linear time, exact up to float arithmetic.
+    thresholds.  Linear time, exact up to float arithmetic; the result
+    never exceeds ``max(y)``.
     """
     y = _validated(y)
     if not weight >= 0:
@@ -151,7 +153,13 @@ def fused_lasso_prox(y, weight):
             beta[k] = tm[k]
         else:
             beta[k] = beta[k + 1]
-    return beta
+    # The exact minimizer never exceeds max(y) (capping it there lowers the
+    # fit term and does not raise the TV), but when weight is tiny next to
+    # |y| the threshold arithmetic can round a level up past it, e.g. to
+    # +4.4e-16 from [-2.1, -2.7, 0.0] at weight 1e-17.  The solver skips rows
+    # that are <= 0 everywhere as clipping to exactly zero; the cap keeps
+    # that bitwise equal to running this prox and clipping.
+    return np.minimum(beta, y.max(), out=beta)
 
 
 def isotonic_project(y):
@@ -177,25 +185,3 @@ def isotonic_project(y):
         out[pos : pos + c] = t / c
         pos += c
     return out
-
-
-def nonneg_clip(y):
-    """Elementwise ``max(y, 0)``."""
-    return np.maximum(_validated(y), 0.0)
-
-
-def prox_step(y, weight, cfg):
-    """Proximal update of one coefficient row under ``cfg``.
-
-    Non-monotone mode: ``nonneg_clip(fused_lasso_prox(y, weight))`` — exact
-    for TV + nonnegativity in one dimension.  Monotone mode: isotonic
-    projection then clipping; ``weight`` is ignored because the TV term of a
-    monotone row is linear and lives in the smooth objective.
-    """
-    if cfg.monotone:
-        z = isotonic_project(y)
-    else:
-        z = fused_lasso_prox(y, weight)
-    if cfg.nonnegative:
-        z = np.maximum(z, 0.0)
-    return z

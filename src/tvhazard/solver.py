@@ -176,17 +176,30 @@ def _nonsmooth(W, pen, mono_rows):
     # gamma * TV of the rows whose TV is not already in the smooth part
     if pen.gamma == 0.0 or W.shape[1] == 1:
         return 0.0
+    row_tv = np.abs(np.diff(W, axis=1)).sum(axis=1)
     total = 0.0
-    for r in range(W.shape[0]):
+    for r, v in enumerate(row_tv.tolist()):
         if r not in mono_rows:
-            total += float(np.abs(np.diff(W[r])).sum())
+            total += v
     return pen.gamma * total
 
 
 def _prox_matrix(Y, step, pen, mono_rows):
+    """Row-wise prox of ``Y``: isotonic projection on monotone rows, the TV
+    prox with weight ``gamma * step`` on the others, then clipping at zero.
+
+    Neither prox raises a row's maximum, so under nonnegativity a row that
+    is <= 0 everywhere clips to exactly +0.0 and is written without calling
+    either prox (``np.maximum`` maps -0.0 to +0.0, so the result is bitwise
+    the one the prox and the clip would give).
+    """
     out = np.empty_like(Y)
     weight = pen.gamma * step
+    row_max = Y.max(axis=1).tolist()
     for r in range(Y.shape[0]):
+        if pen.nonnegative and row_max[r] <= 0.0:
+            out[r] = 0.0
+            continue
         z = isotonic_project(Y[r]) if r in mono_rows else fused_lasso_prox(Y[r], weight)
         out[r] = np.maximum(z, 0.0) if pen.nonnegative else z
     return out
@@ -239,6 +252,13 @@ def _fit_full_batch(design, W0, config, mono_rows, callback):
             f, g = _smooth_value_grad(design, W, pen, ridge, mono_rows)
             if config.line_search:
                 step *= _GROW
+    if not converged:
+        warnings.warn(
+            f"stopped at max_iterations={config.max_iterations} with relative objective "
+            f"change {rel:.3g} >= tolerance {config.tolerance:g}; returning the last iterate",
+            SolverWarning,
+            stacklevel=2,
+        )
     return W, trace, converged
 
 

@@ -36,12 +36,12 @@ from tvhazard import (
     model_matrix,
     nll_dataset,
     nll_gradient,
-    prox_step,
     refine_and_compare,
     sample_event_time,
     truth_model,
 )
 from tvhazard.cli import main
+from tvhazard.solver import _prox_matrix
 
 from oracles import fused_prox_bruteforce, grid_minimize, isotonic_bruteforce
 
@@ -132,13 +132,13 @@ def test_criterion_2_prox_oracles(capsys):
         gap = np.abs(isotonic_project(y) - isotonic_bruteforce(y)).max()
         worst_iso = max(worst_iso, gap)
 
+    # the joint TV + nonnegativity prox is the one the solver runs
     worst_joint = 0.0
-    cfg = PenaltyConfig(gamma=1.0, monotone=False, nonnegative=True)
     for _ in range(20):
         n = int(rng.integers(2, 5))
         y = rng.normal(scale=1.5, size=n)
         lam = float(rng.uniform(0.1, 1.5))
-        x = prox_step(y, lam, cfg)
+        x = _prox_matrix(y[None, :], 1.0, PenaltyConfig(gamma=lam), frozenset())[0]
 
         def f(cand):
             pen = 0.5 * np.sum((cand - y) ** 2, axis=1)

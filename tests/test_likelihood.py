@@ -295,6 +295,29 @@ class TestCensoredDesign:
         fv, fg = design.nll_grad(w, floor=1e-12)
         assert math.isfinite(fv) and np.all(np.isfinite(fg))
 
+    def test_head_term_as_column_sum_dot(self):
+        # nll/nll_grad take the head term as U.sum(axis=0) @ w; the reference
+        # sums the per-observation head terms U @ w
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            m, ks = random_instance(rng, d=int(rng.integers(1, 6)), n_knots=int(rng.integers(0, 8)))
+            obs = random_observations(rng, m.d, ks.horizon, n=int(rng.integers(1, 30)))
+            design = CensoredDesign(ks, obs)
+            w = model_matrix(m).ravel() * (rng.random(design.U.shape[1]) < 0.7)
+            for floor in (0.0, 1e-12):
+                br = design.V @ w
+                if floor > 0.0:
+                    br = np.maximum(br, floor)
+                elif np.any(br <= 0.0):
+                    continue
+                value = float((design.U @ w).sum()) - sum(_log1mexp(float(b)) for b in br)
+                grad = design.U.sum(axis=0)
+                grad -= design.V.T @ (np.exp(-br) / -np.expm1(-br))
+                assert design.nll(w, floor=floor) == pytest.approx(value, rel=1e-13, abs=0.0)
+                got_value, got_grad = design.nll_grad(w, floor=floor)
+                assert got_value == pytest.approx(value, rel=1e-13, abs=0.0)
+                assert got_grad.tobytes() == grad.tobytes()
+
     def test_batch_gradients_sum_to_full(self):
         rng = np.random.default_rng(14)
         m, ks = random_instance(rng)

@@ -1,16 +1,23 @@
-"""Total-variation prox, isotonic projection, and the combined prox step."""
+"""Total-variation prox, isotonic projection, and the solver's row-wise prox step."""
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project, prox_step, tv
+from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
+from tvhazard.solver import _monotone_rows, _prox_matrix
 
 from oracles import fused_prox_bruteforce, fused_prox_dual, grid_minimize, isotonic_bruteforce
 
 
 def fused_objective(x, y, lam):
     return 0.5 * np.sum((x - y) ** 2) + lam * tv(x)
+
+
+def prox_step(y, lam, **penalty):
+    """The solver's prox update of one coefficient row (the intercept row)."""
+    pen = PenaltyConfig(gamma=lam, **penalty)
+    return _prox_matrix(np.asarray(y, float)[None, :], 1.0, pen, _monotone_rows(pen, 1))[0]
 
 
 class TestTV:
@@ -110,6 +117,19 @@ class TestFusedLassoProx:
             pa, pb = fused_lasso_prox(a, lam), fused_lasso_prox(b, lam)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
 
+    def test_never_exceeds_the_row_maximum(self):
+        # weights tiny next to |y| once rounded levels up past max(y),
+        # e.g. to +4.4e-16 from [-2.1, -2.7, 0.0]
+        cases = (([-2.1, -2.7, 0.0], 1e-17), ([-0.4, -0.8, 0.0], 1e-18), ([-1.2, -0.6], 1e-19))
+        for y, lam in cases:
+            assert fused_lasso_prox(np.array(y), lam).max() <= max(y)
+        rng = np.random.default_rng(49)
+        for _ in range(2000):
+            y = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=rng.integers(2, 12))
+            y[rng.random(y.size) < 0.3] = 0.0
+            lam = 10.0 ** rng.uniform(-20, 1)
+            assert fused_lasso_prox(y, lam).max() <= y.max(), (y, lam)
+
     def test_tv_never_increases(self):
         rng = np.random.default_rng(48)
         for _ in range(50):
@@ -157,12 +177,11 @@ class TestProxStep:
         # grid-certify that clipping the TV prox solves the TV +
         # nonnegativity problem jointly
         rng = np.random.default_rng(60)
-        cfg = PenaltyConfig(gamma=1.0, monotone=False, nonnegative=True)
         for _ in range(20):
             n = int(rng.integers(2, 5))
             y = rng.normal(scale=1.5, size=n)
             lam = float(rng.uniform(0.05, 1.5))
-            x = prox_step(y, lam, cfg)
+            x = prox_step(y, lam)
             assert np.all(x >= 0)
 
             def f(cand):
@@ -179,11 +198,10 @@ class TestProxStep:
 
     def test_monotone_then_clip_is_joint_projection(self):
         rng = np.random.default_rng(61)
-        cfg = PenaltyConfig(gamma=1.0, monotone=True, nonnegative=True)
         for _ in range(20):
             n = int(rng.integers(2, 5))
             y = rng.normal(scale=1.5, size=n)
-            x = prox_step(y, 0.3, cfg)
+            x = prox_step(y, 0.3, monotone=True)
             assert np.all(x >= 0) and np.all(np.diff(x) >= -1e-12)
 
             def f(cand):
@@ -198,14 +216,12 @@ class TestProxStep:
             assert gv - fx <= n * res * (np.abs(y).max() + 1.0)
 
     def test_monotone_mode_ignores_weight(self):
-        cfg = PenaltyConfig(gamma=5.0, monotone=True, nonnegative=True)
         y = np.array([1.0, 0.2, 0.8])
-        assert np.array_equal(prox_step(y, 5.0, cfg), prox_step(y, 0.0, cfg))
+        assert np.array_equal(prox_step(y, 5.0, monotone=True), prox_step(y, 0.0, monotone=True))
 
     def test_unconstrained_when_nonnegative_off(self):
-        cfg = PenaltyConfig(gamma=1.0, monotone=False, nonnegative=False)
         y = np.array([-3.0, -2.5])
-        x = prox_step(y, 0.1, cfg)
+        x = prox_step(y, 0.1, nonnegative=False)
         assert np.all(x < 0)  # nothing clips
 
     def test_gamma_validation(self):

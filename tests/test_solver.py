@@ -1,11 +1,16 @@
 """Proximal gradient solver: descent, determinism, constraints, and optima."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import tvhazard.solver
 from tvhazard import (
     CensoredDesign,
     FeaturePath,
@@ -13,10 +18,14 @@ from tvhazard import (
     Observation,
     PenaltyConfig,
     SolverConfig,
+    SolverWarning,
     VarianceReduced,
     build_knot_set,
+    default_scenario,
     fit,
     fused_lasso_prox,
+    generate,
+    isotonic_project,
     matrix_model,
     model_matrix,
     nll_dataset,
@@ -25,6 +34,7 @@ from tvhazard import (
     refine_and_compare,
     tv,
 )
+from tvhazard.solver import _monotone_rows, _prox_matrix
 
 
 def sim_observations(rng, d=3, n=60, horizon=6.0):
@@ -234,10 +244,80 @@ class TestFullBatch:
 
     def test_converged_flag_reflects_tolerance(self):
         obs = sim_observations(np.random.default_rng(35), n=30)
-        tight = fit(obs, cfg(1.0, max_iterations=2000, tolerance=1e-10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tight = fit(obs, cfg(1.0, max_iterations=2000, tolerance=1e-10))
         assert tight.converged
-        starved = fit(obs, cfg(1.0, max_iterations=1, tolerance=1e-14))
+        # stopping at the iteration cap is reported, once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            starved = fit(obs, cfg(1.0, max_iterations=1, tolerance=1e-14))
         assert not starved.converged
+        assert [w.category for w in caught] == [SolverWarning]
+        assert "max_iterations=1" in str(caught[0].message)
+
+
+# Row entries: signed zeros, tiny and ordinary magnitudes of either sign.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e-12, 1e-12),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def prox_inputs(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    Y = draw(arrays(np.float64, (rows, cols), elements=_ENTRIES))
+    for r in range(rows):
+        kind = draw(st.sampled_from(("as drawn", "nonpositive", "constant")))
+        if kind == "nonpositive":
+            Y[r] = np.where(Y[r] > 0.0, -Y[r], Y[r])  # keeps both signed zeros
+        elif kind == "constant":
+            Y[r] = Y[r, 0]
+    gammas = st.one_of(
+        st.just(0.0), st.floats(1e-20, 1e2), st.integers(-20, 2).map(lambda k: 10.0**k)
+    )
+    pen = PenaltyConfig(
+        gamma=draw(gammas),
+        monotone=draw(st.booleans()),
+        nonnegative=draw(st.booleans()),
+        monotone_intercept=draw(st.booleans()),
+    )
+    return Y, draw(st.floats(1e-6, 10.0)), pen
+
+
+class TestProxMatrix:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(prox_inputs())
+    # a weight tiny next to |y|, where the TV prox used to round a level of
+    # this nonpositive row up to +4.4e-16
+    @example((np.array([[-2.1, -2.7, 0.0]]), 1.0, PenaltyConfig(gamma=1e-17)))
+    @example((np.array([[-0.0, -0.0], [-1.0, 0.0]]), 0.5, PenaltyConfig(gamma=1.0, monotone=True)))
+    def test_rows_that_clip_to_zero_are_skipped_bitwise(self, args):
+        Y, step, pen = args
+        mono_rows = _monotone_rows(pen, Y.shape[0])
+        want = []
+        for r in range(Y.shape[0]):
+            if r in mono_rows:
+                z = isotonic_project(Y[r])
+            else:
+                z = fused_lasso_prox(Y[r], pen.gamma * step)
+            want.append(np.maximum(z, 0.0) if pen.nonnegative else z)
+        got = _prox_matrix(Y, step, pen, mono_rows)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_default_fit_never_proxes_a_row_that_clips_to_zero(self, monkeypatch):
+        row_max = []
+
+        def recording(y, weight):
+            row_max.append(float(y.max()))
+            return fused_lasso_prox(y, weight)
+
+        monkeypatch.setattr(tvhazard.solver, "fused_lasso_prox", recording)
+        _, obs = generate(default_scenario(0))
+        fit(obs, cfg(1.0))
+        assert row_max and min(row_max) > 0.0
 
 
 class TestVarianceReduced:
