@@ -47,7 +47,6 @@ from .solver import (
     NumericalError,
     SolverConfig,
     SolverWarning,
-    VarianceReduced,
     fit,
     nonzero_parameter_count,
     objective,
@@ -85,7 +84,6 @@ __all__ = [
     "SolverConfig",
     "SolverWarning",
     "StepFunction",
-    "VarianceReduced",
     "ZeroBracketWarning",
     "build_knot_set",
     "cumulative_hazard",

@@ -23,7 +23,7 @@ from .datagen import CampaignSpec, default_scenario, generate
 from .formats import FormatError, read_model, read_observations, write_model, write_observations
 from .likelihood import nll_dataset
 from .penalty import PenaltyConfig
-from .solver import NumericalError, SolverConfig, VarianceReduced, fit, nonzero_parameter_count
+from .solver import NumericalError, SolverConfig, fit, nonzero_parameter_count
 from .timeline import build_knot_set
 
 
@@ -38,25 +38,12 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _parse_batch_mode(text):
-    if text in (None, "", "full"):
-        return None
-    parts = text.split(":")
-    if len(parts) == 3 and parts[0] == "svrg":
-        try:
-            return VarianceReduced(epoch_length=int(parts[1]), batch_size=int(parts[2]))
-        except ValueError as e:
-            raise FormatError(f"bad --batch-mode {text!r}: {e}") from e
-    raise FormatError(f"bad --batch-mode {text!r}; expected 'full' or 'svrg:EPOCH_LEN:BATCH'")
-
-
 def _solver_config(args):
     return SolverConfig(
         penalty=PenaltyConfig(gamma=args.gamma, monotone=args.monotone),
         max_iterations=args.max_iter,
         tolerance=args.tol,
         step_size=args.step_size,
-        batch_mode=_parse_batch_mode(args.batch_mode),
         seed=args.seed,
         n_starts=args.n_starts,
     )
@@ -258,7 +245,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="fitted model path")
     p.add_argument("--report-out", default=None, help="fit report path (default: OUT.report.json)")
     _fit_flags(p)
-    p.add_argument("--batch-mode", default="full", help="'full' or 'svrg:EPOCH_LEN:BATCH'")
     p.add_argument("--n-starts", type=int, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_fit)

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .timeline import (
     FeaturePath,
@@ -173,13 +174,24 @@ class CensoredDesign:
     """Precomputed exposures for fast NLL and gradient evaluation.
 
     For coefficient matrix ``W`` (row 0 = intercept) flattened to ``w``, the
-    head term of observation ``i`` is the linear form ``U[i] @ w`` (exposure
-    of each coefficient slot on ``[0, e_i]``) and each interval bracket's
-    cumulative hazard is ``V @ w``.  The dataset NLL needs only the sum of
-    the head terms, ``U.sum(axis=0) @ w``, so :meth:`nll` and
-    :meth:`nll_grad` use that column sum and one product with ``V``; ``U``
-    itself is kept for the subset gradient :meth:`nll_grad_batch`.  Results
-    are bitwise reproducible across runs.
+    head term of observation ``i`` (hazard mass on ``[0, e_i]``, with ``e_i``
+    the bracket's left end or the censoring time) and the mass of each
+    interval bracket ``[l_i, r_i]`` are linear in ``w``.
+
+    The constructor collects every nonzero constant run into one segment
+    table: observation, coefficient row, start, end, value.  The intercept
+    is one run of value 1 from time 0; each feature contributes one run per
+    change time.  The overlap of every run with every knot interval is taken
+    in one broadcast, once for the head window and once for the bracket.
+    The dataset NLL needs only the sum of the head terms, so head exposures
+    are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
+    matrix of per-observation head exposures is never formed.  Bracket
+    exposures are kept as the CSR matrix ``V``, one row per interval
+    observation; ``interval_rows`` holds those observations' indices.
+
+    Each cell adds its runs in run order and the column sum adds
+    observations in input order, so ``_u_colsum`` and ``V`` are bitwise
+    reproducible across runs.
     """
 
     def __init__(self, knots, observations):
@@ -187,7 +199,9 @@ class CensoredDesign:
         if not observations:
             raise ValueError("no observations")
         d = observations[0].path.d
-        for o in observations:
+        # (observation, coefficient row, start, end, value) of every nonzero run
+        segments = []
+        for i, o in enumerate(observations):
             if o.path.d != d:
                 raise ValueError(f"dimension mismatch: paths with d={d} and d={o.path.d}")
             if o.right > knots.horizon or o.left < knots.origin:
@@ -195,49 +209,47 @@ class CensoredDesign:
                     f"observation times ({o.left}, {o.right}) outside knot range "
                     f"[{knots.origin}, {knots.horizon}]"
                 )
+            segments.append((i, 0, 0.0, math.inf, 1.0))
+            for j, changes in sorted(o.path.entries.items()):
+                for c, (start, v) in enumerate(changes):
+                    if v != 0.0:
+                        end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
+                        segments.append((i, j + 1, start, end, v))
         self.knots = knots
         self.observations = observations
         self.d = d
         self.n = len(observations)
-        self.n_slots = knots.n_intervals
-        self.shape = (d + 1, self.n_slots)
+        self.n_slots = K = knots.n_intervals
+        self.shape = (d + 1, K)
 
+        table = np.array(segments)
+        del segments  # the run tuples outweigh the table built from them
+        obs = table[:, 0].astype(np.intp)
+        row = table[:, 1].astype(np.intp)
+        left = np.array([o.left for o in observations])
+        right = np.array([o.right for o in observations])
+        is_interval = np.array([o.kind == "interval" for o in observations])
         B = knots.boundaries()
-        U = np.zeros((self.n, (d + 1) * self.n_slots))
-        interval_rows = []
-        v_rows = []
-        for i, o in enumerate(observations):
-            head_end = o.left if o.kind == "interval" else o.right
-            self._exposure(B, o.path, 0.0, head_end, U[i].reshape(self.shape))
-            if o.kind == "interval":
-                row = np.zeros(self.shape)
-                self._exposure(B, o.path, o.left, o.right, row)
-                interval_rows.append(i)
-                v_rows.append(row.ravel())
-        self.U = U
-        self.V = np.array(v_rows) if v_rows else np.zeros((0, U.shape[1]))
-        self.interval_rows = np.array(interval_rows, dtype=int)
-        self._u_colsum = U.sum(axis=0)
 
-    @staticmethod
-    def _exposure(B, path, a, b, out):
-        # overlap of [a, b] with every knot interval, per coefficient row
-        lo = np.maximum(B[:-1], a)
-        hi = np.minimum(B[1:], b)
-        out[0] += np.clip(hi - lo, 0.0, None)
-        for j in path.entries:
-            starts, vals = path.runs(j)
-            ends = np.append(starts[1:], np.inf)
-            for s, e, v in zip(starts, ends, vals):
-                if v == 0.0:
-                    continue
-                aa = max(a, s)
-                bb = min(b, e)
-                if bb <= aa:
-                    continue
-                lo = np.maximum(B[:-1], aa)
-                hi = np.minimum(B[1:], bb)
-                out[j + 1] += v * np.clip(hi - lo, 0.0, None)
+        # head window [0, left]: a right-censored observation stores left = right
+        head = _run_exposures(table, B, 0.0, left[obs])
+        cells = (row[:, None] * K + np.arange(K)).ravel()
+        self._u_colsum = np.bincount(cells, weights=head.ravel(), minlength=(d + 1) * K)
+        del head, cells
+
+        keep = is_interval[obs]
+        table, obs, row = table[keep], obs[keep], row[keep]
+        bracket = _run_exposures(table, B, left[obs], right[obs])
+        self.interval_rows = np.flatnonzero(is_interval)
+        v_row = np.searchsorted(self.interval_rows, obs)
+        r, k = np.nonzero(bracket)
+        self.V = scipy.sparse.csr_matrix(
+            (bracket[r, k], (v_row[r], row[r] * K + k)),
+            shape=(len(self.interval_rows), (d + 1) * K),
+        )
+        # the gradient's product with V.T, stored as CSR: three times faster
+        # than going through V.T and bitwise the same (rows added in order)
+        self._V_t = self.V.T.tocsr()
 
     def brackets(self, w):
         """Cumulative hazard of every interval bracket at coefficients ``w``."""
@@ -273,20 +285,32 @@ class CensoredDesign:
             elif np.any(br <= 0.0):
                 raise ValueError("zero-mass event bracket: gradient undefined without a floor")
             value += float(-_log1mexp_vec(br).sum())
-            grad -= self.V.T @ _inv_expm1(br)
+            grad -= self._V_t @ _inv_expm1(br)
         return value, grad
 
-    def nll_grad_batch(self, w, idx, floor=1e-12):
-        """Unscaled NLL gradient of the observation subset ``idx``."""
-        w = np.asarray(w).ravel()
-        idx = np.asarray(idx, dtype=int)
-        grad = self.U[idx].sum(axis=0)
-        mask = np.isin(self.interval_rows, idx, assume_unique=False)
-        if mask.any():
-            V = self.V[mask]
-            br = np.maximum(V @ w, floor)
-            grad -= V.T @ _inv_expm1(br)
-        return grad
+
+def _run_exposures(table, B, a, b):
+    """Exposure of each segment-table run on its window ``[a, b]``, per knot interval.
+
+    Returns a (runs, intervals) array.  The row of the first run of each
+    (observation, coefficient row) holds the sum over that pair's runs, added
+    in run order; the rows of its later runs are zero.
+    """
+    lo = np.maximum(B[:-1], np.maximum(a, table[:, 2])[:, None])
+    out = np.minimum(B[1:], np.minimum(b, table[:, 3])[:, None])
+    out -= lo
+    del lo
+    np.clip(out, 0.0, None, out=out)
+    out *= table[:, 4][:, None]
+    pair = table[:, :2]
+    later = np.flatnonzero((pair[1:] == pair[:-1]).all(axis=1)) + 1
+    if later.size:
+        first = np.arange(len(table))
+        first[later] = 0
+        np.maximum.accumulate(first, out=first)
+        np.add.at(out, first[later], out[later])
+        out[later] = 0.0
+    return out
 
 
 def _inv_expm1(x):

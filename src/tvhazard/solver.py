@@ -5,10 +5,9 @@ columns = knot intervals),
 
     NLL(W) + gamma * sum_rows tv(W[r])        s.t. W >= 0 (+ monotone rows)
 
-by full-batch proximal gradient descent with backtracking line search, or
-optionally by a variance-reduced mini-batch scheme with epoch-snapshot
-gradient corrections.  The knot set is frozen before optimization; candidate
-jump times are never inserted adaptively.
+by full-batch proximal gradient descent with backtracking line search.  The
+knot set is frozen before optimization; candidate jump times are never
+inserted adaptively.
 
 Monotone rows are handled by reformulation: on the feasible set their TV
 telescopes to the linear term ``W[r, -1] - W[r, 0]``, which joins the smooth
@@ -46,26 +45,11 @@ class SolverWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class VarianceReduced:
-    """Mini-batch mode: epoch-snapshot variance-reduced proximal gradient."""
-
-    epoch_length: int
-    batch_size: int
-
-    def __post_init__(self):
-        if self.epoch_length < 1 or self.batch_size < 1:
-            raise ValueError("epoch_length and batch_size must be >= 1")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Optimizer settings.
 
-    ``batch_mode=None`` selects deterministic full-batch descent; a
-    :class:`VarianceReduced` instance selects the mini-batch scheme (then
-    ``max_iterations`` counts epochs and ``step_size`` is used as a fixed
-    step).  ``ridge`` adds ``ridge * ||feature rows||^2`` to the smooth
-    objective (used by the constant baseline).  ``n_starts > 1`` reruns from
+    ``ridge`` adds ``ridge * ||feature rows||^2`` to the smooth objective
+    (used by the constant baseline).  ``n_starts > 1`` reruns from
     perturbed initializations (seeded) and keeps the best optimum.
     """
 
@@ -74,7 +58,6 @@ class SolverConfig:
     tolerance: float = 1e-7
     step_size: float = 1.0
     line_search: bool = True
-    batch_mode: VarianceReduced | None = None
     seed: int = 0
     n_starts: int = 1
     ridge: float = 0.0
@@ -97,7 +80,7 @@ class FitResult:
     """Outcome of one fit: model, convergence record, and bookkeeping.
 
     ``objective_trace`` holds ``(iteration, penalized objective)`` pairs
-    starting at iteration 0; in full-batch mode it is nonincreasing.
+    starting at iteration 0; it is nonincreasing.
     ``train_nll`` is the unpenalized dataset NLL of the fitted model,
     computed through the plain likelihood route (the same code path the
     evaluation command uses).  ``nonzero_parameter_count`` counts base
@@ -205,10 +188,6 @@ def _prox_matrix(Y, step, pen, mono_rows):
     return out
 
 
-def _objective_at(design, W, pen, ridge, mono_rows):
-    return _smooth_value(design, W, pen, ridge, mono_rows) + _nonsmooth(W, pen, mono_rows)
-
-
 def _fit_full_batch(design, W0, config, mono_rows, callback):
     pen = config.penalty
     ridge = config.ridge
@@ -262,61 +241,6 @@ def _fit_full_batch(design, W0, config, mono_rows, callback):
     return W, trace, converged
 
 
-def _det_grad(W, pen, ridge, mono_rows):
-    # gradient of the deterministic smooth terms (ridge + linearized TV)
-    g = np.zeros_like(W)
-    if ridge > 0.0:
-        g[1:] = 2.0 * ridge * W[1:]
-    if pen.gamma > 0.0 and W.shape[1] > 1:
-        for r in mono_rows:
-            g[r, -1] += pen.gamma
-            g[r, 0] -= pen.gamma
-    return g
-
-
-def _fit_variance_reduced(design, W0, config, mono_rows, callback):
-    pen = config.penalty
-    ridge = config.ridge
-    vr = config.batch_mode
-    n = design.n
-    if vr.batch_size > n:
-        raise ValueError(f"batch_size {vr.batch_size} exceeds dataset size {n}")
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    step = config.step_size
-    shape = (design.d + 1, design.n_slots)
-
-    W_snap = W0.copy()
-    F = _objective_at(design, W_snap, pen, ridge, mono_rows)
-    if not math.isfinite(F):
-        raise NumericalError(f"objective not finite at initialization: {F!r}")
-    trace = [(0, F)]
-    converged = False
-    scale = n / vr.batch_size
-    for epoch in range(1, config.max_iterations + 1):
-        # full likelihood gradient at the snapshot
-        _, mu = design.nll_grad(W_snap.ravel(), floor=_MASS_FLOOR)
-        mu = mu.reshape(shape)
-        snap_flat = W_snap.ravel()
-        W = W_snap.copy()
-        for _ in range(vr.epoch_length):
-            idx = rng.choice(n, size=vr.batch_size, replace=False)
-            g_cur = design.nll_grad_batch(W.ravel(), idx, floor=_MASS_FLOOR).reshape(shape)
-            g_snap = design.nll_grad_batch(snap_flat, idx, floor=_MASS_FLOOR).reshape(shape)
-            v = scale * (g_cur - g_snap) + mu + _det_grad(W, pen, ridge, mono_rows)
-            W = _prox_matrix(W - step * v, step, pen, mono_rows)
-        W_snap = W
-        Fn = _objective_at(design, W_snap, pen, ridge, mono_rows)
-        trace.append((epoch, Fn))
-        if callback is not None:
-            callback(epoch, Fn, W_snap)
-        rel = abs(F - Fn) / max(1.0, abs(F))
-        F = Fn
-        if rel < config.tolerance:
-            converged = True
-            break
-    return W_snap, trace, converged
-
-
 def _default_start(design):
     events = len(design.interval_rows)
     exposure = 0.0
@@ -356,13 +280,12 @@ def fit(observations, config, knots=None, callback=None):
         knots = build_knot_set(observations)
     design = CensoredDesign(knots, observations)
     mono_rows = _monotone_rows(config.penalty, design.d + 1)
-    minimize = _fit_variance_reduced if config.batch_mode is not None else _fit_full_batch
 
     base = _default_start(design)
     best = None
     for k in range(config.n_starts):
         W0 = base if k == 0 else _perturbed_start(design, base, k, config.seed)
-        W, trace, conv = minimize(design, W0, config, mono_rows, callback)
+        W, trace, conv = _fit_full_batch(design, W0, config, mono_rows, callback)
         if best is None or trace[-1][1] < best[1][-1][1]:
             best = (W, trace, conv)
     W, trace, conv = best
@@ -406,6 +329,5 @@ def refine_and_compare(fit_result, observations, extra_knots):
     starts = refined.boundaries()[:-1]
     cols = [knots.interval_index(s) for s in starts]
     W0 = W_orig[:, cols]
-    minimize = _fit_variance_reduced if config.batch_mode is not None else _fit_full_batch
-    _, trace, _ = minimize(design, W0, config, mono_rows, None)
+    _, trace, _ = _fit_full_batch(design, W0, config, mono_rows, None)
     return trace[-1][1] - fit_result.objective_trace[-1][1]

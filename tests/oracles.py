@@ -2,8 +2,9 @@
 
 Everything here recomputes answers by a route independent of the library
 implementation: exhaustive enumeration over block partitions, a
-box-constrained dual least-squares solve, or plain vectorized grid search.
-All are exponential or polynomially slow and meant for tiny instances only.
+box-constrained dual least-squares solve, plain vectorized grid search, or
+a per-run loop over feature paths.  All are exponential or polynomially
+slow and meant for tiny instances only.
 """
 
 import itertools
@@ -119,3 +120,47 @@ def grid_minimize(f, lo, hi, rounds=8, pts=13):
         lo = best_x - 2.0 * span
         hi = best_x + 2.0 * span
     return best_x, best_v, float(np.max((hi - lo) / (pts - 1)))
+
+
+def dense_design(knots, observations):
+    """Dense exposure matrices ``(U, V)`` of the censored likelihood, run by run.
+
+    Row ``i`` of ``U`` is the exposure of every coefficient slot (row-major
+    ``(d+1, intervals)``, row 0 the intercept) on observation ``i``'s head
+    window ``[0, e_i]``, with ``e_i`` the bracket's left end or the
+    censoring time.  ``V`` has one row per interval observation, in input
+    order: the exposure on ``[l_i, r_i]``.  Built with one Python loop over
+    the constant runs of :meth:`FeaturePath.runs`, adding each run's
+    overlap with every knot interval into a zeroed row in run order.
+    """
+    observations = list(observations)
+    d = observations[0].path.d
+    shape = (d + 1, knots.n_intervals)
+    B = knots.boundaries()
+
+    def exposure(path, a, b):
+        out = np.zeros(shape)
+        lo = np.maximum(B[:-1], a)
+        hi = np.minimum(B[1:], b)
+        out[0] += np.clip(hi - lo, 0.0, None)
+        for j in path.entries:
+            starts, vals = path.runs(j)
+            ends = np.append(starts[1:], np.inf)
+            for s, e, v in zip(starts, ends, vals):
+                if v == 0.0:
+                    continue
+                aa = max(a, s)
+                bb = min(b, e)
+                if bb <= aa:
+                    continue
+                lo = np.maximum(B[:-1], aa)
+                hi = np.minimum(B[1:], bb)
+                out[j + 1] += v * np.clip(hi - lo, 0.0, None)
+        return out.ravel()
+
+    U = np.array(
+        [exposure(o.path, 0.0, o.left if o.kind == "interval" else o.right) for o in observations]
+    )
+    rows = [exposure(o.path, o.left, o.right) for o in observations if o.kind == "interval"]
+    V = np.array(rows) if rows else np.zeros((0, U.shape[1]))
+    return U, V

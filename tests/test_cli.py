@@ -141,13 +141,6 @@ class TestFit:
         for sf in [model.intercept, *model.coefficients.values()]:
             assert np.all(np.diff(sf.values) >= -1e-12)
 
-    def test_svrg_batch_mode(self, obs_file, tmp_path):
-        out = tmp_path / "svrg.json"
-        base = ["fit", "--observations", str(obs_file), "--out", str(out)]
-        assert main(base + ["--batch-mode", "svrg:3:8", "--step-size", "0.05"]) == 0
-        assert main(base + ["--batch-mode", "svrg:3", "--force"]) == 2
-        assert main(base + ["--batch-mode", "svrg:a:b", "--force"]) == 2
-
     def test_missing_input_is_io_error(self, tmp_path):
         args = ["fit", "--observations", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "m")]
         assert main(args) == 4

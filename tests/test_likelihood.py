@@ -1,12 +1,16 @@
 """Hazard evaluation, censored-data NLL, gradients, and the design cache."""
 
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvhazard import (
     CensoredDesign,
@@ -16,9 +20,13 @@ from tvhazard import (
     Observation,
     StepFunction,
     ZeroBracketWarning,
+    build_knot_set,
     cumulative_hazard,
+    default_scenario,
+    generate,
     hazard,
     matrix_model,
+    merge_times,
     model_matrix,
     nll_dataset,
     nll_gradient,
@@ -26,6 +34,8 @@ from tvhazard import (
     survival,
 )
 from tvhazard.likelihood import _log1mexp
+
+from oracles import dense_design
 
 
 def random_instance(rng, d=3, n_knots=4, horizon=8.0):
@@ -63,6 +73,35 @@ def random_observations(rng, d, horizon, n=12):
         else:
             obs.append(Observation.right_censored(p, float(rng.uniform(0.5, horizon))))
     return obs
+
+
+@st.composite
+def design_inputs(draw, horizon=10.0):
+    """Knots and observations with feature paths that ``generate`` never makes:
+    several runs per feature, zero and non-unit values, a change at t=0 and
+    changes past the horizon, features in any order; optionally no interval
+    observation at all."""
+    d = draw(st.integers(0, 3))
+    change_times = st.one_of(st.just(0.0), st.floats(0.0, 1.5 * horizon))
+    values = st.one_of(st.just(0.0), st.just(1.0), st.floats(-3.0, 3.0))
+    all_right = draw(st.integers(0, 3)) == 0
+    obs = []
+    for _ in range(draw(st.integers(1, 8))):
+        entries = {}
+        for j in draw(st.permutations(range(d))):
+            times = sorted(draw(st.lists(change_times, max_size=4, unique=True)))
+            entries[j] = [(t, draw(values)) for t in times]
+        path = FeaturePath(d, entries)
+        if all_right or draw(st.booleans()):
+            obs.append(Observation.right_censored(path, draw(st.floats(0.01, horizon))))
+        else:
+            left = draw(st.one_of(st.just(0.0), st.floats(0.0, horizon - 0.5)))
+            right = draw(st.floats(left, horizon).filter(lambda r: r > left))
+            obs.append(Observation.interval(path, left, right))
+    if draw(st.booleans()):
+        return build_knot_set(obs), obs
+    times = draw(st.lists(st.floats(0.0, horizon), max_size=6))
+    return KnotSet(merge_times(times), horizon), obs
 
 
 class TestHazardModel:
@@ -296,40 +335,61 @@ class TestCensoredDesign:
         assert math.isfinite(fv) and np.all(np.isfinite(fg))
 
     def test_head_term_as_column_sum_dot(self):
-        # nll/nll_grad take the head term as U.sum(axis=0) @ w; the reference
-        # sums the per-observation head terms U @ w
+        # nll/nll_grad take the head term as _u_colsum @ w, the column sum
+        # of the dense oracle's U; the reference sums the per-observation
+        # head terms U @ w
         rng = np.random.default_rng(16)
         for _ in range(40):
             m, ks = random_instance(rng, d=int(rng.integers(1, 6)), n_knots=int(rng.integers(0, 8)))
             obs = random_observations(rng, m.d, ks.horizon, n=int(rng.integers(1, 30)))
             design = CensoredDesign(ks, obs)
-            w = model_matrix(m).ravel() * (rng.random(design.U.shape[1]) < 0.7)
+            U, _ = dense_design(ks, obs)
+            w = model_matrix(m).ravel() * (rng.random(U.shape[1]) < 0.7)
             for floor in (0.0, 1e-12):
                 br = design.V @ w
                 if floor > 0.0:
                     br = np.maximum(br, floor)
                 elif np.any(br <= 0.0):
                     continue
-                value = float((design.U @ w).sum()) - sum(_log1mexp(float(b)) for b in br)
-                grad = design.U.sum(axis=0)
+                value = float((U @ w).sum()) - sum(_log1mexp(float(b)) for b in br)
+                grad = U.sum(axis=0)
                 grad -= design.V.T @ (np.exp(-br) / -np.expm1(-br))
                 assert design.nll(w, floor=floor) == pytest.approx(value, rel=1e-13, abs=0.0)
                 got_value, got_grad = design.nll_grad(w, floor=floor)
                 assert got_value == pytest.approx(value, rel=1e-13, abs=0.0)
                 assert got_grad.tobytes() == grad.tobytes()
 
-    def test_batch_gradients_sum_to_full(self):
-        rng = np.random.default_rng(14)
-        m, ks = random_instance(rng)
-        obs = random_observations(rng, m.d, ks.horizon, n=10)
-        design = CensoredDesign(ks, obs)
-        w = model_matrix(m).ravel()
-        full = design.nll_grad(w, floor=1e-12)[1]
-        parts = [
-            design.nll_grad_batch(w, np.arange(i, min(i + 3, len(obs))), floor=1e-12)
-            for i in range(0, len(obs), 3)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design_inputs())
+    def test_matches_dense_oracle_bitwise(self, case):
+        knots, obs = case
+        design = CensoredDesign(knots, obs)
+        U, V = dense_design(knots, obs)
+        # observations added in input order, as U.sum(axis=0) adds them
+        # whenever U has more than one column
+        colsum = np.zeros(U.shape[1])
+        for row in U:
+            colsum += row
+        assert design._u_colsum.tobytes() == colsum.tobytes()
+        assert design.V.shape == V.shape
+        assert design.V.toarray().tobytes() == V.tobytes()
+        assert design.V.has_canonical_format
+        assert design.interval_rows.tolist() == [
+            i for i, o in enumerate(obs) if o.kind == "interval"
         ]
-        assert np.allclose(sum(parts), full, rtol=1e-10, atol=1e-12)
+
+    def test_build_keeps_no_dense_head_matrix(self):
+        # at this shape (n=5000, d=40, 10 intervals) the dense n x (d+1)K
+        # head matrix alone would take 15.6 MB
+        _, obs = generate(replace(default_scenario(1), n=5000))
+        knots = build_knot_set(obs)
+        tracemalloc.start()
+        try:
+            CensoredDesign(knots, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_design_rejects_inconsistent_dimensions(self):
         ks = KnotSet((), 4.0)

@@ -19,7 +19,6 @@ from tvhazard import (
     PenaltyConfig,
     SolverConfig,
     SolverWarning,
-    VarianceReduced,
     build_knot_set,
     default_scenario,
     fit,
@@ -74,12 +73,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(penalty=pen, n_starts=0)
 
-    def test_variance_reduced_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            VarianceReduced(epoch_length=0, batch_size=4)
-        with pytest.raises(ValueError):
-            VarianceReduced(epoch_length=4, batch_size=0)
-
     def test_fit_rejects_empty_and_unconstrained(self):
         with pytest.raises(ValueError):
             fit([], cfg(1.0))
@@ -87,12 +80,6 @@ class TestConfigValidation:
         bad = SolverConfig(penalty=PenaltyConfig(gamma=1.0, nonnegative=False))
         with pytest.raises(ValueError):
             fit(obs, bad)
-
-    def test_batch_size_larger_than_dataset_rejected(self):
-        obs = sim_observations(np.random.default_rng(0), n=5)
-        config = cfg(1.0, batch_mode=VarianceReduced(epoch_length=2, batch_size=50))
-        with pytest.raises(ValueError):
-            fit(obs, config)
 
 
 class TestFullBatch:
@@ -318,51 +305,6 @@ class TestProxMatrix:
         _, obs = generate(default_scenario(0))
         fit(obs, cfg(1.0))
         assert row_max and min(row_max) > 0.0
-
-
-class TestVarianceReduced:
-    def make(self, seed=40, n=80):
-        obs = sim_observations(np.random.default_rng(seed), n=n)
-        mode = VarianceReduced(epoch_length=10, batch_size=16)
-        return obs, cfg(
-            0.5,
-            max_iterations=40,
-            tolerance=1e-9,
-            step_size=0.05,
-            batch_mode=mode,
-        )
-
-    def test_reproducible_for_fixed_seed(self):
-        obs, config = self.make()
-        r1 = fit(obs, config)
-        r2 = fit(obs, config)
-        assert np.array_equal(model_matrix(r1.model), model_matrix(r2.model))
-        assert r1.objective_trace == r2.objective_trace
-
-    def test_seed_changes_the_draw(self):
-        obs, config = self.make()
-        other = SolverConfig(
-            penalty=config.penalty,
-            max_iterations=config.max_iterations,
-            tolerance=config.tolerance,
-            step_size=config.step_size,
-            batch_mode=config.batch_mode,
-            seed=7,
-        )
-        W1 = model_matrix(fit(obs, config).model)
-        W2 = model_matrix(fit(obs, other).model)
-        assert not np.array_equal(W1, W2)
-
-    def test_reaches_near_full_batch_optimum(self):
-        obs, config = self.make()
-        vr = fit(obs, config)
-        fb = fit(obs, cfg(0.5, max_iterations=2000, tolerance=1e-12))
-        target = fb.objective_trace[-1][1]
-        start = vr.objective_trace[0][1]
-        end = vr.objective_trace[-1][1]
-        assert end < start
-        assert end <= target + 1e-2 * max(1.0, abs(target))
-        assert np.all(model_matrix(vr.model) >= 0.0)
 
 
 class TestRefinement:
