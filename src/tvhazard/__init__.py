@@ -27,14 +27,11 @@ from .likelihood import (
     CensoredDesign,
     HazardModel,
     ZeroBracketWarning,
-    cumulative_hazard,
     hazard,
     model_matrix,
     matrix_model,
     nll_dataset,
     nll_gradient,
-    nll_observation,
-    survival,
 )
 from .penalty import (
     PenaltyConfig,
@@ -60,8 +57,6 @@ from .timeline import (
     build_knot_set,
     eval_feature,
     eval_step,
-    integrate_step,
-    integrate_step_product,
     merge_times,
 )
 
@@ -86,7 +81,6 @@ __all__ = [
     "StepFunction",
     "ZeroBracketWarning",
     "build_knot_set",
-    "cumulative_hazard",
     "default_scenario",
     "eval_feature",
     "eval_step",
@@ -96,15 +90,12 @@ __all__ = [
     "fused_lasso_prox",
     "generate",
     "hazard",
-    "integrate_step",
-    "integrate_step_product",
     "isotonic_project",
     "matrix_model",
     "merge_times",
     "model_matrix",
     "nll_dataset",
     "nll_gradient",
-    "nll_observation",
     "nonzero_parameter_count",
     "objective",
     "proportional_nll",
@@ -112,7 +103,6 @@ __all__ = [
     "read_observations",
     "refine_and_compare",
     "sample_event_time",
-    "survival",
     "truth_model",
     "tv",
     "write_model",

@@ -15,9 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy import optimize
 
-from .likelihood import HazardModel, _log1mexp
+from .likelihood import HazardModel, _inv_expm1, _log1mexp_vec, _run_table, model_matrix
 from .penalty import PenaltyConfig
 from .solver import SolverConfig, fit
 from .timeline import KnotSet, StepFunction
@@ -96,76 +97,79 @@ def fit_constant_additive(observations, l2_weight=1e-6):
         ridge=l2_weight,
     )
     result = fit(observations, config, knots=knots)
-    W = np.zeros(result.model.d + 1)
-    W[0] = result.model.intercept.values[0]
-    for j, sf in result.model.coefficients.items():
-        W[j + 1] = sf.values[0]
+    W = model_matrix(result.model)[:, 0]
     return ConstantAdditiveModel(intercept=W[0], weights=tuple(W[1:]))
-
-
-def _segments(path, a, b):
-    """Constant-feature segments of ``[a, b]``: list of (length, {j: x_j})."""
-    cuts = [a] + [t for t in path.change_times() if a < t < b] + [b]
-    out = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
-        active = {}
-        for j in path.entries:
-            x = path.value(j, lo)
-            if x != 0.0:
-                active[j] = x
-        out.append((hi - lo, active))
-    return out
-
-
-def _precompute(observations):
-    per_obs = []
-    for o in observations:
-        head = _segments(o.path, 0.0, o.left if o.kind == "interval" else o.right)
-        bracket = _segments(o.path, o.left, o.right) if o.kind == "interval" else None
-        per_obs.append((head, bracket))
-    return per_obs
 
 
 _EXP_CAP = 700.0  # keeps exp() finite while the optimizer probes extreme weights
 
 
-def _exposure_term(theta, segs, d):
-    """``lambda_0 * sum_k len_k exp(w . x_k)`` and its gradient in (rho, w)."""
-    rho = theta[0]
-    total = 0.0
-    grad = np.zeros(d + 1)
-    for length, active in segs:
-        s = sum(theta[1 + j] * x for j, x in active.items())
-        e = math.exp(min(rho + s, _EXP_CAP)) * length
-        total += e
-        grad[0] += e
-        for j, x in active.items():
-            grad[1 + j] += e * x
-    return total, grad
+def _pieces(observations):
+    """Cut every path into constant-feature pieces at 0 and at every start
+    and end of its runs in the likelihood's run table.
+
+    Returns ``(X, obs, head, bracket, is_interval)``: the sparse (pieces, d)
+    feature rows, each piece's observation, its overlaps with the head
+    window ``[0, e_i]`` and the bracket ``[l_i, r_i]`` (empty when
+    right-censored), and which observations are interval-censored.
+    """
+    d, table = _run_table(observations)
+    table = table[table[:, 1] > 0]  # the intercept run is the base rate
+    n = len(observations)
+    run_obs = table[:, 0].astype(np.intp)
+    starts, ends = table[:, 2], table[:, 3]
+    finite = np.isfinite(ends)
+    # a piece is keyed by (observation, start) as obs * stride + time rank;
+    # rank len(times) stands for +inf, past every piece of its observation
+    times = np.unique(np.concatenate(([0.0], starts, ends[finite])))
+    stride = len(times) + 1
+    run_first = run_obs * stride + np.searchsorted(times, starts)
+    run_end = run_obs * stride + np.where(finite, np.searchsorted(times, ends), len(times))
+    keys = np.unique(np.concatenate((np.arange(n) * stride, run_first, run_end[finite])))
+    obs = keys // stride
+    lo = times[keys % stride]
+    hi = np.append(lo[1:], np.inf)
+    hi[:-1][obs[1:] != obs[:-1]] = np.inf
+    # each run sets its value on the pieces from its start to its end
+    first = np.searchsorted(keys, run_first)
+    count = np.searchsorted(keys, run_end) - first
+    run = np.repeat(np.arange(len(table)), count)
+    piece = first[run] + np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
+    column = table[run, 1].astype(np.intp) - 1
+    X = scipy.sparse.csr_matrix((table[run, 4], (piece, column)), shape=(len(keys), d))
+    left = np.array([o.left for o in observations])[obs]
+    right = np.array([o.right for o in observations])[obs]
+    # a right-censored observation stores left = right: its bracket is empty
+    head = np.clip(np.minimum(hi, left) - lo, 0.0, None)
+    bracket = np.clip(np.minimum(hi, right) - np.maximum(lo, left), 0.0, None)
+    is_interval = np.array([o.kind == "interval" for o in observations])
+    return X, obs, head, bracket, is_interval
 
 
 def proportional_nll(model, observations):
-    """Censored NLL of a :class:`ProportionalModel` (exact segment-wise)."""
+    """Censored NLL of a :class:`ProportionalModel` (exact piece-wise)."""
+    observations = list(observations)
+    if not observations:
+        return 0.0
+    pieces = _pieces(observations)
+    if pieces[0].shape[1] != model.d:
+        raise ValueError(f"dimension mismatch: model d={model.d}, paths d={pieces[0].shape[1]}")
     theta = np.concatenate(([math.log(model.base_rate)], model.weights))
-    value, _ = _proportional_value_grad(theta, _precompute(observations), model.d, 0.0)
+    value, _ = _proportional_value_grad(theta, pieces, 0.0)
     return value
 
 
-def _proportional_value_grad(theta, per_obs, d, l2_weight):
-    value = 0.0
-    grad = np.zeros(d + 1)
-    for head, bracket in per_obs:
-        eh, gh = _exposure_term(theta, head, d)
-        value += eh
-        grad += gh
-        if bracket is not None:
-            eb, gb = _exposure_term(theta, bracket, d)
-            # eb > 0 always: positive base rate over a nonempty bracket
-            value -= _log1mexp(eb)
-            coef = 1.0 / math.expm1(eb) if eb < 30.0 else math.exp(-eb)
-            grad -= coef * gb
+def _proportional_value_grad(theta, pieces, l2_weight):
+    """Penalized NLL and its gradient in ``(log lambda_0, w)``."""
+    X, obs, head, bracket, is_interval = pieces
+    rate = np.exp(np.minimum(theta[0] + X @ theta[1:], _EXP_CAP))
+    # mass > 0 on every bracket: positive base rate over a nonempty bracket
+    mass = np.bincount(obs, weights=rate * bracket, minlength=len(is_interval))[is_interval]
+    value = float((rate * head).sum() - _log1mexp_vec(mass).sum())
+    coef = np.zeros(len(is_interval))
+    coef[is_interval] = _inv_expm1(mass)
+    q = rate * (head - coef[obs] * bracket)
+    grad = np.concatenate(([q.sum()], X.T @ q))
     if l2_weight > 0.0:
         w = theta[1:]
         value += l2_weight * float(w @ w)
@@ -182,8 +186,8 @@ def fit_proportional(observations, l2_weight=1e-6):
     observations = list(observations)
     if not observations:
         raise ValueError("no observations")
-    d = observations[0].path.d
-    per_obs = _precompute(observations)
+    pieces = _pieces(observations)
+    d = pieces[0].shape[1]
 
     events = sum(1 for o in observations if o.kind == "interval")
     exposure = sum(
@@ -196,7 +200,7 @@ def fit_proportional(observations, l2_weight=1e-6):
     res = optimize.minimize(
         _proportional_value_grad,
         x0,
-        args=(per_obs, d, l2_weight),
+        args=(pieces, l2_weight),
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,

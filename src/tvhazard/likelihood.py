@@ -11,8 +11,10 @@ interval-censored observation ``(l, r]`` contributes
     Lambda(0, l) - log(1 - exp(-Lambda(l, r)))
 
 to the negative log-likelihood and a right-censored one contributes
-``Lambda(0, at)``.  Everything here is exact piecewise-constant arithmetic;
-the log terms use expm1/log1p forms that stay accurate for tiny brackets.
+``Lambda(0, at)``.  Every integral is exact piecewise-constant arithmetic
+in one engine, :class:`CensoredDesign`, which serves the fit,
+:func:`nll_dataset` and :func:`nll_gradient`; the log terms use expm1/log1p
+forms that stay accurate for tiny brackets.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .timeline import (
-    FeaturePath,
-    KnotSet,
-    Observation,
-    StepFunction,
-    eval_feature,
-    eval_step,
-    integrate_step,
-    integrate_step_product,
-)
+from .timeline import StepFunction, eval_feature, eval_step
 
 _LOG2 = math.log(2.0)
 
@@ -94,56 +87,20 @@ def hazard(m, p, t):
     return total
 
 
-def cumulative_hazard(m, p, a, b):
-    """Exact integral of the hazard over ``[a, b]`` for feature path ``p``."""
-    total = integrate_step(m.intercept, a, b)
-    for j in sorted(m.coefficients.keys() & p.entries.keys()):
-        total += integrate_step_product(m.coefficients[j], p, j, a, b)
-    return total
-
-
-def survival(m, p, t):
-    """Probability of no event up to ``t``: exp(-Lambda(0, t))."""
-    return math.exp(-cumulative_hazard(m, p, 0.0, t))
-
-
-def _log1mexp(x):
-    # log(1 - exp(-x)) for x >= 0; switch keeps full precision on both sides
-    if x <= 0.0:
-        return -math.inf
-    if x < _LOG2:
-        return math.log(-math.expm1(-x))
-    return math.log1p(-math.exp(-x))
-
-
-def nll_observation(m, o):
-    """Negative log-likelihood contribution of a single observation.
-
-    Right-censored at ``at``: ``Lambda(0, at)``.  Interval-censored on
-    ``(l, r]``: ``Lambda(0, l) - log(1 - exp(-Lambda(l, r)))``.  A bracket
-    with exactly zero hazard mass yields ``+inf`` with a
-    :class:`ZeroBracketWarning` rather than an exception.
-    """
-    if o.kind == "right":
-        return cumulative_hazard(m, o.path, 0.0, o.right)
-    head = cumulative_hazard(m, o.path, 0.0, o.left)
-    bracket = cumulative_hazard(m, o.path, o.left, o.right)
-    if bracket <= 0.0:
-        warnings.warn(
-            f"model assigns zero mass to event bracket ({o.left}, {o.right}]; NLL is +inf",
-            ZeroBracketWarning,
-            stacklevel=2,
-        )
-        return math.inf
-    return head - _log1mexp(bracket)
-
-
 def nll_dataset(m, observations):
-    """Sum of per-observation NLLs in input order (deterministic)."""
-    total = 0.0
-    for o in observations:
-        total += nll_observation(m, o)
-    return total
+    """Exact censored NLL of model ``m`` on ``observations`` (0.0 for none).
+
+    Evaluates :class:`CensoredDesign` at the model's coefficients with no
+    mass floor: a bracket with exactly zero hazard mass makes the NLL
+    ``+inf``, with one :class:`ZeroBracketWarning` that counts such
+    brackets, rather than an exception.  Raises ``ValueError`` if a path's
+    dimension differs from the model's.
+    """
+    observations = list(observations)
+    if not observations:
+        return 0.0
+    design, w = _model_design(m, observations)
+    return design.nll(w)
 
 
 def model_matrix(m):
@@ -178,11 +135,9 @@ class CensoredDesign:
     the bracket's left end or the censoring time) and the mass of each
     interval bracket ``[l_i, r_i]`` are linear in ``w``.
 
-    The constructor collects every nonzero constant run into one segment
-    table: observation, coefficient row, start, end, value.  The intercept
-    is one run of value 1 from time 0; each feature contributes one run per
-    change time.  The overlap of every run with every knot interval is taken
-    in one broadcast, once for the head window and once for the bracket.
+    The constructor takes every nonzero constant run from one segment table
+    (:func:`_run_table`) and overlaps every run with every knot interval in
+    one broadcast, once for the head window and once for the bracket.
     The dataset NLL needs only the sum of the head terms, so head exposures
     are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
     matrix of per-observation head exposures is never formed.  Bracket
@@ -196,25 +151,16 @@ class CensoredDesign:
 
     def __init__(self, knots, observations):
         observations = list(observations)
-        if not observations:
-            raise ValueError("no observations")
-        d = observations[0].path.d
-        # (observation, coefficient row, start, end, value) of every nonzero run
-        segments = []
-        for i, o in enumerate(observations):
-            if o.path.d != d:
-                raise ValueError(f"dimension mismatch: paths with d={d} and d={o.path.d}")
-            if o.right > knots.horizon or o.left < knots.origin:
-                raise ValueError(
-                    f"observation times ({o.left}, {o.right}) outside knot range "
-                    f"[{knots.origin}, {knots.horizon}]"
-                )
-            segments.append((i, 0, 0.0, math.inf, 1.0))
-            for j, changes in sorted(o.path.entries.items()):
-                for c, (start, v) in enumerate(changes):
-                    if v != 0.0:
-                        end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
-                        segments.append((i, j + 1, start, end, v))
+        d, table = _run_table(observations)
+        left = np.array([o.left for o in observations])
+        right = np.array([o.right for o in observations])
+        outside = np.flatnonzero((right > knots.horizon) | (left < knots.origin))
+        if outside.size:
+            o = observations[outside[0]]
+            raise ValueError(
+                f"observation times ({o.left}, {o.right}) outside knot range "
+                f"[{knots.origin}, {knots.horizon}]"
+            )
         self.knots = knots
         self.observations = observations
         self.d = d
@@ -222,12 +168,8 @@ class CensoredDesign:
         self.n_slots = K = knots.n_intervals
         self.shape = (d + 1, K)
 
-        table = np.array(segments)
-        del segments  # the run tuples outweigh the table built from them
         obs = table[:, 0].astype(np.intp)
         row = table[:, 1].astype(np.intp)
-        left = np.array([o.left for o in observations])
-        right = np.array([o.right for o in observations])
         is_interval = np.array([o.kind == "interval" for o in observations])
         B = knots.boundaries()
 
@@ -251,16 +193,13 @@ class CensoredDesign:
         # than going through V.T and bitwise the same (rows added in order)
         self._V_t = self.V.T.tocsr()
 
-    def brackets(self, w):
-        """Cumulative hazard of every interval bracket at coefficients ``w``."""
-        return self.V @ np.asarray(w).ravel()
-
     def nll(self, w, floor=0.0):
         """Dataset NLL at flattened coefficients ``w``.
 
         With ``floor > 0`` bracket masses are clamped below at ``floor``
         (optimizer use: keeps the objective finite and smooth near the
-        boundary); with ``floor = 0`` a zero-mass bracket yields ``+inf``.
+        boundary); with ``floor = 0`` zero-mass brackets yield ``+inf`` and
+        one :class:`ZeroBracketWarning` that counts them.
         """
         w = np.asarray(w).ravel()
         total = float(self._u_colsum @ w)
@@ -269,12 +208,22 @@ class CensoredDesign:
             if floor > 0.0:
                 br = np.maximum(br, floor)
             elif np.any(br <= 0.0):
+                warnings.warn(
+                    f"model assigns zero mass to {np.count_nonzero(br <= 0.0)} event "
+                    "bracket(s); NLL is +inf",
+                    ZeroBracketWarning,
+                    stacklevel=3,
+                )
                 return math.inf
             total += float(-_log1mexp_vec(br).sum())
         return total
 
     def nll_grad(self, w, floor=0.0):
-        """NLL value and gradient (flattened) at ``w``, same flooring as :meth:`nll`."""
+        """NLL value and gradient (flattened) at ``w``, same flooring as :meth:`nll`.
+
+        With ``floor = 0`` a zero-mass bracket raises ``ValueError``: the
+        gradient is undefined there.
+        """
         w = np.asarray(w).ravel()
         value = float(self._u_colsum @ w)
         grad = self._u_colsum.copy()
@@ -283,10 +232,39 @@ class CensoredDesign:
             if floor > 0.0:
                 br = np.maximum(br, floor)
             elif np.any(br <= 0.0):
-                raise ValueError("zero-mass event bracket: gradient undefined without a floor")
+                raise ValueError(
+                    "zero-mass event bracket: gradient undefined without a floor; "
+                    "keep the intercept strictly positive (positivity floor)"
+                )
             value += float(-_log1mexp_vec(br).sum())
             grad -= self._V_t @ _inv_expm1(br)
         return value, grad
+
+
+def _run_table(observations):
+    """Every nonzero constant run of the observations' paths, as one table.
+
+    Returns the paths' common dimension ``d`` and a (runs, 5) array of
+    ``(observation, coefficient row, start, end, value)`` rows, sorted by
+    observation, then row, then start.  Row 0 is the intercept, one run of
+    value 1 from time 0; feature ``j`` is row ``j + 1``, one run per nonzero
+    change until the next change (or forever).  Raises ``ValueError`` for
+    no observations or paths of different dimensions.
+    """
+    if not observations:
+        raise ValueError("no observations")
+    d = observations[0].path.d
+    segments = []
+    for i, o in enumerate(observations):
+        if o.path.d != d:
+            raise ValueError(f"dimension mismatch: paths with d={d} and d={o.path.d}")
+        segments.append((i, 0, 0.0, math.inf, 1.0))
+        for j, changes in sorted(o.path.entries.items()):
+            for c, (start, v) in enumerate(changes):
+                if v != 0.0:
+                    end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
+                    segments.append((i, j + 1, start, end, v))
+    return d, np.array(segments)
 
 
 def _run_exposures(table, B, a, b):
@@ -327,6 +305,14 @@ def _log1mexp_vec(x):
     return out
 
 
+def _model_design(m, observations):
+    """The design of ``observations`` on ``m``'s knots and ``m``'s flattened coefficients."""
+    design = CensoredDesign(m.knots, observations)
+    if design.d != m.d:
+        raise ValueError(f"dimension mismatch: model d={m.d}, observations d={design.d}")
+    return design, model_matrix(m).ravel()
+
+
 def nll_gradient(m, observations):
     """Exact gradient of :func:`nll_dataset` w.r.t. every coefficient value.
 
@@ -342,15 +328,6 @@ def nll_gradient(m, observations):
         If some bracket has exactly zero mass (gradient undefined there);
         start from a strictly positive intercept to stay off the boundary.
     """
-    observations = list(observations)
-    design = CensoredDesign(m.knots, observations)
-    if design.d != m.d:
-        raise ValueError(f"dimension mismatch: model d={m.d}, observations d={design.d}")
-    w = model_matrix(m).ravel()
-    if design.V.shape[0] and np.any(design.brackets(w) <= 0.0):
-        raise ValueError(
-            "gradient undefined: an event bracket has zero hazard mass; "
-            "keep the intercept strictly positive (positivity floor)"
-        )
+    design, w = _model_design(m, list(observations))
     _, grad = design.nll_grad(w)
     return grad.reshape(design.shape)

@@ -82,8 +82,9 @@ class FitResult:
     ``objective_trace`` holds ``(iteration, penalized objective)`` pairs
     starting at iteration 0; it is nonincreasing.
     ``train_nll`` is the unpenalized dataset NLL of the fitted model,
-    computed through the plain likelihood route (the same code path the
-    evaluation command uses).  ``nonzero_parameter_count`` counts base
+    evaluated on the fit's own :class:`CensoredDesign` exactly as
+    :func:`nll_dataset` (and so the evaluation command) evaluates it: the
+    two agree bitwise.  ``nonzero_parameter_count`` counts base
     values and jumps exceeding the sparsity epsilon
     (1e-6 x max absolute fitted value).
     """
@@ -294,7 +295,7 @@ def fit(observations, config, knots=None, callback=None):
     return FitResult(
         model=model,
         objective_trace=tuple(trace),
-        train_nll=nll_dataset(model, observations),
+        train_nll=design.nll(model_matrix(model)),
         converged=conv,
         nonzero_parameter_count=nonzero_parameter_count(W),
         config=config,

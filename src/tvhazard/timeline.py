@@ -2,9 +2,9 @@
 
 Every coefficient path in a fitted model is a right-continuous step function
 whose jumps live on a single shared :class:`KnotSet`.  Feature paths carry
-their own change times and are evaluated right-continuously as well.  All
-integrals of products of step functions are computed exactly on the common
-refinement of the relevant breakpoints; no quadrature is involved.
+their own change times and are evaluated right-continuously as well.  Integrals of
+hazards along feature paths are taken exactly, by
+:class:`tvhazard.likelihood.CensoredDesign`.
 """
 
 from __future__ import annotations
@@ -199,23 +199,6 @@ class FeaturePath:
             out.update(t for t, _ in changes)
         return tuple(sorted(out))
 
-    def runs(self, j):
-        """Constant runs of feature ``j`` as (start_times, values) arrays.
-
-        Run ``k`` holds on ``[start[k], start[k+1])``; the last run extends
-        to infinity.  The leading run always starts at 0 with value 0.
-        """
-        changes = self.entries.get(int(j), ())
-        starts = [0.0]
-        vals = [0.0]
-        for t, v in changes:
-            if t == 0.0:
-                vals[0] = v
-            else:
-                starts.append(t)
-                vals.append(v)
-        return np.asarray(starts), np.asarray(vals)
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -334,59 +317,3 @@ def eval_feature(path, j, t):
         else:
             hi = mid
     return changes[lo - 1][1] if lo else 0.0
-
-
-def _segment_points(interior, a, b):
-    """``[a, interior strictly inside (a, b), b]`` as an array."""
-    pts = [a]
-    for t in interior:
-        if a < t < b:
-            pts.append(t)
-    pts.append(b)
-    return pts
-
-
-def integrate_step(f, a, b):
-    """Exact integral of a step function over ``[a, b]``.
-
-    Both endpoints must lie in the window and ``a <= b``.  Computed by
-    summing value x length over the intervals intersecting ``[a, b]``.
-    """
-    knots = f.knots
-    _check_time(a, knots.horizon, knots.origin)
-    _check_time(b, knots.horizon, knots.origin)
-    if a > b:
-        raise ValueError(f"integration bounds out of order: {a} > {b}")
-    if a == b:
-        return 0.0
-    pts = _segment_points(knots.times, a, b)
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        total += (hi - lo) * f.values[bisect.bisect_right(knots.times, lo)]
-    return total
-
-
-def integrate_step_product(f, path, j, a, b):
-    """Exact integral of ``f(t) * x_j(t)`` over ``[a, b]``.
-
-    The integrand is constant between consecutive breakpoints of ``f`` and
-    change times of feature ``j``, so the integral is an exact finite sum.
-    """
-    knots = f.knots
-    _check_time(a, knots.horizon, knots.origin)
-    _check_time(b, knots.horizon, knots.origin)
-    if a > b:
-        raise ValueError(f"integration bounds out of order: {a} > {b}")
-    if a == b:
-        return 0.0
-    changes = path.entries.get(int(j), ())
-    if int(j) >= path.d or int(j) < 0:
-        raise IndexError(f"feature index {j} outside [0, {path.d})")
-    interior = merge_times(list(knots.times) + [t for t, _ in changes], tol=0.0)
-    pts = _segment_points(interior, a, b)
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        x = eval_feature(path, j, lo)
-        if x != 0.0:
-            total += (hi - lo) * f.values[bisect.bisect_right(knots.times, lo)] * x
-    return total

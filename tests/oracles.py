@@ -2,15 +2,22 @@
 
 Everything here recomputes answers by a route independent of the library
 implementation: exhaustive enumeration over block partitions, a
-box-constrained dual least-squares solve, plain vectorized grid search, or
-a per-run loop over feature paths.  All are exponential or polynomially
-slow and meant for tiny instances only.
+box-constrained dual least-squares solve, plain vectorized grid search, a
+per-run loop over feature paths, or the scalar likelihood route that
+integrates one observation at a time on the common refinement of knots and
+change times.  All are exponential or polynomially slow and meant for tiny
+instances only.
 """
 
+import bisect
 import itertools
+import math
+import warnings
 
 import numpy as np
 import scipy.optimize
+
+from tvhazard import ZeroBracketWarning, eval_feature, merge_times
 
 
 def fused_prox_bruteforce(y, lam):
@@ -130,13 +137,26 @@ def dense_design(knots, observations):
     window ``[0, e_i]``, with ``e_i`` the bracket's left end or the
     censoring time.  ``V`` has one row per interval observation, in input
     order: the exposure on ``[l_i, r_i]``.  Built with one Python loop over
-    the constant runs of :meth:`FeaturePath.runs`, adding each run's
-    overlap with every knot interval into a zeroed row in run order.
+    each feature's constant runs, adding each run's overlap with every knot
+    interval into a zeroed row in run order.
     """
     observations = list(observations)
     d = observations[0].path.d
     shape = (d + 1, knots.n_intervals)
     B = knots.boundaries()
+
+    def runs(path, j):
+        # (start_times, values) of feature j; the leading run starts at 0
+        # with value 0, and the last run extends to infinity
+        starts = [0.0]
+        vals = [0.0]
+        for t, v in path.entries.get(j, ()):
+            if t == 0.0:
+                vals[0] = v
+            else:
+                starts.append(t)
+                vals.append(v)
+        return np.asarray(starts), np.asarray(vals)
 
     def exposure(path, a, b):
         out = np.zeros(shape)
@@ -144,7 +164,7 @@ def dense_design(knots, observations):
         hi = np.minimum(B[1:], b)
         out[0] += np.clip(hi - lo, 0.0, None)
         for j in path.entries:
-            starts, vals = path.runs(j)
+            starts, vals = runs(path, j)
             ends = np.append(starts[1:], np.inf)
             for s, e, v in zip(starts, ends, vals):
                 if v == 0.0:
@@ -164,3 +184,89 @@ def dense_design(knots, observations):
     rows = [exposure(o.path, o.left, o.right) for o in observations if o.kind == "interval"]
     V = np.array(rows) if rows else np.zeros((0, U.shape[1]))
     return U, V
+
+
+def _check_bounds(knots, a, b):
+    for t in (a, b):
+        if not math.isfinite(t) or not knots.origin <= t <= knots.horizon:
+            raise ValueError(f"time {t!r} outside [{knots.origin}, {knots.horizon}]")
+    if a > b:
+        raise ValueError(f"integration bounds out of order: {a} > {b}")
+
+
+def _segment_points(interior, a, b):
+    """``[a, interior strictly inside (a, b), b]``."""
+    return [a] + [t for t in interior if a < t < b] + [b]
+
+
+def integrate_step(f, a, b):
+    """Integral of a step function over ``[a, b]``: value x length per interval."""
+    knots = f.knots
+    _check_bounds(knots, a, b)
+    pts = _segment_points(knots.times, a, b)
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        total += (hi - lo) * f.values[bisect.bisect_right(knots.times, lo)]
+    return total
+
+
+def integrate_step_product(f, path, j, a, b):
+    """Integral of ``f(t) * x_j(t)`` over ``[a, b]``, piece by piece on the
+    common refinement of the knots and feature ``j``'s change times."""
+    knots = f.knots
+    _check_bounds(knots, a, b)
+    changes = path.entries.get(int(j), ())
+    interior = merge_times(list(knots.times) + [t for t, _ in changes], tol=0.0)
+    pts = _segment_points(interior, a, b)
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        x = eval_feature(path, j, lo)
+        if x != 0.0:
+            total += (hi - lo) * f.values[bisect.bisect_right(knots.times, lo)] * x
+    return total
+
+
+def cumulative_hazard(m, p, a, b):
+    """Integral of the hazard of model ``m`` along path ``p`` over ``[a, b]``."""
+    total = integrate_step(m.intercept, a, b)
+    for j in sorted(m.coefficients.keys() & p.entries.keys()):
+        total += integrate_step_product(m.coefficients[j], p, j, a, b)
+    return total
+
+
+def survival(m, p, t):
+    """Probability of no event up to ``t``: exp(-Lambda(0, t))."""
+    return math.exp(-cumulative_hazard(m, p, 0.0, t))
+
+
+def log1mexp(x):
+    """log(1 - exp(-x)) for x >= 0 (-inf otherwise), accurate on both sides of log 2."""
+    if x <= 0.0:
+        return -math.inf
+    if x < math.log(2.0):
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
+
+
+def nll_observation(m, o):
+    """NLL of one observation: ``Lambda(0, at)`` if right-censored, else
+    ``Lambda(0, l) - log(1 - exp(-Lambda(l, r)))``; a zero-mass bracket gives
+    ``+inf`` with a :class:`ZeroBracketWarning`."""
+    if o.kind == "right":
+        return cumulative_hazard(m, o.path, 0.0, o.right)
+    head = cumulative_hazard(m, o.path, 0.0, o.left)
+    bracket = cumulative_hazard(m, o.path, o.left, o.right)
+    if bracket <= 0.0:
+        warnings.warn(
+            f"model assigns zero mass to event bracket ({o.left}, {o.right}]", ZeroBracketWarning
+        )
+        return math.inf
+    return head - log1mexp(bracket)
+
+
+def scalar_nll(m, observations):
+    """Dataset NLL as the sum of :func:`nll_observation` in input order."""
+    total = 0.0
+    for o in observations:
+        total += nll_observation(m, o)
+    return total

@@ -25,7 +25,7 @@ from tvhazard import (
     proportional_nll,
     tv,
 )
-from tvhazard.baseline import _precompute, _proportional_value_grad
+from tvhazard.baseline import _pieces, _proportional_value_grad
 
 
 def sim_observations(rng, d=2, n=50, horizon=6.0):
@@ -43,6 +43,28 @@ def sim_observations(rng, d=2, n=50, horizon=6.0):
             obs.append(Observation.interval(p, l, r))
         else:
             obs.append(Observation.right_censored(p, float(rng.uniform(0.5, horizon))))
+    return obs
+
+
+def changing_observations(rng, d=2, n=8, horizon=6.0):
+    """Observations whose features change several times each: at t=0,
+    back to zero, and exactly at the ends of the censoring window."""
+    obs = []
+    for _ in range(n):
+        l = float(rng.uniform(0.2, horizon - 0.6))
+        r = min(l + float(rng.uniform(0.3, 1.5)), horizon)
+        interval = rng.random() < 0.55
+        entries = {}
+        for j in range(d):
+            times = sorted({0.0, l, r, *rng.uniform(0.0, horizon + 1.0, size=2).tolist()})
+            values = rng.uniform(0.2, 1.5, size=len(times))
+            values[1 + j] = 0.0
+            entries[j] = tuple(zip(times, values.tolist()))
+        p = FeaturePath(d, entries)
+        if interval:
+            obs.append(Observation.interval(p, l, r))
+        else:
+            obs.append(Observation.right_censored(p, r))
     return obs
 
 
@@ -138,7 +160,7 @@ class TestProportional:
     def test_nll_matches_quadrature(self):
         rng = np.random.default_rng(53)
         for _ in range(5):
-            obs = sim_observations(rng, d=2, n=8)
+            obs = changing_observations(rng, d=2, n=8)
             model = ProportionalModel(
                 base_rate=float(rng.uniform(0.05, 0.8)),
                 weights=tuple(rng.normal(0.0, 0.7, size=2)),
@@ -166,16 +188,16 @@ class TestProportional:
         rng = np.random.default_rng(54)
         for _ in range(10):
             obs = sim_observations(rng, d=2, n=15)
-            per = _precompute(obs)
+            per = _pieces(obs)
             theta = np.concatenate((rng.normal(-1.0, 0.3, 1), rng.normal(0.0, 0.5, 2)))
-            _, g = _proportional_value_grad(theta, per, 2, 1e-6)
+            _, g = _proportional_value_grad(theta, per, 1e-6)
             h = 1e-6
             for k in range(3):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                fp, _ = _proportional_value_grad(tp, per, 2, 1e-6)
-                fm, _ = _proportional_value_grad(tm, per, 2, 1e-6)
+                fp, _ = _proportional_value_grad(tp, per, 1e-6)
+                fm, _ = _proportional_value_grad(tm, per, 1e-6)
                 fd = (fp - fm) / (2 * h)
                 assert abs(g[k] - fd) / max(1.0, abs(g[k])) < 1e-6
 
@@ -186,7 +208,7 @@ class TestProportional:
             warnings.simplefilter("error")
             model = fit_proportional(obs, l2_weight=1e-6)
         theta = np.concatenate(([math.log(model.base_rate)], model.weights))
-        _, g = _proportional_value_grad(theta, _precompute(obs), 2, 1e-6)
+        _, g = _proportional_value_grad(theta, _pieces(obs), 1e-6)
         assert np.abs(g).max() < 1e-4
         null = fit_proportional(
             [

@@ -12,12 +12,13 @@ from tvhazard import (
     HazardModel,
     KnotSet,
     StepFunction,
-    cumulative_hazard,
     default_scenario,
     generate,
     sample_event_time,
     truth_model,
 )
+
+from oracles import cumulative_hazard
 
 
 def tiny_spec(**overrides):

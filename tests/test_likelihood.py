@@ -18,11 +18,12 @@ from tvhazard import (
     HazardModel,
     KnotSet,
     Observation,
+    ProportionalModel,
     StepFunction,
     ZeroBracketWarning,
     build_knot_set,
-    cumulative_hazard,
     default_scenario,
+    fit_proportional,
     generate,
     hazard,
     matrix_model,
@@ -30,12 +31,18 @@ from tvhazard import (
     model_matrix,
     nll_dataset,
     nll_gradient,
+    proportional_nll,
+)
+from tvhazard.likelihood import _log1mexp_vec
+
+from oracles import (
+    cumulative_hazard,
+    dense_design,
+    log1mexp,
     nll_observation,
+    scalar_nll,
     survival,
 )
-from tvhazard.likelihood import _log1mexp
-
-from oracles import dense_design
 
 
 def random_instance(rng, d=3, n_knots=4, horizon=8.0):
@@ -76,14 +83,15 @@ def random_observations(rng, d, horizon, n=12):
 
 
 @st.composite
-def design_inputs(draw, horizon=10.0):
+def design_inputs(draw, horizon=10.0, low=-3.0):
     """Knots and observations with feature paths that ``generate`` never makes:
-    several runs per feature, zero and non-unit values, a change at t=0 and
-    changes past the horizon, features in any order; optionally no interval
-    observation at all."""
+    several runs per feature, zero and non-unit values (nonzero ones drawn
+    from ``[low, 3]`` besides 1), a change at t=0 and changes past the
+    horizon, features in any order; optionally no interval observation at
+    all."""
     d = draw(st.integers(0, 3))
     change_times = st.one_of(st.just(0.0), st.floats(0.0, 1.5 * horizon))
-    values = st.one_of(st.just(0.0), st.just(1.0), st.floats(-3.0, 3.0))
+    values = st.one_of(st.just(0.0), st.just(1.0), st.floats(low, 3.0))
     all_right = draw(st.integers(0, 3)) == 0
     obs = []
     for _ in range(draw(st.integers(1, 8))):
@@ -189,15 +197,16 @@ class TestLog1mExp:
         with mpmath.workdps(60):
             for x in [1e-15, 1e-9, 1e-4, 0.1, 0.5, math.log(2), 0.7, 1.0, 5.0, 40.0, 700.0]:
                 ref = float(mpmath.log(1 - mpmath.e ** (-mpmath.mpf(x))))
-                assert _log1mexp(x) == pytest.approx(ref, rel=1e-14), x
+                assert log1mexp(x) == pytest.approx(ref, rel=1e-14), x
+                assert _log1mexp_vec(np.array([x]))[0] == pytest.approx(ref, rel=1e-14), x
 
     def test_zero_and_negative_give_minus_inf(self):
-        assert _log1mexp(0.0) == -math.inf
-        assert _log1mexp(-1.0) == -math.inf
+        assert log1mexp(0.0) == -math.inf
+        assert log1mexp(-1.0) == -math.inf
 
     def test_monotone_in_x(self):
         xs = np.logspace(-12, 2, 200)
-        vals = [_log1mexp(float(x)) for x in xs]
+        vals = [log1mexp(float(x)) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -227,6 +236,36 @@ class TestNLLObservation:
         o = Observation.interval(p, 2.0, 3.0)  # hazard identically 0 there
         with pytest.warns(ZeroBracketWarning):
             assert nll_observation(m, o) == math.inf
+        # the dataset NLL warns once per call, counting the zero brackets
+        obs = [o, Observation.interval(p, 0.5, 3.0), o, Observation.interval(p, 1.5, 4.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert nll_dataset(m, obs) == math.inf
+        assert [w.category for w in caught] == [ZeroBracketWarning]
+        assert "3 event bracket" in str(caught[0].message)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_dataset_matches_scalar_oracle(self, data):
+        # nonnegative paths and levels: every term of both routes is >= 0
+        knots, obs = data.draw(design_inputs(low=1e-3))
+        shape = (obs[0].path.d + 1, knots.n_intervals)
+        level = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+        W = data.draw(st.lists(level, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        m = matrix_model(knots, np.reshape(W, shape))
+        with warnings.catch_warnings(record=True) as oracle_caught:
+            warnings.simplefilter("always")
+            want = scalar_nll(m, obs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = nll_dataset(m, obs)
+        if want == math.inf:
+            assert got == math.inf
+            assert [w.category for w in caught] == [ZeroBracketWarning]
+            assert f"{len(oracle_caught)} event bracket" in str(caught[0].message)
+        else:
+            assert not caught
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_dataset_is_plain_sum(self):
         rng = np.random.default_rng(8)
@@ -234,6 +273,7 @@ class TestNLLObservation:
         obs = random_observations(rng, m.d, ks.horizon)
         total = sum(nll_observation(m, o) for o in obs)
         assert nll_dataset(m, obs) == pytest.approx(total, rel=1e-14)
+        assert nll_dataset(m, []) == 0.0
 
 
 class TestModelMatrix:
@@ -273,8 +313,8 @@ class TestGradient:
                         Wp, Wm = Wb.copy(), Wb.copy()
                         Wp[r, c] += h
                         Wm[r, c] -= h
-                        fp = nll_dataset(matrix_model(ks, Wp), obs)
-                        fm = nll_dataset(matrix_model(ks, Wm), obs)
+                        fp = scalar_nll(matrix_model(ks, Wp), obs)
+                        fm = scalar_nll(matrix_model(ks, Wm), obs)
                         return (fp - fm) / (2 * h)
 
                     # Richardson extrapolation kills the O(h^2) term.
@@ -294,9 +334,18 @@ class TestGradient:
     def test_dimension_mismatch_rejected(self):
         ks = KnotSet((), 4.0)
         m = HazardModel(knots=ks, d=1, intercept=StepFunction(ks, (0.5,)))
-        o = Observation.right_censored(FeaturePath(2, {}), 2.0)
+        o = Observation.right_censored(FeaturePath(2, {1: ((0.0, 1.0),)}), 2.0)
         with pytest.raises(ValueError):
             nll_gradient(m, [o])
+        # the messages name both dimensions (a bare size mismatch in numpy
+        # or scipy would raise ValueError too)
+        with pytest.raises(ValueError, match="model d=1"):
+            nll_dataset(m, [o])
+        mixed = [o, Observation.interval(FeaturePath(1, {0: ((0.0, 1.0),)}), 1.0, 2.0)]
+        with pytest.raises(ValueError, match="paths with d=2 and d=1"):
+            fit_proportional(mixed)
+        with pytest.raises(ValueError, match="model d=1"):
+            proportional_nll(ProportionalModel(base_rate=0.5, weights=(0.1,)), [o])
 
 
 class TestCensoredDesign:
@@ -307,7 +356,7 @@ class TestCensoredDesign:
             obs = random_observations(rng, m.d, ks.horizon)
             design = CensoredDesign(ks, obs)
             w = model_matrix(m).ravel()
-            assert design.nll(w) == pytest.approx(nll_dataset(m, obs), rel=1e-12)
+            assert design.nll(w) == pytest.approx(scalar_nll(m, obs), rel=1e-12)
 
     def test_grad_matches_api_route(self):
         rng = np.random.default_rng(13)
@@ -351,7 +400,7 @@ class TestCensoredDesign:
                     br = np.maximum(br, floor)
                 elif np.any(br <= 0.0):
                     continue
-                value = float((U @ w).sum()) - sum(_log1mexp(float(b)) for b in br)
+                value = float((U @ w).sum()) - sum(log1mexp(float(b)) for b in br)
                 grad = U.sum(axis=0)
                 grad -= design.V.T @ (np.exp(-br) / -np.expm1(-br))
                 assert design.nll(w, floor=floor) == pytest.approx(value, rel=1e-13, abs=0.0)

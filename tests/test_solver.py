@@ -105,6 +105,30 @@ class TestFullBatch:
         assert r1.objective_trace == r2.objective_trace
         assert r1.train_nll == r2.train_nll
 
+    @pytest.mark.parametrize(
+        "penalty",
+        [PenaltyConfig(gamma=0.0), PenaltyConfig(gamma=1.0), PenaltyConfig(gamma=1.0, monotone=True)],
+        ids=["gamma0", "gamma1", "monotone"],
+    )
+    def test_train_nll_from_the_fit_design(self, penalty, monkeypatch):
+        # fit builds one design and takes train_nll from it, bitwise what
+        # nll_dataset gives for the returned model
+        obs = sim_observations(np.random.default_rng(24), n=40)
+        builds = []
+        init = CensoredDesign.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CensoredDesign, "__init__", counting_init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SolverWarning)
+            res = fit(obs, SolverConfig(penalty=penalty, max_iterations=100))
+        assert len(builds) == 1
+        monkeypatch.undo()
+        assert nll_dataset(res.model, obs) == res.train_nll
+
     def test_default_knots_equal_explicit_union(self):
         obs = sim_observations(np.random.default_rng(23), n=25)
         config = cfg(1.0, max_iterations=100)

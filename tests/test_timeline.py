@@ -14,10 +14,10 @@ from tvhazard import (
     build_knot_set,
     eval_feature,
     eval_step,
-    integrate_step,
-    integrate_step_product,
     merge_times,
 )
+
+from oracles import integrate_step, integrate_step_product
 
 
 def random_knots(rng, horizon=10.0, max_knots=6):
