@@ -193,21 +193,18 @@ class CensoredDesign:
         # than going through V.T and bitwise the same (rows added in order)
         self._V_t = self.V.T.tocsr()
 
-    def nll(self, w, floor=0.0):
-        """Dataset NLL at flattened coefficients ``w``.
+    def nll(self, w):
+        """Exact dataset NLL at flattened coefficients ``w``.
 
-        With ``floor > 0`` bracket masses are clamped below at ``floor``
-        (optimizer use: keeps the objective finite and smooth near the
-        boundary); with ``floor = 0`` zero-mass brackets yield ``+inf`` and
-        one :class:`ZeroBracketWarning` that counts them.
+        Zero-mass brackets yield ``+inf`` and one :class:`ZeroBracketWarning`
+        that counts them.  The optimizer floors bracket masses instead and
+        takes value and gradient together from :meth:`nll_grad`.
         """
         w = np.asarray(w).ravel()
         total = float(self._u_colsum @ w)
         if self.V.shape[0]:
             br = self.V @ w
-            if floor > 0.0:
-                br = np.maximum(br, floor)
-            elif np.any(br <= 0.0):
+            if np.any(br <= 0.0):
                 warnings.warn(
                     f"model assigns zero mass to {np.count_nonzero(br <= 0.0)} event "
                     "bracket(s); NLL is +inf",
@@ -219,10 +216,13 @@ class CensoredDesign:
         return total
 
     def nll_grad(self, w, floor=0.0):
-        """NLL value and gradient (flattened) at ``w``, same flooring as :meth:`nll`.
+        """NLL value and gradient (flattened) at ``w``.
 
-        With ``floor = 0`` a zero-mass bracket raises ``ValueError``: the
-        gradient is undefined there.
+        With ``floor > 0`` bracket masses are clamped below at ``floor``
+        (optimizer use: keeps the objective finite and smooth near the
+        boundary); with ``floor = 0`` the value is bitwise :meth:`nll`'s and
+        a zero-mass bracket raises ``ValueError``: the gradient is undefined
+        there.
         """
         w = np.asarray(w).ravel()
         value = float(self._u_colsum @ w)

@@ -2,15 +2,15 @@
 
 The solver's nonsmooth subproblem per coefficient row is
 
-    argmin_w  (1/2) ||y - w||^2 + weight * sum_l |w[l+1] - w[l]|    (+ w >= 0)
+    argmin_w  (1/2) ||y - w||^2 + weight * sum_l |w[l+1] - w[l]|    s.t. w >= 0
 
-solved exactly by dynamic-programming message passing (fused lasso), with
-elementwise clipping for the nonnegativity constraint; in one dimension
-clipping after the TV prox is exact.  In monotone mode the TV of a
-nondecreasing row telescopes to ``w[last] - w[first]``, a linear term the
-solver folds into the smooth objective, so the prox reduces to isotonic
-projection (pool-adjacent-violators) plus clipping.  The solver applies
-both row by row and clips (``solver._prox_matrix``).
+solved exactly by dynamic-programming message passing (fused lasso) and
+then clipped at zero; in one dimension clipping after the TV prox is exact.
+In monotone mode the TV of a nondecreasing row telescopes to
+``w[last] - w[first]``, a linear term the solver folds into the smooth
+objective, so the prox reduces to isotonic projection
+(``scipy.optimize.isotonic_regression``) plus clipping.  The solver applies
+both row by row and always clips (``solver._prox_matrix``).
 """
 
 from __future__ import annotations
@@ -18,29 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Penalty and constraint switches for one fit.
 
+    Every fitted row is clipped at zero, so hazards stay valid rates.
+
     Parameters
     ----------
     gamma : float
         Total-variation weight, >= 0.
     monotone : bool
-        Constrain coefficient rows to be nondecreasing in time.
-    nonnegative : bool
-        Clip rows at zero (required for valid hazards; default True).
-    monotone_intercept : bool
-        Whether the monotone constraint also binds the intercept row
-        (ignored when ``monotone`` is False; default True).
+        Constrain every coefficient row, the intercept included, to be
+        nondecreasing in time.
     """
 
     gamma: float = 0.0
     monotone: bool = False
-    nonnegative: bool = True
-    monotone_intercept: bool = True
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -163,25 +160,10 @@ def fused_lasso_prox(y, weight):
 
 
 def isotonic_project(y):
-    """Euclidean projection onto nondecreasing sequences (PAVA).
+    """Euclidean projection onto nondecreasing sequences.
 
-    Pools adjacent violating blocks into their weighted mean; the result is
-    nondecreasing, idempotent, and preserves the total sum.
+    SciPy's pool-adjacent-violators (``scipy.optimize.isotonic_regression``)
+    on validated input: the result is nondecreasing, idempotent, and
+    preserves the total sum.
     """
-    y = _validated(y)
-    totals = []  # block sums
-    counts = []
-    for v in y:
-        t, c = float(v), 1
-        # pool while the previous block mean exceeds the new block mean
-        while totals and totals[-1] * c > t * counts[-1]:
-            t += totals.pop()
-            c += counts.pop()
-        totals.append(t)
-        counts.append(c)
-    out = np.empty(y.size)
-    pos = 0
-    for t, c in zip(totals, counts):
-        out[pos : pos + c] = t / c
-        pos += c
-    return out
+    return scipy.optimize.isotonic_regression(_validated(y)).x

@@ -48,16 +48,17 @@ class SolverWarning(UserWarning):
 class SolverConfig:
     """Optimizer settings.
 
-    ``ridge`` adds ``ridge * ||feature rows||^2`` to the smooth objective
-    (used by the constant baseline).  ``n_starts > 1`` reruns from
-    perturbed initializations (seeded) and keeps the best optimum.
+    ``step_size`` is the first trial step of the backtracking line search,
+    the solver's one step rule.  ``ridge`` adds ``ridge * ||feature rows||^2``
+    to the smooth objective (used by the constant baseline).  ``n_starts > 1``
+    reruns from perturbed initializations (seeded) and keeps the best
+    optimum.
     """
 
     penalty: PenaltyConfig
     max_iterations: int = 500
     tolerance: float = 1e-7
     step_size: float = 1.0
-    line_search: bool = True
     seed: int = 0
     n_starts: int = 1
     ridge: float = 0.0
@@ -124,22 +125,7 @@ def nonzero_parameter_count(W):
 
 
 def _monotone_rows(pen, n_rows):
-    if not pen.monotone:
-        return frozenset()
-    rows = set(range(1, n_rows))
-    if pen.monotone_intercept:
-        rows.add(0)
-    return frozenset(rows)
-
-
-def _smooth_value(design, W, pen, ridge, mono_rows):
-    val = design.nll(W.ravel(), floor=_MASS_FLOOR)
-    if ridge > 0.0:
-        val += ridge * float((W[1:] ** 2).sum())
-    if pen.gamma > 0.0 and W.shape[1] > 1:
-        for r in mono_rows:
-            val += pen.gamma * (W[r, -1] - W[r, 0])
-    return val
+    return frozenset(range(n_rows)) if pen.monotone else frozenset()
 
 
 def _smooth_value_grad(design, W, pen, ridge, mono_rows):
@@ -172,20 +158,20 @@ def _prox_matrix(Y, step, pen, mono_rows):
     """Row-wise prox of ``Y``: isotonic projection on monotone rows, the TV
     prox with weight ``gamma * step`` on the others, then clipping at zero.
 
-    Neither prox raises a row's maximum, so under nonnegativity a row that
-    is <= 0 everywhere clips to exactly +0.0 and is written without calling
-    either prox (``np.maximum`` maps -0.0 to +0.0, so the result is bitwise
-    the one the prox and the clip would give).
+    Neither prox raises a row's maximum, so a row that is <= 0 everywhere
+    clips to exactly +0.0 and is written without calling either prox
+    (``np.maximum`` maps -0.0 to +0.0, so the result is bitwise the one the
+    prox and the clip would give).
     """
     out = np.empty_like(Y)
     weight = pen.gamma * step
     row_max = Y.max(axis=1).tolist()
     for r in range(Y.shape[0]):
-        if pen.nonnegative and row_max[r] <= 0.0:
+        if row_max[r] <= 0.0:
             out[r] = 0.0
             continue
         z = isotonic_project(Y[r]) if r in mono_rows else fused_lasso_prox(Y[r], weight)
-        out[r] = np.maximum(z, 0.0) if pen.nonnegative else z
+        out[r] = np.maximum(z, 0.0)
     return out
 
 
@@ -204,9 +190,8 @@ def _fit_full_batch(design, W0, config, mono_rows, callback):
         while True:
             Wn = _prox_matrix(W - step * g, step, pen, mono_rows)
             dW = Wn - W
-            fn = _smooth_value(design, Wn, pen, ridge, mono_rows)
-            if not config.line_search:
-                break
+            # the accepted trial's gradient is the next iteration's
+            fn, gn = _smooth_value_grad(design, Wn, pen, ridge, mono_rows)
             bound = f + float(np.vdot(g, dW)) + float(np.vdot(dW, dW)) / (2.0 * step)
             if fn <= bound + _DECREASE_SLACK:
                 break
@@ -219,7 +204,7 @@ def _fit_full_batch(design, W0, config, mono_rows, callback):
                 )
                 return W, trace, False
         Fn = fn + _nonsmooth(Wn, pen, mono_rows)
-        W = Wn
+        W, f, g = Wn, fn, gn
         trace.append((it, Fn))
         if callback is not None:
             callback(it, Fn, W)
@@ -228,10 +213,7 @@ def _fit_full_batch(design, W0, config, mono_rows, callback):
         if rel < config.tolerance:
             converged = True
             break
-        if it < config.max_iterations:
-            f, g = _smooth_value_grad(design, W, pen, ridge, mono_rows)
-            if config.line_search:
-                step *= _GROW
+        step *= _GROW
     if not converged:
         warnings.warn(
             f"stopped at max_iterations={config.max_iterations} with relative objective "
@@ -275,8 +257,6 @@ def fit(observations, config, knots=None, callback=None):
     observations = list(observations)
     if not observations:
         raise ValueError("no observations")
-    if not config.penalty.nonnegative:
-        raise ValueError("fitting requires nonnegative coefficients (penalty.nonnegative=True)")
     if knots is None:
         knots = build_knot_set(observations)
     design = CensoredDesign(knots, observations)

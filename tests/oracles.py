@@ -13,6 +13,7 @@ import bisect
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import scipy.optimize
@@ -81,22 +82,23 @@ def isotonic_bruteforce(y):
 
     The projection is blockwise constant at block means with strictly
     increasing means across blocks; ties belong to the merged partition.
+    Means and squared errors are exact fractions: in floats, partitions
+    whose objectives differ by less than the rounding of a large total
+    (e.g. 1e-14 next to 18.75) would tie and the first one would win.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    best, best_obj = None, np.inf
+    exact = [Fraction(float(v)) for v in np.asarray(y, dtype=float)]
+    n = len(exact)
+    best, best_obj = None, None
     for cuts in itertools.product((0, 1), repeat=n - 1):
         bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [n]
-        sizes = np.diff(bounds)
-        means = np.array(
-            [y[bounds[i]:bounds[i + 1]].mean() for i in range(sizes.size)]
-        )
-        if np.any(np.diff(means) <= 0.0):
+        blocks = [exact[a:b] for a, b in zip(bounds, bounds[1:])]
+        means = [sum(block) / len(block) for block in blocks]
+        if any(a >= b for a, b in zip(means, means[1:])):
             continue
-        x = np.repeat(means, sizes)
-        obj = np.sum((x - y) ** 2)
-        if obj < best_obj:
-            best_obj, best = obj, x
+        obj = sum((v - m) ** 2 for block, m in zip(blocks, means) for v in block)
+        if best_obj is None or obj < best_obj:
+            best_obj = obj
+            best = np.repeat([float(m) for m in means], [len(block) for block in blocks])
     return best
 
 

@@ -98,6 +98,8 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.jsonl")]) == 2
         write_spec(bad, feature_density=2.0)
         assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "y.jsonl")]) == 2
+        bad.write_text("[1, 2]")  # valid JSON, but not an object
+        assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "z.jsonl")]) == 2
 
 
 class TestFit:

@@ -379,7 +379,6 @@ class TestCensoredDesign:
         with pytest.raises(ValueError):
             design.nll_grad(w)
         # a positive floor clamps the bracket mass and keeps things finite
-        assert math.isfinite(design.nll(w, floor=1e-12))
         fv, fg = design.nll_grad(w, floor=1e-12)
         assert math.isfinite(fv) and np.all(np.isfinite(fg))
 
@@ -403,7 +402,6 @@ class TestCensoredDesign:
                 value = float((U @ w).sum()) - sum(log1mexp(float(b)) for b in br)
                 grad = U.sum(axis=0)
                 grad -= design.V.T @ (np.exp(-br) / -np.expm1(-br))
-                assert design.nll(w, floor=floor) == pytest.approx(value, rel=1e-13, abs=0.0)
                 got_value, got_grad = design.nll_grad(w, floor=floor)
                 assert got_value == pytest.approx(value, rel=1e-13, abs=0.0)
                 assert got_grad.tobytes() == grad.tobytes()

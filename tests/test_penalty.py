@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
 from tvhazard.solver import _monotone_rows, _prox_matrix
@@ -14,9 +17,9 @@ def fused_objective(x, y, lam):
     return 0.5 * np.sum((x - y) ** 2) + lam * tv(x)
 
 
-def prox_step(y, lam, **penalty):
+def prox_step(y, lam, monotone=False):
     """The solver's prox update of one coefficient row (the intercept row)."""
-    pen = PenaltyConfig(gamma=lam, **penalty)
+    pen = PenaltyConfig(gamma=lam, monotone=monotone)
     return _prox_matrix(np.asarray(y, float)[None, :], 1.0, pen, _monotone_rows(pen, 1))[0]
 
 
@@ -154,6 +157,14 @@ class TestIsotonicProject:
             want = isotonic_bruteforce(y)
             assert np.allclose(got, want, atol=1e-10), y
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.integers(1, 8),
+                  elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3))))
+    def test_matches_bruteforce_oracle_exactly_nondecreasing(self, y):
+        z = isotonic_project(y)
+        assert np.abs(z - isotonic_bruteforce(y)).max() <= 1e-12 * max(1.0, np.abs(y).max())
+        assert np.all(np.diff(z) >= 0.0)
+
     def test_matches_scipy_isotonic(self):
         rng = np.random.default_rng(51)
         for _ in range(100):
@@ -218,11 +229,6 @@ class TestProxStep:
     def test_monotone_mode_ignores_weight(self):
         y = np.array([1.0, 0.2, 0.8])
         assert np.array_equal(prox_step(y, 5.0, monotone=True), prox_step(y, 0.0, monotone=True))
-
-    def test_unconstrained_when_nonnegative_off(self):
-        y = np.array([-3.0, -2.5])
-        x = prox_step(y, 0.1, nonnegative=False)
-        assert np.all(x < 0)  # nothing clips
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
