@@ -21,7 +21,7 @@ from . import __version__
 from .baseline import fit_constant_additive
 from .datagen import CampaignSpec, default_scenario, generate
 from .formats import FormatError, read_model, read_observations, write_model, write_observations
-from .likelihood import nll_dataset
+from .likelihood import CensoredDesign, nll_dataset
 from .penalty import PenaltyConfig
 from .solver import NumericalError, SolverConfig, fit, nonzero_parameter_count
 from .timeline import build_knot_set
@@ -152,6 +152,7 @@ def cmd_sweep(args):
     train = [observations[i] for i in perm[:n_train]]
     val = [observations[i] for i in perm[n_train:]]
     knots = build_knot_set(train, horizon=header["horizon"])
+    val_design = CensoredDesign(knots, val)
 
     rows = []
     for gamma in gammas:
@@ -163,7 +164,7 @@ def cmd_sweep(args):
             seed=args.seed,
         )
         result = fit(train, config, knots=knots)
-        val_nll = nll_dataset(result.model, val)
+        val_nll = val_design.nll(val_design.flat_coefficients(result.model))
         rows.append(
             {
                 "gamma": gamma,

@@ -134,11 +134,12 @@ def _smooth_value_grad(design, W, pen, ridge, mono_rows):
     if ridge > 0.0:
         val += ridge * float((W[1:] ** 2).sum())
         grad[1:] += 2.0 * ridge * W[1:]
-    if pen.gamma > 0.0 and W.shape[1] > 1:
-        for r in mono_rows:
-            val += pen.gamma * (W[r, -1] - W[r, 0])
-            grad[r, -1] += pen.gamma
-            grad[r, 0] -= pen.gamma
+    if mono_rows and pen.gamma > 0.0 and W.shape[1] > 1:
+        # monotone mode binds every row: the linear TV term is whole columns
+        for v in (W[:, -1] - W[:, 0]).tolist():
+            val += pen.gamma * v
+        grad[:, -1] += pen.gamma
+        grad[:, 0] -= pen.gamma
     return val, grad
 
 
@@ -159,20 +160,16 @@ def _prox_matrix(Y, step, pen, mono_rows):
     prox with weight ``gamma * step`` on the others, then clipping at zero.
 
     Neither prox raises a row's maximum, so a row that is <= 0 everywhere
-    clips to exactly +0.0 and is written without calling either prox
+    clips to exactly +0.0 and is left zero without calling either prox
     (``np.maximum`` maps -0.0 to +0.0, so the result is bitwise the one the
-    prox and the clip would give).
+    prox and the clip would give).  A row whose maximum is NaN is not
+    <= 0, so it reaches the prox and its ``ValueError``.
     """
-    out = np.empty_like(Y)
+    out = np.zeros_like(Y)
     weight = pen.gamma * step
-    row_max = Y.max(axis=1).tolist()
-    for r in range(Y.shape[0]):
-        if row_max[r] <= 0.0:
-            out[r] = 0.0
-            continue
-        z = isotonic_project(Y[r]) if r in mono_rows else fused_lasso_prox(Y[r], weight)
-        out[r] = np.maximum(z, 0.0)
-    return out
+    for r in np.flatnonzero(~(Y.max(axis=1) <= 0.0)).tolist():
+        out[r] = isotonic_project(Y[r]) if r in mono_rows else fused_lasso_prox(Y[r], weight)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _fit_full_batch(design, W0, config, mono_rows, callback):

@@ -5,8 +5,10 @@ implementation: exhaustive enumeration over block partitions, a
 box-constrained dual least-squares solve, plain vectorized grid search, a
 per-run loop over feature paths, or the scalar likelihood route that
 integrates one observation at a time on the common refinement of knots and
-change times.  All are exponential or polynomially slow and meant for tiny
-instances only.
+change times.  All but one are exponential or polynomially slow and meant
+for tiny instances only.  The exception, ``fused_lasso_prox_array``, is the
+library's prox recursion on NumPy arrays, the bitwise reference for the
+Python-float version the library runs.
 """
 
 import bisect
@@ -75,6 +77,94 @@ def fused_prox_dual(y, lam):
         d_mat.T, y, bounds=(-lam, lam), method="bvls", tol=1e-14
     )
     return y - d_mat.T @ res.x
+
+
+def fused_lasso_prox_array(y, weight):
+    """Reference fused-lasso prox: the message-passing DP on NumPy arrays.
+
+    The library's :func:`tvhazard.fused_lasso_prox` runs the same recursion
+    on Python floats; this array version performs the same operations in the
+    same order, so the two must agree bitwise, signed zeros included.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if n == 1 or weight == 0.0:
+        return y.copy()
+
+    lam = float(weight)
+    beta = np.empty(n)
+    # breakpoints of the clipped derivative, with slope/intercept increments
+    x = np.empty(2 * n)
+    a = np.empty(2 * n)
+    b = np.empty(2 * n)
+    # clip thresholds per step, for the backward sweep
+    tm = np.empty(n - 1)
+    tp = np.empty(n - 1)
+
+    tm[0] = y[0] - lam
+    tp[0] = y[0] + lam
+    l = n - 1
+    r = n
+    x[l] = tm[0]
+    x[r] = tp[0]
+    a[l] = 1.0
+    b[l] = -y[0] + lam
+    a[r] = -1.0
+    b[r] = y[0] + lam
+    afirst = 1.0
+    bfirst = -lam - y[1]
+    alast = -1.0
+    blast = -lam + y[1]
+
+    for k in range(1, n - 1):
+        # leftmost breakpoint where the derivative exceeds -lam
+        alo, blo = afirst, bfirst
+        lo = l
+        while lo <= r and alo * x[lo] + blo <= -lam:
+            alo += a[lo]
+            blo += b[lo]
+            lo += 1
+        # rightmost breakpoint where the derivative is below +lam
+        ahi, bhi = alast, blast
+        hi = r
+        while hi >= lo and -(ahi * x[hi] + bhi) >= lam:
+            ahi += a[hi]
+            bhi += b[hi]
+            hi -= 1
+
+        tm[k] = (-lam - blo) / alo
+        tp[k] = (lam + bhi) / (-ahi)
+        l = lo - 1
+        r = hi + 1
+        x[l] = tm[k]
+        x[r] = tp[k]
+        a[l] = alo
+        b[l] = blo + lam
+        a[r] = ahi
+        b[r] = bhi + lam
+        afirst = 1.0
+        bfirst = -lam - y[k + 1]
+        alast = -1.0
+        blast = -lam + y[k + 1]
+
+    # last coefficient: zero of the unclipped derivative
+    alo, blo = afirst, bfirst
+    for lo in range(l, r + 1):
+        if alo * x[lo] + blo > 0.0:
+            break
+        alo += a[lo]
+        blo += b[lo]
+    beta[n - 1] = -blo / alo
+
+    for k in range(n - 2, -1, -1):
+        if beta[k + 1] > tp[k]:
+            beta[k] = tp[k]
+        elif beta[k + 1] < tm[k]:
+            beta[k] = tm[k]
+        else:
+            beta[k] = beta[k + 1]
+    # the exact minimizer never exceeds max(y); rounding can, at tiny weights
+    return np.minimum(beta, y.max(), out=beta)
 
 
 def isotonic_bruteforce(y):

@@ -165,7 +165,21 @@ class TestEvaluate:
 
 
 class TestSweep:
-    def test_table_and_interior_bookkeeping(self, obs_file, tmp_path):
+    def test_table_and_interior_bookkeeping(self, obs_file, tmp_path, monkeypatch):
+        built, models = [], []
+        init, fit = tvhazard.CensoredDesign.__init__, tvhazard.cli.fit
+
+        def counting_init(self, knots, observations):
+            built.append(list(observations))
+            init(self, knots, built[-1])
+
+        def recording_fit(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            models.append(result.model)
+            return result
+
+        monkeypatch.setattr(tvhazard.CensoredDesign, "__init__", counting_init)
+        monkeypatch.setattr("tvhazard.cli.fit", recording_fit)
         out = tmp_path / "sweep.json"
         args = [
             "sweep", "--observations", str(obs_file), "--gammas", "0.5,8",
@@ -173,6 +187,11 @@ class TestSweep:
         ]
         assert main(args) == 0
         table = json.loads(out.read_text())
+        # one design per fit and one validation design shared by every gamma
+        assert len(built) == 3
+        (val,) = [obs for obs in built if len(obs) == table["n_validation"]]
+        for model, r in zip(models, table["rows"], strict=True):
+            assert r["validation_nll"] == tvhazard.nll_dataset(model, val) / len(val)
         assert table["n_train"] + table["n_validation"] == 40
         assert [r["gamma"] for r in table["rows"]] == [0.5, 8.0]
         assert table["best_gamma"] in (0.5, 8.0)

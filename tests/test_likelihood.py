@@ -447,6 +447,22 @@ class TestCensoredDesign:
         with pytest.raises(ValueError):
             CensoredDesign(ks, obs)
 
+    def test_flat_coefficients_fit_only_their_design(self):
+        # a design serves every model of its knot set and dimension, bitwise
+        # as nll_dataset would; any other model is refused
+        rng = np.random.default_rng(16)
+        m, ks = random_instance(rng)
+        obs = random_observations(rng, m.d, ks.horizon)
+        design = CensoredDesign(ks, obs)
+        assert design.nll(design.flat_coefficients(m)) == nll_dataset(m, obs)
+        other = KnotSet(ks.times, ks.horizon + 1.0)
+        moved = HazardModel(knots=other, d=m.d, intercept=StepFunction(other, m.intercept.values))
+        with pytest.raises(ValueError, match="knot sets"):
+            design.flat_coefficients(moved)
+        wide = HazardModel(knots=ks, d=m.d + 1, intercept=m.intercept)
+        with pytest.raises(ValueError, match=f"model d={m.d + 1}"):
+            design.flat_coefficients(wide)
+
 
 class TestWarningHygiene:
     def test_no_warnings_on_positive_models(self):

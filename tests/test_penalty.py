@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
 from tvhazard.solver import _monotone_rows, _prox_matrix
 
-from oracles import fused_prox_bruteforce, fused_prox_dual, grid_minimize, isotonic_bruteforce
+from oracles import (
+    fused_lasso_prox_array,
+    fused_prox_bruteforce,
+    fused_prox_dual,
+    grid_minimize,
+    isotonic_bruteforce,
+)
 
 
 def fused_objective(x, y, lam):
@@ -21,6 +27,26 @@ def prox_step(y, lam, monotone=False):
     """The solver's prox update of one coefficient row (the intercept row)."""
     pen = PenaltyConfig(gamma=lam, monotone=monotone)
     return _prox_matrix(np.asarray(y, float)[None, :], 1.0, pen, _monotone_rows(pen, 1))[0]
+
+
+@st.composite
+def prox_rows(draw):
+    """Rows of length 1-120 with signed zeros and ties: mixed, nonpositive or constant."""
+    levels = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-1e3, 1e3))
+    y = draw(arrays(np.float64, st.integers(1, 120), elements=levels))
+    kind = draw(st.sampled_from(["mixed", "nonpositive", "constant"]))
+    if kind == "nonpositive":
+        y = np.where(y > 0.0, -y, y)
+    elif kind == "constant":
+        y = np.full(y.size, y[0])
+    return y
+
+
+prox_weights = st.one_of(
+    st.sampled_from([0.0, 1e-17]),
+    st.integers(-20, 20).map(lambda e: 10.0**e),
+    st.floats(1e-20, 1e20),
+)
 
 
 class TestTV:
@@ -133,6 +159,15 @@ class TestFusedLassoProx:
             lam = 10.0 ** rng.uniform(-20, 1)
             assert fused_lasso_prox(y, lam).max() <= y.max(), (y, lam)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(prox_rows(), prox_weights)
+    @example(np.array([-2.1, -2.7, 0.0]), 1e-17)
+    @example(np.array([0.0, 0.0]), 0.5)
+    def test_bitwise_equal_to_the_array_recursion(self, y, weight):
+        # levels, signed zeros and the max(y) cap all match the array DP
+        got = fused_lasso_prox(y, weight)
+        assert got.tobytes() == fused_lasso_prox_array(y, weight).tobytes(), (y, weight)
+
     def test_tv_never_increases(self):
         rng = np.random.default_rng(48)
         for _ in range(50):
@@ -225,6 +260,16 @@ class TestProxStep:
             fx = float(f(x[None, :])[0])
             assert fx <= gv + 1e-6
             assert gv - fx <= n * res * (np.abs(y).max() + 1.0)
+
+    @pytest.mark.parametrize("monotone", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad, monotone):
+        # a NaN row has a NaN maximum: it must reach the validator, not be
+        # written as a row that clips to zero
+        Y = np.array([[0.5, 0.2, 0.1], [0.3, bad, -1.0], [-1.0, -2.0, -0.5]])
+        pen = PenaltyConfig(gamma=0.4, monotone=monotone)
+        with pytest.raises(ValueError, match="finite"):
+            _prox_matrix(Y, 1.0, pen, _monotone_rows(pen, Y.shape[0]))
 
     def test_monotone_mode_ignores_weight(self):
         y = np.array([1.0, 0.2, 0.8])
