@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,14 +37,11 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _solver_config(args):
+def _solver_config(args, gamma):
     return SolverConfig(
-        penalty=PenaltyConfig(gamma=args.gamma, monotone=args.monotone),
+        penalty=PenaltyConfig(gamma=gamma, monotone=args.monotone),
         max_iterations=args.max_iter,
         tolerance=args.tol,
-        step_size=args.step_size,
-        seed=args.seed,
-        n_starts=args.n_starts,
     )
 
 
@@ -90,7 +86,7 @@ def cmd_fit(args):
     if not observations:
         raise FormatError(f"{args.observations}: no observation records")
     knots = build_knot_set(observations, horizon=header["horizon"])
-    result = fit(observations, _solver_config(args), knots=knots)
+    result = fit(observations, _solver_config(args, args.gamma), knots=knots)
     write_model(args.out, result.model)
     _write_json(
         report_out,
@@ -156,14 +152,7 @@ def cmd_sweep(args):
 
     rows = []
     for gamma in gammas:
-        config = SolverConfig(
-            penalty=PenaltyConfig(gamma=gamma, monotone=args.monotone),
-            max_iterations=args.max_iter,
-            tolerance=args.tol,
-            step_size=args.step_size,
-            seed=args.seed,
-        )
-        result = fit(train, config, knots=knots)
+        result = fit(train, _solver_config(args, gamma), knots=knots)
         val_nll = val_design.nll(val_design.flat_coefficients(result.model))
         rows.append(
             {
@@ -248,7 +237,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="fitted model path")
     p.add_argument("--report-out", default=None, help="fit report path (default: OUT.report.json)")
     _fit_flags(p)
-    p.add_argument("--n-starts", type=int, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_fit)
 
@@ -264,6 +252,7 @@ def build_parser():
     p.add_argument("--gammas", default="0,0.5,1,2,4,8,16", help="comma-separated gamma grid")
     p.add_argument("--split", type=float, default=0.7, help="train fraction")
     _fit_flags(p, gamma=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the train/validation split")
     p.add_argument("--out", default=None, help="sweep table JSON path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -288,8 +277,6 @@ def _fit_flags(p, gamma=True):
     )
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--step-size", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def main(argv=None):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .likelihood import HazardModel, hazard
-from .timeline import FeaturePath, KnotSet, Observation, StepFunction, merge_times
+from .timeline import FeaturePath, KnotSet, Observation, StepFunction, level_at, merge_times
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,12 @@ class CampaignSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "n"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         object.__setattr__(
             self,
             "active",
@@ -91,17 +98,6 @@ class CampaignSpec:
             prev = s
 
 
-def _level_at(changes, t):
-    lo, hi = 0, len(changes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if changes[mid][0] <= t:
-            lo = mid + 1
-        else:
-            hi = mid
-    return changes[lo - 1][1] if lo else 0.0
-
-
 def truth_model(spec):
     """Planted :class:`HazardModel`: constant baseline + stepped active features."""
     raw = [t for _, changes in spec.active for t, _ in changes if t > 0.0]
@@ -110,7 +106,7 @@ def truth_model(spec):
     starts = knots.boundaries()[:-1]
     coefficients = {}
     for j, changes in spec.active:
-        values = tuple(_level_at(changes, s) for s in starts)
+        values = tuple(level_at(changes, s) for s in starts)
         if any(v != 0.0 for v in values):
             coefficients[j] = StepFunction(knots, values)
     return HazardModel(

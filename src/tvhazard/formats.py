@@ -64,7 +64,7 @@ def _parse_observation(rec, d, lineno, path):
         if kind == "right":
             return Observation.right_censored(fpath, censoring["t"], id=uid)
         raise ValueError(f"unknown censoring kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{path}:{lineno}: {e}") from e
 
 
@@ -88,7 +88,7 @@ def read_observations(path):
                         "horizon": float(rec["horizon"]),
                         "time_unit": str(rec.get("time_unit", "abstract")),
                     }
-                except (KeyError, TypeError, ValueError) as e:
+                except (KeyError, TypeError, ValueError, OverflowError) as e:
                     raise FormatError(f"{path}:{lineno}: bad header: {e}") from e
                 if header["d"] < 0 or not math.isfinite(header["horizon"]):
                     raise FormatError(f"{path}:{lineno}: bad header values")
@@ -199,7 +199,7 @@ def _model_from_document(doc, where):
         return HazardModel(
             knots=knots, d=int(doc["d"]), intercept=intercept, coefficients=coefficients
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{where}: {e}") from e
 
 

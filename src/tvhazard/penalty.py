@@ -18,6 +18,7 @@ both row by row and always clips (``solver._prox_matrix``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class PenaltyConfig:
     Parameters
     ----------
     gamma : float
-        Total-variation weight, >= 0.
+        Total-variation weight, finite and >= 0.
     monotone : bool
         Constrain every coefficient row, the intercept included, to be
         nondecreasing in time.
@@ -43,8 +44,8 @@ class PenaltyConfig:
     monotone: bool = False
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 
 
 def tv(values):

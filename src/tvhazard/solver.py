@@ -3,15 +3,16 @@
 Minimizes, over the coefficient matrix ``W`` (rows = intercept + features,
 columns = knot intervals),
 
-    NLL(W) + gamma * sum_rows tv(W[r])        s.t. W >= 0 (+ monotone rows)
+    NLL(W) + gamma * sum_rows tv(W[r])        s.t. W >= 0 (+ monotone mode)
 
 by full-batch proximal gradient descent with backtracking line search.  The
 knot set is frozen before optimization; candidate jump times are never
 inserted adaptively.
 
-Monotone rows are handled by reformulation: on the feasible set their TV
-telescopes to the linear term ``W[r, -1] - W[r, 0]``, which joins the smooth
-objective, and the row's prox becomes isotonic projection + clipping.
+Monotone mode makes every row nondecreasing and is handled by
+reformulation: on the feasible set a row's TV telescopes to the linear term
+``W[r, -1] - W[r, 0]``, which joins the smooth objective, and the row's prox
+becomes isotonic projection + clipping.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .likelihood import CensoredDesign, matrix_model, model_matrix, nll_dataset
 from .penalty import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
 from .timeline import KnotSet, build_knot_set, merge_times
 
-# Backtracking parameters: shrink on sufficient-decrease violation, regrow on
-# acceptance, give up below the floor.
+# Backtracking parameters: the first trial step of a fit, shrink on
+# sufficient-decrease violation, regrow on acceptance, give up below the floor.
+_FIRST_STEP = 1.0
 _SHRINK = 0.5
 _GROW = 1.2
 _STEP_FLOOR = 1e-12
@@ -48,32 +50,23 @@ class SolverWarning(UserWarning):
 class SolverConfig:
     """Optimizer settings.
 
-    ``step_size`` is the first trial step of the backtracking line search,
-    the solver's one step rule.  ``ridge`` adds ``ridge * ||feature rows||^2``
-    to the smooth objective (used by the constant baseline).  ``n_starts > 1``
-    reruns from perturbed initializations (seeded) and keeps the best
-    optimum.
+    The backtracking line search starts from a first trial step of 1.0.
+    ``ridge`` adds ``ridge * ||feature rows||^2`` to the smooth objective
+    (used by the constant baseline).
     """
 
     penalty: PenaltyConfig
     max_iterations: int = 500
     tolerance: float = 1e-7
-    step_size: float = 1.0
-    seed: int = 0
-    n_starts: int = 1
     ridge: float = 0.0
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError("step_size must be > 0")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.ridge < 0:
             raise ValueError("ridge must be >= 0")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,17 +117,13 @@ def nonzero_parameter_count(W):
     return count
 
 
-def _monotone_rows(pen, n_rows):
-    return frozenset(range(n_rows)) if pen.monotone else frozenset()
-
-
-def _smooth_value_grad(design, W, pen, ridge, mono_rows):
+def _smooth_value_grad(design, W, pen, ridge):
     val, grad = design.nll_grad(W.ravel(), floor=_MASS_FLOOR)
     grad = grad.reshape(W.shape)
     if ridge > 0.0:
         val += ridge * float((W[1:] ** 2).sum())
         grad[1:] += 2.0 * ridge * W[1:]
-    if mono_rows and pen.gamma > 0.0 and W.shape[1] > 1:
+    if pen.monotone and pen.gamma > 0.0 and W.shape[1] > 1:
         # monotone mode binds every row: the linear TV term is whole columns
         for v in (W[:, -1] - W[:, 0]).tolist():
             val += pen.gamma * v
@@ -143,21 +132,22 @@ def _smooth_value_grad(design, W, pen, ridge, mono_rows):
     return val, grad
 
 
-def _nonsmooth(W, pen, mono_rows):
-    # gamma * TV of the rows whose TV is not already in the smooth part
-    if pen.gamma == 0.0 or W.shape[1] == 1:
+def _nonsmooth(W, pen):
+    # gamma * TV of the rows; in monotone mode it is all in the smooth part
+    if pen.monotone or pen.gamma == 0.0 or W.shape[1] == 1:
         return 0.0
     row_tv = np.abs(np.diff(W, axis=1)).sum(axis=1)
+    # summed in order, not with sum(): Python >= 3.12 compensates float sums
     total = 0.0
-    for r, v in enumerate(row_tv.tolist()):
-        if r not in mono_rows:
-            total += v
+    for v in row_tv.tolist():
+        total += v
     return pen.gamma * total
 
 
-def _prox_matrix(Y, step, pen, mono_rows):
-    """Row-wise prox of ``Y``: isotonic projection on monotone rows, the TV
-    prox with weight ``gamma * step`` on the others, then clipping at zero.
+def _prox_matrix(Y, step, pen):
+    """Row-wise prox of ``Y``: isotonic projection of every row in monotone
+    mode, else the TV prox with weight ``gamma * step``, then clipping at
+    zero.
 
     Neither prox raises a row's maximum, so a row that is <= 0 everywhere
     clips to exactly +0.0 and is left zero without calling either prox
@@ -168,27 +158,27 @@ def _prox_matrix(Y, step, pen, mono_rows):
     out = np.zeros_like(Y)
     weight = pen.gamma * step
     for r in np.flatnonzero(~(Y.max(axis=1) <= 0.0)).tolist():
-        out[r] = isotonic_project(Y[r]) if r in mono_rows else fused_lasso_prox(Y[r], weight)
+        out[r] = isotonic_project(Y[r]) if pen.monotone else fused_lasso_prox(Y[r], weight)
     return np.maximum(out, 0.0, out=out)
 
 
-def _fit_full_batch(design, W0, config, mono_rows, callback):
+def _fit_full_batch(design, W0, config):
     pen = config.penalty
     ridge = config.ridge
     W = W0.copy()
-    f, g = _smooth_value_grad(design, W, pen, ridge, mono_rows)
-    F = f + _nonsmooth(W, pen, mono_rows)
+    f, g = _smooth_value_grad(design, W, pen, ridge)
+    F = f + _nonsmooth(W, pen)
     if not math.isfinite(F):
         raise NumericalError(f"objective not finite at initialization: {F!r}")
     trace = [(0, F)]
-    step = config.step_size
+    step = _FIRST_STEP
     converged = False
     for it in range(1, config.max_iterations + 1):
         while True:
-            Wn = _prox_matrix(W - step * g, step, pen, mono_rows)
+            Wn = _prox_matrix(W - step * g, step, pen)
             dW = Wn - W
             # the accepted trial's gradient is the next iteration's
-            fn, gn = _smooth_value_grad(design, Wn, pen, ridge, mono_rows)
+            fn, gn = _smooth_value_grad(design, Wn, pen, ridge)
             bound = f + float(np.vdot(g, dW)) + float(np.vdot(dW, dW)) / (2.0 * step)
             if fn <= bound + _DECREASE_SLACK:
                 break
@@ -200,11 +190,9 @@ def _fit_full_batch(design, W0, config, mono_rows, callback):
                     stacklevel=2,
                 )
                 return W, trace, False
-        Fn = fn + _nonsmooth(Wn, pen, mono_rows)
+        Fn = fn + _nonsmooth(Wn, pen)
         W, f, g = Wn, fn, gn
         trace.append((it, Fn))
-        if callback is not None:
-            callback(it, Fn, W)
         rel = abs(F - Fn) / max(1.0, abs(F))
         F = Fn
         if rel < config.tolerance:
@@ -232,24 +220,14 @@ def _default_start(design):
     return W
 
 
-def _perturbed_start(design, base, k, seed):
-    # constant rows only: feasible in both modes, zero TV
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 2, k)))
-    W = np.zeros_like(base)
-    w0 = base[0, 0] if base[0, 0] > 0 else 1.0
-    W[0, :] = w0 * math.exp(rng.uniform(-1.0, 1.0))
-    W[1:, :] = rng.uniform(0.0, 0.5 * w0, size=(W.shape[0] - 1, 1))
-    return W
-
-
-def fit(observations, config, knots=None, callback=None):
+def fit(observations, config, knots=None):
     """Fit the penalized model; returns a :class:`FitResult`.
 
     The knot set defaults to :func:`build_knot_set` of the observations
     (candidate jumps at every censoring boundary and feature change time).
-    Deterministic: identical observations, config, and knots reproduce the
-    result bitwise.  ``callback(iteration, objective, W)`` is invoked once
-    per accepted iterate.
+    The objective is convex, so the one start (an intercept at the pooled
+    event rate, every feature row zero) reaches the optimum.  Deterministic:
+    identical observations, config, and knots reproduce the result bitwise.
     """
     observations = list(observations)
     if not observations:
@@ -257,16 +235,7 @@ def fit(observations, config, knots=None, callback=None):
     if knots is None:
         knots = build_knot_set(observations)
     design = CensoredDesign(knots, observations)
-    mono_rows = _monotone_rows(config.penalty, design.d + 1)
-
-    base = _default_start(design)
-    best = None
-    for k in range(config.n_starts):
-        W0 = base if k == 0 else _perturbed_start(design, base, k, config.seed)
-        W, trace, conv = _fit_full_batch(design, W0, config, mono_rows, callback)
-        if best is None or trace[-1][1] < best[1][-1][1]:
-            best = (W, trace, conv)
-    W, trace, conv = best
+    W, trace, conv = _fit_full_batch(design, _default_start(design), config)
 
     model = matrix_model(knots, W)
     return FitResult(
@@ -301,11 +270,10 @@ def refine_and_compare(fit_result, observations, extra_knots):
     refined = KnotSet(merged, horizon=knots.horizon, origin=knots.origin)
 
     design = CensoredDesign(refined, observations)
-    mono_rows = _monotone_rows(config.penalty, design.d + 1)
     # map the fitted solution onto the refined partition (function-preserving)
     W_orig = model_matrix(model)
     starts = refined.boundaries()[:-1]
     cols = [knots.interval_index(s) for s in starts]
     W0 = W_orig[:, cols]
-    _, trace, _ = _fit_full_batch(design, W0, config, mono_rows, None)
+    _, trace, _ = _fit_full_batch(design, W0, config)
     return trace[-1][1] - fit_result.objective_trace[-1][1]

@@ -13,6 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -307,13 +308,12 @@ def eval_feature(path, j, t):
         raise IndexError(f"feature index {j} outside [0, {path.d})")
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"invalid evaluation time {t!r}")
-    changes = path.entries.get(j, ())
-    # value after the last change time <= t; 0 before the first change
-    lo, hi = 0, len(changes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if changes[mid][0] <= t:
-            lo = mid + 1
-        else:
-            hi = mid
-    return changes[lo - 1][1] if lo else 0.0
+    return level_at(path.entries.get(j, ()), t)
+
+
+def level_at(changes, t):
+    """Level at ``t`` of a right-continuous step path given as
+    ``(change_time, level)`` pairs with increasing times: the level of the
+    last change at or before ``t``, 0.0 before the first change."""
+    k = bisect.bisect_right(changes, t, key=itemgetter(0))
+    return changes[k - 1][1] if k else 0.0

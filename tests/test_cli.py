@@ -100,6 +100,9 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "y.jsonl")]) == 2
         bad.write_text("[1, 2]")  # valid JSON, but not an object
         assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "z.jsonl")]) == 2
+        for shape in ({"n": 10.5}, {"d": 4.5}):
+            write_spec(bad, **shape)
+            assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "w.jsonl")]) == 2
 
 
 class TestFit:
@@ -117,7 +120,7 @@ class TestFit:
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / f"{name}.json"
-            args = ["fit", "--observations", str(obs_file), "--out", str(out), "--seed", "0"]
+            args = ["fit", "--observations", str(obs_file), "--out", str(out)]
             assert main(args) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
@@ -205,6 +208,7 @@ class TestSweep:
         assert main(base + ["--gammas", ","]) == 2
         assert main(base + ["--gammas", "0.5,x"]) == 2
         assert main(base + ["--split", "1.5"]) == 2
+        assert main(base + ["--gammas", "1,inf"]) == 2
 
 
 class TestExport:

@@ -55,6 +55,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(n=0)
         with pytest.raises(ValueError):
+            tiny_spec(n=10.5)
+        with pytest.raises(ValueError):
+            tiny_spec(d=4.5)
+        with pytest.raises(ValueError):
             tiny_spec(horizon=0.0)
         with pytest.raises(ValueError):
             tiny_spec(feature_density=1.5)

@@ -94,6 +94,13 @@ class TestObservationFiles:
         f.write_text('{"d": 1, "horizon": 2.0}\n{"id": 1\n')
         with pytest.raises(FormatError, match=r"obs\.jsonl:2"):
             read_observations(f)
+        # a feature index that overflows to inf
+        f.write_text(
+            '{"d": 1, "horizon": 2.0}\n'
+            '{"censoring": {"kind": "right", "t": 1.0}, "features": [{"j": 1e400, "changes": []}]}\n'
+        )
+        with pytest.raises(FormatError, match=r"obs\.jsonl:2"):
+            read_observations(f)
 
     def test_unknown_kind_rejected(self, tmp_path):
         f = tmp_path / "obs.jsonl"
@@ -116,6 +123,9 @@ class TestObservationFiles:
         with pytest.raises(FormatError, match="bad header"):
             read_observations(f)
         f.write_text('{"d": 1, "horizon": Infinity}\n')
+        with pytest.raises(FormatError, match="bad header"):
+            read_observations(f)
+        f.write_text('{"d": 1e400, "horizon": 2.0}\n')
         with pytest.raises(FormatError, match="bad header"):
             read_observations(f)
 
@@ -187,6 +197,15 @@ class TestModelFiles:
         with pytest.raises(FormatError, match=r"m\.json:1"):
             read_model(f)
         f.write_text('{"d": 1, "horizon": 2.0, "knots": []}\n')
+        with pytest.raises(FormatError, match=r"m\.json"):
+            read_model(f)
+        # integers that overflow to inf: the dimension and a row index
+        intercept = '"intercept": {"base": 0.5, "jumps": []}'
+        f.write_text('{"d": Infinity, "horizon": 2.0, "knots": [], %s, "rows": []}\n' % intercept)
+        with pytest.raises(FormatError, match=r"m\.json"):
+            read_model(f)
+        row = '{"j": Infinity, "base": 0.5, "jumps": []}'
+        f.write_text('{"d": 1, "horizon": 2.0, "knots": [], %s, "rows": [%s]}\n' % (intercept, row))
         with pytest.raises(FormatError, match=r"m\.json"):
             read_model(f)
 

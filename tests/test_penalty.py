@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
-from tvhazard.solver import _monotone_rows, _prox_matrix
+from tvhazard.solver import _prox_matrix
 
 from oracles import (
     fused_lasso_prox_array,
@@ -26,7 +25,7 @@ def fused_objective(x, y, lam):
 def prox_step(y, lam, monotone=False):
     """The solver's prox update of one coefficient row (the intercept row)."""
     pen = PenaltyConfig(gamma=lam, monotone=monotone)
-    return _prox_matrix(np.asarray(y, float)[None, :], 1.0, pen, _monotone_rows(pen, 1))[0]
+    return _prox_matrix(np.asarray(y, float)[None, :], 1.0, pen)[0]
 
 
 @st.composite
@@ -200,14 +199,6 @@ class TestIsotonicProject:
         assert np.abs(z - isotonic_bruteforce(y)).max() <= 1e-12 * max(1.0, np.abs(y).max())
         assert np.all(np.diff(z) >= 0.0)
 
-    def test_matches_scipy_isotonic(self):
-        rng = np.random.default_rng(51)
-        for _ in range(100):
-            y = rng.normal(size=int(rng.integers(1, 40)))
-            got = isotonic_project(y)
-            want = scipy.optimize.isotonic_regression(y).x
-            assert np.allclose(got, want, atol=1e-10)
-
     def test_output_nondecreasing_sum_preserved_idempotent(self):
         rng = np.random.default_rng(52)
         for _ in range(100):
@@ -269,12 +260,13 @@ class TestProxStep:
         Y = np.array([[0.5, 0.2, 0.1], [0.3, bad, -1.0], [-1.0, -2.0, -0.5]])
         pen = PenaltyConfig(gamma=0.4, monotone=monotone)
         with pytest.raises(ValueError, match="finite"):
-            _prox_matrix(Y, 1.0, pen, _monotone_rows(pen, Y.shape[0]))
+            _prox_matrix(Y, 1.0, pen)
 
     def test_monotone_mode_ignores_weight(self):
         y = np.array([1.0, 0.2, 0.8])
         assert np.array_equal(prox_step(y, 5.0, monotone=True), prox_step(y, 0.0, monotone=True))
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            PenaltyConfig(gamma=-1.0)
+        for gamma in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                PenaltyConfig(gamma=gamma)
