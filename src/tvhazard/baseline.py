@@ -93,7 +93,7 @@ def fit_constant_additive(observations, l2_weight=1e-6):
     config = SolverConfig(
         penalty=PenaltyConfig(gamma=0.0),
         max_iterations=5000,
-        tolerance=1e-12,
+        tolerance=1e-8,
         ridge=l2_weight,
     )
     result = fit(observations, config, knots=knots)

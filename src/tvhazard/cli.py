@@ -94,6 +94,8 @@ def cmd_fit(args):
             "train_nll": result.train_nll,
             "iterations": result.objective_trace[-1][0],
             "converged": result.converged,
+            "stop": result.stop,
+            "mapping_norm": result.mapping_norm,
             "nonzero_parameter_count": result.nonzero_parameter_count,
             "objective_trace": [[i, f] for i, f in result.objective_trace],
         },
@@ -275,8 +277,14 @@ def _fit_flags(p, gamma=True):
         default=False,
         help="constrain coefficient paths to be nondecreasing",
     )
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--max-iter", type=int, default=500, help="iteration cap")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-7,
+        help="stationarity certificate: stop once the prox-gradient mapping norm at "
+        "the best iterate is at most TOL * max(1, G1), G1 being that of iteration 1",
+    )
 
 
 def main(argv=None):

@@ -26,6 +26,14 @@ class FormatError(ValueError):
     """Malformed observation or model file (includes path/line context)."""
 
 
+def _integer(value, what):
+    """An integer field as stored: a JSON integer, not a number ``int()``
+    would truncate (2.5, 1.7) or a huge Decimal (1e400) it would expand."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def observation_record(o):
     """JSON-ready dict for one observation."""
     if o.kind == "interval":
@@ -53,7 +61,9 @@ def _parse_observation(rec, d, lineno, path):
     try:
         censoring = rec["censoring"]
         entries = {
-            int(feat["j"]): tuple((ch["t"], ch["v"]) for ch in feat["changes"])
+            _integer(feat["j"], "feature index j"): tuple(
+                (ch["t"], ch["v"]) for ch in feat["changes"]
+            )
             for feat in rec.get("features", [])
         }
         fpath = FeaturePath(d, entries)
@@ -84,7 +94,7 @@ def read_observations(path):
             if header is None:
                 try:
                     header = {
-                        "d": int(rec["d"]),
+                        "d": _integer(rec["d"], "d"),
                         "horizon": float(rec["horizon"]),
                         "time_unit": str(rec.get("time_unit", "abstract")),
                     }
@@ -193,11 +203,11 @@ def _model_from_document(doc, where):
         )
         coefficients = {}
         for row in doc["rows"]:
-            coefficients[int(row["j"])] = StepFunction.from_jumps(
+            coefficients[_integer(row["j"], "row index j")] = StepFunction.from_jumps(
                 knots, row["base"], [(j["t"], j["delta"]) for j in row["jumps"]]
             )
         return HazardModel(
-            knots=knots, d=int(doc["d"]), intercept=intercept, coefficients=coefficients
+            knots=knots, d=_integer(doc["d"], "d"), intercept=intercept, coefficients=coefficients
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{where}: {e}") from e

@@ -206,18 +206,22 @@ class CensoredDesign:
             raise ValueError(f"dimension mismatch: model d={m.d}, observations d={self.d}")
         return model_matrix(m).ravel()
 
-    def nll(self, w):
-        """Exact dataset NLL at flattened coefficients ``w``.
+    def nll(self, w, floor=0.0):
+        """Dataset NLL at flattened coefficients ``w``.
 
-        Zero-mass brackets yield ``+inf`` and one :class:`ZeroBracketWarning`
-        that counts them.  The optimizer floors bracket masses instead and
-        takes value and gradient together from :meth:`nll_grad`.
+        With ``floor = 0`` the value is exact: zero-mass brackets yield
+        ``+inf`` and one :class:`ZeroBracketWarning` that counts them.  With
+        ``floor > 0`` bracket masses are clamped below at ``floor``, as in
+        :meth:`nll_grad`, whose value this then equals bitwise: the
+        optimizer's line-search trials need the value only.
         """
         w = np.asarray(w).ravel()
         total = float(self._u_colsum @ w)
         if self.V.shape[0]:
             br = self.V @ w
-            if np.any(br <= 0.0):
+            if floor > 0.0:
+                br = np.maximum(br, floor)
+            elif np.any(br <= 0.0):
                 warnings.warn(
                     f"model assigns zero mass to {np.count_nonzero(br <= 0.0)} event "
                     "bracket(s); NLL is +inf",

@@ -5,9 +5,22 @@ columns = knot intervals),
 
     NLL(W) + gamma * sum_rows tv(W[r])        s.t. W >= 0 (+ monotone mode)
 
-by full-batch proximal gradient descent with backtracking line search.  The
-knot set is frozen before optimization; candidate jump times are never
-inserted adaptively.
+by monotone FISTA (Beck & Teboulle 2009) with function-value restart
+(O'Donoghue & Candes 2015) and backtracking line search.  The knot set is
+frozen before optimization; candidate jump times are never inserted
+adaptively.
+
+``converged`` is a stationarity certificate.  With ``G_t(X) = ||X -
+[prox_t(X - t grad f(X))]_+|| / t`` the prox-gradient mapping norm (Frobenius
+norm, ``t`` the accepted line-search step) and ``G1`` its value at iteration
+1, a fit is certified when a step from its best iterate ``X`` has ``G_t(X) <=
+tolerance * max(1, G1)``.  Steps never exceed 1 and ``G_t`` does not
+increase with ``t``, so the bound holds at ``t = 1`` too.  The reachable
+norm is bounded below: once a step's decrease falls under the rounding
+error of the objective, a step from ``X`` no longer lowers it and the fit
+stops as stalled (relative norms of about 2e-8 to 3e-6 on datasets of a few
+dozen sites).  Unpenalized fits (gamma = 0) converge slowly and may still
+reach the iteration cap.  Every uncertified exit warns once.
 
 Monotone mode makes every row nondecreasing and is handled by
 reformulation: on the feasible set a row's TV telescopes to the linear term
@@ -27,8 +40,9 @@ from .likelihood import CensoredDesign, matrix_model, model_matrix, nll_dataset
 from .penalty import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
 from .timeline import KnotSet, build_knot_set, merge_times
 
-# Backtracking parameters: the first trial step of a fit, shrink on
-# sufficient-decrease violation, regrow on acceptance, give up below the floor.
+# Backtracking parameters: the first trial step of a fit (and the largest
+# step), shrink on sufficient-decrease violation, regrow on acceptance, give
+# up below the floor.
 _FIRST_STEP = 1.0
 _SHRINK = 0.5
 _GROW = 1.2
@@ -50,9 +64,13 @@ class SolverWarning(UserWarning):
 class SolverConfig:
     """Optimizer settings.
 
-    The backtracking line search starts from a first trial step of 1.0.
-    ``ridge`` adds ``ridge * ||feature rows||^2`` to the smooth objective
-    (used by the constant baseline).
+    ``tolerance`` is the stationarity certificate: a fit converges when the
+    relative prox-gradient mapping norm at its best iterate, ``G_t(X) /
+    max(1, G1)``, is at most ``tolerance`` (see the module docstring); it is
+    not a bound on the change of the objective.  The backtracking line search
+    starts from a first trial step of 1.0.  ``ridge`` adds ``ridge *
+    ||feature rows||^2`` to the smooth objective (used by the constant
+    baseline).
     """
 
     penalty: PenaltyConfig
@@ -74,7 +92,12 @@ class FitResult:
     """Outcome of one fit: model, convergence record, and bookkeeping.
 
     ``objective_trace`` holds ``(iteration, penalized objective)`` pairs
-    starting at iteration 0; it is nonincreasing.
+    starting at iteration 0: the objective of the best iterate after each
+    iteration, so it is nonincreasing and ends at the returned model's.
+    ``converged`` is ``stop == "certified"``; ``stop`` is one of
+    ``"certified"``, ``"stalled"``, ``"max_iterations"`` and
+    ``"step_underflow"``, and ``mapping_norm`` is the relative mapping norm
+    ``G_t(X) / max(1, G1)`` at the returned model.
     ``train_nll`` is the unpenalized dataset NLL of the fitted model,
     evaluated on the fit's own :class:`CensoredDesign` exactly as
     :func:`nll_dataset` (and so the evaluation command) evaluates it: the
@@ -87,6 +110,8 @@ class FitResult:
     objective_trace: tuple
     train_nll: float
     converged: bool
+    mapping_norm: float
+    stop: str
     nonzero_parameter_count: int
     config: SolverConfig
 
@@ -117,18 +142,27 @@ def nonzero_parameter_count(W):
     return count
 
 
-def _smooth_value_grad(design, W, pen, ridge):
-    val, grad = design.nll_grad(W.ravel(), floor=_MASS_FLOOR)
-    grad = grad.reshape(W.shape)
+def _smooth(design, W, pen, ridge, with_grad=True):
+    """Smooth part of the objective at ``W`` (NLL with floored bracket
+    masses, ridge, monotone mode's linear TV term) and its gradient, or
+    ``None`` for the gradient without ``with_grad``: one ``nll_grad`` or
+    one value-only ``nll`` call."""
+    if with_grad:
+        val, grad = design.nll_grad(W.ravel(), floor=_MASS_FLOOR)
+        grad = grad.reshape(W.shape)
+    else:
+        val, grad = design.nll(W.ravel(), floor=_MASS_FLOOR), None
     if ridge > 0.0:
         val += ridge * float((W[1:] ** 2).sum())
-        grad[1:] += 2.0 * ridge * W[1:]
+        if with_grad:
+            grad[1:] += 2.0 * ridge * W[1:]
     if pen.monotone and pen.gamma > 0.0 and W.shape[1] > 1:
         # monotone mode binds every row: the linear TV term is whole columns
         for v in (W[:, -1] - W[:, 0]).tolist():
             val += pen.gamma * v
-        grad[:, -1] += pen.gamma
-        grad[:, 0] -= pen.gamma
+        if with_grad:
+            grad[:, -1] += pen.gamma
+            grad[:, 0] -= pen.gamma
     return val, grad
 
 
@@ -162,51 +196,112 @@ def _prox_matrix(Y, step, pen):
     return np.maximum(out, 0.0, out=out)
 
 
-def _fit_full_batch(design, W0, config):
+def _backtrack(design, Y, f, g, step, config):
+    """Backtracking line search of a prox-gradient step from ``Y``.
+
+    ``f`` and ``g`` are the smooth value and gradient at ``Y``.  Trial steps
+    ``step, step/2, ...`` each cost one prox and one value-only evaluation.
+    Returns ``(Z, f(Z), t)`` for the first trial ``Z = prox_t(Y - t g)``
+    that meets the sufficient-decrease bound, or ``(Z, None, t)`` for the
+    last trial once a further halving would fall below the step floor.
+    """
     pen = config.penalty
-    ridge = config.ridge
-    W = W0.copy()
-    f, g = _smooth_value_grad(design, W, pen, ridge)
-    F = f + _nonsmooth(W, pen)
-    if not math.isfinite(F):
-        raise NumericalError(f"objective not finite at initialization: {F!r}")
-    trace = [(0, F)]
+    while True:
+        Z = _prox_matrix(Y - step * g, step, pen)
+        dZ = Z - Y
+        fZ, _ = _smooth(design, Z, pen, config.ridge, with_grad=False)
+        bound = f + float(np.vdot(g, dZ)) + float(np.vdot(dZ, dZ)) / (2.0 * step)
+        if fZ <= bound + _DECREASE_SLACK:
+            return Z, fZ, step
+        if step * _SHRINK < _STEP_FLOOR:
+            return Z, None, step
+        step *= _SHRINK
+
+
+def _fit_full_batch(design, W0, config):
+    """Monotone FISTA with function-value restart, from ``W0``.
+
+    ``X`` is the best iterate so far and ``Y`` the point the next step
+    starts from: ``X`` itself (a momentum-free step) or ``X`` extrapolated
+    along its last move and clipped at zero.  A step that does not lower
+    the objective, or whose line search underflows at an extrapolated
+    point, is not taken and restarts the momentum: the next step starts
+    from ``X``.  A step from an extrapolated point whose relative mapping
+    norm passes the tolerance restarts it too, so that the next iteration
+    tests ``X`` itself.  A step from ``X`` ends the fit when its relative
+    mapping norm ``||X - Z|| / t / max(1, G1)`` passes (certified), its line
+    search underflows, or it does not lower the objective (stalled).
+
+    Returns ``(X, trace, stop, mapping_norm)``: the trace holds the
+    objective at ``X`` after every iteration, ``stop`` is ``"certified"``,
+    ``"stalled"``, ``"max_iterations"`` or ``"step_underflow"``, and
+    ``mapping_norm`` is the relative mapping norm at the returned ``X``.
+    """
+    pen = config.penalty
+    tol = config.tolerance
+    X = W0.copy()
+    f, g = _smooth(design, X, pen, config.ridge)
+    FX = f + _nonsmooth(X, pen)
+    if not math.isfinite(FX):
+        raise NumericalError(f"objective not finite at initialization: {FX!r}")
+    trace = [(0, FX)]
+    Y, at_x, momentum = X, True, 1.0
     step = _FIRST_STEP
-    converged = False
+    ref = None  # max(1, G1): the mapping norm of iteration 1
     for it in range(1, config.max_iterations + 1):
-        while True:
-            Wn = _prox_matrix(W - step * g, step, pen)
-            dW = Wn - W
-            # the accepted trial's gradient is the next iteration's
-            fn, gn = _smooth_value_grad(design, Wn, pen, ridge)
-            bound = f + float(np.vdot(g, dW)) + float(np.vdot(dW, dW)) / (2.0 * step)
-            if fn <= bound + _DECREASE_SLACK:
-                break
-            step *= _SHRINK
-            if step < _STEP_FLOOR:
-                warnings.warn(
-                    "line-search step size underflowed; returning best iterate",
-                    SolverWarning,
-                    stacklevel=2,
-                )
-                return W, trace, False
-        Fn = fn + _nonsmooth(Wn, pen)
-        W, f, g = Wn, fn, gn
-        trace.append((it, Fn))
-        rel = abs(F - Fn) / max(1.0, abs(F))
-        F = Fn
-        if rel < config.tolerance:
-            converged = True
-            break
-        step *= _GROW
-    if not converged:
-        warnings.warn(
-            f"stopped at max_iterations={config.max_iterations} with relative objective "
-            f"change {rel:.3g} >= tolerance {config.tolerance:g}; returning the last iterate",
-            SolverWarning,
-            stacklevel=2,
-        )
-    return W, trace, converged
+        Z, fZ, t = _backtrack(design, Y, f, g, step, config)
+        gap = float(np.linalg.norm(Y - Z)) / t
+        if ref is None:
+            ref = max(1.0, gap)
+        rel = gap / ref
+        FZ = math.inf if fZ is None else fZ + _nonsmooth(Z, pen)
+        if at_x and (rel <= tol or fZ is None or not FZ < FX):
+            trace.append((it, FX))
+            if rel <= tol:
+                return X, trace, "certified", rel
+            # a momentum-free step that does not lower F: X is a fixed
+            # point up to rounding
+            stop = "step_underflow" if fZ is None else "stalled"
+            return _uncertified(X, trace, stop, rel, config, it)
+        beta = 0.0
+        if FZ < FX:
+            grown = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+            beta = (momentum - 1.0) / grown
+            X_prev, X, FX, momentum = X, Z, FZ, grown
+        else:
+            momentum = 1.0
+        if rel <= tol:
+            beta, momentum = 0.0, 1.0
+        if beta > 0.0:
+            Y = X + beta * (X - X_prev)
+            np.maximum(Y, 0.0, out=Y)
+            at_x = False
+        else:
+            Y, at_x = X, True
+        trace.append((it, FX))
+        if fZ is not None:
+            step = min(t * _GROW, _FIRST_STEP)
+        f, g = _smooth(design, Y, pen, config.ridge)
+    if not at_x:
+        f, g = _smooth(design, X, pen, config.ridge)
+    gap = float(np.linalg.norm(X - _prox_matrix(X - step * g, step, pen))) / step
+    return _uncertified(X, trace, "max_iterations", gap / ref, config, config.max_iterations)
+
+
+def _uncertified(X, trace, stop, rel, config, it):
+    why = {
+        "max_iterations": f"stopped at max_iterations={config.max_iterations}",
+        "stalled": f"stalled at iteration {it}: a step from the best iterate no "
+        "longer lowers the objective",
+        "step_underflow": f"line-search step size underflowed at iteration {it}",
+    }[stop]
+    warnings.warn(
+        f"{why}, with relative mapping norm {rel:.3g} > tolerance "
+        f"{config.tolerance:g}; returning the best iterate",
+        SolverWarning,
+        stacklevel=4,
+    )
+    return X, trace, stop, rel
 
 
 def _default_start(design):
@@ -235,14 +330,16 @@ def fit(observations, config, knots=None):
     if knots is None:
         knots = build_knot_set(observations)
     design = CensoredDesign(knots, observations)
-    W, trace, conv = _fit_full_batch(design, _default_start(design), config)
+    W, trace, stop, rel = _fit_full_batch(design, _default_start(design), config)
 
     model = matrix_model(knots, W)
     return FitResult(
         model=model,
         objective_trace=tuple(trace),
         train_nll=design.nll(model_matrix(model)),
-        converged=conv,
+        converged=stop == "certified",
+        mapping_norm=rel,
+        stop=stop,
         nonzero_parameter_count=nonzero_parameter_count(W),
         config=config,
     )
@@ -275,5 +372,5 @@ def refine_and_compare(fit_result, observations, extra_knots):
     starts = refined.boundaries()[:-1]
     cols = [knots.interval_index(s) for s in starts]
     W0 = W_orig[:, cols]
-    _, trace, _ = _fit_full_batch(design, W0, config)
+    _, trace, _, _ = _fit_full_batch(design, W0, config)
     return trace[-1][1] - fit_result.objective_trace[-1][1]

@@ -142,7 +142,7 @@ class TestConstantAdditive:
         res = fit(
             obs,
             SolverConfig(
-                penalty=PenaltyConfig(gamma=1e5), max_iterations=5000, tolerance=1e-13
+                penalty=PenaltyConfig(gamma=1e5), max_iterations=5000, tolerance=1e-6
             ),
         )
         W = model_matrix(res.model)

@@ -112,7 +112,12 @@ class TestFit:
         model = read_model(out)
         assert model.d == 4
         report = json.loads((tmp_path / "model.json.report.json").read_text())
-        assert set(report) >= {"train_nll", "iterations", "converged", "nonzero_parameter_count"}
+        assert set(report) >= {
+            "train_nll", "iterations", "converged", "stop", "mapping_norm",
+            "nonzero_parameter_count",
+        }
+        assert report["converged"] == (report["stop"] == "certified")
+        assert report["mapping_norm"] >= 0.0
         vals = [v for _, v in report["objective_trace"]]
         assert all(b <= a + 1e-8 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
 

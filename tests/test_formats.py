@@ -102,6 +102,26 @@ class TestObservationFiles:
         with pytest.raises(FormatError, match=r"obs\.jsonl:2"):
             read_observations(f)
 
+    @pytest.mark.parametrize("j", ["1.7", "1.0", "true"])
+    def test_non_integral_feature_index_rejected(self, tmp_path, j):
+        # int() would read 1.7 as feature 1
+        f = tmp_path / "obs.jsonl"
+        f.write_text(
+            '{"d": 2, "horizon": 2.0}\n'
+            '{"censoring": {"kind": "right", "t": 1.0}, "features": [{"j": %s, "changes": []}]}\n'
+            % j
+        )
+        with pytest.raises(FormatError, match=r"obs\.jsonl:2: feature index j must be an integer"):
+            read_observations(f)
+
+    @pytest.mark.parametrize("d", ["2.5", "2.0"])
+    def test_non_integral_header_dimension_rejected(self, tmp_path, d):
+        # int() would read 2.5 as d=2
+        f = tmp_path / "obs.jsonl"
+        f.write_text('{"d": %s, "horizon": 2.0}\n' % d)
+        with pytest.raises(FormatError, match=r"obs\.jsonl:1: bad header: d must be an integer"):
+            read_observations(f)
+
     def test_unknown_kind_rejected(self, tmp_path):
         f = tmp_path / "obs.jsonl"
         f.write_text(
@@ -207,6 +227,21 @@ class TestModelFiles:
         row = '{"j": Infinity, "base": 0.5, "jumps": []}'
         f.write_text('{"d": 1, "horizon": 2.0, "knots": [], %s, "rows": [%s]}\n' % (intercept, row))
         with pytest.raises(FormatError, match=r"m\.json"):
+            read_model(f)
+
+    @pytest.mark.parametrize(
+        "d, j", [("1e400", "0"), ("2.5", "0"), ("2", "1.5")], ids=["d 1e400", "d 2.5", "j 1.5"]
+    )
+    def test_non_integral_model_integers_rejected(self, tmp_path, d, j):
+        # numbers are read as Decimals: int() would turn 1e400 into a
+        # 401-digit dimension and 2.5 into 2
+        f = tmp_path / "m.json"
+        intercept = '"intercept": {"base": 0.5, "jumps": []}'
+        row = '{"j": %s, "base": 0.5, "jumps": []}' % j
+        f.write_text(
+            '{"d": %s, "horizon": 2.0, "knots": [], %s, "rows": [%s]}\n' % (d, intercept, row)
+        )
+        with pytest.raises(FormatError, match=r"m\.json: (d|row index j) must be an integer"):
             read_model(f)
 
     def test_jump_off_the_knot_grid_rejected(self, tmp_path):

@@ -381,6 +381,9 @@ class TestCensoredDesign:
         # a positive floor clamps the bracket mass and keeps things finite
         fv, fg = design.nll_grad(w, floor=1e-12)
         assert math.isfinite(fv) and np.all(np.isfinite(fg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert design.nll(w, floor=1e-12) == fv
 
     def test_head_term_as_column_sum_dot(self):
         # nll/nll_grad take the head term as _u_colsum @ w, the column sum
@@ -405,6 +408,8 @@ class TestCensoredDesign:
                 got_value, got_grad = design.nll_grad(w, floor=floor)
                 assert got_value == pytest.approx(value, rel=1e-13, abs=0.0)
                 assert got_grad.tobytes() == grad.tobytes()
+                # the value-only route, which line-search trials take
+                assert design.nll(w, floor=floor) == got_value
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(design_inputs())
