@@ -17,18 +17,22 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baseline import fit_constant_additive
 from .datagen import CampaignSpec, default_scenario, generate
 from .formats import FormatError, read_model, read_observations, write_model, write_observations
 from .likelihood import CensoredDesign, nll_dataset
 from .penalty import PenaltyConfig
-from .solver import NumericalError, SolverConfig, fit, nonzero_parameter_count
+from .solver import NumericalError, SolverConfig, fit
 from .timeline import build_knot_set
 
 
-def _refuse_overwrite(path, force):
-    if path is not None and not force and os.path.exists(path):
-        raise FileExistsError(f"refusing to overwrite {path} (use --force)")
+def _refuse_overwrite(force, *paths):
+    """Refuse outputs naming one file (even with --force) or existing ones."""
+    paths = [p for p in paths if p is not None]
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ValueError(f"outputs {' and '.join(paths)} name the same file")
+    for path in paths:
+        if not force and os.path.exists(path):
+            raise FileExistsError(f"refusing to overwrite {path} (use --force)")
 
 
 def _write_json(path, payload):
@@ -69,8 +73,7 @@ def _load_campaign_spec(path, seed):
 def cmd_simulate(args):
     spec = _load_campaign_spec(args.spec, args.seed)
     truth_out = args.truth_out if args.truth_out is not None else args.out + ".truth.json"
-    _refuse_overwrite(args.out, args.force)
-    _refuse_overwrite(truth_out, args.force)
+    _refuse_overwrite(args.force, args.out, truth_out)
     truth, observations = generate(spec)
     write_observations(args.out, observations, d=spec.d, horizon=spec.horizon)
     write_model(truth_out, truth)
@@ -79,9 +82,8 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
-    _refuse_overwrite(args.out, args.force)
     report_out = args.report_out if args.report_out is not None else args.out + ".report.json"
-    _refuse_overwrite(report_out, args.force)
+    _refuse_overwrite(args.force, args.out, report_out)
     observations, header = read_observations(args.observations)
     if not observations:
         raise FormatError(f"{args.observations}: no observation records")
@@ -124,14 +126,14 @@ def cmd_evaluate(args):
     total = nll_dataset(model, observations)
     report = {"n": len(observations), "total_nll": total, "mean_nll": total / len(observations)}
     if args.out is not None:
-        _refuse_overwrite(args.out, args.force)
+        _refuse_overwrite(args.force, args.out)
         _write_json(args.out, report)
     print(json.dumps(report, indent=1))
     return 0
 
 
 def cmd_sweep(args):
-    _refuse_overwrite(args.out, args.force)
+    _refuse_overwrite(args.force, args.out)
     try:
         gammas = [float(g) for g in args.gammas.split(",") if g.strip() != ""]
     except ValueError as e:
@@ -184,7 +186,7 @@ def cmd_sweep(args):
 
 
 def cmd_export(args):
-    _refuse_overwrite(args.out, args.force)
+    _refuse_overwrite(args.force, args.out)
     model = read_model(args.model)
     if args.features is None:
         indices = [-1] + sorted(model.coefficients)

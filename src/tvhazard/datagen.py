@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import HazardModel, hazard
-from .timeline import FeaturePath, KnotSet, Observation, StepFunction, level_at, merge_times
+from .timeline import (
+    MERGE_TOL, FeaturePath, Observation, StepFunction, _window_knots, level_at, merge_times,
+)
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,15 @@ class CampaignSpec:
 
 
 def truth_model(spec):
-    """Planted :class:`HazardModel`: constant baseline + stepped active features."""
-    raw = [t for _, changes in spec.active for t, _ in changes if t > 0.0]
-    times = tuple(merge_times(raw))
-    knots = KnotSet(times, horizon=spec.horizon)
-    starts = knots.boundaries()[:-1]
+    """Planted :class:`HazardModel`: constant baseline + stepped active features.
+
+    Its knots are the planted change times strictly inside ``(0, horizon)``;
+    a level planted at time 0 is the row's first value.
+    """
+    knots = _window_knots((t for _, changes in spec.active for t, _ in changes), spec.horizon)
+    # levels are read just after each interval's start, so that a change
+    # merged into the start (within MERGE_TOL after it) sets the level
+    starts = knots.boundaries()[:-1] + MERGE_TOL
     coefficients = {}
     for j, changes in spec.active:
         values = tuple(level_at(changes, s) for s in starts)

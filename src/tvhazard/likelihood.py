@@ -154,12 +154,11 @@ class CensoredDesign:
         d, table = _run_table(observations)
         left = np.array([o.left for o in observations])
         right = np.array([o.right for o in observations])
-        outside = np.flatnonzero((right > knots.horizon) | (left < knots.origin))
+        outside = np.flatnonzero(right > knots.horizon)
         if outside.size:
             o = observations[outside[0]]
             raise ValueError(
-                f"observation times ({o.left}, {o.right}) outside knot range "
-                f"[{knots.origin}, {knots.horizon}]"
+                f"observation times ({o.left}, {o.right}) outside knot range [0, {knots.horizon}]"
             )
         self.knots = knots
         self.observations = observations

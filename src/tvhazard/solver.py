@@ -38,7 +38,7 @@ import numpy as np
 
 from .likelihood import CensoredDesign, matrix_model, model_matrix, nll_dataset
 from .penalty import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
-from .timeline import KnotSet, build_knot_set, merge_times
+from .timeline import _window_knots, build_knot_set
 
 # Backtracking parameters: the first trial step of a fit (and the largest
 # step), shrink on sufficient-decrease violation, regrow on acceptance, give
@@ -348,6 +348,10 @@ def fit(observations, config, knots=None):
 def refine_and_compare(fit_result, observations, extra_knots):
     """Refit on a knot set enriched with uniformly-placed extra knots.
 
+    The refined knot set merges the fit's knots with ``extra_knots`` evenly
+    spaced times and, like :func:`build_knot_set`, keeps only times strictly
+    inside ``(0, horizon)``.
+
     Returns ``refined optimum - original optimum`` (penalized objectives).
     If coefficient paths jumping only at censoring boundaries and feature
     change times are sufficient, the delta stays above a small negative
@@ -360,11 +364,10 @@ def refine_and_compare(fit_result, observations, extra_knots):
     config = fit_result.config
     if extra_knots < 0:
         raise ValueError("extra_knots must be >= 0")
-    grid = np.linspace(knots.origin, knots.horizon, int(extra_knots) + 2)[1:-1]
-    merged = merge_times(list(knots.times) + list(grid))
-    if merged == tuple(knots.times):
+    grid = np.linspace(0.0, knots.horizon, int(extra_knots) + 2)[1:-1]
+    refined = _window_knots(list(knots.times) + list(grid), knots.horizon)
+    if refined.times == knots.times:
         return 0.0
-    refined = KnotSet(merged, horizon=knots.horizon, origin=knots.origin)
 
     design = CensoredDesign(refined, observations)
     # map the fitted solution onto the refined partition (function-preserving)

@@ -21,53 +21,41 @@ import numpy as np
 MERGE_TOL = 1e-9
 
 
-def _check_time(t, horizon, origin=0.0):
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    if t < origin or t > horizon:
-        raise ValueError(f"time {t!r} outside observation window [{origin}, {horizon}]")
-
-
 @dataclass(frozen=True)
 class KnotSet:
-    """Sorted candidate jump times over a finite observation window.
+    """Sorted candidate jump times over the observation window ``[0, horizon]``.
 
-    ``times`` are the interior breakpoints; together with the window they
-    induce ``len(times) + 1`` half-open intervals
+    ``times`` are the breakpoints; together with the window they induce
+    ``len(times) + 1`` half-open intervals
 
-        [origin, t_1), [t_1, t_2), ..., [t_m, horizon]
+        [0, t_1), [t_1, t_2), ..., [t_m, horizon]
 
     on which step functions are constant.  Times within ``MERGE_TOL`` of each
     other must already be merged (the constructor rejects near-duplicates).
+    Knot sets built from data hold only times strictly inside
+    ``(0, horizon)`` (see :func:`build_knot_set`); times at 0 or at the
+    horizon are still accepted, so model files that carry them load.
 
     Parameters
     ----------
     times : tuple of float
-        Strictly increasing breakpoints in ``[origin, horizon]``.
+        Strictly increasing breakpoints in ``[0, horizon]``.
     horizon : float
         Right end of the observation window.
-    origin : float, optional
-        Left end of the observation window (default 0).
     """
 
     times: tuple
     horizon: float
-    origin: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "origin", float(self.origin))
-        if not math.isfinite(self.origin) or not math.isfinite(self.horizon):
-            raise ValueError("window endpoints must be finite")
-        if self.horizon <= self.origin:
-            raise ValueError(f"horizon {self.horizon} must exceed origin {self.origin}")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
+            raise ValueError(f"horizon {self.horizon} must be finite and positive")
         prev = None
         for t in self.times:
-            if not math.isfinite(t):
-                raise ValueError(f"knot {t!r} is not finite")
-            if t < self.origin or t > self.horizon:
-                raise ValueError(f"knot {t!r} outside [{self.origin}, {self.horizon}]")
+            if not 0 <= t <= self.horizon:  # NaN fails the comparison too
+                raise ValueError(f"knot {t!r} outside [0, {self.horizon}]")
             if prev is not None and t - prev <= MERGE_TOL:
                 raise ValueError(f"knots {prev!r} and {t!r} are not increasing / closer than {MERGE_TOL}")
             prev = t
@@ -77,12 +65,13 @@ class KnotSet:
         return len(self.times) + 1
 
     def boundaries(self):
-        """All interval boundaries, ``origin`` and ``horizon`` included."""
-        return np.concatenate(([self.origin], self.times, [self.horizon]))
+        """All interval boundaries, 0 and ``horizon`` included."""
+        return np.concatenate(([0.0], self.times, [self.horizon]))
 
     def interval_index(self, t):
         """Index of the interval containing ``t`` (right-continuous)."""
-        _check_time(t, self.horizon, self.origin)
+        if not 0 <= t <= self.horizon:
+            raise ValueError(f"time {t!r} outside observation window [0, {self.horizon}]")
         return bisect.bisect_right(self.times, t)
 
 
@@ -253,22 +242,29 @@ def merge_times(times, tol=MERGE_TOL):
     return tuple(out)
 
 
+def _window_knots(times, horizon):
+    """Where a coefficient may jump: ``times`` merged at ``MERGE_TOL`` together
+    with both window ends, keeping what lies strictly between the ends.  A
+    time within ``MERGE_TOL`` of 0 or of the horizon merges into that end."""
+    return KnotSet(merge_times(t for t in times if t > MERGE_TOL and horizon - t > MERGE_TOL), horizon)
+
+
 def build_knot_set(observations, horizon=None):
     """Candidate jump times induced by a dataset.
 
-    The knot set is the union of every censoring boundary and every feature
-    change time, merged at tolerance ``MERGE_TOL``.  Restricting coefficient
-    paths to jump only at these times loses nothing: for any step-function
-    model there is one with jumps on this set attaining an equal or better
-    penalized likelihood.
+    The knot set holds every censoring boundary and every feature change
+    time strictly inside ``(0, horizon)``, merged at tolerance ``MERGE_TOL``.
+    Restricting coefficient paths to jump only at these times loses nothing:
+    for any step-function model there is one with jumps on this set
+    attaining an equal or better penalized likelihood.
 
     Parameters
     ----------
     observations : sequence of Observation
     horizon : float, optional
         Right end of the window; defaults to the largest censoring boundary.
-        Change times beyond the horizon are dropped (they cannot affect any
-        integral on the window).
+        Change times at or beyond the horizon are dropped (they cannot
+        affect any integral on the window).
 
     Returns
     -------
@@ -277,23 +273,13 @@ def build_knot_set(observations, horizon=None):
     observations = list(observations)
     if not observations:
         raise ValueError("cannot build a knot set from an empty dataset")
-    raw = []
-    max_boundary = 0.0
-    for obs in observations:
-        if obs.kind == "interval":
-            raw.extend((obs.left, obs.right))
-            max_boundary = max(max_boundary, obs.right)
-        else:
-            raw.append(obs.right)
-            max_boundary = max(max_boundary, obs.right)
+    max_boundary = max(obs.right for obs in observations)
     if horizon is None:
         horizon = max_boundary
     if max_boundary > horizon:
         raise ValueError(f"censoring boundary {max_boundary} beyond horizon {horizon}")
-    for obs in observations:
-        raw.extend(t for t in obs.path.change_times() if t <= horizon)
-    merged = [t for t in merge_times(raw) if t <= horizon]
-    return KnotSet(tuple(merged), horizon=float(horizon))
+    raw = [t for obs in observations for t in (obs.left, obs.right, *obs.path.change_times())]
+    return _window_knots(raw, horizon)
 
 
 def eval_step(f, t):

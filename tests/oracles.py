@@ -280,8 +280,8 @@ def dense_design(knots, observations):
 
 def _check_bounds(knots, a, b):
     for t in (a, b):
-        if not math.isfinite(t) or not knots.origin <= t <= knots.horizon:
-            raise ValueError(f"time {t!r} outside [{knots.origin}, {knots.horizon}]")
+        if not math.isfinite(t) or not 0.0 <= t <= knots.horizon:
+            raise ValueError(f"time {t!r} outside [0, {knots.horizon}]")
     if a > b:
         raise ValueError(f"integration bounds out of order: {a} > {b}")
 

@@ -92,6 +92,15 @@ class TestSimulate:
         assert main(args) == 4  # i/o refusal, not a validation error
         assert main(args + ["--force"]) == 0
 
+    def test_outputs_naming_one_file_refused(self, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", n=5)
+        out = tmp_path / "obs.jsonl"
+        same = str(tmp_path / "." / "obs.jsonl")
+        args = ["simulate", "--spec", str(spec), "--out", str(out), "--truth-out", same]
+        assert main(args) == 2
+        assert main(args + ["--force"]) == 2
+        assert not out.exists()
+
     def test_malformed_spec_is_validation_error(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text("{ nope")
@@ -150,6 +159,16 @@ class TestFit:
         model = read_model(out)
         for sf in [model.intercept, *model.coefficients.values()]:
             assert np.all(np.diff(sf.values) >= -1e-12)
+
+    def test_outputs_naming_one_file_refused(self, obs_file, tmp_path):
+        out = tmp_path / "model.json"
+        args = ["fit", "--observations", str(obs_file), "--out", str(out), "--report-out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert main(args + ["--force"]) == 2
+        assert out.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_missing_input_is_io_error(self, tmp_path):
         args = ["fit", "--observations", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "m")]

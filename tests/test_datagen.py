@@ -97,6 +97,14 @@ class TestTruthModel:
         assert tuple(truth.knots.times) == (0.5, 1.0, 2.0)
         assert truth.knots.horizon == 4.0
 
+    def test_changes_at_the_window_ends_merge_into_them(self):
+        # 5e-10 merges into 0 and 4.0 is the horizon: neither is a knot, and
+        # the level set at 5e-10 holds from 0
+        spec = tiny_spec(active=((0, ((0.0, 0.4), (5e-10, 0.5), (2.0, 0.9), (4.0, 1.1))),))
+        truth = truth_model(spec)
+        assert truth.knots.times == (2.0,)
+        assert truth.coefficients[0].values == (0.5, 0.9)
+
     def test_levels_step_at_the_right_places(self):
         truth = truth_model(tiny_spec())
         f0, f2 = truth.coefficients[0], truth.coefficients[2]

@@ -13,6 +13,8 @@ from tvhazard import (
     KnotSet,
     Observation,
     StepFunction,
+    eval_step,
+    nll_dataset,
     read_model,
     read_observations,
     write_model,
@@ -243,6 +245,35 @@ class TestModelFiles:
         )
         with pytest.raises(FormatError, match=r"m\.json: (d|row index j) must be an integer"):
             read_model(f)
+
+    def test_knots_at_the_window_ends_still_load(self, tmp_path):
+        # files written when knot sets kept 0 and the horizon: the two
+        # zero-width intervals read back and change no likelihood
+        f = tmp_path / "m.json"
+        f.write_text(
+            '{"d": 1, "horizon": 2.0, "knots": [0.0, 1.0, 2.0],\n'
+            ' "intercept": {"base": 0.5, "jumps": [{"t": 0.0, "delta": "-0.25"},'
+            ' {"t": 1.0, "delta": "0.5"}, {"t": 2.0, "delta": "-0.5"}]},\n'
+            ' "rows": [{"j": 0, "base": 0.0, "jumps": [{"t": 1.0, "delta": "2"}]}]}\n'
+        )
+        m = read_model(f)
+        assert m.knots.times == (0.0, 1.0, 2.0)
+        assert [eval_step(m.intercept, t) for t in (0.0, 0.5, 1.0, 2.0)] == [0.25, 0.25, 0.75, 0.25]
+        assert eval_step(m.coefficients[0], 1.5) == 2.0
+        ks = KnotSet((1.0,), horizon=2.0)
+        interior = HazardModel(
+            knots=ks,
+            d=1,
+            intercept=StepFunction(ks, (0.25, 0.75)),
+            coefficients={0: StepFunction(ks, (0.0, 2.0))},
+        )
+        p = FeaturePath(1, {0: ((0.5, 1.0),)})
+        obs = [
+            Observation.interval(p, 0.0, 1.5),
+            Observation.interval(p, 1.0, 2.0),
+            Observation.right_censored(p, 2.0),
+        ]
+        assert nll_dataset(m, obs) == pytest.approx(nll_dataset(interior, obs), rel=1e-12)
 
     def test_jump_off_the_knot_grid_rejected(self, tmp_path):
         f = tmp_path / "m.json"

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import tvhazard.solver
 from tvhazard import (
+    CampaignSpec,
     CensoredDesign,
     FeaturePath,
     KnotSet,
@@ -23,6 +24,7 @@ from tvhazard import (
     SolverWarning,
     build_knot_set,
     default_scenario,
+    eval_step,
     fit,
     fused_lasso_prox,
     generate,
@@ -133,6 +135,10 @@ class TestFullBatch:
         assert iterations <= calls["nll_grad"] <= iterations + 2
         monkeypatch.undo()
         assert nll_dataset(res.model, obs) == res.train_nll
+        # the accuracy floor reads the trace's last objective
+        assert res.objective_trace[-1][1] == pytest.approx(
+            objective(res.model, obs, penalty), rel=1e-12
+        )
 
     def test_default_knots_equal_explicit_union(self):
         obs = sim_observations(np.random.default_rng(23), n=25)
@@ -140,6 +146,24 @@ class TestFullBatch:
         r1 = fit(obs, config)
         r2 = fit(obs, config, knots=build_knot_set(obs))
         assert np.array_equal(model_matrix(r1.model), model_matrix(r2.model))
+
+    def test_level_at_the_horizon_is_the_last_fitted_level(self):
+        # brackets start at 0 and right-censoring sits at the horizon; the
+        # knot set holds neither end, so the value at the horizon is the
+        # level fitted on the last scan gap, not a start value left in a
+        # column no observation reaches
+        spec = CampaignSpec(
+            d=2, active=((0, ((0.0, 0.5),)),), baseline_level=0.2, horizon=6.0, n=60,
+            feature_density=0.5, scan_times=(1.0, 2.0, 3.0, 4.0, 5.0),
+        )
+        _, obs = generate(spec)
+        assert {0.0, 6.0} <= {t for o in obs for t in (o.left, o.right)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SolverWarning)
+            res = fit(obs, cfg(0.0, max_iterations=200))
+        assert res.model.knots.times == (1.0, 2.0, 3.0, 4.0, 5.0)
+        intercept = res.model.intercept
+        assert eval_step(intercept, 6.0) == eval_step(intercept, 6.0 - 1e-6)
 
     def test_solution_is_nonnegative(self):
         rng = np.random.default_rng(24)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tvhazard import (
     FeaturePath,
@@ -16,6 +18,7 @@ from tvhazard import (
     eval_step,
     merge_times,
 )
+from tvhazard.timeline import MERGE_TOL
 
 from oracles import integrate_step, integrate_step_product
 
@@ -160,11 +163,37 @@ class TestObservation:
         assert o.right == 3.5
 
 
+def near_end_times(horizon):
+    """Times in ``[0, horizon]``, most of them within a few ``MERGE_TOL`` of an end."""
+    offsets = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    return st.one_of(
+        st.floats(0.0, horizon),
+        offsets.map(lambda k: k * MERGE_TOL),
+        offsets.map(lambda k: horizon - k * MERGE_TOL),
+    )
+
+
+@st.composite
+def observation_sets(draw):
+    horizon = draw(st.sampled_from([1.0, 4.0, 9.0]))
+    times = near_end_times(horizon)
+    obs = []
+    for _ in range(draw(st.integers(1, 6))):
+        changes = sorted(set(draw(st.lists(times, max_size=3))))
+        p = FeaturePath(1, {0: tuple((t, 1.0) for t in changes)})
+        a, b = sorted((draw(times), draw(times)))
+        if a < b and draw(st.booleans()):
+            obs.append(Observation.interval(p, a, b))
+        elif b > 0:
+            obs.append(Observation.right_censored(p, b))
+    return obs, horizon
+
+
 class TestBuildKnotSet:
     def test_single_right_censoring(self):
         p = FeaturePath(1, {})
         ks = build_knot_set([Observation.right_censored(p, 5.0)])
-        assert ks.times == (5.0,)
+        assert ks.times == ()  # 5.0 is the horizon, not an interior knot
         assert ks.horizon == 5.0
 
     def test_union_of_brackets_and_changes(self):
@@ -174,28 +203,28 @@ class TestBuildKnotSet:
             Observation.right_censored(p, 3.0),
         ]
         ks = build_knot_set(obs)
-        assert ks.times == (1.0, 1.5, 2.0, 3.0)
+        assert ks.times == (1.0, 1.5, 2.0)
 
-    def test_boundary_coincident_knots_kept(self):
-        # the union is literal: censoring boundaries and change times stay
-        # even when they coincide with the origin or horizon
-        p = FeaturePath(1, {0: ((0.0, 1.0),)})
-        obs = [Observation.interval(p, 0.0, 2.0)]
+    def test_boundary_coincident_knots_dropped(self):
+        # censoring boundaries and change times at either end of the window
+        # would only add intervals of zero width
+        p = FeaturePath(1, {0: ((0.0, 1.0), (2.0, 0.5))})
+        obs = [Observation.interval(p, 0.0, 1.0), Observation.right_censored(p, 2.0)]
         ks = build_knot_set(obs, horizon=2.0)
-        assert ks.times == (0.0, 2.0)
-        assert tuple(ks.boundaries()) == (0.0, 0.0, 2.0, 2.0)
+        assert ks.times == (1.0,)
+        assert tuple(ks.boundaries()) == (0.0, 1.0, 2.0)
 
     def test_changes_beyond_horizon_dropped(self):
         p = FeaturePath(1, {0: ((1.0, 1.0), (9.0, 0.0))})
         obs = [Observation.right_censored(p, 4.0)]
         ks = build_knot_set(obs, horizon=4.0)
-        assert ks.times == (1.0, 4.0)
+        assert ks.times == (1.0,)
 
     def test_near_duplicates_merge(self):
         p = FeaturePath(1, {0: ((2.0 + 1e-12, 1.0),)})
         obs = [Observation.interval(p, 1.0, 2.0), Observation.right_censored(p, 3.0)]
         ks = build_knot_set(obs)
-        assert ks.times == (1.0, 2.0, 3.0)
+        assert ks.times == (1.0, 2.0)
 
     def test_knot_count_scales_with_distinct_times(self):
         rng = np.random.default_rng(3)
@@ -208,6 +237,22 @@ class TestBuildKnotSet:
             raw += [l, r]
         ks = build_knot_set(obs, horizon=10.0)
         assert ks.times == tuple(merge_times(raw))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(observation_sets(), st.booleans())
+    def test_every_interval_wider_than_merge_tol(self, drawn, explicit_horizon):
+        obs, horizon = drawn
+        assume(obs)
+        ks = build_knot_set(obs, horizon=horizon if explicit_horizon else None)
+        B = ks.boundaries()
+        # a window no wider than MERGE_TOL (horizon = a tiny right-censoring
+        # time) is one interval; otherwise no interval is that narrow
+        assert np.all(np.diff(B) > MERGE_TOL) or (ks.times == () and ks.horizon <= MERGE_TOL)
+        # nothing is lost: every candidate time merged into a boundary
+        for o in obs:
+            for t in (o.left, o.right, *o.path.change_times()):
+                if t <= ks.horizon:
+                    assert np.abs(B - t).min() <= MERGE_TOL
 
 
 class TestMergeTimes:
