@@ -48,13 +48,12 @@ def observation_record(o):
 
 
 def write_observations(path, observations, d, horizon, time_unit="abstract"):
-    """Write the header plus one observation per line."""
+    """Write the header plus one observation per line, in one write."""
+    # json.dumps runs the C encoder; json.dump to a file, the Python one
+    header = {"d": int(d), "horizon": float(horizon), "time_unit": time_unit}
+    lines = [json.dumps(header)] + [json.dumps(observation_record(o)) for o in observations]
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({"d": int(d), "horizon": float(horizon), "time_unit": time_unit}, f)
-        f.write("\n")
-        for o in observations:
-            json.dump(observation_record(o), f)
-            f.write("\n")
+        f.write("".join(line + "\n" for line in lines))
 
 
 def _parse_observation(rec, d, lineno, path):

@@ -9,10 +9,10 @@ then clipped at zero; in one dimension clipping after the TV prox is exact.
 The recursion runs on Python floats: on NumPy arrays, boxing a scalar per
 element access made it 3-4x slower, and its result is bitwise the array
 version's.
-In monotone mode the TV of a nondecreasing row telescopes to
-``w[last] - w[first]``, a linear term the solver folds into the smooth
-objective, so the prox reduces to isotonic projection
-(``scipy.optimize.isotonic_regression``) plus clipping.  The solver applies
+In monotone mode the TV of a nondecreasing row telescopes to the linear
+term ``w[last] - w[first]``, so the prox is isotonic projection
+(``scipy.optimize.isotonic_regression``) of the row with ``weight`` added to
+its first entry and taken from its last, plus clipping.  The solver applies
 both row by row and always clips (``solver._prox_matrix``).
 """
 

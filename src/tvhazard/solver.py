@@ -18,14 +18,14 @@ tolerance * max(1, G1)``.  Steps never exceed 1 and ``G_t`` does not
 increase with ``t``, so the bound holds at ``t = 1`` too.  The reachable
 norm is bounded below: once a step's decrease falls under the rounding
 error of the objective, a step from ``X`` no longer lowers it and the fit
-stops as stalled (relative norms of about 2e-8 to 3e-6 on datasets of a few
-dozen sites).  Unpenalized fits (gamma = 0) converge slowly and may still
-reach the iteration cap.  Every uncertified exit warns once.
+stops as stalled (relative norms of about 6e-10 to 8e-8 on datasets of 12
+to 40 sites), or, when rounding fails every trial of the line search's
+sufficient-decrease test, as a step underflow.  Unpenalized fits (gamma =
+0) converge slowly and may still reach the iteration cap.  Every
+uncertified exit warns once.
 
-Monotone mode makes every row nondecreasing and is handled by
-reformulation: on the feasible set a row's TV telescopes to the linear term
-``W[r, -1] - W[r, 0]``, which joins the smooth objective, and the row's prox
-becomes isotonic projection + clipping.
+The smooth part is the likelihood alone (plus the constant baseline's
+ridge); TV and every constraint, monotone mode's too, live in the prox.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ _FIRST_STEP = 1.0
 _SHRINK = 0.5
 _GROW = 1.2
 _STEP_FLOOR = 1e-12
-_DECREASE_SLACK = 1e-12
 # Bracket masses are clamped here inside the optimizer (positivity floor).
 _MASS_FLOOR = 1e-12
 
@@ -142,11 +141,10 @@ def nonzero_parameter_count(W):
     return count
 
 
-def _smooth(design, W, pen, ridge, with_grad=True):
+def _smooth(design, W, ridge, with_grad=True):
     """Smooth part of the objective at ``W`` (NLL with floored bracket
-    masses, ridge, monotone mode's linear TV term) and its gradient, or
-    ``None`` for the gradient without ``with_grad``: one ``nll_grad`` or
-    one value-only ``nll`` call."""
+    masses, plus ridge) and its gradient, or ``None`` for the gradient
+    without ``with_grad``: one ``nll_grad`` or one value-only ``nll`` call."""
     if with_grad:
         val, grad = design.nll_grad(W.ravel(), floor=_MASS_FLOOR)
         grad = grad.reshape(W.shape)
@@ -156,19 +154,12 @@ def _smooth(design, W, pen, ridge, with_grad=True):
         val += ridge * float((W[1:] ** 2).sum())
         if with_grad:
             grad[1:] += 2.0 * ridge * W[1:]
-    if pen.monotone and pen.gamma > 0.0 and W.shape[1] > 1:
-        # monotone mode binds every row: the linear TV term is whole columns
-        for v in (W[:, -1] - W[:, 0]).tolist():
-            val += pen.gamma * v
-        if with_grad:
-            grad[:, -1] += pen.gamma
-            grad[:, 0] -= pen.gamma
     return val, grad
 
 
 def _nonsmooth(W, pen):
-    # gamma * TV of the rows; in monotone mode it is all in the smooth part
-    if pen.monotone or pen.gamma == 0.0 or W.shape[1] == 1:
+    # gamma * TV of the rows
+    if pen.gamma == 0.0 or W.shape[1] == 1:
         return 0.0
     row_tv = np.abs(np.diff(W, axis=1)).sum(axis=1)
     # summed in order, not with sum(): Python >= 3.12 compensates float sums
@@ -179,18 +170,24 @@ def _nonsmooth(W, pen):
 
 
 def _prox_matrix(Y, step, pen):
-    """Row-wise prox of ``Y``: isotonic projection of every row in monotone
-    mode, else the TV prox with weight ``gamma * step``, then clipping at
-    zero.
+    """Row-wise prox of ``gamma * step * TV`` and the constraints: the TV
+    prox of every row, then clipping at zero.  Monotone mode makes every row
+    nondecreasing, where TV is ``w[-1] - w[0]``: its prox is the isotonic
+    projection of the row with that weight added to its first entry and
+    taken from its last, then clipping.
 
-    Neither prox raises a row's maximum, so a row that is <= 0 everywhere
-    clips to exactly +0.0 and is left zero without calling either prox
-    (``np.maximum`` maps -0.0 to +0.0, so the result is bitwise the one the
-    prox and the clip would give).  A row whose maximum is NaN is not
+    Neither prox raises a (shifted) row's maximum, so a row that is <= 0
+    everywhere clips to exactly +0.0 and is left zero without calling either
+    prox (``np.maximum`` maps -0.0 to +0.0, so the result is bitwise the one
+    the prox and the clip would give).  A row whose maximum is NaN is not
     <= 0, so it reaches the prox and its ``ValueError``.
     """
     out = np.zeros_like(Y)
     weight = pen.gamma * step
+    if pen.monotone and Y.shape[1] > 1:
+        Y = Y.copy()
+        Y[:, 0] += weight
+        Y[:, -1] -= weight
     for r in np.flatnonzero(~(Y.max(axis=1) <= 0.0)).tolist():
         out[r] = isotonic_project(Y[r]) if pen.monotone else fused_lasso_prox(Y[r], weight)
     return np.maximum(out, 0.0, out=out)
@@ -205,13 +202,12 @@ def _backtrack(design, Y, f, g, step, config):
     that meets the sufficient-decrease bound, or ``(Z, None, t)`` for the
     last trial once a further halving would fall below the step floor.
     """
-    pen = config.penalty
     while True:
-        Z = _prox_matrix(Y - step * g, step, pen)
+        Z = _prox_matrix(Y - step * g, step, config.penalty)
         dZ = Z - Y
-        fZ, _ = _smooth(design, Z, pen, config.ridge, with_grad=False)
+        fZ, _ = _smooth(design, Z, config.ridge, with_grad=False)
         bound = f + float(np.vdot(g, dZ)) + float(np.vdot(dZ, dZ)) / (2.0 * step)
-        if fZ <= bound + _DECREASE_SLACK:
+        if fZ <= bound:
             return Z, fZ, step
         if step * _SHRINK < _STEP_FLOOR:
             return Z, None, step
@@ -240,7 +236,7 @@ def _fit_full_batch(design, W0, config):
     pen = config.penalty
     tol = config.tolerance
     X = W0.copy()
-    f, g = _smooth(design, X, pen, config.ridge)
+    f, g = _smooth(design, X, config.ridge)
     FX = f + _nonsmooth(X, pen)
     if not math.isfinite(FX):
         raise NumericalError(f"objective not finite at initialization: {FX!r}")
@@ -281,9 +277,9 @@ def _fit_full_batch(design, W0, config):
         trace.append((it, FX))
         if fZ is not None:
             step = min(t * _GROW, _FIRST_STEP)
-        f, g = _smooth(design, Y, pen, config.ridge)
+        f, g = _smooth(design, Y, config.ridge)
     if not at_x:
-        f, g = _smooth(design, X, pen, config.ridge)
+        f, g = _smooth(design, X, config.ridge)
     gap = float(np.linalg.norm(X - _prox_matrix(X - step * g, step, pen))) / step
     return _uncertified(X, trace, "max_iterations", gap / ref, config, config.max_iterations)
 

@@ -5,14 +5,17 @@ implementation: exhaustive enumeration over block partitions, a
 box-constrained dual least-squares solve, plain vectorized grid search, a
 per-run loop over feature paths, or the scalar likelihood route that
 integrates one observation at a time on the common refinement of knots and
-change times.  All but one are exponential or polynomially slow and meant
-for tiny instances only.  The exception, ``fused_lasso_prox_array``, is the
-library's prox recursion on NumPy arrays, the bitwise reference for the
-Python-float version the library runs.
+change times.  All but two are exponential or polynomially slow and meant
+for tiny instances only.  The exceptions are earlier library code kept as
+bitwise references: ``fused_lasso_prox_array``, the prox recursion on NumPy
+arrays, for the Python-float version the library runs, and
+``write_observations_streamed``, which encodes record by record with
+``json.dump``, for the library's one-write observation writer.
 """
 
 import bisect
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -21,6 +24,7 @@ import numpy as np
 import scipy.optimize
 
 from tvhazard import ZeroBracketWarning, eval_feature, merge_times
+from tvhazard.formats import observation_record
 
 
 def fused_prox_bruteforce(y, lam):
@@ -165,6 +169,16 @@ def fused_lasso_prox_array(y, weight):
             beta[k] = beta[k + 1]
     # the exact minimizer never exceeds max(y); rounding can, at tiny weights
     return np.minimum(beta, y.max(), out=beta)
+
+
+def write_observations_streamed(path, observations, d, horizon, time_unit="abstract"):
+    """Observation file written record by record through ``json.dump``."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"d": int(d), "horizon": float(horizon), "time_unit": time_unit}, f)
+        f.write("\n")
+        for o in observations:
+            json.dump(observation_record(o), f)
+            f.write("\n")
 
 
 def isotonic_bruteforce(y):

@@ -138,36 +138,44 @@ def test_criterion_2_prox_oracles(capsys):
         gap = np.abs(isotonic_project(y) - isotonic_bruteforce(y)).max()
         worst_iso = max(worst_iso, gap)
 
-    # the joint TV + nonnegativity prox is the one the solver runs
-    worst_joint = 0.0
+    # the joint TV + nonnegativity prox is the one the solver runs, with the
+    # rows constrained nondecreasing in monotone mode
+    worst_joint = {False: 0.0, True: 0.0}  # by monotone
     for _ in range(20):
         n = int(rng.integers(2, 5))
         y = rng.normal(scale=1.5, size=n)
         lam = float(rng.uniform(0.1, 1.5))
-        x = _prox_matrix(y[None, :], 1.0, PenaltyConfig(gamma=lam))[0]
+        for monotone in (False, True):
+            x = _prox_matrix(y[None, :], 1.0, PenaltyConfig(gamma=lam, monotone=monotone))[0]
 
-        def f(cand):
-            pen = 0.5 * np.sum((cand - y) ** 2, axis=1)
-            pen += lam * np.abs(np.diff(cand, axis=1)).sum(axis=1)
-            return np.where(np.all(cand >= 0, axis=1), pen, np.inf)
+            def f(cand):
+                pen = 0.5 * np.sum((cand - y) ** 2, axis=1)
+                pen += lam * np.abs(np.diff(cand, axis=1)).sum(axis=1)
+                ok = np.all(cand >= 0, axis=1)
+                if monotone:
+                    ok &= np.all(np.diff(cand, axis=1) >= 0, axis=1)
+                return np.where(ok, pen, np.inf)
 
-        hi = np.maximum(np.abs(y).max(), 1.0) * np.ones(n)
-        gx, _, res = grid_minimize(f, np.zeros(n), hi, rounds=22)
-        assert res < 1e-8  # the grid argmin itself is localized to < 1e-6
-        worst_joint = max(worst_joint, float(np.abs(x - gx).max()))
+            hi = np.maximum(np.abs(y).max(), 1.0) * np.ones(n)
+            gx, _, res = grid_minimize(f, np.zeros(n), hi, rounds=22)
+            assert res < 1e-8  # the grid argmin itself is localized to < 1e-6
+            worst_joint[monotone] = max(worst_joint[monotone], float(np.abs(x - gx).max()))
 
     dt = time.time() - t0
-    ok = worst_fused < 1e-6 and worst_iso < 1e-10 and worst_joint < 1e-6 and dt < 60.0
+    ok = (worst_fused < 1e-6 and worst_iso < 1e-10 and worst_joint[False] < 1e-6
+          and worst_joint[True] < 1e-6 and dt < 60.0)
     verdict(
         capsys,
         2,
         "prox vs brute-force oracles",
         ok,
-        f"fused {worst_fused:.1e}, isotonic {worst_iso:.1e}, joint {worst_joint:.1e}, {dt:.1f}s",
+        f"fused {worst_fused:.1e}, isotonic {worst_iso:.1e}, joint {worst_joint[False]:.1e}, "
+        f"monotone joint {worst_joint[True]:.1e}, {dt:.1f}s",
     )
     assert worst_fused < 1e-6
     assert worst_iso < 1e-10
-    assert worst_joint < 1e-6
+    assert worst_joint[False] < 1e-6
+    assert worst_joint[True] < 1e-6
     assert dt < 60.0
 
 

@@ -22,6 +22,8 @@ from tvhazard import (
 )
 from tvhazard.formats import model_document, observation_record
 
+from oracles import write_observations_streamed
+
 
 def random_observations(rng, d=3, n=12, horizon=5.0):
     obs = []
@@ -74,6 +76,20 @@ class TestObservationFiles:
         write_observations(f, obs, d=2, horizon=5.0)
         got, _ = read_observations(f)
         assert got == obs  # dataclass equality is exact float equality
+
+    def test_bytes_match_the_streamed_writer(self, tmp_path):
+        rng = np.random.default_rng(71)
+        p = FeaturePath(2, {0: ((0.1000000001, 1e-300), (3.9, 7e15))})
+        obs = random_observations(rng, n=40) + [
+            Observation.interval(p, 1e-12, 4.999999999999999, id="edge \u00e9\"q"),
+            Observation.right_censored(p, 2.5000000000000004),
+        ]
+        assert {o.kind for o in obs} == {"interval", "right"}
+        for records, unit in ((obs, "abstract"), ([], "days")):
+            got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+            write_observations(got, records, d=3, horizon=5.0, time_unit=unit)
+            write_observations_streamed(want, records, d=3, horizon=5.0, time_unit=unit)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_time_unit_survives(self, tmp_path):
         f = tmp_path / "obs.jsonl"

@@ -234,15 +234,19 @@ class TestProxStep:
             assert gv - fx <= (lam + 1.0) * n * res + n * res**2
 
     def test_monotone_then_clip_is_joint_projection(self):
+        # grid-certify that the shifted isotonic projection plus clipping
+        # solves the TV + nondecreasing + nonnegativity problem jointly
         rng = np.random.default_rng(61)
+        lam = 0.3
         for _ in range(20):
             n = int(rng.integers(2, 5))
             y = rng.normal(scale=1.5, size=n)
-            x = prox_step(y, 0.3, monotone=True)
+            x = prox_step(y, lam, monotone=True)
             assert np.all(x >= 0) and np.all(np.diff(x) >= -1e-12)
 
             def f(cand):
                 pen = 0.5 * np.sum((cand - y) ** 2, axis=1)
+                pen += lam * np.abs(np.diff(cand, axis=1)).sum(axis=1)
                 ok = np.all(cand >= 0, axis=1) & np.all(np.diff(cand, axis=1) >= 0, axis=1)
                 return np.where(ok, pen, np.inf)
 
@@ -262,9 +266,15 @@ class TestProxStep:
         with pytest.raises(ValueError, match="finite"):
             _prox_matrix(Y, 1.0, pen)
 
-    def test_monotone_mode_ignores_weight(self):
+    def test_monotone_mode_weight_matters(self):
+        # on a nondecreasing row TV is w[-1] - w[0]: the weight moves the
+        # first entry up and the last one down before the projection
         y = np.array([1.0, 0.2, 0.8])
-        assert np.array_equal(prox_step(y, 5.0, monotone=True), prox_step(y, 0.0, monotone=True))
+        assert np.allclose(prox_step(y, 0.0, monotone=True), [0.6, 0.6, 0.8])
+        assert np.array_equal(prox_step(y, 0.05, monotone=True),
+                              np.maximum(isotonic_project([1.05, 0.2, 0.75]), 0.0))
+        # a weight this large flattens the row to its mean
+        assert np.allclose(prox_step(y, 5.0, monotone=True), np.full(3, y.mean()))
 
     def test_gamma_validation(self):
         for gamma in (-1.0, np.inf, np.nan):
