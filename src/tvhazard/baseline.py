@@ -1,11 +1,12 @@
 """Constant-coefficient reference models under the same censored likelihood.
 
-Two baselines for held-out comparisons against the time-varying fit: a
-constant additive-hazard model (the one-interval special case of the main
-model class) and a constant-base-rate proportional-hazards model
-``lambda(t|x) = lambda_0 * exp(w . x(t))``, both fitted by maximum likelihood
-on the identical censored data with a small ridge term for identifiability
-with collinear binary features.
+Two baselines for held-out comparisons against the time-varying fit, both
+fitted by maximum likelihood on the identical censored data: a constant
+additive-hazard model, the one-interval special case of the main model
+class and fitted by :func:`~tvhazard.solver.fit` itself, and a
+constant-base-rate proportional-hazards model ``lambda(t|x) = lambda_0 *
+exp(w . x(t))``, fitted by L-BFGS-B with a small ridge term for
+identifiability with collinear binary features.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy import optimize
 
 from .likelihood import HazardModel, _inv_expm1, _log1mexp_vec, _run_table, model_matrix
 from .penalty import PenaltyConfig
-from .solver import SolverConfig, fit
+from .solver import SolverConfig, SolverWarning, _pooled_event_rate, fit
 from .timeline import KnotSet, StepFunction
 
 _WEIGHT_CAP = 50.0
@@ -79,24 +80,19 @@ class ProportionalModel:
         return len(self.weights)
 
 
-def fit_constant_additive(observations, l2_weight=1e-6):
+def fit_constant_additive(observations):
     """Censored-likelihood fit of the constant additive model.
 
-    Reuses the TV solver on a single-interval knot set (one value per row),
-    with ``l2_weight * ||weights||^2`` added for identifiability.
+    :func:`~tvhazard.solver.fit` with the default settings on one interval,
+    ``[0, max right end]``, where a row has one value and no total
+    variation.  Of features always present together only the sum of
+    weights is identifiable; the fit splits it between them.
     """
     observations = list(observations)
     if not observations:
         raise ValueError("no observations")
-    horizon = max(o.right for o in observations)
-    knots = KnotSet((), horizon=horizon)
-    config = SolverConfig(
-        penalty=PenaltyConfig(gamma=0.0),
-        max_iterations=5000,
-        tolerance=1e-8,
-        ridge=l2_weight,
-    )
-    result = fit(observations, config, knots=knots)
+    knots = KnotSet((), horizon=max(o.right for o in observations))
+    result = fit(observations, SolverConfig(penalty=PenaltyConfig()), knots=knots)
     W = model_matrix(result.model)[:, 0]
     return ConstantAdditiveModel(intercept=W[0], weights=tuple(W[1:]))
 
@@ -180,8 +176,11 @@ def _proportional_value_grad(theta, pieces, l2_weight):
 def fit_proportional(observations, l2_weight=1e-6):
     """Censored-likelihood fit of the constant-base-rate proportional model.
 
-    L-BFGS-B over ``(log lambda_0, w)`` with ``|w_j| <= 50``; hitting the cap
-    indicates quasi-separation and raises a :class:`SeparationWarning`.
+    L-BFGS-B over ``(log lambda_0, w)`` with ``|w_j| <= 50``, from the
+    pooled event rate (0.01 without events) and zero weights.  Hitting the
+    cap indicates quasi-separation and raises a :class:`SeparationWarning`;
+    an L-BFGS-B run that does not report success raises a
+    :class:`~tvhazard.solver.SolverWarning`.
     """
     observations = list(observations)
     if not observations:
@@ -189,11 +188,7 @@ def fit_proportional(observations, l2_weight=1e-6):
     pieces = _pieces(observations)
     d = pieces[0].shape[1]
 
-    events = sum(1 for o in observations if o.kind == "interval")
-    exposure = sum(
-        o.right if o.kind == "right" else 0.5 * (o.left + o.right) for o in observations
-    )
-    rate0 = events / exposure if events and exposure > 0 else 0.01
+    rate0 = _pooled_event_rate(observations) or 0.01
     x0 = np.concatenate(([math.log(rate0)], np.zeros(d)))
     bounds = [(-30.0, 30.0)] + [(-_WEIGHT_CAP, _WEIGHT_CAP)] * d
 
@@ -207,6 +202,12 @@ def fit_proportional(observations, l2_weight=1e-6):
         options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-10},
     )
     theta = res.x
+    if not res.success:
+        warnings.warn(
+            f"L-BFGS-B did not converge: {res.message}; returning its last iterate",
+            SolverWarning,
+            stacklevel=2,
+        )
     if np.any(np.abs(theta[1:]) >= _WEIGHT_CAP - 1e-6):
         warnings.warn(
             "proportional-model weights hit the +-50 cap (possible separation)",

@@ -14,8 +14,9 @@ adaptively.
 [prox_t(X - t grad f(X))]_+|| / t`` the prox-gradient mapping norm (Frobenius
 norm, ``t`` the accepted line-search step) and ``G1`` its value at iteration
 1, a fit is certified when a step from its best iterate ``X`` has ``G_t(X) <=
-tolerance * max(1, G1)``.  Steps never exceed 1 and ``G_t`` does not
-increase with ``t``, so the bound holds at ``t = 1`` too.  The reachable
+tolerance * max(1, G1)``.  Every fit starts from the same point, so
+``G1`` means the same for every fit.  Steps never exceed 1 and ``G_t`` does
+not increase with ``t``, so the bound holds at ``t = 1`` too.  The reachable
 norm is bounded below: once a step's decrease falls under the rounding
 error of the objective, a step from ``X`` no longer lowers it and the fit
 stops as stalled (relative norms of about 6e-10 to 8e-8 on datasets of 12
@@ -24,8 +25,8 @@ sufficient-decrease test, as a step underflow.  Unpenalized fits (gamma =
 0) converge slowly and may still reach the iteration cap.  Every
 uncertified exit warns once.
 
-The smooth part is the likelihood alone (plus the constant baseline's
-ridge); TV and every constraint, monotone mode's too, live in the prox.
+The smooth part is the likelihood alone; TV and every constraint, monotone
+mode's too, live in the prox.
 """
 
 from __future__ import annotations
@@ -67,23 +68,18 @@ class SolverConfig:
     relative prox-gradient mapping norm at its best iterate, ``G_t(X) /
     max(1, G1)``, is at most ``tolerance`` (see the module docstring); it is
     not a bound on the change of the objective.  The backtracking line search
-    starts from a first trial step of 1.0.  ``ridge`` adds ``ridge *
-    ||feature rows||^2`` to the smooth objective (used by the constant
-    baseline).
+    starts from a first trial step of 1.0.
     """
 
     penalty: PenaltyConfig
     max_iterations: int = 500
     tolerance: float = 1e-7
-    ridge: float = 0.0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,20 +137,14 @@ def nonzero_parameter_count(W):
     return count
 
 
-def _smooth(design, W, ridge, with_grad=True):
+def _smooth(design, W, with_grad=True):
     """Smooth part of the objective at ``W`` (NLL with floored bracket
-    masses, plus ridge) and its gradient, or ``None`` for the gradient
-    without ``with_grad``: one ``nll_grad`` or one value-only ``nll`` call."""
+    masses) and its gradient, or ``None`` for the gradient without
+    ``with_grad``: one ``nll_grad`` or one value-only ``nll`` call."""
     if with_grad:
         val, grad = design.nll_grad(W.ravel(), floor=_MASS_FLOOR)
-        grad = grad.reshape(W.shape)
-    else:
-        val, grad = design.nll(W.ravel(), floor=_MASS_FLOOR), None
-    if ridge > 0.0:
-        val += ridge * float((W[1:] ** 2).sum())
-        if with_grad:
-            grad[1:] += 2.0 * ridge * W[1:]
-    return val, grad
+        return val, grad.reshape(W.shape)
+    return design.nll(W.ravel(), floor=_MASS_FLOOR), None
 
 
 def _nonsmooth(W, pen):
@@ -205,7 +195,7 @@ def _backtrack(design, Y, f, g, step, config):
     while True:
         Z = _prox_matrix(Y - step * g, step, config.penalty)
         dZ = Z - Y
-        fZ, _ = _smooth(design, Z, config.ridge, with_grad=False)
+        fZ, _ = _smooth(design, Z, with_grad=False)
         bound = f + float(np.vdot(g, dZ)) + float(np.vdot(dZ, dZ)) / (2.0 * step)
         if fZ <= bound:
             return Z, fZ, step
@@ -214,8 +204,8 @@ def _backtrack(design, Y, f, g, step, config):
         step *= _SHRINK
 
 
-def _fit_full_batch(design, W0, config):
-    """Monotone FISTA with function-value restart, from ``W0``.
+def _fit_full_batch(design, config):
+    """Monotone FISTA with function-value restart, from :func:`_default_start`.
 
     ``X`` is the best iterate so far and ``Y`` the point the next step
     starts from: ``X`` itself (a momentum-free step) or ``X`` extrapolated
@@ -226,7 +216,9 @@ def _fit_full_batch(design, W0, config):
     norm passes the tolerance restarts it too, so that the next iteration
     tests ``X`` itself.  A step from ``X`` ends the fit when its relative
     mapping norm ``||X - Z|| / t / max(1, G1)`` passes (certified), its line
-    search underflows, or it does not lower the objective (stalled).
+    search underflows, or it does not lower the objective (stalled).  An
+    exit at the iteration cap or at an underflow reports the mapping norm
+    at ``X`` for the step its last line search started from.
 
     Returns ``(X, trace, stop, mapping_norm)``: the trace holds the
     objective at ``X`` after every iteration, ``stop`` is ``"certified"``,
@@ -235,8 +227,8 @@ def _fit_full_batch(design, W0, config):
     """
     pen = config.penalty
     tol = config.tolerance
-    X = W0.copy()
-    f, g = _smooth(design, X, config.ridge)
+    X = _default_start(design)
+    f, g = _smooth(design, X)
     FX = f + _nonsmooth(X, pen)
     if not math.isfinite(FX):
         raise NumericalError(f"objective not finite at initialization: {FX!r}")
@@ -255,10 +247,12 @@ def _fit_full_batch(design, W0, config):
             trace.append((it, FX))
             if rel <= tol:
                 return X, trace, "certified", rel
-            # a momentum-free step that does not lower F: X is a fixed
-            # point up to rounding
-            stop = "step_underflow" if fZ is None else "stalled"
-            return _uncertified(X, trace, stop, rel, config, it)
+            if fZ is not None:
+                # a momentum-free step that does not lower F: X is a fixed
+                # point up to rounding
+                return _uncertified(X, trace, "stalled", rel, config, it)
+            stop = "step_underflow"
+            break
         beta = 0.0
         if FZ < FX:
             grown = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
@@ -277,11 +271,14 @@ def _fit_full_batch(design, W0, config):
         trace.append((it, FX))
         if fZ is not None:
             step = min(t * _GROW, _FIRST_STEP)
-        f, g = _smooth(design, Y, config.ridge)
-    if not at_x:
-        f, g = _smooth(design, X, config.ridge)
+        f, g = _smooth(design, Y)
+    else:
+        stop = "max_iterations"
+        if not at_x:
+            f, g = _smooth(design, X)
+    # G_step(X) for the step the last line search started from
     gap = float(np.linalg.norm(X - _prox_matrix(X - step * g, step, pen))) / step
-    return _uncertified(X, trace, "max_iterations", gap / ref, config, config.max_iterations)
+    return _uncertified(X, trace, stop, gap / ref, config, it)
 
 
 def _uncertified(X, trace, stop, rel, config, it):
@@ -300,14 +297,23 @@ def _uncertified(X, trace, stop, rel, config, it):
     return X, trace, stop, rel
 
 
+def _pooled_event_rate(observations):
+    """Events over exposure, an event's exposure ending at its bracket's
+    midpoint; 0.0 without exposure."""
+    events, exposure = 0, 0.0
+    # summed in order, not with sum(): Python >= 3.12 compensates float sums
+    for o in observations:
+        if o.kind == "right":
+            exposure += o.right
+        else:
+            events += 1
+            exposure += 0.5 * (o.left + o.right)
+    return events / exposure if exposure > 0.0 else 0.0
+
+
 def _default_start(design):
-    events = len(design.interval_rows)
-    exposure = 0.0
-    for o in design.observations:
-        exposure += o.right if o.kind == "right" else 0.5 * (o.left + o.right)
-    w0 = events / exposure if exposure > 0.0 else 0.0
     W = np.zeros((design.d + 1, design.n_slots))
-    W[0, :] = w0
+    W[0, :] = _pooled_event_rate(design.observations)
     return W
 
 
@@ -326,7 +332,7 @@ def fit(observations, config, knots=None):
     if knots is None:
         knots = build_knot_set(observations)
     design = CensoredDesign(knots, observations)
-    W, trace, stop, rel = _fit_full_batch(design, _default_start(design), config)
+    W, trace, stop, rel = _fit_full_batch(design, config)
 
     model = matrix_model(knots, W)
     return FitResult(
@@ -351,25 +357,15 @@ def refine_and_compare(fit_result, observations, extra_knots):
     Returns ``refined optimum - original optimum`` (penalized objectives).
     If coefficient paths jumping only at censoring boundaries and feature
     change times are sufficient, the delta stays above a small negative
-    tolerance: refinement buys nothing.  The refit warm-starts from the
-    original solution mapped onto the refined partition.
+    tolerance: refinement buys nothing.  The refit is ``fit(observations,
+    fit_result.config, knots=refined)``, from the same start as every fit.
     """
-    observations = list(observations)
-    model = fit_result.model
-    knots = model.knots
-    config = fit_result.config
+    knots = fit_result.model.knots
     if extra_knots < 0:
         raise ValueError("extra_knots must be >= 0")
     grid = np.linspace(0.0, knots.horizon, int(extra_knots) + 2)[1:-1]
     refined = _window_knots(list(knots.times) + list(grid), knots.horizon)
     if refined.times == knots.times:
         return 0.0
-
-    design = CensoredDesign(refined, observations)
-    # map the fitted solution onto the refined partition (function-preserving)
-    W_orig = model_matrix(model)
-    starts = refined.boundaries()[:-1]
-    cols = [knots.interval_index(s) for s in starts]
-    W0 = W_orig[:, cols]
-    _, trace, _, _ = _fit_full_batch(design, W0, config)
-    return trace[-1][1] - fit_result.objective_trace[-1][1]
+    refit = fit(observations, fit_result.config, knots=refined)
+    return refit.objective_trace[-1][1] - fit_result.objective_trace[-1][1]

@@ -11,6 +11,8 @@ bitwise references: ``fused_lasso_prox_array``, the prox recursion on NumPy
 arrays, for the Python-float version the library runs, and
 ``write_observations_streamed``, which encodes record by record with
 ``json.dump``, for the library's one-write observation writer.
+``representer_observations`` is not an oracle: it draws the datasets of
+acceptance criterion 3, which the solver tests reuse.
 """
 
 import bisect
@@ -23,7 +25,13 @@ from fractions import Fraction
 import numpy as np
 import scipy.optimize
 
-from tvhazard import ZeroBracketWarning, eval_feature, merge_times
+from tvhazard import (
+    FeaturePath,
+    Observation,
+    ZeroBracketWarning,
+    eval_feature,
+    merge_times,
+)
 from tvhazard.formats import observation_record
 
 
@@ -204,6 +212,24 @@ def isotonic_bruteforce(y):
             best_obj = obj
             best = np.repeat([float(m) for m in means], [len(block) for block in blocks])
     return best
+
+
+def representer_observations(rng):
+    """One dataset of acceptance criterion 3: 12 sites, 2 binary features."""
+    obs = []
+    for _ in range(12):
+        entries = {}
+        for j in range(2):
+            if rng.random() < 0.5:
+                entries[j] = ((float(rng.uniform(0.0, 5.0)), 1.0),)
+        p = FeaturePath(2, entries)
+        if rng.random() < 0.55:
+            l = float(rng.uniform(0.2, 5.4))
+            r = min(l + float(rng.uniform(0.3, 1.5)), 6.0)
+            obs.append(Observation.interval(p, l, r))
+        else:
+            obs.append(Observation.right_censored(p, float(rng.uniform(0.5, 6.0))))
+    return obs
 
 
 def grid_minimize(f, lo, hi, rounds=8, pts=13):

@@ -47,6 +47,7 @@ from oracles import (
     fused_prox_bruteforce,
     grid_minimize,
     isotonic_bruteforce,
+    representer_observations,
     scalar_nll,
 )
 
@@ -188,19 +189,7 @@ def test_criterion_3_representer(capsys):
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(10):
-        obs = []
-        for _k in range(12):
-            entries = {}
-            for j in range(2):
-                if rng.random() < 0.5:
-                    entries[j] = ((float(rng.uniform(0.0, 5.0)), 1.0),)
-            p = FeaturePath(2, entries)
-            if rng.random() < 0.55:
-                l = float(rng.uniform(0.2, 5.4))
-                r = min(l + float(rng.uniform(0.3, 1.5)), 6.0)
-                obs.append(Observation.interval(p, l, r))
-            else:
-                obs.append(Observation.right_censored(p, float(rng.uniform(0.5, 6.0))))
+        obs = representer_observations(rng)
         ks = build_knot_set(obs)
         config = SolverConfig(
             penalty=PenaltyConfig(gamma=1.0), max_iterations=30000, tolerance=1e-6

@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
+import tvhazard.baseline
 from tvhazard import (
     ConstantAdditiveModel,
     FeaturePath,
@@ -17,6 +18,7 @@ from tvhazard import (
     ProportionalModel,
     SeparationWarning,
     SolverConfig,
+    SolverWarning,
     fit,
     fit_constant_additive,
     fit_proportional,
@@ -110,10 +112,10 @@ class TestConstantAdditive:
         rng = np.random.default_rng(51)
         for _ in range(3):
             obs = sim_observations(rng, d=2, n=50)
-            fitted = fit_constant_additive(obs, l2_weight=1e-6)
+            fitted = fit_constant_additive(obs)
 
             def total(v):
-                return constant_nll(v[0], v[1:], obs) + 1e-6 * float(v[1:] @ v[1:])
+                return constant_nll(v[0], v[1:], obs)
 
             ref = scipy.optimize.minimize(
                 total,
@@ -125,6 +127,46 @@ class TestConstantAdditive:
             got = np.array([fitted.intercept, *fitted.weights])
             assert total(got) <= ref.fun + 1e-7 * max(1.0, abs(ref.fun))
             assert np.allclose(got, ref.x, atol=5e-4)
+
+    def test_is_the_fit_on_one_interval(self):
+        obs = sim_observations(np.random.default_rng(57), d=2, n=50)
+        knots = KnotSet((), horizon=max(o.right for o in obs))
+        res = fit(obs, SolverConfig(penalty=PenaltyConfig()), knots=knots)
+        fitted = fit_constant_additive(obs)
+        assert (fitted.intercept, *fitted.weights) == tuple(model_matrix(res.model)[:, 0].tolist())
+
+    def test_features_always_present_together_split_their_sum(self):
+        # features 0 and 1 switch on together with the same value; merged,
+        # they are one feature.  Only the sum of their weights is
+        # identifiable, and both fits reach the same likelihood
+        rng = np.random.default_rng(58)
+        pairs, merged = [], []
+        for _ in range(80):
+            both, alone = {}, {}
+            if rng.random() < 0.6:
+                on = ((float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.5, 1.5))),)
+                both.update({0: on, 1: on})
+                alone[0] = on
+            if rng.random() < 0.5:
+                other = ((float(rng.uniform(0.0, 5.0)), 1.0),)
+                both[2] = alone[1] = other
+            if rng.random() < 0.55:
+                l = float(rng.uniform(0.2, 5.4))
+                r = min(l + float(rng.uniform(0.3, 1.5)), 6.0)
+                pairs.append(Observation.interval(FeaturePath(3, both), l, r))
+                merged.append(Observation.interval(FeaturePath(2, alone), l, r))
+            else:
+                t = float(rng.uniform(0.5, 6.0))
+                pairs.append(Observation.right_censored(FeaturePath(3, both), t))
+                merged.append(Observation.right_censored(FeaturePath(2, alone), t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split, one = fit_constant_additive(pairs), fit_constant_additive(merged)
+        nll_split = nll_dataset(split.to_hazard_model(6.0), pairs)
+        nll_one = nll_dataset(one.to_hazard_model(6.0), merged)
+        assert nll_split == pytest.approx(nll_one, rel=1e-12)
+        assert split.weights[0] + split.weights[1] == pytest.approx(one.weights[0], abs=1e-6)
+        assert one.weights[0] > 0.01
 
     def test_no_events_means_zero_hazard(self):
         p = FeaturePath(1, {})
@@ -147,7 +189,7 @@ class TestConstantAdditive:
         )
         W = model_matrix(res.model)
         assert max(tv(W[r]) for r in range(W.shape[0])) < 1e-8
-        base = fit_constant_additive(obs, l2_weight=0.0)
+        base = fit_constant_additive(obs)
         got = np.array([base.intercept, *base.weights])
         assert np.allclose(W[:, 0], got, atol=2e-4)
 
@@ -245,6 +287,20 @@ class TestProportional:
         with pytest.warns(SeparationWarning):
             model = fit_proportional(obs, l2_weight=0.0)
         assert abs(model.weights[0]) >= 50.0 - 1e-6
+
+    def test_lbfgsb_failure_warns_once(self, monkeypatch):
+        obs = sim_observations(np.random.default_rng(55), d=2, n=80)
+        minimize = scipy.optimize.minimize
+
+        def one_iteration(*args, options, **kwargs):
+            return minimize(*args, options={**options, "maxiter": 1}, **kwargs)
+
+        monkeypatch.setattr(tvhazard.baseline.optimize, "minimize", one_iteration)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_proportional(obs)
+        assert [w.category for w in caught] == [SolverWarning]
+        assert "L-BFGS-B" in str(caught[0].message)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

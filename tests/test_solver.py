@@ -38,6 +38,9 @@ from tvhazard import (
     tv,
 )
 from tvhazard.solver import _prox_matrix
+from tvhazard.timeline import _window_knots
+
+from oracles import representer_observations
 
 
 def sim_observations(rng, d=3, n=60, horizon=6.0):
@@ -70,8 +73,6 @@ class TestConfigValidation:
             SolverConfig(penalty=pen, tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(penalty=pen, max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(penalty=pen, ridge=-1e-3)
 
     def test_fit_rejects_empty_observations(self):
         with pytest.raises(ValueError):
@@ -392,6 +393,34 @@ class TestCertificate:
         assert [w.category for w in caught] == [SolverWarning]
         assert "underflow" in str(caught[0].message)
 
+    def test_underflow_reports_the_norm_at_the_returned_model(self, steps):
+        # criterion 3's second dataset, monotone: rounding fails every trial
+        # of a line search from the best iterate.  The reported norm is the
+        # one at the step that line search started from; at its last,
+        # underflowed trial G_t is largest
+        rng = np.random.default_rng(103)
+        representer_observations(rng)
+        obs = representer_observations(rng)
+        knots = build_knot_set(obs)
+        penalty = PenaltyConfig(gamma=1.0, monotone=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = fit(obs, SolverConfig(penalty=penalty, tolerance=1e-8), knots=knots)
+        assert res.stop == "step_underflow" and not res.converged
+        assert [w.category for w in caught] == [SolverWarning]
+        assert f"{res.mapping_norm:.3g}" in str(caught[0].message)
+        W = model_matrix(res.model)
+        Y, _, t, fZ = steps[-1]
+        assert fZ is None and Y.tobytes() == W.tobytes()
+        _, _, t_prev, fZ_prev = steps[-2]
+        assert fZ_prev is not None
+        Y0, Z0, t0, _ = steps[0]
+        ref = max(1.0, float(np.linalg.norm(Y0 - Z0)) / t0)
+        gap = mapping_norm_at(knots, obs, W, penalty, min(1.2 * t_prev, 1.0))
+        assert gap / ref == pytest.approx(res.mapping_norm, rel=1e-9)
+        assert res.mapping_norm < 1e-5
+        assert mapping_norm_at(knots, obs, W, penalty, t) / ref > 100 * res.mapping_norm
+
     def test_underflow_at_an_extrapolated_point_restarts(self, steps):
         # the fleet-wide gamma=8 sweep fit of dataset 11001: its line search
         # underflows once at an extrapolated point.  Giving up there left it
@@ -480,6 +509,17 @@ class TestRefinement:
             res = fit(obs, cfg(1.0, max_iterations=30000, tolerance=1e-6), knots=ks)
             delta = refine_and_compare(res, obs, extra_knots=len(ks.times))
             assert delta >= -1e-4
+
+    def test_refit_is_a_plain_fit_on_the_refined_knots(self):
+        # one route into the solver: the refit starts where every fit
+        # starts, so its certificate means the same as the original's
+        obs = sim_observations(np.random.default_rng(45), d=2, n=12)
+        ks = build_knot_set(obs)
+        res = fit(obs, cfg(1.0, tolerance=1e-6), knots=ks)
+        grid = np.linspace(0.0, ks.horizon, len(ks.times) + 2)[1:-1]
+        refit = fit(obs, res.config, knots=_window_knots([*ks.times, *grid], ks.horizon))
+        want = refit.objective_trace[-1][1] - res.objective_trace[-1][1]
+        assert refine_and_compare(res, obs, extra_knots=len(ks.times)) == want
 
     def test_zero_extra_knots_is_exact_zero(self):
         obs = sim_observations(np.random.default_rng(42), n=20)
