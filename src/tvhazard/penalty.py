@@ -8,12 +8,14 @@ solved exactly by dynamic-programming message passing (fused lasso) and
 then clipped at zero; in one dimension clipping after the TV prox is exact.
 The recursion runs on Python floats: on NumPy arrays, boxing a scalar per
 element access made it 3-4x slower, and its result is bitwise the array
-version's.
+version's.  ``fused_lasso_prox`` also takes a 2-D stack of rows and proxes
+each row in one call, bitwise as the rows one by one; the solver passes all
+rows of a step that need the prox at once.
 In monotone mode the TV of a nondecreasing row telescopes to the linear
 term ``w[last] - w[first]``, so the prox is isotonic projection
 (``scipy.optimize.isotonic_regression``) of the row with ``weight`` added to
-its first entry and taken from its last, plus clipping.  The solver applies
-both row by row and always clips (``solver._prox_matrix``).
+its first entry and taken from its last, plus clipping, row by row.  The
+solver always clips (``solver._prox_matrix``).
 """
 
 from __future__ import annotations
@@ -66,30 +68,48 @@ def _validated(y, name="y"):
 
 
 def fused_lasso_prox(y, weight):
-    """Exact minimizer of ``(1/2)||y - w||^2 + weight * tv(w)``.
+    """Exact minimizer of ``(1/2)||y - w||^2 + weight * tv(w)``, of a row
+    ``y`` or of each row of a 2-D stack ``y``.
 
     Dynamic-programming message passing over the piecewise-linear
     derivative of the backward value function: left-to-right, each step
     clips the derivative at ``+-weight`` and records the clip locations;
     the right-to-left sweep then reads the solution off the recorded
-    thresholds.  Linear time, exact up to float arithmetic; the result
-    never exceeds ``max(y)``.
+    thresholds.  Linear time per row, exact up to float arithmetic; no
+    row's result exceeds that row's maximum.
 
     The recursion runs on Python lists of floats: indexing NumPy arrays
     element by element boxes a NumPy scalar per access and made the same
     loop 3-4x slower.  Every operation is the one the array version performs,
     in the same order, so the result is bitwise the array version's
-    (``fused_lasso_prox_array`` in the tests' oracles).
+    (``fused_lasso_prox_array`` in the tests' oracles).  A stack is
+    validated, converted and capped once, so its result is bitwise the
+    rows' results stacked, at one call's NumPy overhead.
     """
     y = _validated(y)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"y must be a row or a 2-D stack of rows, got {y.ndim} dimensions")
     if not weight >= 0:
         raise ValueError(f"weight must be >= 0, got {weight!r}")
-    n = y.size
-    if n == 1 or weight == 0.0:
+    if y.shape[-1] == 1 or weight == 0.0:
         return y.copy()
-
-    ys = y.tolist()
     lam = float(weight)
+    rows = y.reshape(-1, y.shape[-1]).tolist()
+    beta = np.array([_fused_lasso_row(row, lam) for row in rows]).reshape(y.shape)
+    # The exact minimizer never exceeds max(y) (capping it there lowers the
+    # fit term and does not raise the TV), but when weight is tiny next to
+    # |y| the threshold arithmetic can round a level up past it, e.g. to
+    # +4.4e-16 from [-2.1, -2.7, 0.0] at weight 1e-17.  The solver skips rows
+    # that are <= 0 everywhere as clipping to exactly zero; the cap keeps
+    # that bitwise equal to running this prox and clipping.  ``np.minimum``
+    # keeps the sign of zero a comparison on Python floats would flip.
+    return np.minimum(beta, y.max(axis=-1, keepdims=True))
+
+
+def _fused_lasso_row(ys, lam):
+    """The fused-lasso recursion on one row ``ys`` (a list of at least two
+    floats) at weight ``lam > 0``; returns the solution as a list."""
+    n = len(ys)
     beta = [0.0] * n
     # breakpoints of the clipped derivative, with slope/intercept increments
     x = [0.0] * (2 * n)
@@ -161,14 +181,7 @@ def fused_lasso_prox(y, weight):
             beta[k] = tm[k]
         else:
             beta[k] = beta[k + 1]
-    # The exact minimizer never exceeds max(y) (capping it there lowers the
-    # fit term and does not raise the TV), but when weight is tiny next to
-    # |y| the threshold arithmetic can round a level up past it, e.g. to
-    # +4.4e-16 from [-2.1, -2.7, 0.0] at weight 1e-17.  The solver skips rows
-    # that are <= 0 everywhere as clipping to exactly zero; the cap keeps
-    # that bitwise equal to running this prox and clipping.  ``np.minimum``
-    # keeps the sign of zero a comparison on Python floats would flip.
-    return np.minimum(np.array(beta), y.max())
+    return beta
 
 
 def isotonic_project(y):

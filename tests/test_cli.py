@@ -318,3 +318,26 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"tvhazard {project['version']}\n"
+
+    def test_one_blas_thread_leaves_an_unpenalized_fit_bitwise_unchanged(self, tmp_path):
+        # the console script runs SciPy's OpenBLAS on one thread before any
+        # fit; L-BFGS-B's solves split by columns, so the fit is the same
+        script = (
+            "from tvhazard import PenaltyConfig, SolverConfig, default_scenario, fit, generate, model_matrix\n"
+            "from tvhazard.cli import _one_scipy_blas_thread\n"
+            "_, obs = generate(default_scenario(0))\n"
+            "def run():\n"
+            "    res = fit(obs, SolverConfig(penalty=PenaltyConfig()))\n"
+            "    return model_matrix(res.model).tobytes(), res.objective_trace\n"
+            "before = run()\n"
+            "_one_scipy_blas_thread()\n"
+            "print(run() == before)\n"
+        )
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        package_root = Path(tvhazard.__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package_root), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"

@@ -41,6 +41,20 @@ def prox_rows(draw):
     return y
 
 
+@st.composite
+def prox_stacks(draw):
+    """Stacks of 1-6 rows of length 1-12; each row mixed, nonpositive or constant."""
+    levels = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-1e3, 1e3))
+    Y = draw(arrays(np.float64, (draw(st.integers(1, 6)), draw(st.integers(1, 12))), elements=levels))
+    for r in range(Y.shape[0]):
+        kind = draw(st.sampled_from(["mixed", "nonpositive", "constant"]))
+        if kind == "nonpositive":
+            Y[r] = np.where(Y[r] > 0.0, -Y[r], Y[r])
+        elif kind == "constant":
+            Y[r] = Y[r, 0]
+    return Y
+
+
 prox_weights = st.one_of(
     st.sampled_from([0.0, 1e-17]),
     st.integers(-20, 20).map(lambda e: 10.0**e),
@@ -166,6 +180,26 @@ class TestFusedLassoProx:
         # levels, signed zeros and the max(y) cap all match the array DP
         got = fused_lasso_prox(y, weight)
         assert got.tobytes() == fused_lasso_prox_array(y, weight).tobytes(), (y, weight)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(prox_stacks(), prox_weights)
+    @example(np.array([[-2.1, -2.7, 0.0], [1.0, -1.0, 3.0]]), 1e-17)
+    def test_a_stack_is_its_rows_proxed_one_by_one(self, Y, weight):
+        # one call on a 2-D stack: bitwise the per-row results stacked,
+        # each row capped at its own maximum
+        got = fused_lasso_prox(Y, weight)
+        want = np.vstack([fused_lasso_prox(row, weight) for row in Y])
+        assert got.shape == Y.shape
+        assert got.tobytes() == want.tobytes(), (Y, weight)
+
+    def test_a_stack_with_a_nonfinite_row_is_rejected_like_the_row(self):
+        Y = np.array([[0.5, 1.0, -2.0], [1.0, np.nan, 0.0]])
+        with pytest.raises(ValueError, match="y must be finite"):
+            fused_lasso_prox(Y[1], 0.5)
+        with pytest.raises(ValueError, match="y must be finite"):
+            fused_lasso_prox(Y, 0.5)
+        with pytest.raises(ValueError):
+            fused_lasso_prox(np.zeros((2, 2, 2)), 0.5)
 
     def test_tv_never_increases(self):
         rng = np.random.default_rng(48)

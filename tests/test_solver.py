@@ -32,6 +32,7 @@ from tvhazard import (
     matrix_model,
     model_matrix,
     nll_dataset,
+    nll_gradient,
     nonzero_parameter_count,
     objective,
     refine_and_compare,
@@ -110,10 +111,12 @@ class TestFullBatch:
     )
     def test_train_nll_from_the_fit_design(self, penalty, monkeypatch):
         # fit builds one design and takes train_nll from it, bitwise what
-        # nll_dataset gives for the returned model.  Each iteration takes
-        # one gradient, at the point its step starts from (nll_grad), and
-        # each line-search trial one floored value (nll with floor > 0);
-        # the exact nll runs once, for train_nll
+        # nll_dataset gives for the returned model; the exact nll runs once,
+        # for train_nll.  In FISTA each iteration takes one gradient, at the
+        # point its step starts from (nll_grad), and each line-search trial
+        # one floored value (nll with floor > 0).  The unpenalized route
+        # takes the start's gradient and one line search for G1, then one
+        # nll_grad per L-BFGS-B evaluation
         obs = sim_observations(np.random.default_rng(24), n=40)
         calls = {"__init__": 0, "nll": 0, "floored nll": 0, "nll_grad": 0}
         for name in ("__init__", "nll", "nll_grad"):
@@ -124,16 +127,31 @@ class TestFullBatch:
                 return _method(self, *args, **kwargs)
 
             monkeypatch.setattr(CensoredDesign, name, counting)
+        evaluations = []
+        minimize = tvhazard.solver.optimize.minimize
+
+        def recording(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            evaluations.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(tvhazard.solver.optimize, "minimize", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SolverWarning)
             res = fit(obs, SolverConfig(penalty=penalty, max_iterations=100))
         iterations = res.objective_trace[-1][0]
         assert calls["__init__"] == 1
         assert calls["nll"] == 1
-        assert iterations > 0 and calls["floored nll"] >= iterations
-        # the start's gradient, one per later iteration, and at the cap one
-        # at the returned iterate for its mapping norm
-        assert iterations <= calls["nll_grad"] <= iterations + 2
+        if penalty.gamma == 0.0:
+            assert len(evaluations) == 1 and evaluations[0] > iterations > 0
+            assert calls["nll_grad"] == 1 + evaluations[0]
+            assert calls["floored nll"] >= 1
+        else:
+            assert evaluations == []
+            assert iterations > 0 and calls["floored nll"] >= iterations
+            # the start's gradient, one per later iteration, and at the cap
+            # one at the returned iterate for its mapping norm
+            assert iterations <= calls["nll_grad"] <= iterations + 2
         monkeypatch.undo()
         assert nll_dataset(res.model, obs) == res.train_nll
         # the accuracy floor reads the trace's last objective
@@ -212,6 +230,30 @@ class TestFullBatch:
             fitted = res.objective_trace[-1][1]
             assert fitted <= ref.fun + 1e-5 * max(1.0, abs(ref.fun))
             assert ref.fun <= fitted + 1e-5 * max(1.0, abs(fitted))
+
+    def test_unpenalized_fit_meets_the_kkt_conditions(self):
+        # an oracle independent of L-BFGS-B: the exact gradient (no mass
+        # floor) vanishes where W > 0 and is nonnegative where W = 0, within
+        # 1e-5 of its largest entry.  Four small sets on a fixed knot set,
+        # and the figure-1 training split on its own knots
+        rng = np.random.default_rng(26)
+        cases = [(sim_observations(rng, n=50), KnotSet((1.5, 3.0, 4.5), horizon=6.0)) for _ in range(4)]
+        spec = default_scenario(0)
+        _, obs = generate(spec)
+        perm = np.random.default_rng(np.random.SeedSequence((0, 3))).permutation(len(obs))
+        train = [obs[i] for i in perm[: int(0.7 * len(obs))]]
+        cases.append((train, build_knot_set(train, horizon=spec.horizon)))
+        for obs, knots in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", SolverWarning)
+                res = fit(obs, cfg(0.0), knots=knots)
+            W = model_matrix(res.model)
+            g = nll_gradient(res.model, obs)
+            eps = 1e-5 * max(1.0, float(np.abs(g).max()))
+            assert np.all(np.abs(g[W > 0.0]) <= eps)
+            assert np.all(g[W == 0.0] >= -eps)
+        # the figure-1 split certifies at the default settings, inside the cap
+        assert res.converged and res.objective_trace[-1][0] < 500
 
     def test_solution_is_prox_fixed_point(self):
         # stationarity certificate: a prox-gradient step from the solution
@@ -361,6 +403,19 @@ class TestCertificate:
         gap = mapping_norm_at(knots, obs, W, PenaltyConfig(gamma=1.0), min(1.2 * t, 1.0))
         assert gap / ref == pytest.approx(res.mapping_norm, rel=1e-9)
 
+    def test_warnings_point_at_the_caller(self):
+        # an uncertified fit warns at the first frame outside the package:
+        # here, for a direct fit on either route and for refine_and_compare's
+        # refit alike
+        obs = sim_observations(np.random.default_rng(40), n=40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = fit(obs, cfg(1.0, max_iterations=3))
+            fit(obs, cfg(0.0, max_iterations=3))
+            refine_and_compare(res, obs, extra_knots=3)
+        assert [w.category for w in caught] == [SolverWarning] * 3
+        assert [w.filename for w in caught] == [__file__] * 3
+
     def test_stall_stops_long_before_the_cap(self):
         # a tolerance below the rounding floor of the objective cannot be
         # certified; the fit stops once a momentum-free step no longer
@@ -488,7 +543,8 @@ class TestProxMatrix:
         row_max = []
 
         def recording(y, weight):
-            row_max.append(float(y.max()))
+            # one call proxes a stack of rows: record each row's maximum
+            row_max.extend(y.max(axis=-1).tolist())
             return fused_lasso_prox(y, weight)
 
         monkeypatch.setattr(tvhazard.solver, "fused_lasso_prox", recording)
