@@ -12,19 +12,20 @@ identifiability with collinear binary features.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 from scipy import optimize
 
-from .likelihood import HazardModel, _inv_expm1, _log1mexp_vec, _run_table, model_matrix
+from .likelihood import HazardModel, _inv_expm1, _log1mexp_vec, _pooled_event_rate, _run_table
+from .likelihood import _warn_at_caller, model_matrix
 from .penalty import PenaltyConfig
-from .solver import SolverConfig, SolverWarning, _pooled_event_rate, fit
+from .solver import SolverConfig, SolverWarning, fit
 from .timeline import KnotSet, StepFunction
 
 _WEIGHT_CAP = 50.0
+_L2_WEIGHT = 1e-6  # the ridge on the proportional model's weights
 
 
 class SeparationWarning(UserWarning):
@@ -100,18 +101,18 @@ def fit_constant_additive(observations):
 _EXP_CAP = 700.0  # keeps exp() finite while the optimizer probes extreme weights
 
 
-def _pieces(observations):
+def _pieces(d, table, left, right, is_interval):
     """Cut every path into constant-feature pieces at 0 and at every start
-    and end of its runs in the likelihood's run table.
+    and end of its runs in the likelihood's run table; the arguments are
+    :func:`~tvhazard.likelihood._run_table`'s results.
 
     Returns ``(X, obs, head, bracket, is_interval)``: the sparse (pieces, d)
     feature rows, each piece's observation, its overlaps with the head
     window ``[0, e_i]`` and the bracket ``[l_i, r_i]`` (empty when
     right-censored), and which observations are interval-censored.
     """
-    d, table = _run_table(observations)
     table = table[table[:, 1] > 0]  # the intercept run is the base rate
-    n = len(observations)
+    n = len(left)
     run_obs = table[:, 0].astype(np.intp)
     starts, ends = table[:, 2], table[:, 3]
     finite = np.isfinite(ends)
@@ -133,12 +134,10 @@ def _pieces(observations):
     piece = first[run] + np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
     column = table[run, 1].astype(np.intp) - 1
     X = scipy.sparse.csr_matrix((table[run, 4], (piece, column)), shape=(len(keys), d))
-    left = np.array([o.left for o in observations])[obs]
-    right = np.array([o.right for o in observations])[obs]
+    left, right = left[obs], right[obs]
     # a right-censored observation stores left = right: its bracket is empty
     head = np.clip(np.minimum(hi, left) - lo, 0.0, None)
     bracket = np.clip(np.minimum(hi, right) - np.maximum(lo, left), 0.0, None)
-    is_interval = np.array([o.kind == "interval" for o in observations])
     return X, obs, head, bracket, is_interval
 
 
@@ -147,7 +146,7 @@ def proportional_nll(model, observations):
     observations = list(observations)
     if not observations:
         return 0.0
-    pieces = _pieces(observations)
+    pieces = _pieces(*_run_table(observations))
     if pieces[0].shape[1] != model.d:
         raise ValueError(f"dimension mismatch: model d={model.d}, paths d={pieces[0].shape[1]}")
     theta = np.concatenate(([math.log(model.base_rate)], model.weights))
@@ -173,10 +172,11 @@ def _proportional_value_grad(theta, pieces, l2_weight):
     return value, grad
 
 
-def fit_proportional(observations, l2_weight=1e-6):
+def fit_proportional(observations):
     """Censored-likelihood fit of the constant-base-rate proportional model.
 
-    L-BFGS-B over ``(log lambda_0, w)`` with ``|w_j| <= 50``, from the
+    L-BFGS-B over ``(log lambda_0, w)`` with ``|w_j| <= 50`` and a ridge of
+    weight ``1e-6`` on ``w``, from the
     pooled event rate (0.01 without events) and zero weights.  Hitting the
     cap indicates quasi-separation and raises a :class:`SeparationWarning`;
     an L-BFGS-B run that does not report success raises a
@@ -185,17 +185,17 @@ def fit_proportional(observations, l2_weight=1e-6):
     observations = list(observations)
     if not observations:
         raise ValueError("no observations")
-    pieces = _pieces(observations)
-    d = pieces[0].shape[1]
+    d, table, left, right, is_interval = _run_table(observations)
+    pieces = _pieces(d, table, left, right, is_interval)
 
-    rate0 = _pooled_event_rate(observations) or 0.01
+    rate0 = _pooled_event_rate(left, right, is_interval) or 0.01
     x0 = np.concatenate(([math.log(rate0)], np.zeros(d)))
     bounds = [(-30.0, 30.0)] + [(-_WEIGHT_CAP, _WEIGHT_CAP)] * d
 
     res = optimize.minimize(
         _proportional_value_grad,
         x0,
-        args=(pieces, l2_weight),
+        args=(pieces, _L2_WEIGHT),
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
@@ -203,15 +203,13 @@ def fit_proportional(observations, l2_weight=1e-6):
     )
     theta = res.x
     if not res.success:
-        warnings.warn(
+        _warn_at_caller(
             f"L-BFGS-B did not converge: {res.message}; returning its last iterate",
             SolverWarning,
-            stacklevel=2,
         )
     if np.any(np.abs(theta[1:]) >= _WEIGHT_CAP - 1e-6):
-        warnings.warn(
+        _warn_at_caller(
             "proportional-model weights hit the +-50 cap (possible separation)",
             SeparationWarning,
-            stacklevel=2,
         )
     return ProportionalModel(base_rate=math.exp(theta[0]), weights=tuple(theta[1:]))

@@ -20,6 +20,8 @@ forms that stay accurate for tiny brackets.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,10 +31,20 @@ import scipy.sparse
 from .timeline import StepFunction, eval_feature, eval_step
 
 _LOG2 = math.log(2.0)
+# every module of the package lives here
+_PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
 class ZeroBracketWarning(UserWarning):
     """A model assigned exactly zero probability mass to an observed event bracket."""
+
+
+def _warn_at_caller(message, category):
+    """Warn at the first caller outside the package."""
+    frame, level = sys._getframe(), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,8 @@ class CensoredDesign:
     are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
     matrix of per-observation head exposures is never formed.  Bracket
     exposures are kept as the CSR matrix ``V``, one row per interval
-    observation; ``interval_rows`` holds those observations' indices.
+    observation; ``interval_rows`` holds those observations' indices, and
+    ``left``, ``right`` and ``is_interval`` every observation's bracket and kind.
 
     Each cell adds its runs in run order and the column sum adds
     observations in input order, so ``_u_colsum`` and ``V`` are bitwise
@@ -150,26 +163,21 @@ class CensoredDesign:
     """
 
     def __init__(self, knots, observations):
-        observations = list(observations)
-        d, table = _run_table(observations)
-        left = np.array([o.left for o in observations])
-        right = np.array([o.right for o in observations])
+        d, table, left, right, is_interval = _run_table(list(observations))
         outside = np.flatnonzero(right > knots.horizon)
         if outside.size:
-            o = observations[outside[0]]
+            i = outside[0]
             raise ValueError(
-                f"observation times ({o.left}, {o.right}) outside knot range [0, {knots.horizon}]"
+                f"observation times ({left[i]}, {right[i]}) outside knot range [0, {knots.horizon}]"
             )
         self.knots = knots
-        self.observations = observations
+        self.left, self.right, self.is_interval = left, right, is_interval
         self.d = d
-        self.n = len(observations)
         self.n_slots = K = knots.n_intervals
         self.shape = (d + 1, K)
 
         obs = table[:, 0].astype(np.intp)
         row = table[:, 1].astype(np.intp)
-        is_interval = np.array([o.kind == "interval" for o in observations])
         B = knots.boundaries()
 
         # head window [0, left]: a right-censored observation stores left = right
@@ -221,11 +229,10 @@ class CensoredDesign:
             if floor > 0.0:
                 br = np.maximum(br, floor)
             elif np.any(br <= 0.0):
-                warnings.warn(
+                _warn_at_caller(
                     f"model assigns zero mass to {np.count_nonzero(br <= 0.0)} event "
                     "bracket(s); NLL is +inf",
                     ZeroBracketWarning,
-                    stacklevel=3,
                 )
                 return math.inf
             total += float(-_log1mexp_vec(br).sum())
@@ -258,31 +265,44 @@ class CensoredDesign:
 
 
 def _run_table(observations):
-    """Every nonzero constant run of the observations' paths, as one table.
+    """The one pass over the observations: their paths' nonzero constant
+    runs as one table, and their brackets and kinds.
 
-    Returns the paths' common dimension ``d`` and a (runs, 5) float array of
+    Returns the paths' common dimension ``d``; a (runs, 5) float array of
     ``(observation, coefficient row, start, end, value)`` rows, sorted by
-    observation, then row, then start.  Row 0 is the intercept, one run of
-    value 1 from time 0; feature ``j`` is row ``j + 1``, one run per nonzero
-    change until the next change (or forever).  The runs go into one flat
-    list, five numbers each, converted once and reshaped; a list of
+    observation, then row, then start; and the ``left`` and ``right`` ends
+    and ``is_interval`` flags, in input order.  Row 0 is the intercept, one
+    run of value 1 from time 0; feature ``j`` is row ``j + 1``, one run per
+    nonzero change until the next change (or forever).  The runs go into one
+    flat list, five numbers each, converted once and reshaped; a list of
     per-run tuples made the build about 1.7x as slow.  Raises
     ``ValueError`` for no observations or paths of different dimensions.
     """
     if not observations:
         raise ValueError("no observations")
     d = observations[0].path.d
-    flat = []
+    flat, left, right, is_interval = [], [], [], []
     for i, o in enumerate(observations):
         if o.path.d != d:
             raise ValueError(f"dimension mismatch: paths with d={d} and d={o.path.d}")
+        left.append(o.left)
+        right.append(o.right)
+        is_interval.append(o.kind == "interval")
         flat += (i, 0, 0.0, math.inf, 1.0)
         for j, changes in sorted(o.path.entries.items()):
             for c, (start, v) in enumerate(changes):
                 if v != 0.0:
                     end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
                     flat += (i, j + 1, start, end, v)
-    return d, np.array(flat, dtype=float).reshape(-1, 5)
+    table = np.array(flat, dtype=float).reshape(-1, 5)
+    return d, table, np.array(left), np.array(right), np.array(is_interval)
+
+
+def _pooled_event_rate(left, right, is_interval):
+    """Events over exposure, added in input order (``cumsum``, not the pairwise
+    ``sum``); an event's exposure ends at its bracket's midpoint."""
+    exposure = float(np.cumsum(np.where(is_interval, 0.5 * (left + right), right))[-1])
+    return int(is_interval.sum()) / exposure if exposure > 0.0 else 0.0
 
 
 def _run_exposures(table, B, a, b):

@@ -1,21 +1,24 @@
-"""Total-variation penalty and the proximal toolbox.
+"""Total-variation penalty: its value and its proximal operator.
 
-The solver's nonsmooth subproblem per coefficient row is
+:class:`PenaltyConfig` is the nonsmooth part of the fit's objective,
+``gamma * sum_rows tv(W[r])`` under ``W >= 0``, with every row nondecreasing
+in monotone mode.  Its prox solves, per coefficient row,
 
     argmin_w  (1/2) ||y - w||^2 + weight * sum_l |w[l+1] - w[l]|    s.t. w >= 0
 
-solved exactly by dynamic-programming message passing (fused lasso) and
-then clipped at zero; in one dimension clipping after the TV prox is exact.
+exactly by dynamic-programming message passing (fused lasso), then clips at
+zero; in one dimension clipping after the TV prox is exact.
 The recursion runs on Python floats: on NumPy arrays, boxing a scalar per
 element access made it 3-4x slower, and its result is bitwise the array
-version's.  ``fused_lasso_prox`` also takes a 2-D stack of rows and proxes
-each row in one call, bitwise as the rows one by one; the solver passes all
-rows of a step that need the prox at once.
+version's.  ``fused_lasso_prox`` also takes a 2-D stack of rows, bitwise as
+the rows one by one, so one call per step proxes every row that needs it.
 In monotone mode the TV of a nondecreasing row telescopes to the linear
 term ``w[last] - w[first]``, so the prox is isotonic projection
 (``scipy.optimize.isotonic_regression``) of the row with ``weight`` added to
-its first entry and taken from its last, plus clipping, row by row.  The
-solver always clips (``solver._prox_matrix``).
+its first entry and taken from its last, then clipping, row by row.
+Neither operator raises a (shifted) row's maximum, so a row that is <= 0
+everywhere clips to exactly zero and the prox skips it; ``fused_lasso_prox``
+caps each row at its maximum to keep the skip bitwise.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import scipy.optimize
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty and constraint switches for one fit.
+    """The penalty of one fit: its switches, its value and its prox.
 
     Every fitted row is clipped at zero, so hazards stay valid rates.
 
@@ -48,6 +51,37 @@ class PenaltyConfig:
     def __post_init__(self):
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+
+    def value(self, W):
+        """``gamma`` times the total variation of the rows of ``W``."""
+        if self.gamma == 0.0 or W.shape[1] == 1:
+            return 0.0
+        row_tv = np.abs(np.diff(W, axis=1)).sum(axis=1)
+        # summed in order, not with sum(): Python >= 3.12 compensates float sums
+        total = 0.0
+        for v in row_tv.tolist():
+            total += v
+        return self.gamma * total
+
+    def prox(self, Y, step):
+        """The prox of ``gamma * step * TV`` and the constraints, applied to
+        every row of ``Y`` (see the module docstring)."""
+        out = np.zeros_like(Y)
+        weight = self.gamma * step
+        if self.monotone and Y.shape[1] > 1:
+            Y = Y.copy()
+            Y[:, 0] += weight
+            Y[:, -1] -= weight
+        # skipped rows stay +0.0, as the clip would leave them (np.maximum
+        # maps -0.0 to +0.0); a NaN maximum is not <= 0, so its row reaches
+        # the operator and its ValueError
+        active = np.flatnonzero(~(Y.max(axis=1) <= 0.0))
+        if self.monotone:
+            for r in active.tolist():
+                out[r] = isotonic_project(Y[r])
+        elif active.size:
+            out[active] = fused_lasso_prox(Y[active], weight)
+        return np.maximum(out, 0.0, out=out)
 
 
 def tv(values):
@@ -99,9 +133,9 @@ def fused_lasso_prox(y, weight):
     # The exact minimizer never exceeds max(y) (capping it there lowers the
     # fit term and does not raise the TV), but when weight is tiny next to
     # |y| the threshold arithmetic can round a level up past it, e.g. to
-    # +4.4e-16 from [-2.1, -2.7, 0.0] at weight 1e-17.  The solver skips rows
-    # that are <= 0 everywhere as clipping to exactly zero; the cap keeps
-    # that bitwise equal to running this prox and clipping.  ``np.minimum``
+    # +4.4e-16 from [-2.1, -2.7, 0.0] at weight 1e-17.  PenaltyConfig.prox
+    # skips rows that are <= 0 everywhere as clipping to exactly zero; the
+    # cap keeps that bitwise equal to this prox plus clipping.  ``np.minimum``
     # keeps the sign of zero a comparison on Python floats would flip.
     return np.minimum(beta, y.max(axis=-1, keepdims=True))
 

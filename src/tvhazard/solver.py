@@ -28,23 +28,23 @@ about 6e-10 to 8e-8 on datasets of 12 to 40 sites), or, when rounding fails
 every trial of FISTA's sufficient-decrease test, as a step underflow.
 Every uncertified exit warns once, at the first caller outside the package.
 
-In FISTA the smooth part is the likelihood alone; TV and every
-constraint, monotone mode's too, live in the prox.
+The solver sees the problem only through the :class:`CensoredDesign`
+(``nll``, ``nll_grad``, the start's arrays) and the :class:`PenaltyConfig`
+(``value``, ``prox``).  The smooth part is the likelihood alone; TV and
+every constraint, monotone mode's too, live in the penalty's prox.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .likelihood import CensoredDesign, matrix_model, model_matrix, nll_dataset
-from .penalty import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
+from .likelihood import CensoredDesign, _pooled_event_rate, _warn_at_caller, matrix_model
+from .likelihood import model_matrix, nll_dataset
+from .penalty import PenaltyConfig
 from .timeline import _window_knots, build_knot_set
 
 # Backtracking parameters: the first trial step of a fit (and the largest
@@ -59,8 +59,6 @@ _MASS_FLOOR = 1e-12
 # Corrections L-BFGS-B stores: on the benchmark's unpenalized sweep fits 20
 # took 653 iterations where 10 took 902 (ten datasets, n = 1000).
 _LBFGS_MEMORY = 20
-# every module of the package lives here
-_PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
 class NumericalError(RuntimeError):
@@ -123,12 +121,9 @@ class FitResult:
 
 
 def objective(model, observations, penalty):
-    """Penalized objective: dataset NLL + gamma * total variation of all rows."""
-    val = nll_dataset(model, observations)
-    val += penalty.gamma * tv(model.intercept.values)
-    for j in sorted(model.coefficients):
-        val += penalty.gamma * tv(model.coefficients[j].values)
-    return val
+    """Penalized objective: dataset NLL + gamma * total variation of all rows,
+    bitwise a fit's last traced objective when no bracket mass is floored."""
+    return nll_dataset(model, observations) + penalty.value(model_matrix(model))
 
 
 def nonzero_parameter_count(W):
@@ -158,47 +153,6 @@ def _smooth(design, W, with_grad=True):
     return design.nll(W.ravel(), floor=_MASS_FLOOR), None
 
 
-def _nonsmooth(W, pen):
-    # gamma * TV of the rows
-    if pen.gamma == 0.0 or W.shape[1] == 1:
-        return 0.0
-    row_tv = np.abs(np.diff(W, axis=1)).sum(axis=1)
-    # summed in order, not with sum(): Python >= 3.12 compensates float sums
-    total = 0.0
-    for v in row_tv.tolist():
-        total += v
-    return pen.gamma * total
-
-
-def _prox_matrix(Y, step, pen):
-    """Row-wise prox of ``gamma * step * TV`` and the constraints: the TV
-    prox of every row (one ``fused_lasso_prox`` call on the stack of rows
-    that need it), then clipping at zero.  Monotone mode makes every row
-    nondecreasing, where TV is ``w[-1] - w[0]``: its prox is the isotonic
-    projection of the row with that weight added to its first entry and
-    taken from its last, then clipping.
-
-    Neither prox raises a (shifted) row's maximum, so a row that is <= 0
-    everywhere clips to exactly +0.0 and is left zero without calling either
-    prox (``np.maximum`` maps -0.0 to +0.0, so the result is bitwise the one
-    the prox and the clip would give).  A row whose maximum is NaN is not
-    <= 0, so it reaches the prox and its ``ValueError``.
-    """
-    out = np.zeros_like(Y)
-    weight = pen.gamma * step
-    if pen.monotone and Y.shape[1] > 1:
-        Y = Y.copy()
-        Y[:, 0] += weight
-        Y[:, -1] -= weight
-    active = np.flatnonzero(~(Y.max(axis=1) <= 0.0))
-    if pen.monotone:
-        for r in active.tolist():
-            out[r] = isotonic_project(Y[r])
-    elif active.size:
-        out[active] = fused_lasso_prox(Y[active], weight)
-    return np.maximum(out, 0.0, out=out)
-
-
 def _backtrack(design, Y, f, g, step, config):
     """Backtracking line search of a prox-gradient step from ``Y``.
 
@@ -209,7 +163,7 @@ def _backtrack(design, Y, f, g, step, config):
     last trial once a further halving would fall below the step floor.
     """
     while True:
-        Z = _prox_matrix(Y - step * g, step, config.penalty)
+        Z = config.penalty.prox(Y - step * g, step)
         dZ = Z - Y
         fZ, _ = _smooth(design, Z, with_grad=False)
         bound = f + float(np.vdot(g, dZ)) + float(np.vdot(dZ, dZ)) / (2.0 * step)
@@ -245,7 +199,7 @@ def _fit_full_batch(design, config):
     tol = config.tolerance
     X = _default_start(design)
     f, g = _smooth(design, X)
-    FX = f + _nonsmooth(X, pen)
+    FX = f + pen.value(X)
     if not math.isfinite(FX):
         raise NumericalError(f"objective not finite at initialization: {FX!r}")
     trace = [(0, FX)]
@@ -258,7 +212,7 @@ def _fit_full_batch(design, config):
         if ref is None:
             ref = max(1.0, gap)
         rel = gap / ref
-        FZ = math.inf if fZ is None else fZ + _nonsmooth(Z, pen)
+        FZ = math.inf if fZ is None else fZ + pen.value(Z)
         if at_x and (rel <= tol or fZ is None or not FZ < FX):
             trace.append((it, FX))
             if rel <= tol:
@@ -293,7 +247,7 @@ def _fit_full_batch(design, config):
         if not at_x:
             f, g = _smooth(design, X)
     # G_step(X) for the step the last line search started from
-    gap = float(np.linalg.norm(X - _prox_matrix(X - step * g, step, pen))) / step
+    gap = float(np.linalg.norm(X - pen.prox(X - step * g, step))) / step
     return _uncertified(X, trace, stop, gap / ref, config, it)
 
 
@@ -320,7 +274,7 @@ def _fit_box_lbfgs(design, config):
     ref = max(1.0, float(np.linalg.norm(X - Z)) / t)
 
     def relative_norm(W, grad):
-        return float(np.linalg.norm(W - _prox_matrix(W - grad, 1.0, pen))) / ref
+        return float(np.linalg.norm(W - pen.prox(W - grad, 1.0))) / ref
 
     trace = [(0, f)]
     rel = relative_norm(X, g)  # at the latest iterate X
@@ -363,36 +317,17 @@ def _uncertified(X, trace, stop, rel, config, it):
         "longer lowers the objective",
         "step_underflow": f"line-search step size underflowed at iteration {it}",
     }[stop]
-    # point the warning at the first caller outside the package
-    frame, level = sys._getframe(), 1
-    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(
+    _warn_at_caller(
         f"{why}, with relative mapping norm {rel:.3g} > tolerance "
         f"{config.tolerance:g}; returning the best iterate",
         SolverWarning,
-        stacklevel=level,
     )
     return X, trace, stop, rel
 
 
-def _pooled_event_rate(observations):
-    """Events over exposure, an event's exposure ending at its bracket's
-    midpoint; 0.0 without exposure."""
-    events, exposure = 0, 0.0
-    # summed in order, not with sum(): Python >= 3.12 compensates float sums
-    for o in observations:
-        if o.kind == "right":
-            exposure += o.right
-        else:
-            events += 1
-            exposure += 0.5 * (o.left + o.right)
-    return events / exposure if exposure > 0.0 else 0.0
-
-
 def _default_start(design):
-    W = np.zeros((design.d + 1, design.n_slots))
-    W[0, :] = _pooled_event_rate(design.observations)
+    W = np.zeros(design.shape)
+    W[0, :] = _pooled_event_rate(design.left, design.right, design.is_interval)
     return W
 
 

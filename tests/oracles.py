@@ -8,9 +8,11 @@ integrates one observation at a time on the common refinement of knots and
 change times.  All but two are exponential or polynomially slow and meant
 for tiny instances only.  The exceptions are earlier library code kept as
 bitwise references: ``fused_lasso_prox_array``, the prox recursion on NumPy
-arrays, for the Python-float version the library runs, and
+arrays, for the Python-float version the library runs;
 ``write_observations_streamed``, which encodes record by record with
-``json.dump``, for the library's one-write observation writer.
+``json.dump``, for the library's one-write observation writer; and
+``pooled_event_rate_loop``, one observation at a time, for the start's
+rate computed from the run table's arrays.
 ``representer_observations`` is not an oracle: it draws the datasets of
 acceptance criterion 3, which the solver tests reuse.
 """
@@ -187,6 +189,20 @@ def write_observations_streamed(path, observations, d, horizon, time_unit="abstr
         for o in observations:
             json.dump(observation_record(o), f)
             f.write("\n")
+
+
+def pooled_event_rate_loop(observations):
+    """Events over exposure, one observation at a time in input order; an
+    event's exposure ends at its bracket's midpoint; 0.0 without exposure."""
+    events, exposure = 0, 0.0
+    # summed in order, not with sum(): Python >= 3.12 compensates float sums
+    for o in observations:
+        if o.kind == "right":
+            exposure += o.right
+        else:
+            events += 1
+            exposure += 0.5 * (o.left + o.right)
+    return events / exposure if exposure > 0.0 else 0.0
 
 
 def isotonic_bruteforce(y):

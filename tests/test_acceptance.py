@@ -40,7 +40,6 @@ from tvhazard import (
     truth_model,
 )
 from tvhazard.cli import main
-from tvhazard.solver import _prox_matrix
 
 from oracles import (
     cumulative_hazard,
@@ -147,7 +146,7 @@ def test_criterion_2_prox_oracles(capsys):
         y = rng.normal(scale=1.5, size=n)
         lam = float(rng.uniform(0.1, 1.5))
         for monotone in (False, True):
-            x = _prox_matrix(y[None, :], 1.0, PenaltyConfig(gamma=lam, monotone=monotone))[0]
+            x = PenaltyConfig(gamma=lam, monotone=monotone).prox(y[None, :], 1.0)[0]
 
             def f(cand):
                 pen = 0.5 * np.sum((cand - y) ** 2, axis=1)

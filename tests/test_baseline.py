@@ -28,6 +28,7 @@ from tvhazard import (
     tv,
 )
 from tvhazard.baseline import _pieces, _proportional_value_grad
+from tvhazard.likelihood import _run_table
 
 
 def sim_observations(rng, d=2, n=50, horizon=6.0):
@@ -230,7 +231,7 @@ class TestProportional:
         rng = np.random.default_rng(54)
         for _ in range(10):
             obs = sim_observations(rng, d=2, n=15)
-            per = _pieces(obs)
+            per = _pieces(*_run_table(obs))
             theta = np.concatenate((rng.normal(-1.0, 0.3, 1), rng.normal(0.0, 0.5, 2)))
             _, g = _proportional_value_grad(theta, per, 1e-6)
             h = 1e-6
@@ -248,9 +249,9 @@ class TestProportional:
         obs = sim_observations(rng, d=2, n=80)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fit_proportional(obs, l2_weight=1e-6)
+            model = fit_proportional(obs)
         theta = np.concatenate(([math.log(model.base_rate)], model.weights))
-        _, g = _proportional_value_grad(theta, _pieces(obs), 1e-6)
+        _, g = _proportional_value_grad(theta, _pieces(*_run_table(obs)), 1e-6)
         assert np.abs(g).max() < 1e-4
         null = fit_proportional(
             [
@@ -285,7 +286,7 @@ class TestProportional:
         obs += [Observation.interval(p0, 1.0, 2.0) for _ in range(5)]
         obs += [Observation.right_censored(p0, 4.0) for _ in range(5)]
         with pytest.warns(SeparationWarning):
-            model = fit_proportional(obs, l2_weight=0.0)
+            model = fit_proportional(obs)
         assert abs(model.weights[0]) >= 50.0 - 1e-6
 
     def test_lbfgsb_failure_warns_once(self, monkeypatch):

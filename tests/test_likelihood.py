@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvhazard import (
@@ -33,13 +33,14 @@ from tvhazard import (
     nll_gradient,
     proportional_nll,
 )
-from tvhazard.likelihood import _log1mexp_vec
+from tvhazard.likelihood import _log1mexp_vec, _pooled_event_rate, _run_table
 
 from oracles import (
     cumulative_hazard,
     dense_design,
     log1mexp,
     nll_observation,
+    pooled_event_rate_loop,
     scalar_nll,
     survival,
 )
@@ -385,6 +386,20 @@ class TestCensoredDesign:
             warnings.simplefilter("error")
             assert design.nll(w, floor=1e-12) == fv
 
+    def test_zero_mass_warning_names_the_caller(self):
+        # a direct design.nll and nll_dataset alike warn at the line that
+        # called into the package
+        ks = KnotSet((1.0,), 4.0)
+        obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0)]
+        m = HazardModel(knots=ks, d=0, intercept=StepFunction(ks, (0.5, 0.0)))
+        design = CensoredDesign(ks, obs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert design.nll(design.flat_coefficients(m)) == math.inf
+            assert nll_dataset(m, obs) == math.inf
+        assert [w.category for w in caught] == [ZeroBracketWarning] * 2
+        assert [w.filename for w in caught] == [__file__] * 2
+
     def test_head_term_as_column_sum_dot(self):
         # nll/nll_grad take the head term as _u_colsum @ w, the column sum
         # of the dense oracle's U; the reference sums the per-observation
@@ -467,6 +482,38 @@ class TestCensoredDesign:
         wide = HazardModel(knots=ks, d=m.d + 1, intercept=m.intercept)
         with pytest.raises(ValueError, match=f"model d={m.d + 1}"):
             design.flat_coefficients(wide)
+
+
+@st.composite
+def censored_times(draw):
+    """Up to 300 observations with empty paths at times spread over twelve
+    orders of magnitude; in half the draws all are right-censored."""
+    times = st.floats(1e-6, 1e6)
+    all_right = draw(st.booleans())
+    obs = []
+    for _ in range(draw(st.integers(1, 300))):
+        if all_right or draw(st.booleans()):
+            obs.append(Observation.right_censored(FeaturePath(0, {}), draw(times)))
+        else:
+            left = draw(st.one_of(st.just(0.0), times))
+            obs.append(Observation.interval(FeaturePath(0, {}), left, left + draw(times)))
+    return obs
+
+
+class TestPooledEventRate:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(censored_times())
+    @example([Observation.right_censored(FeaturePath(0, {}), t) for t in (0.5, 3.0, 7.25)])
+    def test_run_table_arrays_match_the_loop_bitwise(self, obs):
+        # the start's rate, from the arrays of the one pass over the
+        # observations, adds the exposures in input order
+        _, _, left, right, is_interval = _run_table(obs)
+        got = _pooled_event_rate(left, right, is_interval)
+        want = pooled_event_rate_loop(obs)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+        if not is_interval.any():
+            assert got == 0.0
 
 
 class TestWarningHygiene:

@@ -1,4 +1,4 @@
-"""Total-variation prox, isotonic projection, and the solver's row-wise prox step."""
+"""Total-variation prox, isotonic projection, and the penalty's row-wise prox step."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
-from tvhazard.solver import _prox_matrix
 
 from oracles import (
     fused_lasso_prox_array,
@@ -23,9 +22,9 @@ def fused_objective(x, y, lam):
 
 
 def prox_step(y, lam, monotone=False):
-    """The solver's prox update of one coefficient row (the intercept row)."""
+    """The penalty's prox update of one coefficient row (the intercept row)."""
     pen = PenaltyConfig(gamma=lam, monotone=monotone)
-    return _prox_matrix(np.asarray(y, float)[None, :], 1.0, pen)[0]
+    return pen.prox(np.asarray(y, float)[None, :], 1.0)[0]
 
 
 @st.composite
@@ -298,7 +297,7 @@ class TestProxStep:
         Y = np.array([[0.5, 0.2, 0.1], [0.3, bad, -1.0], [-1.0, -2.0, -0.5]])
         pen = PenaltyConfig(gamma=0.4, monotone=monotone)
         with pytest.raises(ValueError, match="finite"):
-            _prox_matrix(Y, 1.0, pen)
+            pen.prox(Y, 1.0)
 
     def test_monotone_mode_weight_matters(self):
         # on a nondecreasing row TV is w[-1] - w[0]: the weight moves the
