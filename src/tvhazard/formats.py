@@ -2,13 +2,20 @@
 
 Observation files hold one JSON record per line — a header carrying
 ``{d, horizon, time_unit}`` followed by one record per site — so large
-datasets stream without loading everything to parse.  Model files serialize
-a :class:`~tvhazard.likelihood.HazardModel` as sparse jump lists (base value
-plus one delta per jump).  Plain floats go through Python's ``repr`` (lossless
-to reparse); jump deltas are exact differences of adjacent interval values,
-which are dyadic rationals, and are written as exact finite-decimal number
-tokens.  Reading parses numbers as Decimals and replays the jumps in exact
-arithmetic, so a write/read round trip reproduces every coefficient bitwise.
+datasets stream without loading everything to parse.  The writer stores
+``"time_unit": "abstract"``; the reader keeps what the file says.
+
+Model files store each coefficient row of a
+:class:`~tvhazard.likelihood.HazardModel` as its base value plus one jump
+per knot where the level changes.  Floats are written with Python's
+``repr``, which reparses bitwise.  A jump's delta is the exact difference of
+two floats; it is a dyadic rational, so its decimal expansion terminates and
+is written in full as a JSON number token.  Both directions compute in exact
+decimal arithmetic: the reader parses numbers as Decimals, rounds the base
+to a float, adds each delta exactly and rounds each level to the nearest
+float, so a write/read round trip reproduces every coefficient bitwise.  A
+delta that no difference of two finite floats can have is rejected before
+any arithmetic.
 """
 
 from __future__ import annotations
@@ -16,10 +23,22 @@ from __future__ import annotations
 import decimal
 import json
 import math
-from fractions import Fraction
+import sys
+from decimal import Decimal
 
 from .likelihood import HazardModel
 from .timeline import FeaturePath, KnotSet, Observation, StepFunction
+
+
+# Exact decimal arithmetic: every sum and difference of the model codec is
+# exact, and anything that would round raises instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation],
+)
+_MAX_DELTA = _EXACT.multiply(2, Decimal(sys.float_info.max))
 
 
 class FormatError(ValueError):
@@ -47,10 +66,10 @@ def observation_record(o):
     return {"id": o.id, "censoring": censoring, "features": features}
 
 
-def write_observations(path, observations, d, horizon, time_unit="abstract"):
+def write_observations(path, observations, d, horizon):
     """Write the header plus one observation per line, in one write."""
     # json.dumps runs the C encoder; json.dump to a file, the Python one
-    header = {"d": int(d), "horizon": float(horizon), "time_unit": time_unit}
+    header = {"d": int(d), "horizon": float(horizon), "time_unit": "abstract"}
     lines = [json.dumps(header)] + [json.dumps(observation_record(o)) for o in observations]
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in lines))
@@ -108,116 +127,85 @@ def read_observations(path):
     return observations, header
 
 
-def _dyadic_decimal(q):
-    """Exact finite-decimal string of a dyadic rational.
-
-    Differences of floats have denominator 2**k, and m/2**k == (m*5**k)/10**k,
-    so the decimal expansion always terminates.
-    """
-    n, d = q.numerator, q.denominator
-    k = d.bit_length() - 1
-    if d != 1 << k:
-        raise ValueError(f"{q!r} is not a dyadic rational")
-    digits = str(abs(n * 5**k)).rjust(k + 1, "0")
-    out = f"{digits[:-k]}.{digits[-k:]}" if k else digits
-    if "." in out:
-        out = out.rstrip("0").rstrip(".")
-    return ("-" if n < 0 else "") + out
-
-
-def _row_entry(sf):
-    base, jumps = sf.to_jumps()
-    return {
-        "base": base,
-        "jumps": [{"t": t, "delta": _dyadic_decimal(dv)} for t, dv in jumps],
-    }
-
-
-def model_document(model):
-    """JSON-ready dict for a model; verifies the jump lists rebuild bitwise.
-
-    Jump deltas are exact decimal strings (see :func:`_dyadic_decimal`); the
-    writer emits them as raw JSON number tokens so the file stays plain JSON
-    while the read path can reconstruct each value bitwise.
-    """
-    doc = {
-        "d": model.d,
-        "horizon": model.knots.horizon,
-        "knots": list(model.knots.times),
-        "intercept": _row_entry(model.intercept),
-        "rows": [
-            {"j": j, **_row_entry(model.coefficients[j])}
-            for j in sorted(model.coefficients)
-        ],
-    }
-    rebuilt = _model_from_document(doc, where="<memory>")
-    for got, want in [(rebuilt.intercept, model.intercept)] + [
-        (rebuilt.coefficients[j], model.coefficients[j]) for j in model.coefficients
-    ]:
-        if got.values != want.values:
-            raise FormatError("model is not exactly representable as a jump list")
-    return doc
-
-
-def _float_token(x):
-    # repr of a finite float is a valid JSON number and reparses bitwise
-    return repr(float(x))
-
-
-def _entry_json(entry, j=None):
-    jumps = ", ".join(
-        '{"t": %s, "delta": %s}' % (_float_token(jm["t"]), jm["delta"])
-        for jm in entry["jumps"]
-    )
+def _row_json(sf, j=None):
+    """One model-file row: the base level, then at each knot where the level
+    changes the exact difference of the two floats as a decimal number token."""
+    jumps = []
+    prev = sf.values[0]
+    for t, v in zip(sf.knots.times, sf.values[1:]):
+        if v != prev:
+            delta = _EXACT.subtract(Decimal(v), Decimal(prev)).normalize(_EXACT)
+            jumps.append('{"t": %r, "delta": %s}' % (t, format(delta, "f")))
+            prev = v
     head = f'"j": {j}, ' if j is not None else ""
-    return '{%s"base": %s, "jumps": [%s]}' % (head, _float_token(entry["base"]), jumps)
+    return '{%s"base": %r, "jumps": [%s]}' % (head, sf.values[0], ", ".join(jumps))
 
 
 def write_model(path, model):
-    doc = model_document(model)
+    # repr of a finite float is a valid JSON number and reparses bitwise
     lines = [
         "{",
-        ' "d": %d,' % doc["d"],
-        ' "horizon": %s,' % _float_token(doc["horizon"]),
-        ' "knots": [%s],' % ", ".join(_float_token(t) for t in doc["knots"]),
-        ' "intercept": %s,' % _entry_json(doc["intercept"]),
+        ' "d": %d,' % model.d,
+        ' "horizon": %r,' % model.knots.horizon,
+        ' "knots": [%s],' % ", ".join(map(repr, model.knots.times)),
+        ' "intercept": %s,' % _row_json(model.intercept),
         ' "rows": [',
     ]
-    if doc["rows"]:
-        lines.append(",\n".join("  " + _entry_json(r, j=r["j"]) for r in doc["rows"]))
+    if model.coefficients:
+        lines.append(
+            ",\n".join("  " + _row_json(model.coefficients[j], j) for j in sorted(model.coefficients))
+        )
     lines += [" ]", "}"]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def _model_from_document(doc, where):
-    try:
-        knots = KnotSet(
-            tuple(float(t) for t in doc["knots"]), horizon=float(doc["horizon"])
-        )
-        intercept = StepFunction.from_jumps(
-            knots,
-            doc["intercept"]["base"],
-            [(j["t"], j["delta"]) for j in doc["intercept"]["jumps"]],
-        )
-        coefficients = {}
-        for row in doc["rows"]:
-            coefficients[_integer(row["j"], "row index j")] = StepFunction.from_jumps(
-                knots, row["base"], [(j["t"], j["delta"]) for j in row["jumps"]]
-            )
-        return HazardModel(
-            knots=knots, d=_integer(doc["d"], "d"), intercept=intercept, coefficients=coefficients
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"{where}: {e}") from e
+def _delta(token):
+    """A stored jump delta as an exact Decimal, refused before any arithmetic
+    if no difference of two finite floats can have it: such a difference is
+    at most twice the largest float and a multiple of 2**-1074, so it has no
+    decimal digit past the 1074th place."""
+    delta = Decimal(token)
+    if not (
+        delta.is_finite()
+        and delta.copy_abs() <= _MAX_DELTA
+        and delta.normalize(_EXACT).as_tuple().exponent >= -1074
+    ):
+        raise ValueError(f"jump delta {token!r} is not a difference of two finite floats")
+    return delta
+
+
+def _row_from_json(knots, row):
+    """Replay a row's jumps exactly; each level is the float nearest it."""
+    level = Decimal(float(row["base"]))
+    values = [float(level)]
+    jumps = row["jumps"]
+    k = 0
+    for t in knots.times:
+        if k < len(jumps) and float(jumps[k]["t"]) == t:
+            level = _EXACT.add(level, _delta(jumps[k]["delta"]))
+            k += 1
+        values.append(float(level))
+    if k != len(jumps):
+        raise ValueError(f"jump time {jumps[k]['t']!r} is not a knot")
+    return StepFunction(knots, values)
 
 
 def read_model(path):
-    # jump deltas must reach from_jumps exactly, so number tokens are parsed
-    # as Decimals (exact) rather than rounded to float up front
+    # number tokens are parsed as Decimals so that jump deltas stay exact
     with open(path, "r", encoding="utf-8") as f:
         try:
-            doc = json.load(f, parse_float=decimal.Decimal)
+            doc = json.load(f, parse_float=Decimal)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}:{e.lineno}: {e}") from e
-    return _model_from_document(doc, where=path)
+    try:
+        knots = KnotSet(tuple(float(t) for t in doc["knots"]), horizon=float(doc["horizon"]))
+        intercept = _row_from_json(knots, doc["intercept"])
+        coefficients = {
+            _integer(row["j"], "row index j"): _row_from_json(knots, row) for row in doc["rows"]
+        }
+        return HazardModel(
+            knots=knots, d=_integer(doc["d"], "d"), intercept=intercept, coefficients=coefficients
+        )
+    except (KeyError, TypeError, ValueError, OverflowError, decimal.InvalidOperation) as e:
+        raise FormatError(f"{path}: {e}") from e

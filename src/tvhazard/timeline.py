@@ -1,7 +1,9 @@
 """Shared time axis: knot sets, step functions, and piecewise-constant feature paths.
 
 Every coefficient path in a fitted model is a right-continuous step function
-whose jumps live on a single shared :class:`KnotSet`.  Feature paths carry
+whose jumps live on a single shared :class:`KnotSet`; it is held as one
+value per interval, and its file form, a base level plus jumps, belongs to
+:mod:`tvhazard.formats`.  Feature paths carry
 their own change times and are evaluated right-continuously as well.  Integrals of
 hazards along feature paths are taken exactly, by
 :class:`tvhazard.likelihood.CensoredDesign`.
@@ -12,7 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -81,13 +82,16 @@ class StepFunction:
 
     ``values[k]`` is the value on the ``k``-th interval of ``knots``; at a
     breakpoint the function takes the value of the interval to its right.
+    Values are stored as floats with zero as +0.0, so a model never depends
+    on the sign of a zero.
     """
 
     knots: KnotSet
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        # -0.0 + 0.0 is +0.0; every other float is unchanged
+        object.__setattr__(self, "values", tuple(float(v) + 0.0 for v in self.values))
         if len(self.values) != self.knots.n_intervals:
             raise ValueError(
                 f"expected {self.knots.n_intervals} values for {len(self.knots.times)} knots, "
@@ -99,49 +103,6 @@ class StepFunction:
 
     def __call__(self, t):
         return eval_step(self, t)
-
-    def to_jumps(self):
-        """Sparse (base value, jump list) form.
-
-        Returns ``(base, jumps)`` where ``jumps`` is a tuple of
-        ``(time, delta)`` pairs.  Each delta is the exact difference of the
-        adjacent interval values as a dyadic rational
-        (:class:`fractions.Fraction`): floats are dyadic, so the difference
-        is exact and replaying ``value += delta`` in exact arithmetic
-        recovers every stored value bitwise.  Equal consecutive values
-        produce no jump.
-        """
-        base = self.values[0]
-        jumps = []
-        prev = base
-        for t, v in zip(self.knots.times, self.values[1:]):
-            if v != prev:
-                jumps.append((t, Fraction(v) - Fraction(prev)))
-                prev = v
-        return base, tuple(jumps)
-
-    @classmethod
-    def from_jumps(cls, knots, base, jumps):
-        """Inverse of :meth:`to_jumps`; jump times must be knot times.
-
-        Deltas may be floats, ints, strings, Decimals, or Fractions.  The
-        running value is accumulated in exact rational arithmetic and each
-        interval value is the correctly rounded float of the exact sum, so
-        a ``to_jumps`` round trip is bitwise for every finite step function.
-        """
-        values = []
-        r = Fraction(float(base))
-        k = 0
-        jumps = list(jumps)
-        values.append(float(r))
-        for t in knots.times:
-            if k < len(jumps) and float(jumps[k][0]) == t:
-                r = r + Fraction(jumps[k][1])
-                k += 1
-            values.append(float(r))
-        if k != len(jumps):
-            raise ValueError(f"jump time {jumps[k][0]!r} is not a knot")
-        return cls(knots, tuple(values))
 
 
 @dataclass(frozen=True)

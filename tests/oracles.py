@@ -10,9 +10,10 @@ for tiny instances only.  The exceptions are earlier library code kept as
 bitwise references: ``fused_lasso_prox_array``, the prox recursion on NumPy
 arrays, for the Python-float version the library runs;
 ``write_observations_streamed``, which encodes record by record with
-``json.dump``, for the library's one-write observation writer; and
+``json.dump``, for the library's one-write observation writer;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
-rate computed from the run table's arrays.
+rate computed from the run table's arrays; and ``dyadic_decimal``, exact
+rational arithmetic on integers, for the model writer's decimal deltas.
 ``representer_observations`` is not an oracle: it draws the datasets of
 acceptance criterion 3, which the solver tests reuse.
 """
@@ -181,14 +182,31 @@ def fused_lasso_prox_array(y, weight):
     return np.minimum(beta, y.max(), out=beta)
 
 
-def write_observations_streamed(path, observations, d, horizon, time_unit="abstract"):
+def write_observations_streamed(path, observations, d, horizon):
     """Observation file written record by record through ``json.dump``."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({"d": int(d), "horizon": float(horizon), "time_unit": time_unit}, f)
+        json.dump({"d": int(d), "horizon": float(horizon), "time_unit": "abstract"}, f)
         f.write("\n")
         for o in observations:
             json.dump(observation_record(o), f)
             f.write("\n")
+
+
+def dyadic_decimal(q):
+    """Exact finite-decimal string of a dyadic rational :class:`Fraction`.
+
+    Differences of floats have denominator 2**k, and m/2**k == (m*5**k)/10**k,
+    so the decimal expansion always terminates.
+    """
+    n, d = q.numerator, q.denominator
+    k = d.bit_length() - 1
+    if d != 1 << k:
+        raise ValueError(f"{q!r} is not a dyadic rational")
+    digits = str(abs(n * 5**k)).rjust(k + 1, "0")
+    out = f"{digits[:-k]}.{digits[-k:]}" if k else digits
+    if "." in out:
+        out = out.rstrip("0").rstrip(".")
+    return ("-" if n < 0 else "") + out
 
 
 def pooled_event_rate_loop(observations):

@@ -1,12 +1,16 @@
 """Observation and model files: round trips, exactness, error context."""
 
 import json
-import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tvhazard import (
+    ConstantAdditiveModel,
     FeaturePath,
     FormatError,
     HazardModel,
@@ -14,15 +18,16 @@ from tvhazard import (
     Observation,
     StepFunction,
     eval_step,
+    model_matrix,
     nll_dataset,
     read_model,
     read_observations,
     write_model,
     write_observations,
 )
-from tvhazard.formats import model_document, observation_record
+from tvhazard.formats import observation_record
 
-from oracles import write_observations_streamed
+from oracles import dyadic_decimal, write_observations_streamed
 
 
 def random_observations(rng, d=3, n=12, horizon=5.0):
@@ -55,6 +60,37 @@ def random_model(rng, d=3, n_knots=4, horizon=6.0):
     return HazardModel(knots=ks, d=d, intercept=StepFunction(ks, vals()), coefficients=coefficients)
 
 
+EXTREME_LEVELS = (5e-324, 1.7976931348623157e308, 0.0, -0.0)
+
+
+@st.composite
+def extreme_models(draw):
+    """Models on random knot sets whose levels are any finite nonnegative
+    floats, the extremes and both zeros included; each row draws from a few
+    levels, so flat stretches and returns to a level are common."""
+    ticks = draw(st.lists(st.integers(1, 99), unique=True, max_size=8))
+    ks = KnotSet(tuple(t / 10 for t in sorted(ticks)), horizon=10.0)
+    levels = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(EXTREME_LEVELS)
+
+    def row():
+        pool = draw(st.lists(levels, min_size=1, max_size=4))
+        return StepFunction(ks, [draw(st.sampled_from(pool)) for _ in range(ks.n_intervals)])
+
+    d = draw(st.integers(0, 3))
+    rows = draw(st.sets(st.integers(0, d - 1))) if d else set()
+    return HazardModel(knots=ks, d=d, intercept=row(), coefficients={j: row() for j in rows})
+
+
+def reference_deltas(values):
+    """The delta tokens a row's file entry must hold, by exact rationals."""
+    out, prev = [], values[0]
+    for v in values[1:]:
+        if v != prev:
+            out.append(dyadic_decimal(Fraction(v) - Fraction(prev)))
+            prev = v
+    return out
+
+
 class TestObservationFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -85,15 +121,16 @@ class TestObservationFiles:
             Observation.right_censored(p, 2.5000000000000004),
         ]
         assert {o.kind for o in obs} == {"interval", "right"}
-        for records, unit in ((obs, "abstract"), ([], "days")):
+        for records in (obs, []):
             got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-            write_observations(got, records, d=3, horizon=5.0, time_unit=unit)
-            write_observations_streamed(want, records, d=3, horizon=5.0, time_unit=unit)
+            write_observations(got, records, d=3, horizon=5.0)
+            write_observations_streamed(want, records, d=3, horizon=5.0)
             assert got.read_bytes() == want.read_bytes()
 
     def test_time_unit_survives(self, tmp_path):
+        # the writer always stores "abstract"; the reader keeps what a file says
         f = tmp_path / "obs.jsonl"
-        write_observations(f, [], d=1, horizon=2.0, time_unit="days")
+        f.write_text('{"d": 1, "horizon": 2.0, "time_unit": "days"}\n')
         got, header = read_observations(f)
         assert got == [] and header["time_unit"] == "days"
 
@@ -215,19 +252,57 @@ class TestModelFiles:
         assert set(doc) == {"d", "horizon", "knots", "intercept", "rows"}
         assert [r["j"] for r in doc["rows"]] == sorted(r["j"] for r in doc["rows"])
 
-    def test_document_deltas_are_decimal_strings(self):
-        ks = KnotSet((1.0,), horizon=2.0)
+    def test_document_deltas_are_decimal_strings(self, tmp_path):
+        ks = KnotSet((1.0, 2.0, 3.0), horizon=4.0)
         m = HazardModel(
             knots=ks,
             d=1,
-            intercept=StepFunction(ks, (0.7, 1.1)),
-            coefficients={0: StepFunction(ks, (0.3, 0.3))},
+            intercept=StepFunction(ks, (0.7, 0.7, 1.1, 1.1)),
+            coefficients={0: StepFunction(ks, (0.3,) * 4)},
         )
-        doc = model_document(m)
-        delta = doc["intercept"]["jumps"][0]["delta"]
-        assert isinstance(delta, str)
-        assert float(delta) == pytest.approx(0.4)
+        f = tmp_path / "m.json"
+        write_model(f, m)
+        doc = json.loads(f.read_text(), parse_float=str)
+        # one jump where the level changes, none on a flat stretch
+        assert doc["intercept"] == {
+            "base": "0.7",
+            "jumps": [{"t": "2.0", "delta": dyadic_decimal(Fraction(1.1) - Fraction(0.7))}],
+        }
+        assert float(doc["intercept"]["jumps"][0]["delta"]) == pytest.approx(0.4)
         assert doc["rows"][0]["jumps"] == []  # flat row stores no jumps
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(extreme_models())
+    def test_jump_round_trip_is_bitwise(self, tmp_path, m):
+        f = tmp_path / "m.json"
+        write_model(f, m)
+        assert model_matrix(read_model(f)).tobytes() == model_matrix(m).tobytes()
+        doc = json.loads(f.read_text(), parse_float=str, parse_int=str)
+        rows = [m.intercept] + [m.coefficients[j] for j in sorted(m.coefficients)]
+        assert [[jm["delta"] for jm in row["jumps"]] for row in [doc["intercept"], *doc["rows"]]] == [
+            reference_deltas(sf.values) for sf in rows
+        ]
+
+    def test_negative_zero_is_stored_as_positive_zero(self, tmp_path):
+        ks = KnotSet((1.0, 2.0), horizon=3.0)
+        m = HazardModel(
+            knots=ks,
+            d=1,
+            intercept=StepFunction(ks, (-0.0, 0.5, -0.0)),
+            coefficients={0: StepFunction(ks, (0.25, -0.0, 0.0))},
+        )
+        constant = ConstantAdditiveModel(intercept=-0.0, weights=(0.5,)).to_hazard_model(3.0)
+        for model in (m, constant):
+            f = tmp_path / "m.json"
+            write_model(f, model)
+            got = model_matrix(read_model(f))
+            assert got.tobytes() == model_matrix(model).tobytes()
+            assert not np.signbit(got).any()
 
     def test_malformed_model_rejected_with_context(self, tmp_path):
         f = tmp_path / "m.json"
@@ -293,13 +368,30 @@ class TestModelFiles:
 
     def test_jump_off_the_knot_grid_rejected(self, tmp_path):
         f = tmp_path / "m.json"
+        for t in ("1.5", "0.5"):
+            f.write_text(
+                '{"d": 0, "horizon": 2.0, "knots": [1.0],\n'
+                ' "intercept": {"base": 0.5, "jumps": [{"t": %s, "delta": 0.1}]},\n'
+                ' "rows": []}\n' % t
+            )
+            with pytest.raises(FormatError, match=r"m\.json: jump time .* is not a knot"):
+                read_model(f)
+
+    @pytest.mark.parametrize(
+        "delta", ["1e100000000", "-1e100000000", "1e-100000000", "1e-1075", "Infinity", "NaN", '"x"']
+    )
+    def test_delta_no_float_difference_can_have_rejected(self, tmp_path, delta):
+        # refused before any exact arithmetic, which on 1e100000000 runs for minutes
+        f = tmp_path / "m.json"
         f.write_text(
             '{"d": 0, "horizon": 2.0, "knots": [1.0],\n'
-            ' "intercept": {"base": 0.5, "jumps": [{"t": 1.5, "delta": 0.1}]},\n'
-            ' "rows": []}\n'
+            ' "intercept": {"base": 0.5, "jumps": [{"t": 1.0, "delta": %s}]},\n'
+            ' "rows": []}\n' % delta
         )
-        with pytest.raises(FormatError):
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=r"m\.json: "):
             read_model(f)
+        assert time.perf_counter() - start < 1.0
 
     def test_negative_reconstructed_value_rejected(self, tmp_path):
         # jumps replay exactly, so a negative level surfaces as a model error

@@ -376,7 +376,8 @@ class TestCensoredDesign:
         obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0)]
         design = CensoredDesign(ks, obs)
         w = np.array([0.5, 0.0])  # no hazard inside the bracket
-        assert design.nll(w) == math.inf
+        with pytest.warns(ZeroBracketWarning):
+            assert design.nll(w) == math.inf
         with pytest.raises(ValueError):
             design.nll_grad(w)
         # a positive floor clamps the bracket mass and keeps things finite

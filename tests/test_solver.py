@@ -81,6 +81,7 @@ class TestConfigValidation:
 
 
 class TestFullBatch:
+    @pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
     def test_objective_trace_descends(self):
         rng = np.random.default_rng(21)
         for gamma in (0.0, 1.0):
@@ -161,6 +162,7 @@ class TestFullBatch:
         assert np.all(design.V @ model_matrix(res.model).ravel() > 1e-12)
         assert res.objective_trace[-1][1] == objective(res.model, obs, penalty)
 
+    @pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
     def test_default_knots_equal_explicit_union(self):
         obs = sim_observations(np.random.default_rng(23), n=25)
         config = cfg(1.0, max_iterations=100)
@@ -186,6 +188,7 @@ class TestFullBatch:
         intercept = res.model.intercept
         assert eval_step(intercept, 6.0) == eval_step(intercept, 6.0 - 1e-6)
 
+    @pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
     def test_solution_is_nonnegative(self):
         rng = np.random.default_rng(24)
         for _ in range(3):
@@ -584,6 +587,7 @@ class TestRefinement:
         res = fit(obs, cfg(1.0, max_iterations=200))
         assert refine_and_compare(res, obs, extra_knots=0) == 0.0
 
+    @pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
     def test_negative_extra_knots_rejected(self):
         obs = sim_observations(np.random.default_rng(43), n=10)
         res = fit(obs, cfg(1.0, max_iterations=50))

@@ -75,33 +75,6 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction(KnotSet((1.0,), 2.0), (1.0,))
 
-    def test_jump_round_trip_is_bitwise(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            ks = random_knots(rng)
-            values = rng.normal(size=ks.n_intervals)
-            # inject exact plateaus so some deltas vanish
-            if ks.n_intervals >= 3 and rng.random() < 0.5:
-                values[1] = values[0]
-            f = StepFunction(ks, tuple(values))
-            base, jumps = f.to_jumps()
-            g = StepFunction.from_jumps(ks, base, jumps)
-            assert g.values == f.values  # exact equality, not approx
-
-    def test_to_jumps_drops_flat_segments(self):
-        from fractions import Fraction
-
-        ks = KnotSet((1.0, 2.0, 3.0), 4.0)
-        f = StepFunction(ks, (0.7, 0.7, 1.1, 1.1))
-        base, jumps = f.to_jumps()
-        assert base == 0.7
-        assert jumps == ((2.0, Fraction(1.1) - Fraction(0.7)),)
-
-    def test_from_jumps_rejects_off_knot_time(self):
-        ks = KnotSet((1.0,), 2.0)
-        with pytest.raises(ValueError):
-            StepFunction.from_jumps(ks, 0.0, ((0.5, 1.0),))
-
 
 class TestFeaturePath:
     def test_value_is_zero_before_first_change(self):
