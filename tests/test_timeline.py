@@ -1,6 +1,9 @@
 """Knot grids, step functions, feature paths, and exact integration."""
 
+import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from tvhazard import (
     eval_step,
     merge_times,
 )
+from tvhazard.formats import _row_from_json, _row_json
 from tvhazard.timeline import MERGE_TOL
 
 from oracles import integrate_step, integrate_step_product
@@ -74,6 +78,22 @@ class TestStepFunction:
     def test_value_count_must_match(self):
         with pytest.raises(ValueError):
             StepFunction(KnotSet((1.0,), 2.0), (1.0,))
+
+    def test_to_jumps_drops_flat_segments(self):
+        # the model-file encoding of a step function: its base level, then
+        # one exact delta at each knot where the level changes
+        ks = KnotSet((1.0, 2.0, 3.0), 4.0)
+        f = StepFunction(ks, (0.7, 0.7, 1.1, 1.1))
+        row = json.loads(_row_json(f), parse_float=str)
+        assert row["base"] == "0.7"
+        assert [jm["t"] for jm in row["jumps"]] == ["2.0"]
+        assert Fraction(row["jumps"][0]["delta"]) == Fraction(1.1) - Fraction(0.7)
+
+    def test_from_jumps_rejects_off_knot_time(self):
+        ks = KnotSet((1.0,), 2.0)
+        row = {"base": Decimal("0.0"), "jumps": [{"t": Decimal("0.5"), "delta": Decimal("1.0")}]}
+        with pytest.raises(ValueError, match="is not a knot"):
+            _row_from_json(ks, row)
 
 
 class TestFeaturePath:
