@@ -27,17 +27,14 @@ from .likelihood import (
     CensoredDesign,
     HazardModel,
     ZeroBracketWarning,
-    hazard,
     model_matrix,
     matrix_model,
     nll_dataset,
-    nll_gradient,
 )
 from .penalty import (
     PenaltyConfig,
     fused_lasso_prox,
     isotonic_project,
-    tv,
 )
 from .solver import (
     FitResult,
@@ -55,9 +52,7 @@ from .timeline import (
     Observation,
     StepFunction,
     build_knot_set,
-    eval_feature,
     eval_step,
-    merge_times,
 )
 
 __version__ = "0.1.0"
@@ -82,20 +77,16 @@ __all__ = [
     "ZeroBracketWarning",
     "build_knot_set",
     "default_scenario",
-    "eval_feature",
     "eval_step",
     "fit",
     "fit_constant_additive",
     "fit_proportional",
     "fused_lasso_prox",
     "generate",
-    "hazard",
     "isotonic_project",
     "matrix_model",
-    "merge_times",
     "model_matrix",
     "nll_dataset",
-    "nll_gradient",
     "nonzero_parameter_count",
     "objective",
     "proportional_nll",
@@ -104,7 +95,6 @@ __all__ = [
     "refine_and_compare",
     "sample_event_time",
     "truth_model",
-    "tv",
     "write_model",
     "write_observations",
 ]

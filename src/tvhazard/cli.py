@@ -60,6 +60,8 @@ def _load_campaign_spec(path, seed):
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}:{e.lineno}: {e}") from e
+        except ValueError as e:  # an integer past int()'s digit limit
+            raise FormatError(f"{path}: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: bad campaign spec: expected a JSON object")
     doc.pop("seed", None)  # the --seed flag is the single source of randomness

@@ -1,7 +1,9 @@
 """Synthetic campaign generator: planted truth models plus censored observations.
 
-Each "site" draws a sparse binary feature path, an exact event time from the
-planted hazard by inverting the piecewise-linear cumulative hazard, and is
+Each "site" draws a sparse binary feature path, constant from t=0, and an
+exact event time from the planted hazard: every planted coefficient is a step
+function on the truth's knots, so a site's hazard is one rate per truth
+interval and the event time inverts the running sum of those rates.  It is
 then censored the way a periodic blacklist would observe it: the event is
 bracketed by the surrounding scan times, or right-censored at the horizon if
 it happens after the last scan (or not at all).  Everything is deterministic
@@ -10,17 +12,14 @@ given the spec seed; each site gets its own derived RNG stream.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import HazardModel, hazard
-from .timeline import (
-    MERGE_TOL, FeaturePath, Observation, StepFunction, _window_knots, level_at, merge_times,
-)
+from .likelihood import HazardModel, model_matrix
+from .timeline import MERGE_TOL, FeaturePath, Observation, StepFunction, _window_knots
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,9 @@ def truth_model(spec):
     starts = knots.boundaries()[:-1] + MERGE_TOL
     coefficients = {}
     for j, changes in spec.active:
-        values = tuple(level_at(changes, s) for s in starts)
-        if any(v != 0.0 for v in values):
+        times = [t for t, _ in changes]
+        values = np.array([0.0] + [v for _, v in changes])[np.searchsorted(times, starts, "right")]
+        if np.any(values != 0.0):
             coefficients[j] = StepFunction(knots, values)
     return HazardModel(
         knots=knots,
@@ -123,61 +123,90 @@ def truth_model(spec):
     )
 
 
+def _target(rng):
+    """One uniform draw ``u`` as the cumulative hazard ``-log u`` at the
+    event; ``inf`` for ``u = 0``."""
+    u = rng.random()
+    return -math.log(u) if u > 0.0 else math.inf
+
+
+def _event_times(truth, levels, targets):
+    """Exact inverse-CDF event times of sites whose features are constant.
+
+    ``levels`` is an (n, d) array of each site's feature values on the whole
+    window and ``targets`` holds each site's ``-log u``.  With
+    ``W = model_matrix(truth)``, site ``i``'s hazard on truth interval ``k``
+    is ``W[0, k] + sum_j levels[i, j] W[j+1, k]``, added in ascending ``j``,
+    and its cumulative hazard at the interval's end is the running sum of
+    rate times width.  The event falls in the first interval ``k`` whose
+    running sum reaches the target, at ``B[k] + (target - cum[k-1]) /
+    rate[k]`` capped at the horizon; with no such interval it is ``inf``.
+    """
+    W = model_matrix(truth)
+    B = truth.knots.boundaries()
+    rate = np.repeat(W[:1], len(targets), axis=0)
+    for j in np.flatnonzero(W[1:].any(axis=1)):
+        rate += levels[:, j, None] * W[j + 1]
+    # cum[:, k] is the cumulative hazard at B[k]
+    cum = np.cumsum(np.hstack([np.zeros((len(targets), 1)), rate * np.diff(B)]), axis=1)
+    k = (cum[:, 1:] < targets[:, None]).sum(axis=1)
+    taus = np.full(len(targets), math.inf)
+    hit = np.flatnonzero(k < len(B) - 1)
+    kh = k[hit]
+    # rate > 0 here: cum[k] < target <= cum[k+1]
+    taus[hit] = np.minimum(B[kh] + (targets[hit] - cum[hit, kh]) / rate[hit, kh], B[-1])
+    return taus
+
+
 def sample_event_time(path, truth, rng):
     """Exact inverse-CDF draw of an event time under ``truth`` for ``path``.
 
-    Draws u ~ Uniform(0,1) and solves ``Lambda(0, t) = -log u`` by walking
-    the piecewise-linear cumulative hazard segment by segment; returns
-    ``math.inf`` when the total mass at the horizon falls short (survived).
+    Draws u ~ Uniform(0,1) and solves ``Lambda(0, t) = -log u`` over the
+    truth's per-interval rates (see :func:`generate`); returns ``math.inf``
+    when the total mass at the horizon falls short (survived).  ``path``
+    must be constant on the window, every feature set at t=0 and never
+    changed after: ``ValueError`` otherwise, or if its dimension is not the
+    truth's.
     """
-    u = rng.random()
-    if u <= 0.0:
-        return math.inf
-    target = -math.log(u)
-    H = truth.knots.horizon
-    interior = [
-        p
-        for p in merge_times(list(truth.knots.times) + list(path.change_times()), tol=0.0)
-        if 0.0 < p < H
-    ]
-    starts = [0.0] + interior
-    ends = interior + [H]
-    cum = 0.0
-    for s, e in zip(starts, ends):
-        rate = hazard(truth, path, s)
-        seg = rate * (e - s)
-        if cum + seg >= target:
-            # rate > 0 here: the invariant cum < target forces seg > 0
-            return min(s + (target - cum) / rate, H)
-        cum += seg
-    return math.inf
+    if path.d != truth.d:
+        raise ValueError(f"dimension mismatch: path d={path.d}, truth d={truth.d}")
+    levels = np.zeros((1, truth.d))
+    for j, changes in path.entries.items():
+        if len(changes) > 1 or changes[0][0] != 0.0:
+            raise ValueError(f"feature {j} of the path changes after t=0")
+        levels[0, j] = changes[0][1]
+    return float(_event_times(truth, levels, np.array([_target(rng)]))[0])
 
 
 def generate(spec):
     """Simulate the scenario: returns ``(truth_model, observations)``.
 
-    Per site: features present independently with probability
-    ``feature_density`` (value 1 from t=0), event time sampled exactly, then
-    censored by the shared scans — ``Interval(last scan < tau, first scan >=
-    tau)`` when a scan catches the event, else ``Right(horizon)``.
+    Per site, from its own stream ``SeedSequence((seed, site))``: features
+    present independently with probability ``feature_density`` (value 1 from
+    t=0), then one uniform ``u``.  Every site's event time solves
+    ``Lambda(0, t) = -log u`` exactly over the truth's per-interval rates,
+    all sites at once, and is censored by the shared scans:
+    ``Interval(last scan < tau, first scan >= tau)`` when a scan catches the
+    event, else ``Right(horizon)``.
     """
     truth = truth_model(spec)
-    scans = spec.scan_times
-    observations = []
+    present = np.empty((spec.n, spec.d), dtype=bool)
+    targets = np.empty(spec.n)
     for site in range(spec.n):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, site)))
-        present = rng.random(spec.d) < spec.feature_density
-        entries = {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present)}
-        path = FeaturePath(spec.d, entries)
-        tau = sample_event_time(path, truth, rng)
+        present[site] = rng.random(spec.d) < spec.feature_density
+        targets[site] = _target(rng)
+    taus = _event_times(truth, present.astype(float), targets)
+    scans = spec.scan_times
+    brackets = np.searchsorted(scans, taus, "left").tolist()
+    observations = []
+    for site, k in enumerate(brackets):
+        path = FeaturePath(spec.d, {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present[site])})
         uid = f"site-{site:06d}"
-        if tau <= spec.horizon:
-            k = bisect.bisect_left(scans, tau)
-            if k < len(scans):
-                left = scans[k - 1] if k > 0 else 0.0
-                observations.append(Observation.interval(path, left, scans[k], id=uid))
-            else:
-                observations.append(Observation.right_censored(path, spec.horizon, id=uid))
+        # taus are capped at the horizon, beyond the last scan, or inf
+        if k < len(scans):
+            left = scans[k - 1] if k > 0 else 0.0
+            observations.append(Observation.interval(path, left, scans[k], id=uid))
         else:
             observations.append(Observation.right_censored(path, spec.horizon, id=uid))
     return truth, observations

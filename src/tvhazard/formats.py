@@ -67,9 +67,22 @@ def observation_record(o):
 
 
 def write_observations(path, observations, d, horizon):
-    """Write the header plus one observation per line, in one write."""
+    """Write the header plus one observation per line, in one write.
+
+    Raises ``ValueError``, before the file is opened, for a path whose
+    dimension is not ``d`` or a censoring boundary beyond ``horizon``: the
+    reader or the fit would refuse the file.
+    """
     # json.dumps runs the C encoder; json.dump to a file, the Python one
     header = {"d": int(d), "horizon": float(horizon), "time_unit": "abstract"}
+    observations = list(observations)
+    for o in observations:
+        if o.path.d != header["d"]:
+            raise ValueError(f"observation {o.id!r}: path d={o.path.d}, file d={header['d']}")
+        if o.right > header["horizon"]:
+            raise ValueError(
+                f"observation {o.id!r}: censoring boundary {o.right} beyond horizon {header['horizon']}"
+            )
     lines = [json.dumps(header)] + [json.dumps(observation_record(o)) for o in observations]
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in lines))
@@ -107,7 +120,7 @@ def read_observations(path):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # malformed JSON, or an integer past int()'s digit limit
                 raise FormatError(f"{path}:{lineno}: {e}") from e
             if header is None:
                 try:
@@ -198,6 +211,8 @@ def read_model(path):
             doc = json.load(f, parse_float=Decimal)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}:{e.lineno}: {e}") from e
+        except ValueError as e:  # an integer past int()'s digit limit
+            raise FormatError(f"{path}: {e}") from e
     try:
         knots = KnotSet(tuple(float(t) for t in doc["knots"]), horizon=float(doc["horizon"]))
         intercept = _row_from_json(knots, doc["intercept"])

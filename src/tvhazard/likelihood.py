@@ -12,9 +12,9 @@ interval-censored observation ``(l, r]`` contributes
 
 to the negative log-likelihood and a right-censored one contributes
 ``Lambda(0, at)``.  Every integral is exact piecewise-constant arithmetic
-in one engine, :class:`CensoredDesign`, which serves the fit,
-:func:`nll_dataset` and :func:`nll_gradient`; the log terms use expm1/log1p
-forms that stay accurate for tiny brackets.
+in one engine, :class:`CensoredDesign`, which serves the fit and
+:func:`nll_dataset`; the log terms use expm1/log1p forms that stay accurate
+for tiny brackets.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .timeline import StepFunction, eval_feature, eval_step
+from .timeline import StepFunction
 
 _LOG2 = math.log(2.0)
 # every module of the package lives here
@@ -86,17 +86,6 @@ class HazardModel:
             raise ValueError(f"{what} does not share the model's knot set")
         if any(v < 0 for v in sf.values):
             raise ValueError(f"{what} has a negative value; hazards require w >= 0")
-
-    def __call__(self, p, t):
-        return hazard(self, p, t)
-
-
-def hazard(m, p, t):
-    """Instantaneous hazard ``w_0(t) + sum_j x_j(t) w_j(t)``."""
-    total = eval_step(m.intercept, t)
-    for j in m.coefficients.keys() & p.entries.keys():
-        total += eval_feature(p, j, t) * eval_step(m.coefficients[j], t)
-    return total
 
 
 def nll_dataset(m, observations):
@@ -341,23 +330,3 @@ def _log1mexp_vec(x):
         out[small] = np.log(-np.expm1(-x[small]))
         out[~small] = np.log1p(-np.exp(-x[~small]))
     return out
-
-
-def nll_gradient(m, observations):
-    """Exact gradient of :func:`nll_dataset` w.r.t. every coefficient value.
-
-    Returns a dense ``(d+1, intervals)`` array: row 0 is the intercept, row
-    ``j+1`` is feature ``j``.  Each right-censored observation contributes
-    feature-weighted segment overlaps with ``[0, at]``; each interval
-    observation additionally contributes the bracket term
-    ``-(exp(-L)/(1-exp(-L))) * dL/dw`` with ``L`` the bracket mass.
-
-    Raises
-    ------
-    ValueError
-        If some bracket has exactly zero mass (gradient undefined there);
-        start from a strictly positive intercept to stay off the boundary.
-    """
-    design = CensoredDesign(m.knots, observations)
-    _, grad = design.nll_grad(design.flat_coefficients(m))
-    return grad.reshape(design.shape)

@@ -1,7 +1,7 @@
 """Total-variation penalty: its value and its proximal operator.
 
 :class:`PenaltyConfig` is the nonsmooth part of the fit's objective,
-``gamma * sum_rows tv(W[r])`` under ``W >= 0``, with every row nondecreasing
+``gamma * sum_rows TV(W[r])`` under ``W >= 0``, with every row nondecreasing
 in monotone mode.  Its prox solves, per coefficient row,
 
     argmin_w  (1/2) ||y - w||^2 + weight * sum_l |w[l+1] - w[l]|    s.t. w >= 0
@@ -84,14 +84,6 @@ class PenaltyConfig:
         return np.maximum(out, 0.0, out=out)
 
 
-def tv(values):
-    """Total variation: sum of absolute successive differences."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("tv of an empty sequence is undefined")
-    return float(np.abs(np.diff(v)).sum())
-
-
 def _validated(y, name="y"):
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -102,7 +94,7 @@ def _validated(y, name="y"):
 
 
 def fused_lasso_prox(y, weight):
-    """Exact minimizer of ``(1/2)||y - w||^2 + weight * tv(w)``, of a row
+    """Exact minimizer of ``(1/2)||y - w||^2 + weight * TV(w)``, of a row
     ``y`` or of each row of a 2-D stack ``y``.
 
     Dynamic-programming message passing over the piecewise-linear

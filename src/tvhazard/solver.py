@@ -3,7 +3,7 @@
 Minimizes, over the coefficient matrix ``W`` (rows = intercept + features,
 columns = knot intervals),
 
-    NLL(W) + gamma * sum_rows tv(W[r])        s.t. W >= 0 (+ monotone mode)
+    NLL(W) + gamma * sum_rows TV(W[r])        s.t. W >= 0 (+ monotone mode)
 
 by one of two routes.  Every fit with a TV term or monotone mode runs
 monotone FISTA (Beck & Teboulle 2009) with function-value restart

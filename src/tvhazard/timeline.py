@@ -4,7 +4,7 @@ Every coefficient path in a fitted model is a right-continuous step function
 whose jumps live on a single shared :class:`KnotSet`; it is held as one
 value per interval, and its file form, a base level plus jumps, belongs to
 :mod:`tvhazard.formats`.  Feature paths carry
-their own change times and are evaluated right-continuously as well.  Integrals of
+their own change times and are right-continuous as well.  Integrals of
 hazards along feature paths are taken exactly, by
 :class:`tvhazard.likelihood.CensoredDesign`.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -140,9 +139,6 @@ class FeaturePath:
                 clean[j] = changes
         object.__setattr__(self, "entries", clean)
 
-    def value(self, j, t):
-        return eval_feature(self, j, t)
-
     def change_times(self):
         """Sorted unique change times across all features."""
         out = set()
@@ -193,21 +189,17 @@ class Observation:
         return cls(path, "right", at, at, id)
 
 
-def merge_times(times, tol=MERGE_TOL):
-    """Sort and deduplicate, keeping the first representative of any cluster
-    of times within ``tol`` of its predecessor."""
-    out = []
-    for t in sorted(float(t) for t in times):
-        if not out or t - out[-1] > tol:
-            out.append(t)
-    return tuple(out)
-
-
 def _window_knots(times, horizon):
     """Where a coefficient may jump: ``times`` merged at ``MERGE_TOL`` together
     with both window ends, keeping what lies strictly between the ends.  A
-    time within ``MERGE_TOL`` of 0 or of the horizon merges into that end."""
-    return KnotSet(merge_times(t for t in times if t > MERGE_TOL and horizon - t > MERGE_TOL), horizon)
+    time within ``MERGE_TOL`` of 0 or of the horizon merges into that end;
+    of any other cluster of times within ``MERGE_TOL`` of their predecessor,
+    the first is kept."""
+    out = []
+    for t in sorted(float(t) for t in times if t > MERGE_TOL and horizon - t > MERGE_TOL):
+        if not out or t - out[-1] > MERGE_TOL:
+            out.append(t)
+    return KnotSet(tuple(out), horizon)
 
 
 def build_knot_set(observations, horizon=None):
@@ -246,21 +238,3 @@ def build_knot_set(observations, horizon=None):
 def eval_step(f, t):
     """Value of a step function at ``t`` (right-continuous)."""
     return f.values[f.knots.interval_index(t)]
-
-
-def eval_feature(path, j, t):
-    """Value of feature ``j`` of a path at time ``t`` (right-continuous)."""
-    j = int(j)
-    if not 0 <= j < path.d:
-        raise IndexError(f"feature index {j} outside [0, {path.d})")
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"invalid evaluation time {t!r}")
-    return level_at(path.entries.get(j, ()), t)
-
-
-def level_at(changes, t):
-    """Level at ``t`` of a right-continuous step path given as
-    ``(change_time, level)`` pairs with increasing times: the level of the
-    last change at or before ``t``, 0.0 before the first change."""
-    k = bisect.bisect_right(changes, t, key=itemgetter(0))
-    return changes[k - 1][1] if k else 0.0

@@ -5,7 +5,8 @@ implementation: exhaustive enumeration over block partitions, a
 box-constrained dual least-squares solve, plain vectorized grid search, a
 per-run loop over feature paths, or the scalar likelihood route that
 integrates one observation at a time on the common refinement of knots and
-change times.  All but two are exponential or polynomially slow and meant
+change times (with the pointwise ``hazard``, ``level_at``, ``step_at``,
+``merge_times`` and ``tv`` it is written from).  All but two are exponential or polynomially slow and meant
 for tiny instances only.  The exceptions are earlier library code kept as
 bitwise references: ``fused_lasso_prox_array``, the prox recursion on NumPy
 arrays, for the Python-float version the library runs;
@@ -28,14 +29,9 @@ from fractions import Fraction
 import numpy as np
 import scipy.optimize
 
-from tvhazard import (
-    FeaturePath,
-    Observation,
-    ZeroBracketWarning,
-    eval_feature,
-    merge_times,
-)
+from tvhazard import FeaturePath, Observation, ZeroBracketWarning
 from tvhazard.formats import observation_record
+from tvhazard.timeline import MERGE_TOL
 
 
 def fused_prox_bruteforce(y, lam):
@@ -352,6 +348,44 @@ def dense_design(knots, observations):
     return U, V
 
 
+def merge_times(times, tol=MERGE_TOL):
+    """Sorted ``times``, dropping each that lies within ``tol`` of the last
+    one kept."""
+    out = []
+    for t in sorted(float(t) for t in times):
+        if not out or t - out[-1] > tol:
+            out.append(t)
+    return tuple(out)
+
+
+def level_at(path, j, t):
+    """Value of feature ``j`` of ``path`` at ``t`` by a linear scan: the
+    level of its last change at or before ``t``, 0 before the first."""
+    level = 0.0
+    for ct, v in path.entries.get(int(j), ()):
+        if ct <= t:
+            level = v
+    return level
+
+
+def step_at(f, t):
+    """Value of step function ``f`` at ``t`` (right-continuous)."""
+    return f.values[bisect.bisect_right(f.knots.times, t)]
+
+
+def hazard(m, p, t):
+    """Pointwise hazard ``w_0(t) + sum_j x_j(t) w_j(t)``, features in ascending ``j``."""
+    total = step_at(m.intercept, t)
+    for j in sorted(m.coefficients.keys() & p.entries.keys()):
+        total += level_at(p, j, t) * step_at(m.coefficients[j], t)
+    return total
+
+
+def tv(values):
+    """Total variation of a sequence: the sum of its absolute successive differences."""
+    return float(np.abs(np.diff(np.asarray(values, dtype=float))).sum())
+
+
 def _check_bounds(knots, a, b):
     for t in (a, b):
         if not math.isfinite(t) or not 0.0 <= t <= knots.horizon:
@@ -386,7 +420,7 @@ def integrate_step_product(f, path, j, a, b):
     pts = _segment_points(interior, a, b)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        x = eval_feature(path, j, lo)
+        x = level_at(path, j, lo)
         if x != 0.0:
             total += (hi - lo) * f.values[bisect.bisect_right(knots.times, lo)] * x
     return total

@@ -25,10 +25,11 @@ from tvhazard import (
     model_matrix,
     nll_dataset,
     proportional_nll,
-    tv,
 )
 from tvhazard.baseline import _pieces, _proportional_value_grad
 from tvhazard.likelihood import _run_table
+
+from oracles import level_at, tv
 
 
 def sim_observations(rng, d=2, n=50, horizon=6.0):
@@ -78,7 +79,7 @@ def constant_nll(w0, w, obs):
         cuts = [a] + [t for t in path.change_times() if a < t < b] + [b]
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            rate = w0 + sum(w[j] * path.value(j, lo) for j in range(len(w)))
+            rate = w0 + sum(w[j] * level_at(path, j, lo) for j in range(len(w)))
             total += rate * (hi - lo)
         return total
 
@@ -211,7 +212,7 @@ class TestProportional:
 
             def lam_int(path, a, b):
                 def rate(t):
-                    s = sum(model.weights[j] * path.value(j, t) for j in range(2))
+                    s = sum(model.weights[j] * level_at(path, j, t) for j in range(2))
                     return model.base_rate * math.exp(s)
 
                 pts = [t for t in path.change_times() if a < t < b]

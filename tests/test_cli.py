@@ -235,6 +235,28 @@ class TestSweep:
         assert main(base + ["--gammas", "1,inf"]) == 2
 
 
+class TestHugeIntegerTokens:
+    # json refuses an integer token past int()'s digit limit with a bare
+    # ValueError; each reader reports it as a FormatError naming the file
+    def test_every_input_file_is_named(self, tmp_path, capsys):
+        huge = "1" * 5000
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"d": %s, "horizon": 4.0}\n' % huge)
+        model = tmp_path / "model.json"
+        model.write_text('{"d": %s, "horizon": 4.0}\n' % huge)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n": %s}\n' % huge)
+        runs = [
+            (["fit", "--observations", str(obs), "--out", str(tmp_path / "m.json")], "obs.jsonl:1: "),
+            (["export", "--model", str(model), "--out", str(tmp_path / "p.csv")], "model.json: "),
+            (["simulate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")], "spec.json: "),
+        ]
+        for argv, where in runs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert where in err and "Exceeds the limit" in err
+
+
 class TestExport:
     def test_constant_model_exports_single_level_per_feature(self, tmp_path):
         model = ConstantAdditiveModel(intercept=0.3, weights=(0.5, 0.0)).to_hazard_model(4.0)

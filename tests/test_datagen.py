@@ -1,10 +1,13 @@
 """Synthetic campaign generator: planted truths, exact sampling, censoring."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvhazard import (
     CampaignSpec,
@@ -16,9 +19,11 @@ from tvhazard import (
     generate,
     sample_event_time,
     truth_model,
+    write_model,
+    write_observations,
 )
 
-from oracles import cumulative_hazard
+from oracles import cumulative_hazard, merge_times
 
 
 def tiny_spec(**overrides):
@@ -128,27 +133,45 @@ class TestTruthModel:
         assert truth.coefficients[19](5.0) == 0.0  # campaign 19 ended
 
 
+@st.composite
+def sampler_cases(draw):
+    """A truth with a nonzero baseline on at most 12 intervals and d <= 4,
+    a path constant from t=0 with levels in (0, 3], and a uniform draw."""
+    d = draw(st.integers(0, 4))
+    horizon = draw(st.floats(0.5, 10.0))
+    times = draw(st.lists(st.floats(0.01, horizon - 0.01), max_size=11))
+    knots = KnotSet(merge_times(times), horizon)
+    row = st.lists(st.floats(0.0, 2.0), min_size=knots.n_intervals, max_size=knots.n_intervals)
+    baseline = draw(row.filter(any))
+    coefficients = {j: StepFunction(knots, draw(row)) for j in range(d) if draw(st.booleans())}
+    truth = HazardModel(knots, d, StepFunction(knots, baseline), coefficients)
+    levels = st.floats(0.0, 3.0, exclude_min=True)
+    path = FeaturePath(d, {j: ((0.0, draw(levels)),) for j in range(d) if draw(st.booleans())})
+    return truth, path, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
 class TestSampler:
-    def test_inverse_residual_tiny(self):
-        # replay the uniform draw and check Lambda(0, tau) == -log(u) exactly
-        spec = tiny_spec(n=1, baseline_level=0.4, horizon=6.0, scan_times=(2.0, 4.0))
-        truth = truth_model(spec)
-        rng = np.random.default_rng(60)
-        worst = 0.0
-        hits = 0
-        for _ in range(500):
-            path = FeaturePath(3, {0: ((0.0, 1.0),)} if rng.random() < 0.5 else {})
-            u = rng.random()
-            tau = sample_event_time(path, truth, _FixedU(u))
-            target = -math.log(u)
-            if math.isfinite(tau) and tau < truth.knots.horizon:
-                hits += 1
-                resid = abs(cumulative_hazard(truth, path, 0.0, tau) - target)
-                worst = max(worst, resid)
-            else:
-                assert cumulative_hazard(truth, path, 0.0, truth.knots.horizon) < target
-        assert hits > 100
-        assert worst < 1e-10
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sampler_cases())
+    def test_inverse_residual_tiny(self, case):
+        # replay the uniform draw: Lambda(0, tau) == -log(u) when the event
+        # falls in the window, and no event exactly when Lambda(0, H) < -log(u)
+        truth, path, u = case
+        tau = sample_event_time(path, truth, _FixedU(u))
+        target = -math.log(u)
+        H = truth.knots.horizon
+        assert math.isinf(tau) == (cumulative_hazard(truth, path, 0.0, H) < target)
+        if math.isfinite(tau):
+            assert 0.0 < tau <= H
+            assert abs(cumulative_hazard(truth, path, 0.0, tau) - target) <= 1e-10
+
+    def test_paths_not_constant_on_the_window_are_refused(self):
+        truth = truth_model(tiny_spec())
+        for entries in ({0: ((1.0, 1.0),)}, {0: ((0.0, 1.0), (2.0, 0.0))}):
+            with pytest.raises(ValueError, match="changes after t=0"):
+                sample_event_time(FeaturePath(3, entries), truth, _FixedU(0.5))
+        with pytest.raises(ValueError, match="dimension"):
+            sample_event_time(FeaturePath(2, {}), truth, _FixedU(0.5))
 
     def test_unit_uniform_draw_survives(self):
         truth = truth_model(tiny_spec())
@@ -192,6 +215,29 @@ class TestSampler:
 
 
 class TestGenerate:
+    # sha256 of the observation and truth files of default_scenario(s),
+    # s = 0, 1, 2; the benchmark's stored objectives rest on these bytes
+    DEFAULT_SCENARIO_FILES = {
+        0: ("fe7013875312d8ca82f0549c7aa0c6b4b37f78313e69a0ca5532f4022a80f27e",
+            "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+        1: ("115cb90a772678296875de9f35325e2e667476583ac51719890c26027124a1c3",
+            "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+        2: ("c51565d84637aea26ebe7ab8668236a6c1864add26da4b5ae76ae51dec74fe9b",
+            "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DEFAULT_SCENARIO_FILES))
+    def test_default_scenario_files_are_stable(self, seed, tmp_path):
+        spec = default_scenario(seed)
+        truth, obs = generate(spec)
+        write_observations(tmp_path / "obs.jsonl", obs, d=spec.d, horizon=spec.horizon)
+        write_model(tmp_path / "truth.json", truth)
+        digests = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("obs.jsonl", "truth.json")
+        )
+        assert digests == self.DEFAULT_SCENARIO_FILES[seed]
+
     def test_deterministic(self):
         spec = tiny_spec(n=40)
         t1, o1 = generate(spec)

@@ -1,0 +1,32 @@
+"""The package's export list: ``__all__`` names exactly what ``__init__`` imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tvhazard
+
+SCRIPT = """
+import json, types
+import tvhazard
+star = {}
+exec("from tvhazard import *", star)
+public = [n for n, v in vars(tvhazard).items()
+          if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+print(json.dumps([sorted(set(star) - {"__builtins__"}), sorted(public), tvhazard.__all__]))
+"""
+
+
+def test_star_import_gives_exactly_the_public_names(tmp_path):
+    # a fresh interpreter: a stale __all__ entry fails the star import there
+    package_root = Path(tvhazard.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package_root), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    star, public, names = json.loads(proc.stdout)
+    assert star == public
+    assert len(names) == len(set(names))

@@ -17,7 +17,9 @@ from tvhazard import (
     KnotSet,
     Observation,
     StepFunction,
+    default_scenario,
     eval_step,
+    generate,
     model_matrix,
     nll_dataset,
     read_model,
@@ -102,6 +104,17 @@ class TestObservationFiles:
             assert got == obs
             assert header == {"d": 3, "horizon": 5.0, "time_unit": "abstract"}
 
+    def test_writer_refuses_files_the_reader_or_the_fit_would_refuse(self, tmp_path):
+        # paths of d=40 under a d=3 header; brackets up to 9.0 under horizon 5.0
+        spec = default_scenario(0)
+        _, obs = generate(spec)
+        f = tmp_path / "obs.jsonl"
+        with pytest.raises(ValueError, match="path d=40, file d=3"):
+            write_observations(f, obs, d=3, horizon=spec.horizon)
+        with pytest.raises(ValueError, match="beyond horizon 5.0"):
+            write_observations(f, obs, d=spec.d, horizon=5.0)
+        assert not f.exists()
+
     def test_adversarial_floats_round_trip(self, tmp_path):
         p = FeaturePath(2, {0: ((0.1000000001, 1e-300), (3.9, 7e15))})
         obs = [
@@ -115,7 +128,7 @@ class TestObservationFiles:
 
     def test_bytes_match_the_streamed_writer(self, tmp_path):
         rng = np.random.default_rng(71)
-        p = FeaturePath(2, {0: ((0.1000000001, 1e-300), (3.9, 7e15))})
+        p = FeaturePath(3, {0: ((0.1000000001, 1e-300), (3.9, 7e15))})
         obs = random_observations(rng, n=40) + [
             Observation.interval(p, 1e-12, 4.999999999999999, id="edge \u00e9\"q"),
             Observation.right_censored(p, 2.5000000000000004),

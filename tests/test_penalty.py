@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project, tv
+from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project
 
 from oracles import (
     fused_lasso_prox_array,
@@ -14,6 +14,7 @@ from oracles import (
     fused_prox_dual,
     grid_minimize,
     isotonic_bruteforce,
+    tv,
 )
 
 
@@ -63,13 +64,13 @@ prox_weights = st.one_of(
 
 class TestTV:
     def test_basic_values(self):
-        assert tv([1.0]) == 0.0
-        assert tv([0.0, 1.0, 0.0]) == 2.0
-        assert tv([2.0, 2.0, 2.0]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tv([])
+        # the penalty's value: gamma times the rows' summed total variation
+        pen = PenaltyConfig(gamma=1.0)
+        assert pen.value(np.array([[1.0]])) == 0.0
+        assert pen.value(np.array([[0.0, 1.0, 0.0]])) == 2.0
+        assert pen.value(np.array([[2.0, 2.0, 2.0]])) == 0.0
+        assert PenaltyConfig(gamma=1.5).value(np.array([[0.0, 1.0, 0.0], [2.0, 3.0, 3.0]])) == 4.5
+        assert PenaltyConfig(gamma=0.0).value(np.array([[0.0, 1.0]])) == 0.0
 
 
 class TestFusedLassoProx:

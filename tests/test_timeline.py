@@ -12,19 +12,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tvhazard import (
+    CensoredDesign,
     FeaturePath,
     KnotSet,
     Observation,
     StepFunction,
     build_knot_set,
-    eval_feature,
     eval_step,
-    merge_times,
 )
 from tvhazard.formats import _row_from_json, _row_json
 from tvhazard.timeline import MERGE_TOL
 
-from oracles import integrate_step, integrate_step_product
+from oracles import integrate_step, integrate_step_product, level_at, merge_times
 
 
 def random_knots(rng, horizon=10.0, max_knots=6):
@@ -96,45 +95,34 @@ class TestStepFunction:
             _row_from_json(ks, row)
 
 
+def exposures(path, knots):
+    """The design's exposure of every coefficient row on every knot
+    interval for one observation of ``path``, right-censored at the horizon."""
+    design = CensoredDesign(knots, [Observation.right_censored(path, knots.horizon)])
+    return design._u_colsum.reshape(design.shape)
+
+
 class TestFeaturePath:
     def test_value_is_zero_before_first_change(self):
         p = FeaturePath(3, {1: ((2.0, 5.0),)})
-        assert eval_feature(p, 1, 0.0) == 0.0
-        assert eval_feature(p, 1, 1.999) == 0.0
-        assert eval_feature(p, 1, 2.0) == 5.0
-        assert eval_feature(p, 0, 100.0) == 0.0
+        U = exposures(p, KnotSet((1.0, 2.0), 4.0))
+        assert U[2].tolist() == [0.0, 0.0, 10.0]
+        assert not U[1].any() and not U[3].any()
 
     def test_latest_change_wins(self):
         p = FeaturePath(1, {0: ((1.0, 1.0), (4.0, 0.25), (6.0, 0.0))})
-        assert eval_feature(p, 0, 3.0) == 1.0
-        assert eval_feature(p, 0, 4.0) == 0.25
-        assert eval_feature(p, 0, 7.0) == 0.0
+        U = exposures(p, KnotSet((1.0, 4.0, 6.0), 8.0))
+        assert U[1].tolist() == [0.0, 3.0, 0.5, 0.0]
 
     def test_out_of_range_feature_raises(self):
-        p = FeaturePath(2, {})
-        with pytest.raises(IndexError):
-            eval_feature(p, 2, 0.0)
-        with pytest.raises(IndexError):
-            eval_feature(p, -1, 0.0)
+        with pytest.raises(ValueError, match="outside"):
+            FeaturePath(2, {2: ((0.0, 1.0),)})
+        with pytest.raises(ValueError, match="outside"):
+            FeaturePath(2, {-1: ((0.0, 1.0),)})
 
     def test_change_times_collects_all_features(self):
         p = FeaturePath(4, {0: ((1.0, 1.0),), 3: ((0.5, 2.0), (1.0, 0.0))})
         assert p.change_times() == (0.5, 1.0)
-
-    def test_binary_search_agrees_with_linear_scan(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            k = rng.integers(1, 8)
-            ts = np.sort(rng.uniform(0, 10, size=k))
-            ts = merge_times(ts.tolist(), tol=1e-6)
-            vs = rng.uniform(0, 3, size=len(ts))
-            p = FeaturePath(1, {0: tuple(zip(ts, vs))})
-            for t in rng.uniform(0, 12, size=20):
-                expect = 0.0
-                for ct, cv in zip(ts, vs):
-                    if ct <= t:
-                        expect = cv
-                assert eval_feature(p, 0, t) == expect
 
 
 class TestObservation:
@@ -249,12 +237,16 @@ class TestBuildKnotSet:
 
 
 class TestMergeTimes:
+    # the knot set merges the censoring boundaries and change times
     def test_sorts_and_dedupes(self):
-        assert merge_times([3.0, 1.0, 1.0, 2.0]) == (1.0, 2.0, 3.0)
+        p = FeaturePath(1, {})
+        obs = [Observation.interval(p, l, r) for l, r in ((3.0, 4.0), (1.0, 2.0), (1.0, 3.0))]
+        assert build_knot_set(obs, horizon=5.0).times == (1.0, 2.0, 3.0, 4.0)
 
     def test_tolerance_keeps_first_representative(self):
-        out = merge_times([1.0, 1.0 + 5e-10, 2.0])
-        assert out == (1.0, 2.0)
+        p = FeaturePath(1, {})
+        obs = [Observation.interval(p, 1.0 + 5e-10, 2.0), Observation.interval(p, 1.0, 3.0)]
+        assert build_knot_set(obs, horizon=5.0).times == (1.0, 2.0, 3.0)
 
 
 class TestIntegration:
@@ -289,7 +281,7 @@ class TestIntegration:
             a, b = np.sort(rng.uniform(0, ks.horizon, size=2))
             pts = [t for t in list(ks.times) + list(ts) if a < t < b]
             ref, err = scipy.integrate.quad(
-                lambda t: eval_step(f, t) * eval_feature(p, 0, t), a, b,
+                lambda t: eval_step(f, t) * level_at(p, 0, t), a, b,
                 points=sorted(pts), limit=200,
             )
             got = integrate_step_product(f, p, 0, a, b)
