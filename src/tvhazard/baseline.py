@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 from scipy import optimize
 
-from .likelihood import HazardModel, _inv_expm1, _log1mexp_vec, _pooled_event_rate, _run_table
+from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _run_table
 from .likelihood import _warn_at_caller, model_matrix
 from .penalty import PenaltyConfig
 from .solver import SolverConfig, SolverWarning, fit
@@ -160,9 +160,10 @@ def _proportional_value_grad(theta, pieces, l2_weight):
     rate = np.exp(np.minimum(theta[0] + X @ theta[1:], _EXP_CAP))
     # mass > 0 on every bracket: positive base rate over a nonempty bracket
     mass = np.bincount(obs, weights=rate * bracket, minlength=len(is_interval))[is_interval]
-    value = float((rate * head).sum() - _log1mexp_vec(mass).sum())
+    log_mass, inv = _bracket_terms(mass)
+    value = float((rate * head).sum() - log_mass.sum())
     coef = np.zeros(len(is_interval))
-    coef[is_interval] = _inv_expm1(mass)
+    coef[is_interval] = inv
     q = rate * (head - coef[obs] * bracket)
     grad = np.concatenate(([q.sum()], X.T @ q))
     if l2_weight > 0.0:

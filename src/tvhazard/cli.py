@@ -114,11 +114,19 @@ def cmd_fit(args):
     return 0
 
 
-def _check_dimensions(model, header, model_path, obs_path):
+def _check_compatible(model, header, observations, model_path, obs_path):
+    """Refuse a model whose dimension differs from the file's, or whose
+    horizon ends before the file's last censoring boundary."""
     if model.d != header["d"]:
         raise FormatError(
             f"dimension mismatch: model {model_path} has d={model.d}, "
             f"observations {obs_path} have d={header['d']}"
+        )
+    last = max(o.right for o in observations)
+    if last > model.knots.horizon:
+        raise FormatError(
+            f"horizon mismatch: model {model_path} ends at {model.knots.horizon}, "
+            f"observations {obs_path} reach {last}"
         )
 
 
@@ -127,7 +135,7 @@ def cmd_evaluate(args):
     observations, header = read_observations(args.observations)
     if not observations:
         raise FormatError(f"{args.observations}: no observation records")
-    _check_dimensions(model, header, args.model, args.observations)
+    _check_compatible(model, header, observations, args.model, args.observations)
     total = nll_dataset(model, observations)
     report = {"n": len(observations), "total_nll": total, "mean_nll": total / len(observations)}
     if args.out is not None:

@@ -110,7 +110,11 @@ def _parse_observation(rec, d, lineno, path):
 
 
 def read_observations(path):
-    """Parse an observation file; returns ``(observations, header_dict)``."""
+    """Parse an observation file; returns ``(observations, header_dict)``.
+
+    Raises :class:`FormatError`, naming the file and line, for a malformed
+    record or one whose censoring boundary lies beyond the header's horizon.
+    """
     observations = []
     header = None
     with open(path, "r", encoding="utf-8") as f:
@@ -134,7 +138,12 @@ def read_observations(path):
                 if header["d"] < 0 or not math.isfinite(header["horizon"]):
                     raise FormatError(f"{path}:{lineno}: bad header values")
                 continue
-            observations.append(_parse_observation(rec, header["d"], lineno, path))
+            o = _parse_observation(rec, header["d"], lineno, path)
+            if o.right > header["horizon"]:
+                raise FormatError(
+                    f"{path}:{lineno}: censoring boundary {o.right} beyond horizon {header['horizon']}"
+                )
+            observations.append(o)
     if header is None:
         raise FormatError(f"{path}: empty file (missing header record)")
     return observations, header

@@ -19,6 +19,7 @@ for tiny brackets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -139,6 +140,9 @@ class CensoredDesign:
     The constructor takes every nonzero constant run from one segment table
     (:func:`_run_table`) and overlaps every run with every knot interval in
     one broadcast, once for the head window and once for the bracket.
+    Each feature path computes its runs once and keeps them, so every later
+    design over the same records (a sweep's fits and validation NLLs on
+    sublists of one dataset) only gathers them into the table.
     The dataset NLL needs only the sum of the head terms, so head exposures
     are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
     matrix of per-observation head exposures is never formed.  Bracket
@@ -248,8 +252,9 @@ class CensoredDesign:
                     "zero-mass event bracket: gradient undefined without a floor; "
                     "keep the intercept strictly positive (positivity floor)"
                 )
-            value += float(-_log1mexp_vec(br).sum())
-            grad -= self._V_t @ _inv_expm1(br)
+            log_mass, inv = _bracket_terms(br)
+            value += float(-log_mass.sum())
+            grad -= self._V_t @ inv
         return value, grad
 
 
@@ -262,29 +267,36 @@ def _run_table(observations):
     observation, then row, then start; and the ``left`` and ``right`` ends
     and ``is_interval`` flags, in input order.  Row 0 is the intercept, one
     run of value 1 from time 0; feature ``j`` is row ``j + 1``, one run per
-    nonzero change until the next change (or forever).  The runs go into one
-    flat list, five numbers each, converted once and reshaped; a list of
-    per-run tuples made the build about 1.7x as slow.  Raises
-    ``ValueError`` for no observations or paths of different dimensions.
+    nonzero change until the next change (or forever).  Each path computes
+    its feature runs once and keeps them (``FeaturePath._runs``), so a
+    second table over the same records only gathers them: one array over
+    all feature runs, and the observation column and intercept rows filled
+    by NumPy.  Raises ``ValueError`` for no observations or paths of
+    different dimensions.
     """
     if not observations:
         raise ValueError("no observations")
-    d = observations[0].path.d
-    flat, left, right, is_interval = [], [], [], []
-    for i, o in enumerate(observations):
-        if o.path.d != d:
-            raise ValueError(f"dimension mismatch: paths with d={d} and d={o.path.d}")
-        left.append(o.left)
-        right.append(o.right)
-        is_interval.append(o.kind == "interval")
-        flat += (i, 0, 0.0, math.inf, 1.0)
-        for j, changes in sorted(o.path.entries.items()):
-            for c, (start, v) in enumerate(changes):
-                if v != 0.0:
-                    end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
-                    flat += (i, j + 1, start, end, v)
-    table = np.array(flat, dtype=float).reshape(-1, 5)
-    return d, table, np.array(left), np.array(right), np.array(is_interval)
+    dims = [o.path.d for o in observations]
+    d = dims[0]
+    if dims.count(d) != len(dims):
+        other = next(x for x in dims if x != d)
+        raise ValueError(f"dimension mismatch: paths with d={d} and d={other}")
+    left = np.array([o.left for o in observations])
+    right = np.array([o.right for o in observations])
+    is_interval = np.array([o.kind == "interval" for o in observations])
+    runs = [o.path._runs for o in observations]
+    size = np.fromiter(map(len, runs), np.intp, len(runs))
+    # rows per observation: its intercept run, then its feature runs
+    count = size // 4 + 1
+    table = np.empty((int(count.sum()), 5))
+    table[:, 0] = np.repeat(np.arange(len(runs)), count)
+    intercept = np.cumsum(count) - count
+    table[intercept, 1:] = (0.0, 0.0, math.inf, 1.0)
+    feature = np.ones(len(table), dtype=bool)
+    feature[intercept] = False
+    flat = np.fromiter(itertools.chain.from_iterable(runs), float, int(size.sum()))
+    table[feature, 1:] = flat.reshape(-1, 4)
+    return d, table, left, right, is_interval
 
 
 def _pooled_event_rate(left, right, is_interval):
@@ -318,15 +330,19 @@ def _run_exposures(table, B, a, b):
     return out
 
 
-def _inv_expm1(x):
+def _bracket_terms(x):
+    """``log(1 - e^-x)`` and ``1/(e^x - 1)`` of each bracket mass ``x``, from
+    one ``exp`` and one ``expm1``."""
+    e, one_minus_e = np.exp(-x), -np.expm1(-x)
     # 1/(e^x - 1) written as e^-x/(1 - e^-x): no overflow for huge x
-    return np.exp(-x) / (-np.expm1(-x))
+    return _log1mexp(x, e, one_minus_e), e / one_minus_e
 
 
 def _log1mexp_vec(x):
-    out = np.empty_like(x)
-    small = x < _LOG2
+    return _log1mexp(x, np.exp(-x), -np.expm1(-x))
+
+
+def _log1mexp(x, e, one_minus_e):
+    # log(1 - e^-x) through expm1 below log 2 and through log1p above
     with np.errstate(divide="ignore"):
-        out[small] = np.log(-np.expm1(-x[small]))
-        out[~small] = np.log1p(-np.exp(-x[~small]))
-    return out
+        return np.where(x < _LOG2, np.log(one_minus_e), np.log1p(-e))

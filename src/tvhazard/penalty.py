@@ -57,11 +57,9 @@ class PenaltyConfig:
         if self.gamma == 0.0 or W.shape[1] == 1:
             return 0.0
         row_tv = np.abs(np.diff(W, axis=1)).sum(axis=1)
-        # summed in order, not with sum(): Python >= 3.12 compensates float sums
-        total = 0.0
-        for v in row_tv.tolist():
-            total += v
-        return self.gamma * total
+        # cumsum adds the rows in order; NumPy's sum() is pairwise and
+        # Python's compensates float sums from 3.12 on
+        return self.gamma * float(np.cumsum(row_tv)[-1])
 
     def prox(self, Y, step):
         """The prox of ``gamma * step * TV`` and the constraints, applied to

@@ -13,8 +13,10 @@ arrays, for the Python-float version the library runs;
 ``write_observations_streamed``, which encodes record by record with
 ``json.dump``, for the library's one-write observation writer;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
-rate computed from the run table's arrays; and ``dyadic_decimal``, exact
-rational arithmetic on integers, for the model writer's decimal deltas.
+rate computed from the run table's arrays; ``run_table_loop``, one run at
+a time, for the run table gathered from each path's kept runs; and
+``dyadic_decimal``, exact rational arithmetic on integers, for the model
+writer's decimal deltas.
 ``representer_observations`` is not an oracle: it draws the datasets of
 acceptance criterion 3, which the solver tests reuse.
 """
@@ -217,6 +219,30 @@ def pooled_event_rate_loop(observations):
             events += 1
             exposure += 0.5 * (o.left + o.right)
     return events / exposure if exposure > 0.0 else 0.0
+
+
+def run_table_loop(observations):
+    """The likelihood's run table built one run at a time, as
+    ``likelihood._run_table`` returns it: ``(d, table, left, right,
+    is_interval)``, the table's rows ``(observation, coefficient row, start,
+    end, value)`` with the intercept run first and then each feature's
+    nonzero runs by ascending ``j``."""
+    d = observations[0].path.d
+    flat, left, right, is_interval = [], [], [], []
+    for i, o in enumerate(observations):
+        if o.path.d != d:
+            raise ValueError(f"dimension mismatch: paths with d={d} and d={o.path.d}")
+        left.append(o.left)
+        right.append(o.right)
+        is_interval.append(o.kind == "interval")
+        flat += (i, 0, 0.0, math.inf, 1.0)
+        for j, changes in sorted(o.path.entries.items()):
+            for c, (start, v) in enumerate(changes):
+                if v != 0.0:
+                    end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
+                    flat += (i, j + 1, start, end, v)
+    table = np.array(flat, dtype=float).reshape(-1, 5)
+    return d, table, np.array(left), np.array(right), np.array(is_interval)
 
 
 def isotonic_bruteforce(y):

@@ -174,6 +174,17 @@ class TestFit:
         args = ["fit", "--observations", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "m")]
         assert main(args) == 4
 
+    def test_record_beyond_header_horizon_names_file_and_line(self, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        for censoring in ({"kind": "interval", "l": 1.0, "r": 9.0}, {"kind": "right", "t": 9.0}):
+            records = [{"d": 1, "horizon": 5.0}, {"censoring": {"kind": "right", "t": 2.0}},
+                       {"censoring": censoring}]
+            obs.write_text("".join(json.dumps(r) + "\n" for r in records))
+            args = ["fit", "--observations", str(obs), "--out", str(tmp_path / "m.json")]
+            assert main(args) == 2
+            assert f"{obs}:3: censoring boundary 9.0 beyond horizon 5.0" in capsys.readouterr().err
+            assert not (tmp_path / "m.json").exists()
+
     def test_numerical_failure_exit_code(self, obs_file, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("objective not finite")
@@ -189,6 +200,22 @@ class TestEvaluate:
         mpath = tmp_path / "d1.json"
         write_model(mpath, model)
         assert main(["evaluate", "--model", str(mpath), "--observations", str(obs_file)]) == 2
+
+    def test_horizon_mismatch_names_both_files(self, obs_file, tmp_path, capsys):
+        # decided from the records: a model covering every record evaluates
+        # whatever the file's header says
+        last = max(o.right for o in read_observations(obs_file)[0])
+        model = ConstantAdditiveModel(intercept=0.2, weights=(0.1,) * 4)
+        short, exact = tmp_path / "short.json", tmp_path / "exact.json"
+        write_model(short, model.to_hazard_model(last / 2))
+        write_model(exact, model.to_hazard_model(last))
+        long_header = tmp_path / "long.jsonl"
+        lines = obs_file.read_text().splitlines(keepends=True)
+        long_header.write_text(json.dumps({"d": 4, "horizon": 2 * last}) + "\n" + "".join(lines[1:]))
+        assert main(["evaluate", "--model", str(short), "--observations", str(obs_file)]) == 2
+        err = capsys.readouterr().err
+        assert str(short) in err and str(obs_file) in err
+        assert main(["evaluate", "--model", str(exact), "--observations", str(long_header)]) == 0
 
 
 class TestSweep:

@@ -18,11 +18,14 @@ from tvhazard import (
     HazardModel,
     KnotSet,
     Observation,
+    PenaltyConfig,
     ProportionalModel,
+    SolverConfig,
     StepFunction,
     ZeroBracketWarning,
     build_knot_set,
     default_scenario,
+    fit,
     fit_proportional,
     generate,
     matrix_model,
@@ -40,6 +43,7 @@ from oracles import (
     merge_times,
     nll_observation,
     pooled_event_rate_loop,
+    run_table_loop,
     scalar_nll,
     survival,
 )
@@ -483,6 +487,63 @@ def censored_times(draw):
             left = draw(st.one_of(st.just(0.0), times))
             obs.append(Observation.interval(FeaturePath(0, {}), left, left + draw(times)))
     return obs
+
+
+def fresh_copies(observations):
+    """The same records built anew, so no path has computed its runs yet."""
+    return [replace(o, path=FeaturePath(o.path.d, o.path.entries)) for o in observations]
+
+
+class TestRunTable:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design_inputs())
+    def test_table_matches_the_loop_bitwise(self, case):
+        _, obs = case
+        want = run_table_loop(obs)
+        for _ in range(2):  # the paths compute their runs, then reuse them
+            got = _run_table(obs)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:], strict=True):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+    def test_design_from_kept_runs_equals_a_cold_one(self):
+        _, obs = generate(replace(default_scenario(3), n=400))
+        rng = np.random.default_rng(3)
+        obs += [replace(o, path=random_path(rng, 40, 9.0)) for o in obs[:100]]
+        knots = build_knot_set(obs)
+        CensoredDesign(knots, obs)
+        warm = CensoredDesign(knots, obs)
+        cold = CensoredDesign(knots, fresh_copies(obs))
+        assert warm._u_colsum.tobytes() == cold._u_colsum.tobytes()
+        for part in ("data", "indices", "indptr"):
+            assert getattr(warm.V, part).tobytes() == getattr(cold.V, part).tobytes()
+
+    def test_fit_on_reused_records_equals_a_fresh_one(self):
+        _, obs = generate(replace(default_scenario(4), n=300))
+        knots = build_knot_set(obs)
+        config = SolverConfig(penalty=PenaltyConfig(gamma=1.0))
+        nll_dataset(fit(obs, config, knots=knots).model, obs[::2])
+        warm = fit(obs, config, knots=knots)
+        cold = fit(fresh_copies(obs), config, knots=knots)
+        assert model_matrix(warm.model).tobytes() == model_matrix(cold.model).tobytes()
+        assert warm.objective_trace == cold.objective_trace
+        assert warm.train_nll == cold.train_nll
+
+    def test_each_path_computes_its_runs_once(self, monkeypatch):
+        _, obs = generate(replace(default_scenario(5), n=200))
+        runs = FeaturePath.__dict__["_runs"]
+        computed, func = [], runs.func
+
+        def counting(path):
+            computed.append(id(path))
+            return func(path)
+
+        monkeypatch.setattr(runs, "func", counting)
+        result = fit(obs, SolverConfig(penalty=PenaltyConfig(gamma=1.0)))
+        nll_dataset(result.model, obs)
+        nll_dataset(result.model, obs[::3])
+        assert sorted(computed) == sorted({id(o.path) for o in obs})
 
 
 class TestPooledEventRate:
