@@ -19,12 +19,12 @@ for tiny brackets.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse
@@ -140,9 +140,6 @@ class CensoredDesign:
     The constructor takes every nonzero constant run from one segment table
     (:func:`_run_table`) and overlaps every run with every knot interval in
     one broadcast, once for the head window and once for the bracket.
-    Each feature path computes its runs once and keeps them, so every later
-    design over the same records (a sweep's fits and validation NLLs on
-    sublists of one dataset) only gathers them into the table.
     The dataset NLL needs only the sum of the head terms, so head exposures
     are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
     matrix of per-observation head exposures is never formed.  Bracket
@@ -228,7 +225,7 @@ class CensoredDesign:
                     ZeroBracketWarning,
                 )
                 return math.inf
-            total += float(-_log1mexp_vec(br).sum())
+            total += float(-_bracket_terms(br)[0].sum())
         return total
 
     def nll_grad(self, w, floor=0.0):
@@ -267,36 +264,46 @@ def _run_table(observations):
     observation, then row, then start; and the ``left`` and ``right`` ends
     and ``is_interval`` flags, in input order.  Row 0 is the intercept, one
     run of value 1 from time 0; feature ``j`` is row ``j + 1``, one run per
-    nonzero change until the next change (or forever).  Each path computes
-    its feature runs once and keeps them (``FeaturePath._runs``), so a
-    second table over the same records only gathers them: one array over
-    all feature runs, and the observation column and intercept rows filled
-    by NumPy.  Raises ``ValueError`` for no observations or paths of
-    different dimensions.
+    nonzero change until the next change (or forever).  Python only chains
+    the paths' change lists into flat arrays; the runs' ends, their
+    observation and row columns and the intercept rows are filled by NumPy.
+    Raises ``ValueError`` for no observations or paths of different
+    dimensions.
     """
     if not observations:
         raise ValueError("no observations")
-    dims = [o.path.d for o in observations]
+    n = len(observations)
+    paths = [o.path for o in observations]
+    dims = [p.d for p in paths]
     d = dims[0]
-    if dims.count(d) != len(dims):
+    if dims.count(d) != n:
         other = next(x for x in dims if x != d)
         raise ValueError(f"dimension mismatch: paths with d={d} and d={other}")
     left = np.array([o.left for o in observations])
     right = np.array([o.right for o in observations])
     is_interval = np.array([o.kind == "interval" for o in observations])
-    runs = [o.path._runs for o in observations]
-    size = np.fromiter(map(len, runs), np.intp, len(runs))
-    # rows per observation: its intercept run, then its feature runs
-    count = size // 4 + 1
-    table = np.empty((int(count.sum()), 5))
-    table[:, 0] = np.repeat(np.arange(len(runs)), count)
-    intercept = np.cumsum(count) - count
-    table[intercept, 1:] = (0.0, 0.0, math.inf, 1.0)
-    feature = np.ones(len(table), dtype=bool)
-    feature[intercept] = False
-    flat = np.fromiter(itertools.chain.from_iterable(runs), float, int(size.sum()))
-    table[feature, 1:] = flat.reshape(-1, 4)
-    return d, table, left, right, is_interval
+    # one item per feature with changes, in path order
+    entries = [p.entries for p in paths]
+    changes = list(chain.from_iterable(map(dict.values, entries)))
+    size = np.array(list(map(len, changes)), dtype=np.intp)
+    flat = np.array(list(chain.from_iterable(chain.from_iterable(changes))), dtype=float)
+    start, value = flat.reshape(-1, 2).T
+    # each change lasts until its feature's next change, the last one forever
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
+    end[np.cumsum(size) - 1] = math.inf
+    row = np.repeat(np.array(list(chain.from_iterable(entries)), dtype=np.intp) + 1, size)
+    obs = np.repeat(np.repeat(np.arange(n), list(map(len, entries))), size)
+    keep = value != 0.0
+    table = np.empty((n + int(keep.sum()), 5))
+    table[:n] = (0.0, 0.0, 0.0, math.inf, 1.0)
+    table[:n, 0] = np.arange(n)
+    for c, column in enumerate((obs, row, start, end, value)):
+        table[n:, c] = column[keep]
+    # intercept runs first; the stable sort by (observation, row) keeps each
+    # feature's runs in time order
+    key = np.concatenate((np.arange(n) * (d + 1), (obs * (d + 1) + row)[keep]))
+    return d, table[np.argsort(key, kind="stable")], left, right, is_interval
 
 
 def _pooled_event_rate(left, right, is_interval):
@@ -319,8 +326,8 @@ def _run_exposures(table, B, a, b):
     del lo
     np.clip(out, 0.0, None, out=out)
     out *= table[:, 4][:, None]
-    pair = table[:, :2]
-    later = np.flatnonzero((pair[1:] == pair[:-1]).all(axis=1)) + 1
+    obs, row = table[:, 0], table[:, 1]
+    later = np.flatnonzero((obs[1:] == obs[:-1]) & (row[1:] == row[:-1])) + 1
     if later.size:
         first = np.arange(len(table))
         first[later] = 0
@@ -334,15 +341,7 @@ def _bracket_terms(x):
     """``log(1 - e^-x)`` and ``1/(e^x - 1)`` of each bracket mass ``x``, from
     one ``exp`` and one ``expm1``."""
     e, one_minus_e = np.exp(-x), -np.expm1(-x)
+    # log(1 - e^-x) through expm1 below log 2 and through log1p above;
     # 1/(e^x - 1) written as e^-x/(1 - e^-x): no overflow for huge x
-    return _log1mexp(x, e, one_minus_e), e / one_minus_e
-
-
-def _log1mexp_vec(x):
-    return _log1mexp(x, np.exp(-x), -np.expm1(-x))
-
-
-def _log1mexp(x, e, one_minus_e):
-    # log(1 - e^-x) through expm1 below log 2 and through log1p above
     with np.errstate(divide="ignore"):
-        return np.where(x < _LOG2, np.log(one_minus_e), np.log1p(-e))
+        return np.where(x < _LOG2, np.log(one_minus_e), np.log1p(-e)), e / one_minus_e

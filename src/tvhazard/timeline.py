@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -113,11 +112,6 @@ class FeaturePath:
     ``(change_time, new_value)`` pairs with strictly increasing times; the
     feature is 0 before its first change time and right-continuous at each
     change.  Features absent from ``entries`` are identically 0.
-
-    The path's nonzero constant runs are computed once, on first use, and
-    kept on the record (see :attr:`_runs`), so ``entries`` must not be
-    mutated after construction.  The kept runs take no part in equality,
-    ``repr`` or pickling.
     """
 
     d: int
@@ -144,26 +138,6 @@ class FeaturePath:
             if changes:
                 clean[j] = changes
         object.__setattr__(self, "entries", clean)
-
-    def __getstate__(self):
-        # pickle the fields only: the runs are recomputed on first use
-        return {"d": self.d, "entries": self.entries}
-
-    @cached_property
-    def _runs(self):
-        """Every nonzero constant run as four numbers ``(j + 1, start, end,
-        value)`` in one flat tuple, by ascending ``j``, then start; a run
-        lasts until the feature's next change (or forever)."""
-        runs = []
-        for j, changes in sorted(self.entries.items()):
-            start, v = changes[0]
-            for end, next_v in changes[1:]:
-                if v != 0.0:
-                    runs += (j + 1, start, end, v)
-                start, v = end, next_v
-            if v != 0.0:
-                runs += (j + 1, start, math.inf, v)
-        return tuple(runs)
 
     def change_times(self):
         """Sorted unique change times across all features."""

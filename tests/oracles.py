@@ -14,7 +14,7 @@ arrays, for the Python-float version the library runs;
 ``json.dump``, for the library's one-write observation writer;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
 rate computed from the run table's arrays; ``run_table_loop``, one run at
-a time, for the run table gathered from each path's kept runs; and
+a time, for the run table assembled with NumPy; and
 ``dyadic_decimal``, exact rational arithmetic on integers, for the model
 writer's decimal deltas.
 ``representer_observations`` is not an oracle: it draws the datasets of

@@ -216,6 +216,12 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(short) in err and str(obs_file) in err
         assert main(["evaluate", "--model", str(exact), "--observations", str(long_header)]) == 0
+        # the reader refuses a record past its own header's horizon, even
+        # when the model's horizon covers it
+        short_header = tmp_path / "short.jsonl"
+        short_header.write_text(json.dumps({"d": 4, "horizon": last / 2}) + "\n" + "".join(lines[1:]))
+        assert main(["evaluate", "--model", str(exact), "--observations", str(short_header)]) == 2
+        assert f"{short_header}:" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -33,7 +33,7 @@ from tvhazard import (
     nll_dataset,
     proportional_nll,
 )
-from tvhazard.likelihood import _log1mexp_vec, _pooled_event_rate, _run_table
+from tvhazard.likelihood import _bracket_terms, _pooled_event_rate, _run_table
 
 from oracles import (
     cumulative_hazard,
@@ -186,7 +186,7 @@ class TestLog1mExp:
             for x in [1e-15, 1e-9, 1e-4, 0.1, 0.5, math.log(2), 0.7, 1.0, 5.0, 40.0, 700.0]:
                 ref = float(mpmath.log(1 - mpmath.e ** (-mpmath.mpf(x))))
                 assert log1mexp(x) == pytest.approx(ref, rel=1e-14), x
-                assert _log1mexp_vec(np.array([x]))[0] == pytest.approx(ref, rel=1e-14), x
+                assert _bracket_terms(np.array([x]))[0][0] == pytest.approx(ref, rel=1e-14), x
 
     def test_zero_and_negative_give_minus_inf(self):
         assert log1mexp(0.0) == -math.inf
@@ -490,7 +490,7 @@ def censored_times(draw):
 
 
 def fresh_copies(observations):
-    """The same records built anew, so no path has computed its runs yet."""
+    """The same records built anew: equal, but not the same objects."""
     return [replace(o, path=FeaturePath(o.path.d, o.path.entries)) for o in observations]
 
 
@@ -499,15 +499,13 @@ class TestRunTable:
     @given(design_inputs())
     def test_table_matches_the_loop_bitwise(self, case):
         _, obs = case
-        want = run_table_loop(obs)
-        for _ in range(2):  # the paths compute their runs, then reuse them
-            got = _run_table(obs)
-            assert got[0] == want[0]
-            for a, b in zip(got[1:], want[1:], strict=True):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape)
-                assert a.tobytes() == b.tobytes()
+        want, got = run_table_loop(obs), _run_table(obs)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:], strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
 
-    def test_design_from_kept_runs_equals_a_cold_one(self):
+    def test_design_on_reused_records_equals_a_fresh_one(self):
         _, obs = generate(replace(default_scenario(3), n=400))
         rng = np.random.default_rng(3)
         obs += [replace(o, path=random_path(rng, 40, 9.0)) for o in obs[:100]]
@@ -529,21 +527,6 @@ class TestRunTable:
         assert model_matrix(warm.model).tobytes() == model_matrix(cold.model).tobytes()
         assert warm.objective_trace == cold.objective_trace
         assert warm.train_nll == cold.train_nll
-
-    def test_each_path_computes_its_runs_once(self, monkeypatch):
-        _, obs = generate(replace(default_scenario(5), n=200))
-        runs = FeaturePath.__dict__["_runs"]
-        computed, func = [], runs.func
-
-        def counting(path):
-            computed.append(id(path))
-            return func(path)
-
-        monkeypatch.setattr(runs, "func", counting)
-        result = fit(obs, SolverConfig(penalty=PenaltyConfig(gamma=1.0)))
-        nll_dataset(result.model, obs)
-        nll_dataset(result.model, obs[::3])
-        assert sorted(computed) == sorted({id(o.path) for o in obs})
 
 
 class TestPooledEventRate:

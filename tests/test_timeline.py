@@ -2,7 +2,6 @@
 
 import json
 import math
-import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -120,19 +119,6 @@ class TestFeaturePath:
             FeaturePath(2, {2: ((0.0, 1.0),)})
         with pytest.raises(ValueError, match="outside"):
             FeaturePath(2, {-1: ((0.0, 1.0),)})
-
-    def test_kept_runs_leave_equality_repr_and_pickle_unchanged(self):
-        entries = {2: ((0.5, 1.0), (1.0, 0.0), (3.0, 2.5)), 0: ((0.0, 1.0),)}
-        warm, cold = FeaturePath(3, entries), FeaturePath(3, entries)
-        before = repr(warm), pickle.dumps(warm)
-        # ascending j, zero runs skipped, each run until the next change
-        assert warm._runs == (1, 0.0, math.inf, 1.0, 3, 0.5, 1.0, 1.0, 3, 3.0, math.inf, 2.5)
-        assert "_runs" in vars(warm) and "_runs" not in vars(cold)
-        assert warm == cold
-        assert (repr(warm), pickle.dumps(warm)) == before
-        back = pickle.loads(pickle.dumps(warm))
-        assert back == warm and "_runs" not in vars(back)
-        assert back._runs == warm._runs
 
     def test_change_times_collects_all_features(self):
         p = FeaturePath(4, {0: ((1.0, 1.0),), 3: ((0.5, 2.0), (1.0, 0.0))})
