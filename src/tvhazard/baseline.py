@@ -21,7 +21,7 @@ from scipy import optimize
 from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _run_table
 from .likelihood import _warn_at_caller, model_matrix
 from .penalty import PenaltyConfig
-from .solver import SolverConfig, SolverWarning, fit
+from .solver import SolverConfig, SolverWarning, _one_blas_thread, fit
 from .timeline import KnotSet, StepFunction
 
 _WEIGHT_CAP = 50.0
@@ -193,15 +193,16 @@ def fit_proportional(observations):
     x0 = np.concatenate(([math.log(rate0)], np.zeros(d)))
     bounds = [(-30.0, 30.0)] + [(-_WEIGHT_CAP, _WEIGHT_CAP)] * d
 
-    res = optimize.minimize(
-        _proportional_value_grad,
-        x0,
-        args=(pieces, _L2_WEIGHT),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-10},
-    )
+    with _one_blas_thread():
+        res = optimize.minimize(
+            _proportional_value_grad,
+            x0,
+            args=(pieces, _L2_WEIGHT),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-10},
+        )
     theta = res.x
     if not res.success:
         _warn_at_caller(

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
-import glob
 import json
 import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .datagen import CampaignSpec, default_scenario, generate
@@ -320,25 +317,7 @@ def main(argv=None):
         return 2
 
 
-def _one_scipy_blas_thread():
-    """Run SciPy's bundled OpenBLAS on one thread for the rest of the process.
-
-    L-BFGS-B (unpenalized fits) solves a triangular system with several
-    right-hand sides every iteration, and OpenBLAS hands each such solve,
-    however small, to a worker thread.  On a busy two-core host that worker
-    waits for a core at every iteration: a sweep's unpenalized fit took
-    0.4-0.5 s instead of 10-20 ms.  The solve splits by columns, so the
-    results are the same.  A no-op where SciPy links another BLAS.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads", None)
-        if set_threads is not None:
-            set_threads(1)
-
-
 def entry_point():
-    _one_scipy_blas_thread()
     sys.exit(main())
 
 

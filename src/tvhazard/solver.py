@@ -36,10 +36,16 @@ every constraint, monotone mode's too, live in the penalty's prox.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import optimize
 
 from .likelihood import CensoredDesign, _pooled_event_rate, _warn_at_caller, matrix_model
@@ -298,16 +304,49 @@ def _fit_box_lbfgs(design, config):
         if rel <= config.tolerance:
             raise StopIteration
 
-    optimize.minimize(
-        fun, X.ravel(), jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * X.size,
-        callback=callback,
-        options={"maxiter": config.max_iterations, "maxcor": _LBFGS_MEMORY, "ftol": 0.0,
-                 "gtol": 0.0},
-    )
+    with _one_blas_thread():
+        optimize.minimize(
+            fun, X.ravel(), jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * X.size,
+            callback=callback,
+            options={"maxiter": config.max_iterations, "maxcor": _LBFGS_MEMORY, "ftol": 0.0,
+                     "gtol": 0.0},
+        )
     if rel <= config.tolerance:
         return X, trace, "certified", rel
     stop = "max_iterations" if len(trace) > config.max_iterations else "stalled"
     return _uncertified(X, trace, stop, rel, config, len(trace) - 1)
+
+
+@functools.cache
+def _scipy_openblas():
+    """SciPy's bundled OpenBLAS, or None where SciPy links another BLAS."""
+    for path in glob.glob(os.path.join(scipy.__path__[0], os.pardir, "scipy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads"):
+            lib.scipy_openblas_get_num_threads.argtypes = []
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """SciPy's OpenBLAS on one thread inside the block.  L-BFGS-B hands a
+    small triangular solve to a worker thread every iteration, which on a
+    busy two-core host waited for a core each time (0.4-0.5 s per sweep fit,
+    not 10-20 ms).  The solve splits by columns: the results are the same."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
 
 
 def _uncertified(X, trace, stop, rel, config, it):

@@ -2,14 +2,17 @@
 
 Everything here recomputes answers by a route independent of the library
 implementation: exhaustive enumeration over block partitions, a
-box-constrained dual least-squares solve, plain vectorized grid search, a
-per-run loop over feature paths, or the scalar likelihood route that
+box-constrained dual least-squares solve, the optimality conditions of the
+fused-lasso prox, plain vectorized grid search, a per-run loop over feature
+paths, or the scalar likelihood route that
 integrates one observation at a time on the common refinement of knots and
 change times (with the pointwise ``hazard``, ``level_at``, ``step_at``,
-``merge_times`` and ``tv`` it is written from).  All but two are exponential or polynomially slow and meant
-for tiny instances only.  The exceptions are earlier library code kept as
-bitwise references: ``fused_lasso_prox_array``, the prox recursion on NumPy
-arrays, for the Python-float version the library runs;
+``merge_times`` and ``tv`` it is written from).  Most are exponential or
+polynomially slow and meant for tiny instances only.  The exceptions run
+at any size: ``fused_prox_kkt_residual``, the fused-lasso prox's optimality
+conditions; and earlier library code kept as references:
+``fused_lasso_prox_array``, the message-passing DP the library ran before
+its direct algorithm, a second fused-lasso algorithm;
 ``write_observations_streamed``, which encodes record by record with
 ``json.dump``, for the library's one-write observation writer;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
@@ -92,12 +95,40 @@ def fused_prox_dual(y, lam):
     return y - d_mat.T @ res.x
 
 
+def fused_prox_kkt_residual(y, weight, x):
+    """Largest violation of the optimality conditions of the fused-lasso
+    prox by ``x``, in units of ``len(y) * max(1, max|y|)``.
+
+    ``x`` minimizes ``(1/2)||y - x||^2 + weight * TV(x)`` exactly when
+    ``z = cumsum(y - x)`` ends at zero, stays within ``[-weight, weight]``
+    and equals ``-weight * sign(x[k+1] - x[k])`` wherever ``x`` jumps.  A
+    difference counts as a jump above ``1e-9 * max(1, max|y|)``.  A
+    certificate for any algorithm, at any weight, with no second solver.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    scale = max(1.0, float(np.abs(y).max()))
+    z = np.cumsum(y - x)
+    dx = np.diff(x)
+    jump = np.abs(dx) > 1e-9 * scale
+    worst = max(
+        abs(float(z[-1])),
+        float(np.max(np.abs(z[:-1]) - weight, initial=0.0)),
+        float(np.max(np.abs(z[:-1][jump] + weight * np.sign(dx[jump])), initial=0.0)),
+    )
+    return worst / (y.size * scale)
+
+
 def fused_lasso_prox_array(y, weight):
     """Reference fused-lasso prox: the message-passing DP on NumPy arrays.
 
-    The library's :func:`tvhazard.fused_lasso_prox` runs the same recursion
-    on Python floats; this array version performs the same operations in the
-    same order, so the two must agree bitwise, signed zeros included.
+    Dynamic programming over the piecewise-linear derivative of the backward
+    value function: left-to-right, each step clips the derivative at
+    ``+-weight`` and records the clip locations; the right-to-left sweep
+    reads the solution off the recorded thresholds.  An algorithm unlike
+    the library's (Condat's direct pass), so agreement between the two is
+    evidence for both.  Its thresholds are ``y +- weight``, so its error
+    grows like ``eps * weight``: compare at moderate weights only.
     """
     y = np.asarray(y, dtype=float)
     n = y.size

@@ -44,6 +44,7 @@ from tvhazard.cli import main
 from oracles import (
     cumulative_hazard,
     fused_prox_bruteforce,
+    fused_prox_kkt_residual,
     grid_minimize,
     isotonic_bruteforce,
     representer_observations,
@@ -131,6 +132,15 @@ def test_criterion_2_prox_oracles(capsys):
         gap = np.abs(fused_lasso_prox(y, lam) - fused_prox_bruteforce(y, lam)).max()
         worst_fused = max(worst_fused, gap)
 
+    # the optimality conditions certify the fused prox on rows too long to
+    # enumerate, at weights from negligible to flattening
+    worst_kkt = 0.0
+    kkt_rng = np.random.default_rng(103)
+    for _ in range(200):
+        y = kkt_rng.normal(scale=2.0, size=int(kkt_rng.integers(2, 60)))
+        lam = 10.0 ** kkt_rng.uniform(-20, 20)
+        worst_kkt = max(worst_kkt, fused_prox_kkt_residual(y, lam, fused_lasso_prox(y, lam)))
+
     worst_iso = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 9))
@@ -162,17 +172,18 @@ def test_criterion_2_prox_oracles(capsys):
             worst_joint[monotone] = max(worst_joint[monotone], float(np.abs(x - gx).max()))
 
     dt = time.time() - t0
-    ok = (worst_fused < 1e-6 and worst_iso < 1e-10 and worst_joint[False] < 1e-6
-          and worst_joint[True] < 1e-6 and dt < 60.0)
+    ok = (worst_fused < 1e-6 and worst_kkt <= 1e-12 and worst_iso < 1e-10
+          and worst_joint[False] < 1e-6 and worst_joint[True] < 1e-6 and dt < 60.0)
     verdict(
         capsys,
         2,
         "prox vs brute-force oracles",
         ok,
-        f"fused {worst_fused:.1e}, isotonic {worst_iso:.1e}, joint {worst_joint[False]:.1e}, "
-        f"monotone joint {worst_joint[True]:.1e}, {dt:.1f}s",
+        f"fused {worst_fused:.1e}, fused KKT {worst_kkt:.1e}, isotonic {worst_iso:.1e}, "
+        f"joint {worst_joint[False]:.1e}, monotone joint {worst_joint[True]:.1e}, {dt:.1f}s",
     )
     assert worst_fused < 1e-6
+    assert worst_kkt <= 1e-12
     assert worst_iso < 1e-10
     assert worst_joint[False] < 1e-6
     assert worst_joint[True] < 1e-6

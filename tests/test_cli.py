@@ -20,6 +20,8 @@ import tvhazard
 from tvhazard import (
     ConstantAdditiveModel,
     NumericalError,
+    fit_constant_additive,
+    nll_dataset,
     read_model,
     read_observations,
     write_model,
@@ -151,6 +153,22 @@ class TestFit:
         got = json.loads(ev.read_text())
         assert got["total_nll"] == report["train_nll"]  # same code path, exactly
         assert got["mean_nll"] == got["total_nll"] / got["n"]
+
+    @pytest.mark.parametrize("monotone", [False, True], ids=["fused", "monotone"])
+    def test_a_gamma_that_flattens_every_row_fits_the_constant_model(
+            self, obs_file, tmp_path, monotone):
+        # at gamma=1e20 the prox flattens every row to its mean, so the fit
+        # certifies at the constant additive model's NLL; the weight must
+        # not swamp the rows it flattens
+        out = tmp_path / "model.json"
+        args = ["fit", "--observations", str(obs_file), "--out", str(out), "--gamma", "1e20"]
+        assert main(args + ["--monotone"] * monotone) == 0
+        report = json.loads((tmp_path / "model.json.report.json").read_text())
+        assert report["stop"] == "certified"
+        observations, header = read_observations(obs_file)
+        constant = fit_constant_additive(observations).to_hazard_model(header["horizon"])
+        want = nll_dataset(constant, observations)
+        assert report["train_nll"] == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_monotone_flag_constrains_all_rows(self, obs_file, tmp_path):
         out = tmp_path / "mono.json"
@@ -373,26 +391,3 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"tvhazard {project['version']}\n"
-
-    def test_one_blas_thread_leaves_an_unpenalized_fit_bitwise_unchanged(self, tmp_path):
-        # the console script runs SciPy's OpenBLAS on one thread before any
-        # fit; L-BFGS-B's solves split by columns, so the fit is the same
-        script = (
-            "from tvhazard import PenaltyConfig, SolverConfig, default_scenario, fit, generate, model_matrix\n"
-            "from tvhazard.cli import _one_scipy_blas_thread\n"
-            "_, obs = generate(default_scenario(0))\n"
-            "def run():\n"
-            "    res = fit(obs, SolverConfig(penalty=PenaltyConfig()))\n"
-            "    return model_matrix(res.model).tobytes(), res.objective_trace\n"
-            "before = run()\n"
-            "_one_scipy_blas_thread()\n"
-            "print(run() == before)\n"
-        )
-        env = dict(os.environ)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        package_root = Path(tvhazard.__file__).resolve().parents[1]
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package_root), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              cwd=tmp_path, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True\n"

@@ -12,6 +12,7 @@ from oracles import (
     fused_lasso_prox_array,
     fused_prox_bruteforce,
     fused_prox_dual,
+    fused_prox_kkt_residual,
     grid_minimize,
     isotonic_bruteforce,
     tv,
@@ -55,11 +56,13 @@ def prox_stacks(draw):
     return Y
 
 
-prox_weights = st.one_of(
-    st.sampled_from([0.0, 1e-17]),
-    st.integers(-20, 20).map(lambda e: 10.0**e),
-    st.floats(1e-20, 1e20),
-)
+def prox_weights(top=20):
+    """Weights from 0 and 1e-20 up to ``10**top``: powers of ten and floats."""
+    return st.one_of(
+        st.sampled_from([0.0, 1e-17]),
+        st.integers(-20, top).map(lambda e: 10.0**e),
+        st.floats(1e-20, 10.0**top),
+    )
 
 
 class TestTV:
@@ -173,16 +176,43 @@ class TestFusedLassoProx:
             assert fused_lasso_prox(y, lam).max() <= y.max(), (y, lam)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(prox_rows(), prox_weights)
+    @given(prox_rows(), prox_weights())
     @example(np.array([-2.1, -2.7, 0.0]), 1e-17)
     @example(np.array([0.0, 0.0]), 0.5)
-    def test_bitwise_equal_to_the_array_recursion(self, y, weight):
-        # levels, signed zeros and the max(y) cap all match the array DP
+    def test_meets_the_optimality_conditions_at_every_weight(self, y, weight):
+        # up to rounding of order len(y) * max|y|, whatever the weight
         got = fused_lasso_prox(y, weight)
-        assert got.tobytes() == fused_lasso_prox_array(y, weight).tobytes(), (y, weight)
+        assert fused_prox_kkt_residual(y, weight, got) <= 1e-12, (y, weight)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(prox_stacks(), prox_weights)
+    @given(prox_rows(), prox_weights(top=3))
+    @example(np.array([-2.1, -2.7, 0.0]), 1e-17)
+    @example(np.array([0.0, 0.0]), 0.5)
+    def test_agrees_with_the_array_recursion(self, y, weight):
+        # the message-passing DP is a second algorithm; its own error grows
+        # like eps * weight, so the two are compared at moderate weights
+        gap = np.abs(fused_lasso_prox(y, weight) - fused_lasso_prox_array(y, weight)).max()
+        assert gap <= 1e-12 * y.size * max(1.0, np.abs(y).max()), (y, weight)
+
+    def test_a_weight_that_flattens_the_row_gives_its_mean(self):
+        # the weight dwarfs the row: an exact screen gives the mean, and a
+        # constant row itself, where y +- weight would lose the row
+        assert fused_lasso_prox(np.ones(5), 1e20).tolist() == [1.0] * 5
+        assert fused_lasso_prox(np.full(3, 0.1), 1e20).tolist() == [0.1] * 3
+        assert fused_lasso_prox([1.0, 2.0, 4.0], 1e300).tolist() == [7 / 3] * 3
+        rng = np.random.default_rng(53)
+        for weight in (1e6, 1e9, 1e12):
+            y = rng.normal(size=10)
+            assert np.abs(fused_lasso_prox(y, weight) - y.mean()).max() <= 1e-15
+        for monotone in (False, True):
+            got = PenaltyConfig(gamma=1e20, monotone=monotone).prox(np.array([[0.5, 0.2, 0.9]]), 1.0)
+            assert np.abs(got - 1.6 / 3).max() <= 1e-15
+        for weight in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="weight must be finite"):
+                fused_lasso_prox([1.0, 2.0], weight)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(prox_stacks(), prox_weights())
     @example(np.array([[-2.1, -2.7, 0.0], [1.0, -1.0, 3.0]]), 1e-17)
     def test_a_stack_is_its_rows_proxed_one_by_one(self, Y, weight):
         # one call on a 2-D stack: bitwise the per-row results stacked,

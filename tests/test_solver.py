@@ -1,6 +1,7 @@
 """Proximal gradient solver: descent, determinism, constraints, optima and the
 stationarity certificate."""
 
+import contextlib
 import math
 import warnings
 from dataclasses import replace
@@ -27,6 +28,7 @@ from tvhazard import (
     default_scenario,
     eval_step,
     fit,
+    fit_proportional,
     fused_lasso_prox,
     generate,
     isotonic_project,
@@ -233,6 +235,59 @@ class TestFullBatch:
             fitted = res.objective_trace[-1][1]
             assert fitted <= ref.fun + 1e-5 * max(1.0, abs(ref.fun))
             assert ref.fun <= fitted + 1e-5 * max(1.0, abs(fitted))
+
+    def test_lbfgs_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        # both L-BFGS-B callers, the unpenalized fit and the proportional
+        # baseline, pin SciPy's OpenBLAS to one thread for the minimization
+        # only, also when it raises
+        lib = tvhazard.solver._scipy_openblas()
+        assert lib is not None
+        obs = sim_observations(np.random.default_rng(27), n=40)
+        seen = []
+        minimize = tvhazard.solver.optimize.minimize
+
+        def recording(*args, **kwargs):
+            seen.append(lib.scipy_openblas_get_num_threads())
+            return minimize(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("minimize failed")
+
+        threads = lib.scipy_openblas_get_num_threads()
+        try:
+            lib.scipy_openblas_set_num_threads(2)
+            monkeypatch.setattr(tvhazard.solver.optimize, "minimize", recording)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SolverWarning)
+                fit(obs, cfg(0.0, max_iterations=20))
+            fit_proportional(obs)
+            assert seen == [1, 1]
+            assert lib.scipy_openblas_get_num_threads() == 2
+            monkeypatch.setattr(tvhazard.solver.optimize, "minimize", failing)
+            with pytest.raises(RuntimeError, match="minimize failed"):
+                fit(obs, cfg(0.0))
+            assert lib.scipy_openblas_get_num_threads() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads(threads)
+
+    def test_one_blas_thread_leaves_an_unpenalized_fit_bitwise_unchanged(self, monkeypatch):
+        # L-BFGS-B's solves split by columns, so the fit on one BLAS thread
+        # is the fit on the caller's two
+        lib = tvhazard.solver._scipy_openblas()
+        _, obs = generate(default_scenario(0))
+
+        def run():
+            res = fit(obs, cfg(0.0))
+            return model_matrix(res.model).tobytes(), res.objective_trace
+
+        threads = lib.scipy_openblas_get_num_threads()
+        try:
+            lib.scipy_openblas_set_num_threads(2)
+            pinned = run()
+            monkeypatch.setattr(tvhazard.solver, "_one_blas_thread", contextlib.nullcontext)
+            assert run() == pinned
+        finally:
+            lib.scipy_openblas_set_num_threads(threads)
 
     def test_unpenalized_fit_meets_the_kkt_conditions(self):
         # an oracle independent of L-BFGS-B: the exact gradient (no mass
@@ -536,6 +591,11 @@ class TestProxMatrix:
                 if shift.size > 1:
                     shift[0], shift[-1] = pen.gamma * step, -pen.gamma * step
                 z = isotonic_project(Y[r] + shift)
+                spread = Y[r].max() - Y[r].min()
+                if z[0] == z[-1] and 4.0 * pen.gamma * step >= Y.shape[1] * spread:
+                    # the weight flattens the row: its solution is the row
+                    # itself if constant, else its mean
+                    z = Y[r] if spread == 0.0 else np.full(Y.shape[1], math.fsum(Y[r]) / Y.shape[1])
             else:
                 z = fused_lasso_prox(Y[r], pen.gamma * step)
             want.append(np.maximum(z, 0.0))
