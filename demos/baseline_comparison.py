@@ -22,7 +22,6 @@ from tvhazard import (
     SolverConfig,
     build_knot_set,
     default_scenario,
-    eval_step,
     fit,
     fit_constant_additive,
     fit_proportional,
@@ -77,19 +76,18 @@ print()
 # the truth; the free fit can bring it back to zero, the monotone fit
 # is stuck at whatever level it reached.
 probe = 19
-free_path = tv_fit.model.coefficients.get(probe)
-mono_path = mono_fit.model.coefficients.get(probe)
+# Row j + 1 of a model's W is feature j, one level per knot interval.
+free_path = tv_fit.model.W[probe + 1]
+mono_path = mono_fit.model.W[probe + 1]
 for t in (2.5, 6.5):
-    free_v = eval_step(free_path, t) if free_path is not None else 0.0
-    mono_v = eval_step(mono_path, t) if mono_path is not None else 0.0
-    print(f"feature {probe} at t={t}: free fit {free_v:.2f}, "
-          f"monotone fit {mono_v:.2f}")
+    k = knots.interval_index(t)
+    print(f"feature {probe} at t={t}: free fit {free_path[k]:.2f}, "
+          f"monotone fit {mono_path[k]:.2f}")
 print("(the true effect is 0.8 until t=4.2 and zero afterwards)")
 print()
 
 # The constant fit has to average the on and off phases; its single
 # level for feature 19 lands in between.
-w19 = const_model.coefficients.get(probe)
-level = w19.values[0] if w19 is not None else 0.0
+level = const_model.W[probe + 1, 0]
 print(f"constant additive assigns feature {probe} the single level "
       f"{level:.2f} for the whole window")

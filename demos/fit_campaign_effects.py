@@ -19,10 +19,8 @@ from tvhazard import (
     SolverConfig,
     build_knot_set,
     default_scenario,
-    eval_step,
     fit,
     generate,
-    model_matrix,
 )
 
 # ------------------------------------------------------------------
@@ -57,7 +55,7 @@ print(f"fit over {len(knots.times)} interior knots, "
       f"converged={result.converged}, "
       f"train nll/site={result.train_nll / spec.n:.4f}")
 print(f"{result.nonzero_parameter_count} nonzero parameters "
-      f"out of {model_matrix(result.model).size}")
+      f"out of {result.model.W.size}")
 print()
 
 # ------------------------------------------------------------------
@@ -68,10 +66,10 @@ grid = np.arange(0.5, spec.horizon, 1.0)
 
 header = "  ".join(f"t={t:<4.1f}" for t in grid)
 print(f"coefficient paths (fitted / true) at:  {header}")
+# Row j + 1 of a model's W is feature j, one level per knot interval.
 for j in sorted(active):
-    fitted = result.model.coefficients.get(j)
-    fit_row = [eval_step(fitted, t) if fitted is not None else 0.0 for t in grid]
-    true_row = [eval_step(truth.coefficients[j], t) for t in grid]
+    fit_row = [result.model.W[j + 1, knots.interval_index(t)] for t in grid]
+    true_row = [truth.W[j + 1, truth.knots.interval_index(t)] for t in grid]
     print(f"  feature {j:2d} fitted  " + "  ".join(f"{v:5.2f}" for v in fit_row))
     print(f"  feature {j:2d} true    " + "  ".join(f"{v:5.2f}" for v in true_row))
 print()
@@ -82,10 +80,10 @@ print()
 print("change-point localization:")
 boundaries = np.array(result.model.knots.times)
 for j, segments in spec.active:
-    fitted = result.model.coefficients.get(j)
-    if fitted is None:
+    fitted = result.model.W[j + 1]
+    if not fitted.any():
         continue
-    jumps = np.abs(np.diff(fitted.values))
+    jumps = np.abs(np.diff(fitted))
     t_hat = boundaries[int(np.argmax(jumps))]
     true_times = [t for t, _ in segments]
     offset = min(abs(t_hat - t) for t in true_times)
@@ -96,7 +94,7 @@ print()
 # ------------------------------------------------------------------
 # Inactive features stay dark: report the largest level the fit ever
 # assigns to a feature the truth leaves at zero.
-W = model_matrix(result.model)
+W = result.model.W
 inactive = [j for j in range(spec.d) if j not in active]
 worst = max(np.max(np.abs(W[j + 1])) for j in inactive)
 act_peak = max(np.max(np.abs(W[j + 1])) for j in active)

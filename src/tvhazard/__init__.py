@@ -28,7 +28,6 @@ from .likelihood import (
     HazardModel,
     ZeroBracketWarning,
     model_matrix,
-    matrix_model,
     nll_dataset,
 )
 from .penalty import (
@@ -50,9 +49,7 @@ from .timeline import (
     FeaturePath,
     KnotSet,
     Observation,
-    StepFunction,
     build_knot_set,
-    eval_step,
 )
 
 __version__ = "0.1.0"
@@ -73,18 +70,15 @@ __all__ = [
     "SeparationWarning",
     "SolverConfig",
     "SolverWarning",
-    "StepFunction",
     "ZeroBracketWarning",
     "build_knot_set",
     "default_scenario",
-    "eval_step",
     "fit",
     "fit_constant_additive",
     "fit_proportional",
     "fused_lasso_prox",
     "generate",
     "isotonic_project",
-    "matrix_model",
     "model_matrix",
     "nll_dataset",
     "nonzero_parameter_count",

@@ -19,10 +19,10 @@ import scipy.sparse
 from scipy import optimize
 
 from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _run_table
-from .likelihood import _warn_at_caller, model_matrix
+from .likelihood import _warn_at_caller
 from .penalty import PenaltyConfig
 from .solver import SolverConfig, SolverWarning, _one_blas_thread, fit
-from .timeline import KnotSet, StepFunction
+from .timeline import KnotSet
 
 _WEIGHT_CAP = 50.0
 _L2_WEIGHT = 1e-6  # the ridge on the proportional model's weights
@@ -51,16 +51,7 @@ class ConstantAdditiveModel:
 
     def to_hazard_model(self, horizon):
         """Equivalent one-interval :class:`HazardModel` on ``[0, horizon]``."""
-        knots = KnotSet((), horizon=horizon)
-        coefficients = {
-            j: StepFunction(knots, (w,)) for j, w in enumerate(self.weights) if w != 0.0
-        }
-        return HazardModel(
-            knots=knots,
-            d=self.d,
-            intercept=StepFunction(knots, (self.intercept,)),
-            coefficients=coefficients,
-        )
+        return HazardModel(KnotSet((), horizon=horizon), np.array([[self.intercept, *self.weights]]).T)
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ def fit_constant_additive(observations):
         raise ValueError("no observations")
     knots = KnotSet((), horizon=max(o.right for o in observations))
     result = fit(observations, SolverConfig(penalty=PenaltyConfig()), knots=knots)
-    W = model_matrix(result.model)[:, 0]
+    W = result.model.W[:, 0]
     return ConstantAdditiveModel(intercept=W[0], weights=tuple(W[1:]))
 
 

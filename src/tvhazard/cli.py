@@ -199,7 +199,7 @@ def cmd_export(args):
     _refuse_overwrite(args.force, args.out)
     model = read_model(args.model)
     if args.features is None:
-        indices = [-1] + sorted(model.coefficients)
+        indices = [-1] + np.flatnonzero(model.W[1:].any(axis=1)).tolist()
     else:
         try:
             indices = [int(j) for j in args.features.split(",") if j.strip() != ""]
@@ -210,20 +210,14 @@ def cmd_export(args):
                 raise FormatError(f"feature index {j} outside [-1, {model.d})")
     B = model.knots.boundaries()
     ts = sorted({float(t) for t in B} | {0.5 * (a + b) for a, b in zip(B[:-1], B[1:])})
-    zero = None
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["feature", "t", "value"])
         for j in indices:
-            if j == -1:
-                sf = model.intercept
-            elif j in model.coefficients:
-                sf = model.coefficients[j]
-            else:
-                sf = zero  # absent row: identically zero
             label = "intercept" if j == -1 else str(j)
+            # row 0 of W is the intercept, row j + 1 feature j
             for t in ts:
-                value = 0.0 if sf is None else sf(t)
+                value = model.W[j + 1, model.knots.interval_index(t)]
                 writer.writerow([label, repr(float(t)), repr(float(value))])
     print(f"wrote coefficient paths for {len(indices)} rows to {args.out}")
     return 0

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import HazardModel, model_matrix
-from .timeline import MERGE_TOL, FeaturePath, Observation, StepFunction, _window_knots
+from .likelihood import HazardModel
+from .timeline import MERGE_TOL, FeaturePath, Observation, _window_knots
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,12 @@ def truth_model(spec):
     # levels are read just after each interval's start, so that a change
     # merged into the start (within MERGE_TOL after it) sets the level
     starts = knots.boundaries()[:-1] + MERGE_TOL
-    coefficients = {}
+    W = np.zeros((spec.d + 1, knots.n_intervals))
+    W[0] = spec.baseline_level
     for j, changes in spec.active:
         times = [t for t, _ in changes]
-        values = np.array([0.0] + [v for _, v in changes])[np.searchsorted(times, starts, "right")]
-        if np.any(values != 0.0):
-            coefficients[j] = StepFunction(knots, values)
-    return HazardModel(
-        knots=knots,
-        d=spec.d,
-        intercept=StepFunction(knots, (spec.baseline_level,) * knots.n_intervals),
-        coefficients=coefficients,
-    )
+        W[j + 1] = np.array([0.0] + [v for _, v in changes])[np.searchsorted(times, starts, "right")]
+    return HazardModel(knots, W)
 
 
 def _target(rng):
@@ -135,14 +129,14 @@ def _event_times(truth, levels, targets):
 
     ``levels`` is an (n, d) array of each site's feature values on the whole
     window and ``targets`` holds each site's ``-log u``.  With
-    ``W = model_matrix(truth)``, site ``i``'s hazard on truth interval ``k``
+    ``W = truth.W``, site ``i``'s hazard on truth interval ``k``
     is ``W[0, k] + sum_j levels[i, j] W[j+1, k]``, added in ascending ``j``,
     and its cumulative hazard at the interval's end is the running sum of
     rate times width.  The event falls in the first interval ``k`` whose
     running sum reaches the target, at ``B[k] + (target - cum[k-1]) /
     rate[k]`` capped at the horizon; with no such interval it is ``inf``.
     """
-    W = model_matrix(truth)
+    W = truth.W
     B = truth.knots.boundaries()
     rate = np.repeat(W[:1], len(targets), axis=0)
     for j in np.flatnonzero(W[1:].any(axis=1)):

@@ -5,10 +5,12 @@ Observation files hold one JSON record per line — a header carrying
 datasets stream without loading everything to parse.  The writer stores
 ``"time_unit": "abstract"``; the reader keeps what the file says.
 
-Model files store each coefficient row of a
-:class:`~tvhazard.likelihood.HazardModel` as its base value plus one jump
-per knot where the level changes.  Floats are written with Python's
-``repr``, which reparses bitwise.  A jump's delta is the exact difference of
+Model files store the coefficient matrix ``W`` of a
+:class:`~tvhazard.likelihood.HazardModel` row by row: the intercept, then
+each feature row that is not all zero under its index ``j``, each as its
+base value plus one jump per knot where the level changes; a feature row the
+file omits is zero.  Only this module knows that encoding.  Floats are
+written with Python's ``repr``, which reparses bitwise.  A jump's delta is the exact difference of
 two floats; it is a dyadic rational, so its decimal expansion terminates and
 is written in full as a JSON number token.  Both directions compute in exact
 decimal arithmetic: the reader parses numbers as Decimals, rounds the base
@@ -26,8 +28,10 @@ import math
 import sys
 from decimal import Decimal
 
+import numpy as np
+
 from .likelihood import HazardModel
-from .timeline import FeaturePath, KnotSet, Observation, StepFunction
+from .timeline import FeaturePath, KnotSet, Observation
 
 
 # Exact decimal arithmetic: every sum and difference of the model codec is
@@ -91,12 +95,12 @@ def write_observations(path, observations, d, horizon):
 def _parse_observation(rec, d, lineno, path):
     try:
         censoring = rec["censoring"]
-        entries = {
-            _integer(feat["j"], "feature index j"): tuple(
-                (ch["t"], ch["v"]) for ch in feat["changes"]
-            )
-            for feat in rec.get("features", [])
-        }
+        entries = {}
+        for feat in rec.get("features", []):
+            j = _integer(feat["j"], "feature index j")
+            if j in entries:
+                raise ValueError(f"feature index {j} listed twice")
+            entries[j] = tuple((ch["t"], ch["v"]) for ch in feat["changes"])
         fpath = FeaturePath(d, entries)
         uid = str(rec.get("id", ""))
         kind = censoring["kind"]
@@ -149,34 +153,36 @@ def read_observations(path):
     return observations, header
 
 
-def _row_json(sf, j=None):
-    """One model-file row: the base level, then at each knot where the level
-    changes the exact difference of the two floats as a decimal number token."""
+def _row_json(times, values, j=None):
+    """One model-file row of interval levels ``values``: the base level, then at
+    each knot where the level changes the exact difference as a decimal token."""
     jumps = []
-    prev = sf.values[0]
-    for t, v in zip(sf.knots.times, sf.values[1:]):
+    prev = values[0]
+    for t, v in zip(times, values[1:]):
         if v != prev:
             delta = _EXACT.subtract(Decimal(v), Decimal(prev)).normalize(_EXACT)
             jumps.append('{"t": %r, "delta": %s}' % (t, format(delta, "f")))
             prev = v
     head = f'"j": {j}, ' if j is not None else ""
-    return '{%s"base": %r, "jumps": [%s]}' % (head, sf.values[0], ", ".join(jumps))
+    return '{%s"base": %r, "jumps": [%s]}' % (head, values[0], ", ".join(jumps))
 
 
 def write_model(path, model):
+    """Write the intercept and every feature row that is not all zero, in
+    index order; an all-zero row reads back as zero."""
     # repr of a finite float is a valid JSON number and reparses bitwise
+    times, W = model.knots.times, model.W.tolist()
     lines = [
         "{",
         ' "d": %d,' % model.d,
         ' "horizon": %r,' % model.knots.horizon,
-        ' "knots": [%s],' % ", ".join(map(repr, model.knots.times)),
-        ' "intercept": %s,' % _row_json(model.intercept),
+        ' "knots": [%s],' % ", ".join(map(repr, times)),
+        ' "intercept": %s,' % _row_json(times, W[0]),
         ' "rows": [',
     ]
-    if model.coefficients:
-        lines.append(
-            ",\n".join("  " + _row_json(model.coefficients[j], j) for j in sorted(model.coefficients))
-        )
+    rows = [f"  {_row_json(times, row, j)}" for j, row in enumerate(W[1:]) if any(row)]
+    if rows:
+        lines.append(",\n".join(rows))
     lines += [" ]", "}"]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -198,7 +204,7 @@ def _delta(token):
 
 
 def _row_from_json(knots, row):
-    """Replay a row's jumps exactly; each level is the float nearest it."""
+    """Replay a row's jumps exactly: each interval's level is the float nearest it."""
     level = Decimal(float(row["base"]))
     values = [float(level)]
     jumps = row["jumps"]
@@ -210,7 +216,7 @@ def _row_from_json(knots, row):
         values.append(float(level))
     if k != len(jumps):
         raise ValueError(f"jump time {jumps[k]['t']!r} is not a knot")
-    return StepFunction(knots, values)
+    return values
 
 
 def read_model(path):
@@ -224,12 +230,20 @@ def read_model(path):
             raise FormatError(f"{path}: {e}") from e
     try:
         knots = KnotSet(tuple(float(t) for t in doc["knots"]), horizon=float(doc["horizon"]))
-        intercept = _row_from_json(knots, doc["intercept"])
-        coefficients = {
-            _integer(row["j"], "row index j"): _row_from_json(knots, row) for row in doc["rows"]
-        }
-        return HazardModel(
-            knots=knots, d=_integer(doc["d"], "d"), intercept=intercept, coefficients=coefficients
-        )
+        d = _integer(doc["d"], "d")
+        if d < 0:
+            raise ValueError(f"d must be nonnegative, got {d}")
+        W = np.zeros((d + 1, knots.n_intervals))
+        W[0] = _row_from_json(knots, doc["intercept"])
+        seen = set()
+        for row in doc["rows"]:
+            j = _integer(row["j"], "row index j")
+            if not 0 <= j < d:
+                raise ValueError(f"row index {j} outside [0, {d})")
+            if j in seen:
+                raise ValueError(f"row index {j} listed twice")
+            seen.add(j)
+            W[j + 1] = _row_from_json(knots, row)
+        return HazardModel(knots, W)
     except (KeyError, TypeError, ValueError, OverflowError, decimal.InvalidOperation) as e:
         raise FormatError(f"{path}: {e}") from e

@@ -4,9 +4,12 @@ The hazard of a unit with feature path ``x`` is
 
     lambda(x, t) = w_0(t) + sum_j x_j(t) * w_j(t)
 
-with every coefficient path a nonnegative step function on a shared knot set.
-Survival is ``exp(-Lambda(0, t))`` with ``Lambda`` the cumulative hazard.  An
-interval-censored observation ``(l, r]`` contributes
+with every coefficient path a nonnegative step function on a shared knot set,
+so a model is that knot set and one value per (coefficient row, knot
+interval): the matrix ``W`` of :class:`HazardModel`, which the design, the
+solver and the model files all compute with.  Survival is ``exp(-Lambda(0,
+t))`` with ``Lambda`` the cumulative hazard.  An interval-censored
+observation ``(l, r]`` contributes
 
     Lambda(0, l) - log(1 - exp(-Lambda(l, r)))
 
@@ -23,13 +26,11 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 import scipy.sparse
-
-from .timeline import StepFunction
 
 _LOG2 = math.log(2.0)
 # every module of the package lives here
@@ -48,45 +49,42 @@ def _warn_at_caller(message, category):
     warnings.warn(message, category, stacklevel=level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HazardModel:
-    """Additive hazard model: intercept plus sparse per-feature coefficient paths.
+    """Additive hazard model: one value per coefficient row and knot interval.
 
-    Parameters
-    ----------
-    knots : KnotSet
-        Shared partition for every coefficient path.
-    d : int
-        Feature-space dimension; coefficient keys must lie in ``[0, d)``.
-    intercept : StepFunction
-        The baseline rate ``w_0``.
-    coefficients : dict
-        Maps feature index ``j`` to its coefficient path ``w_j``; absent
-        features are identically zero.  Treat as immutable after construction.
-
-    All stored values must be nonnegative so that the hazard is a valid rate
-    for any nonnegative feature path.
+    ``W`` is the (d+1, intervals) matrix on the shared partition ``knots``:
+    row 0 is the intercept ``w_0``, row ``j + 1`` feature ``j``'s path
+    ``w_j``, and column ``k`` the ``k``-th interval (at a breakpoint a path
+    takes the value to its right).  It is stored as a read-only float copy
+    with zero as +0.0, so a model never depends on the sign of a zero.  Every
+    value must be finite and nonnegative, so that the hazard is a valid rate
+    for any nonnegative feature path.  Models compare by value and are
+    unhashable.
     """
 
     knots: KnotSet
-    d: int
-    intercept: StepFunction
-    coefficients: dict = field(default_factory=dict)
+    W: np.ndarray
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("d must be nonnegative")
-        self._check_row(self.intercept, "intercept")
-        for j, sf in self.coefficients.items():
-            if not 0 <= int(j) < self.d:
-                raise ValueError(f"coefficient index {j} outside [0, {self.d})")
-            self._check_row(sf, f"coefficient {j}")
+        # -0.0 + 0.0 is +0.0; every other float is unchanged
+        W = np.asarray(self.W, dtype=float) + 0.0
+        if W.ndim != 2 or W.shape[0] == 0 or W.shape[1] != self.knots.n_intervals:
+            raise ValueError(f"W has shape {W.shape}, not (d+1, {self.knots.n_intervals})")
+        if not (np.isfinite(W) & (W >= 0.0)).all():
+            raise ValueError("W has a non-finite or negative value; hazards require 0 <= w < inf")
+        W.flags.writeable = False
+        object.__setattr__(self, "W", W)
 
-    def _check_row(self, sf, what):
-        if sf.knots != self.knots:
-            raise ValueError(f"{what} does not share the model's knot set")
-        if any(v < 0 for v in sf.values):
-            raise ValueError(f"{what} has a negative value; hazards require w >= 0")
+    @property
+    def d(self):
+        """Feature-space dimension: the number of rows after the intercept."""
+        return self.W.shape[0] - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, HazardModel):
+            return NotImplemented
+        return self.knots == other.knots and np.array_equal(self.W, other.W)
 
 
 def nll_dataset(m, observations):
@@ -106,27 +104,8 @@ def nll_dataset(m, observations):
 
 
 def model_matrix(m):
-    """Dense (d+1, intervals) value matrix; row 0 is the intercept."""
-    W = np.zeros((m.d + 1, m.knots.n_intervals))
-    W[0] = m.intercept.values
-    for j, sf in m.coefficients.items():
-        W[j + 1] = sf.values
-    return W
-
-
-def matrix_model(knots, W):
-    """Inverse of :func:`model_matrix`; all-zero feature rows are omitted."""
-    W = np.asarray(W, float)
-    coefficients = {}
-    for j in range(1, W.shape[0]):
-        if np.any(W[j] != 0.0):
-            coefficients[j - 1] = StepFunction(knots, tuple(W[j]))
-    return HazardModel(
-        knots=knots,
-        d=W.shape[0] - 1,
-        intercept=StepFunction(knots, tuple(W[0])),
-        coefficients=coefficients,
-    )
+    """A writable copy of ``m.W``: the (d+1, intervals) matrix, row 0 the intercept."""
+    return m.W.copy()
 
 
 class CensoredDesign:
@@ -201,7 +180,7 @@ class CensoredDesign:
             raise ValueError("model and design have different knot sets")
         if m.d != self.d:
             raise ValueError(f"dimension mismatch: model d={m.d}, observations d={self.d}")
-        return model_matrix(m).ravel()
+        return m.W.ravel()
 
     def nll(self, w, floor=0.0):
         """Dataset NLL at flattened coefficients ``w``.
@@ -342,6 +321,7 @@ def _bracket_terms(x):
     one ``exp`` and one ``expm1``."""
     e, one_minus_e = np.exp(-x), -np.expm1(-x)
     # log(1 - e^-x) through expm1 below log 2 and through log1p above;
-    # 1/(e^x - 1) written as e^-x/(1 - e^-x): no overflow for huge x
-    with np.errstate(divide="ignore"):
+    # 1/(e^x - 1) written as e^-x/(1 - e^-x): no overflow for huge x, and
+    # +inf, the rounded value, for a subnormal x below 1/max float
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(x < _LOG2, np.log(one_minus_e), np.log1p(-e)), e / one_minus_e

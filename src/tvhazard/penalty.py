@@ -72,23 +72,26 @@ class PenaltyConfig:
         # maps -0.0 to +0.0); a NaN maximum is not <= 0, so its row reaches
         # the operator and its ValueError
         active = np.flatnonzero(~(shifted.max(axis=1) <= 0.0))
-        if self.monotone:
-            for r in active.tolist():
-                out[r] = z = isotonic_project(shifted[r])
+        if self.monotone and active.size:
+            out[active] = isotonic_project(shifted[active])
+            for r, flat in zip(active.tolist(), _flat(Y[active], weight)[0]):
                 # a flat row the shift lost projects to a constant row
-                if z[0] == z[-1] and _flat(Y[r:r + 1], weight)[0][0]:
+                if flat and out[r, 0] == out[r, -1]:
                     out[r] = _constant_row(Y[r].tolist())
         elif active.size:
             out[active] = fused_lasso_prox(Y[active], weight)
         return np.maximum(out, 0.0, out=out)
 
 
-def _validated(y, name="y"):
+def _validated(y):
+    """``y`` as a float row or 2-D stack of rows: nonempty and finite."""
     y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"y must be a row or a 2-D stack of rows, got {y.ndim} dimensions")
     if y.size == 0:
-        raise ValueError(f"{name} must be nonempty")
+        raise ValueError("y must be nonempty")
     if not np.isfinite(y).all():
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("y must be finite")
     return y
 
 
@@ -102,8 +105,6 @@ def fused_lasso_prox(y, weight):
     rows' results stacked, at one call's NumPy overhead.
     """
     y = _validated(y)
-    if y.ndim not in (1, 2):
-        raise ValueError(f"y must be a row or a 2-D stack of rows, got {y.ndim} dimensions")
     if not 0 <= weight < math.inf:
         raise ValueError(f"weight must be finite and >= 0, got {weight!r}")
     if y.shape[-1] == 1 or weight == 0.0:
@@ -190,10 +191,13 @@ def _condat_row(y, lam, out):
 
 
 def isotonic_project(y):
-    """Euclidean projection onto nondecreasing sequences.
+    """Euclidean projection onto nondecreasing sequences, of a row ``y`` or of
+    each row of a 2-D stack ``y``.
 
     SciPy's pool-adjacent-violators (``scipy.optimize.isotonic_regression``)
-    on validated input: the result is nondecreasing, idempotent, and
-    preserves the total sum.
+    on input validated once: each result row is nondecreasing, idempotent,
+    and preserves the row's sum.
     """
-    return scipy.optimize.isotonic_regression(_validated(y)).x
+    y = _validated(y)
+    rows = y.reshape(-1, y.shape[-1])
+    return np.array([scipy.optimize.isotonic_regression(row).x for row in rows]).reshape(y.shape)

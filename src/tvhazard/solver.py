@@ -48,8 +48,7 @@ import numpy as np
 import scipy
 from scipy import optimize
 
-from .likelihood import CensoredDesign, _pooled_event_rate, _warn_at_caller, matrix_model
-from .likelihood import model_matrix, nll_dataset
+from .likelihood import CensoredDesign, HazardModel, _pooled_event_rate, _warn_at_caller, nll_dataset
 from .penalty import PenaltyConfig
 from .timeline import _window_knots, build_knot_set
 
@@ -129,7 +128,7 @@ class FitResult:
 def objective(model, observations, penalty):
     """Penalized objective: dataset NLL + gamma * total variation of all rows,
     bitwise a fit's last traced objective when no bracket mass is floored."""
-    return nll_dataset(model, observations) + penalty.value(model_matrix(model))
+    return nll_dataset(model, observations) + penalty.value(model.W)
 
 
 def nonzero_parameter_count(W):
@@ -392,11 +391,11 @@ def fit(observations, config, knots=None):
     route = _fit_box_lbfgs if pen.gamma == 0.0 and not pen.monotone else _fit_full_batch
     W, trace, stop, rel = route(design, config)
 
-    model = matrix_model(knots, W)
+    model = HazardModel(knots, W)
     return FitResult(
         model=model,
         objective_trace=tuple(trace),
-        train_nll=design.nll(model_matrix(model)),
+        train_nll=design.nll(model.W),
         converged=stop == "certified",
         mapping_norm=rel,
         stop=stop,

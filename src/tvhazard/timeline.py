@@ -1,9 +1,10 @@
-"""Shared time axis: knot sets, step functions, and piecewise-constant feature paths.
+"""Shared time axis: knot sets, piecewise-constant feature paths and observations.
 
 Every coefficient path in a fitted model is a right-continuous step function
-whose jumps live on a single shared :class:`KnotSet`; it is held as one
-value per interval, and its file form, a base level plus jumps, belongs to
-:mod:`tvhazard.formats`.  Feature paths carry
+whose jumps live on a single shared :class:`KnotSet`; a model holds one
+value per (coefficient row, knot interval), the matrix ``W`` of
+:class:`tvhazard.likelihood.HazardModel`, and its file form, a base level
+plus jumps, belongs to :mod:`tvhazard.formats`.  Feature paths carry
 their own change times and are right-continuous as well.  Integrals of
 hazards along feature paths are taken exactly, by
 :class:`tvhazard.likelihood.CensoredDesign`.
@@ -73,35 +74,6 @@ class KnotSet:
         if not 0 <= t <= self.horizon:
             raise ValueError(f"time {t!r} outside observation window [0, {self.horizon}]")
         return bisect.bisect_right(self.times, t)
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous step function on a :class:`KnotSet`.
-
-    ``values[k]`` is the value on the ``k``-th interval of ``knots``; at a
-    breakpoint the function takes the value of the interval to its right.
-    Values are stored as floats with zero as +0.0, so a model never depends
-    on the sign of a zero.
-    """
-
-    knots: KnotSet
-    values: tuple
-
-    def __post_init__(self):
-        # -0.0 + 0.0 is +0.0; every other float is unchanged
-        object.__setattr__(self, "values", tuple(float(v) + 0.0 for v in self.values))
-        if len(self.values) != self.knots.n_intervals:
-            raise ValueError(
-                f"expected {self.knots.n_intervals} values for {len(self.knots.times)} knots, "
-                f"got {len(self.values)}"
-            )
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"step value {v!r} is not finite")
-
-    def __call__(self, t):
-        return eval_step(self, t)
 
 
 @dataclass(frozen=True)
@@ -234,7 +206,3 @@ def build_knot_set(observations, horizon=None):
     raw = [t for obs in observations for t in (obs.left, obs.right, *obs.path.change_times())]
     return _window_knots(raw, horizon)
 
-
-def eval_step(f, t):
-    """Value of a step function at ``t`` (right-continuous)."""
-    return f.values[f.knots.interval_index(t)]

@@ -425,16 +425,19 @@ def level_at(path, j, t):
     return level
 
 
-def step_at(f, t):
-    """Value of step function ``f`` at ``t`` (right-continuous)."""
-    return f.values[bisect.bisect_right(f.knots.times, t)]
+def step_at(knots, values, t):
+    """Value at ``t`` of the step function on ``knots`` that takes
+    ``values[k]`` on interval ``k`` (right-continuous)."""
+    return values[bisect.bisect_right(knots.times, t)]
 
 
 def hazard(m, p, t):
-    """Pointwise hazard ``w_0(t) + sum_j x_j(t) w_j(t)``, features in ascending ``j``."""
-    total = step_at(m.intercept, t)
-    for j in sorted(m.coefficients.keys() & p.entries.keys()):
-        total += level_at(p, j, t) * step_at(m.coefficients[j], t)
+    """Pointwise hazard ``w_0(t) + sum_j x_j(t) w_j(t)``, from the rows of
+    ``m.W``, features in ascending ``j``."""
+    W = m.W.tolist()
+    total = step_at(m.knots, W[0], t)
+    for j in sorted(p.entries):
+        total += level_at(p, j, t) * step_at(m.knots, W[j + 1], t)
     return total
 
 
@@ -456,21 +459,21 @@ def _segment_points(interior, a, b):
     return [a] + [t for t in interior if a < t < b] + [b]
 
 
-def integrate_step(f, a, b):
-    """Integral of a step function over ``[a, b]``: value x length per interval."""
-    knots = f.knots
+def integrate_step(knots, values, a, b):
+    """Integral over ``[a, b]`` of the step function on ``knots`` with
+    ``values``: value x length per interval."""
     _check_bounds(knots, a, b)
     pts = _segment_points(knots.times, a, b)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        total += (hi - lo) * f.values[bisect.bisect_right(knots.times, lo)]
+        total += (hi - lo) * values[bisect.bisect_right(knots.times, lo)]
     return total
 
 
-def integrate_step_product(f, path, j, a, b):
-    """Integral of ``f(t) * x_j(t)`` over ``[a, b]``, piece by piece on the
-    common refinement of the knots and feature ``j``'s change times."""
-    knots = f.knots
+def integrate_step_product(knots, values, path, j, a, b):
+    """Integral of ``f(t) * x_j(t)`` over ``[a, b]``, ``f`` the step function
+    on ``knots`` with ``values``, piece by piece on the common refinement of
+    the knots and feature ``j``'s change times."""
     _check_bounds(knots, a, b)
     changes = path.entries.get(int(j), ())
     interior = merge_times(list(knots.times) + [t for t, _ in changes], tol=0.0)
@@ -479,15 +482,17 @@ def integrate_step_product(f, path, j, a, b):
     for lo, hi in zip(pts[:-1], pts[1:]):
         x = level_at(path, j, lo)
         if x != 0.0:
-            total += (hi - lo) * f.values[bisect.bisect_right(knots.times, lo)] * x
+            total += (hi - lo) * values[bisect.bisect_right(knots.times, lo)] * x
     return total
 
 
 def cumulative_hazard(m, p, a, b):
-    """Integral of the hazard of model ``m`` along path ``p`` over ``[a, b]``."""
-    total = integrate_step(m.intercept, a, b)
-    for j in sorted(m.coefficients.keys() & p.entries.keys()):
-        total += integrate_step_product(m.coefficients[j], p, j, a, b)
+    """Integral of the hazard of model ``m`` along path ``p`` over ``[a, b]``,
+    from the rows of ``m.W``, features in ascending ``j``."""
+    W = m.W.tolist()
+    total = integrate_step(m.knots, W[0], a, b)
+    for j in sorted(p.entries):
+        total += integrate_step_product(m.knots, W[j + 1], p, j, a, b)
     return total
 
 

@@ -23,7 +23,6 @@ from tvhazard import (
     Observation,
     PenaltyConfig,
     SolverConfig,
-    StepFunction,
     ZeroBracketWarning,
     build_knot_set,
     default_scenario,
@@ -32,7 +31,6 @@ from tvhazard import (
     fused_lasso_prox,
     generate,
     isotonic_project,
-    matrix_model,
     model_matrix,
     nll_dataset,
     refine_and_compare,
@@ -66,12 +64,11 @@ def _gradient_instance(rng):
     K = int(rng.integers(1, 7))
     times = np.linspace(1.0, 7.0, K) + rng.uniform(-0.2, 0.2, size=K)
     ks = KnotSet(tuple(np.sort(times)), horizon=8.0)
-    intercept = StepFunction(ks, tuple(rng.uniform(0.1, 0.6, size=ks.n_intervals)))
-    coefficients = {
-        j: StepFunction(ks, tuple(rng.uniform(0.05, 1.2, size=ks.n_intervals)))
-        for j in range(5)
-    }
-    m = HazardModel(knots=ks, d=5, intercept=intercept, coefficients=coefficients)
+    W = np.array(
+        [rng.uniform(0.1, 0.6, size=ks.n_intervals)]
+        + [rng.uniform(0.05, 1.2, size=ks.n_intervals) for _ in range(5)]
+    )
+    m = HazardModel(ks, W)
     obs = []
     for _ in range(20):
         entries = {}
@@ -104,8 +101,8 @@ def test_criterion_1_gradient_correctness(capsys):
                 Wm[r, c] -= h  # stays feasible: every value exceeds h
                 # differences of the scalar route, independent of the design
                 fd = (
-                    scalar_nll(matrix_model(ks, Wp), obs)
-                    - scalar_nll(matrix_model(ks, Wm), obs)
+                    scalar_nll(HazardModel(ks, Wp), obs)
+                    - scalar_nll(HazardModel(ks, Wm), obs)
                 ) / (2 * h)
                 rel = abs(G[r, c] - fd) / max(1.0, abs(G[r, c]))
                 worst = max(worst, rel)
@@ -363,9 +360,9 @@ def test_criterion_6_change_point_localization(capsys, figure1):
     active = dict(spec.active)
     worst_dist = 0.0
     for j, changes in active.items():
-        sf = model.coefficients.get(j)
-        assert sf is not None, f"active feature {j} fitted to zero"
-        jumps = np.diff(sf.values)
+        row = model.W[j + 1]
+        assert row.any(), f"active feature {j} fitted to zero"
+        jumps = np.diff(row)
         k = int(np.argmax(np.abs(jumps)))
         assert jumps[k] != 0.0
         t_hat = B[k + 1]

@@ -106,7 +106,7 @@ class TestConstantAdditive:
         cam = ConstantAdditiveModel(intercept=0.3, weights=(0.5, 0.0))
         hm = cam.to_hazard_model(horizon=6.0)
         assert hm.d == 2
-        assert 1 not in hm.coefficients  # zero weights are dropped
+        assert hm.W.tolist() == [[0.3], [0.5], [0.0]]
         expect = constant_nll(0.3, (0.5, 0.0), obs)
         assert np.isclose(nll_dataset(hm, obs), expect, rtol=1e-12)
 

@@ -14,7 +14,6 @@ from tvhazard import (
     FeaturePath,
     HazardModel,
     KnotSet,
-    StepFunction,
     default_scenario,
     generate,
     sample_event_time,
@@ -108,29 +107,33 @@ class TestTruthModel:
         spec = tiny_spec(active=((0, ((0.0, 0.4), (5e-10, 0.5), (2.0, 0.9), (4.0, 1.1))),))
         truth = truth_model(spec)
         assert truth.knots.times == (2.0,)
-        assert truth.coefficients[0].values == (0.5, 0.9)
+        assert truth.W[1].tolist() == [0.5, 0.9]
 
     def test_levels_step_at_the_right_places(self):
         truth = truth_model(tiny_spec())
-        f0, f2 = truth.coefficients[0], truth.coefficients[2]
-        assert f0(0.9) == 0.0 and f0(1.0) == 0.5 and f0(3.9) == 0.5
-        assert f2(0.4) == 0.0 and f2(0.5) == 0.3 and f2(2.0) == 0.9
-        assert 1 not in truth.coefficients
-        assert np.all(np.asarray(truth.intercept.values) == 0.2)
+        at = truth.knots.interval_index
+        f0, f2 = truth.W[1], truth.W[3]
+        assert f0[at(0.9)] == 0.0 and f0[at(1.0)] == 0.5 and f0[at(3.9)] == 0.5
+        assert f2[at(0.4)] == 0.0 and f2[at(0.5)] == 0.3 and f2[at(2.0)] == 0.9
+        assert not truth.W[2].any()
+        assert np.all(truth.W[0] == 0.2)
 
-    def test_all_zero_feature_dropped(self):
+    def test_all_zero_feature_dropped(self, tmp_path):
+        # an all-zero planted row stays zero and the truth file omits it
         spec = tiny_spec(active=((1, ((1.0, 0.0),)),))
         truth = truth_model(spec)
-        assert truth.coefficients == {}
+        assert not truth.W[1:].any()
         assert truth.d == 3
+        write_model(tmp_path / "truth.json", truth)
+        assert '"rows": [\n ]' in (tmp_path / "truth.json").read_text()
 
     def test_default_scenario_shape(self):
         spec = default_scenario(0)
         assert spec.d == 40 and spec.n == 1000 and len(spec.active) == 4
         truth = truth_model(spec)
         assert tuple(truth.knots.times) == (1.2, 1.4, 2.3, 4.1, 4.2, 5.2)
-        assert sorted(truth.coefficients) == [3, 11, 19, 27]
-        assert truth.coefficients[19](5.0) == 0.0  # campaign 19 ended
+        assert np.flatnonzero(truth.W[1:].any(axis=1)).tolist() == [3, 11, 19, 27]
+        assert truth.W[20, truth.knots.interval_index(5.0)] == 0.0  # campaign 19 ended
 
 
 @st.composite
@@ -143,8 +146,12 @@ def sampler_cases(draw):
     knots = KnotSet(merge_times(times), horizon)
     row = st.lists(st.floats(0.0, 2.0), min_size=knots.n_intervals, max_size=knots.n_intervals)
     baseline = draw(row.filter(any))
-    coefficients = {j: StepFunction(knots, draw(row)) for j in range(d) if draw(st.booleans())}
-    truth = HazardModel(knots, d, StepFunction(knots, baseline), coefficients)
+    W = np.zeros((d + 1, knots.n_intervals))
+    W[0] = baseline
+    for j in range(d):
+        if draw(st.booleans()):
+            W[j + 1] = draw(row)
+    truth = HazardModel(knots, W)
     levels = st.floats(0.0, 3.0, exclude_min=True)
     path = FeaturePath(d, {j: ((0.0, draw(levels)),) for j in range(d) if draw(st.booleans())})
     return truth, path, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -199,12 +206,7 @@ class TestSampler:
     def test_two_segment_mass_split(self):
         # hazard 0.3 before t=2, 1.1 after: event count before 2 is binomial
         ks = KnotSet((2.0,), horizon=50.0)
-        truth = HazardModel(
-            knots=ks,
-            d=0,
-            intercept=StepFunction(ks, (0.3, 1.1)),
-            coefficients={},
-        )
+        truth = HazardModel(ks, [(0.3, 1.1)])
         rng = np.random.default_rng(62)
         path = FeaturePath(0, {})
         n = 4000

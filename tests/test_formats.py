@@ -16,9 +16,7 @@ from tvhazard import (
     HazardModel,
     KnotSet,
     Observation,
-    StepFunction,
     default_scenario,
-    eval_step,
     generate,
     model_matrix,
     nll_dataset,
@@ -54,12 +52,12 @@ def random_observations(rng, d=3, n=12, horizon=5.0):
 def random_model(rng, d=3, n_knots=4, horizon=6.0):
     times = np.sort(rng.uniform(0.4, horizon - 0.4, size=n_knots))
     ks = KnotSet(tuple(times), horizon)
-    vals = lambda: tuple(np.abs(rng.standard_normal(ks.n_intervals)))
-    coefficients = {
-        int(j): StepFunction(ks, vals())
-        for j in rng.choice(d, size=rng.integers(0, d + 1), replace=False)
-    }
-    return HazardModel(knots=ks, d=d, intercept=StepFunction(ks, vals()), coefficients=coefficients)
+    vals = lambda: np.abs(rng.standard_normal(ks.n_intervals))
+    W = np.zeros((d + 1, ks.n_intervals))
+    for j in rng.choice(d, size=rng.integers(0, d + 1), replace=False):
+        W[j + 1] = vals()
+    W[0] = vals()
+    return HazardModel(ks, W)
 
 
 EXTREME_LEVELS = (5e-324, 1.7976931348623157e308, 0.0, -0.0)
@@ -76,11 +74,15 @@ def extreme_models(draw):
 
     def row():
         pool = draw(st.lists(levels, min_size=1, max_size=4))
-        return StepFunction(ks, [draw(st.sampled_from(pool)) for _ in range(ks.n_intervals)])
+        return [draw(st.sampled_from(pool)) for _ in range(ks.n_intervals)]
 
     d = draw(st.integers(0, 3))
     rows = draw(st.sets(st.integers(0, d - 1))) if d else set()
-    return HazardModel(knots=ks, d=d, intercept=row(), coefficients={j: row() for j in rows})
+    W = np.zeros((d + 1, ks.n_intervals))
+    W[0] = row()
+    for j in rows:
+        W[j + 1] = row()
+    return HazardModel(ks, W)
 
 
 def reference_deltas(values):
@@ -199,6 +201,19 @@ class TestObservationFiles:
         with pytest.raises(FormatError, match="unknown censoring kind"):
             read_observations(f)
 
+    def test_duplicate_feature_index_rejected(self, tmp_path):
+        # a second entry for one feature would silently replace the first
+        f = tmp_path / "obs.jsonl"
+        f.write_text(
+            '{"d": 2, "horizon": 2.0}\n'
+            '{"censoring": {"kind": "right", "t": 1.0}, "features": []}\n'
+            '{"censoring": {"kind": "right", "t": 1.0}, "features": ['
+            '{"j": 0, "changes": [{"t": 0.0, "v": 1.0}]}, '
+            '{"j": 0, "changes": [{"t": 0.0, "v": 5.0}]}]}\n'
+        )
+        with pytest.raises(FormatError, match=r"obs\.jsonl:3: feature index 0 listed twice"):
+            read_observations(f)
+
     def test_header_required_and_validated(self, tmp_path):
         f = tmp_path / "obs.jsonl"
         f.write_text("")
@@ -229,25 +244,18 @@ class TestModelFiles:
             assert got.d == m.d
             assert tuple(got.knots.times) == tuple(m.knots.times)
             assert got.knots.horizon == m.knots.horizon
-            assert got.intercept.values == m.intercept.values
-            assert set(got.coefficients) == set(m.coefficients)
-            for j, sf in m.coefficients.items():
-                assert got.coefficients[j].values == sf.values
+            assert got.W.tobytes() == m.W.tobytes()
+            assert got == m
 
     def test_adversarial_values_round_trip(self, tmp_path):
         ks = KnotSet((1.0, 2.0, 3.0, 4.0), horizon=5.0)
         vals = (0.0, 1e-300, 3.9, 0.1000000001, 7e250)
-        m = HazardModel(
-            knots=ks,
-            d=1,
-            intercept=StepFunction(ks, vals),
-            coefficients={0: StepFunction(ks, tuple(reversed(vals)))},
-        )
+        m = HazardModel(ks, [vals, vals[::-1]])
         f = tmp_path / "m.json"
         write_model(f, m)
         got = read_model(f)
-        assert got.intercept.values == vals
-        assert got.coefficients[0].values == tuple(reversed(vals))
+        assert tuple(got.W[0]) == vals
+        assert tuple(got.W[1]) == vals[::-1]
 
     def test_writes_are_byte_stable(self, tmp_path):
         m = random_model(np.random.default_rng(72))
@@ -267,12 +275,7 @@ class TestModelFiles:
 
     def test_document_deltas_are_decimal_strings(self, tmp_path):
         ks = KnotSet((1.0, 2.0, 3.0), horizon=4.0)
-        m = HazardModel(
-            knots=ks,
-            d=1,
-            intercept=StepFunction(ks, (0.7, 0.7, 1.1, 1.1)),
-            coefficients={0: StepFunction(ks, (0.3,) * 4)},
-        )
+        m = HazardModel(ks, [(0.7, 0.7, 1.1, 1.1), (0.3,) * 4])
         f = tmp_path / "m.json"
         write_model(f, m)
         doc = json.loads(f.read_text(), parse_float=str)
@@ -296,19 +299,15 @@ class TestModelFiles:
         write_model(f, m)
         assert model_matrix(read_model(f)).tobytes() == model_matrix(m).tobytes()
         doc = json.loads(f.read_text(), parse_float=str, parse_int=str)
-        rows = [m.intercept] + [m.coefficients[j] for j in sorted(m.coefficients)]
+        # the intercept, then every feature row that is not all zero
+        rows = [m.W[0]] + [w for w in m.W[1:] if w.any()]
         assert [[jm["delta"] for jm in row["jumps"]] for row in [doc["intercept"], *doc["rows"]]] == [
-            reference_deltas(sf.values) for sf in rows
+            reference_deltas(w.tolist()) for w in rows
         ]
 
     def test_negative_zero_is_stored_as_positive_zero(self, tmp_path):
         ks = KnotSet((1.0, 2.0), horizon=3.0)
-        m = HazardModel(
-            knots=ks,
-            d=1,
-            intercept=StepFunction(ks, (-0.0, 0.5, -0.0)),
-            coefficients={0: StepFunction(ks, (0.25, -0.0, 0.0))},
-        )
+        m = HazardModel(ks, [(-0.0, 0.5, -0.0), (0.25, -0.0, 0.0)])
         constant = ConstantAdditiveModel(intercept=-0.0, weights=(0.5,)).to_hazard_model(3.0)
         for model in (m, constant):
             f = tmp_path / "m.json"
@@ -350,6 +349,41 @@ class TestModelFiles:
         with pytest.raises(FormatError, match=r"m\.json: (d|row index j) must be an integer"):
             read_model(f)
 
+    def test_duplicate_row_index_rejected(self, tmp_path):
+        # a second row for one feature would silently replace the first
+        f = tmp_path / "m.json"
+        intercept = '"intercept": {"base": 0.5, "jumps": []}'
+        rows = '{"j": 0, "base": 0.1, "jumps": []}, {"j": 0, "base": 0.9, "jumps": []}'
+        f.write_text('{"d": 1, "horizon": 2.0, "knots": [], %s, "rows": [%s]}\n' % (intercept, rows))
+        with pytest.raises(FormatError, match=r"m\.json: row index 0 listed twice"):
+            read_model(f)
+
+    @pytest.mark.parametrize("d, j", [("2", "2"), ("2", "-1"), ("-1", None)])
+    def test_row_index_outside_d_rejected(self, tmp_path, d, j):
+        f = tmp_path / "m.json"
+        intercept = '"intercept": {"base": 0.5, "jumps": []}'
+        rows = '{"j": %s, "base": 0.5, "jumps": []}' % j if j is not None else ""
+        f.write_text(
+            '{"d": %s, "horizon": 2.0, "knots": [], %s, "rows": [%s]}\n' % (d, intercept, rows)
+        )
+        with pytest.raises(FormatError, match=r"m\.json: (row index -?\d+ outside|d must be)"):
+            read_model(f)
+
+    def test_an_explicit_all_zero_row_reads_and_is_written_back_without_it(self, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(
+            '{"d": 3, "horizon": 2.0, "knots": [1.0],\n'
+            ' "intercept": {"base": 0.5, "jumps": []},\n'
+            ' "rows": [{"j": 0, "base": 0.0, "jumps": []},'
+            ' {"j": 2, "base": 0.0, "jumps": [{"t": 1.0, "delta": 0.25}]}]}\n'
+        )
+        m = read_model(f)
+        assert m.W.tolist() == [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, 0.25]]
+        out = tmp_path / "back.json"
+        write_model(out, m)
+        assert [row["j"] for row in json.loads(out.read_text())["rows"]] == [2]
+        assert read_model(out) == m
+
     def test_knots_at_the_window_ends_still_load(self, tmp_path):
         # files written when knot sets kept 0 and the horizon: the two
         # zero-width intervals read back and change no likelihood
@@ -362,15 +396,10 @@ class TestModelFiles:
         )
         m = read_model(f)
         assert m.knots.times == (0.0, 1.0, 2.0)
-        assert [eval_step(m.intercept, t) for t in (0.0, 0.5, 1.0, 2.0)] == [0.25, 0.25, 0.75, 0.25]
-        assert eval_step(m.coefficients[0], 1.5) == 2.0
-        ks = KnotSet((1.0,), horizon=2.0)
-        interior = HazardModel(
-            knots=ks,
-            d=1,
-            intercept=StepFunction(ks, (0.25, 0.75)),
-            coefficients={0: StepFunction(ks, (0.0, 2.0))},
-        )
+        at = m.knots.interval_index
+        assert [m.W[0, at(t)] for t in (0.0, 0.5, 1.0, 2.0)] == [0.25, 0.25, 0.75, 0.25]
+        assert m.W[1, at(1.5)] == 2.0
+        interior = HazardModel(KnotSet((1.0,), horizon=2.0), [(0.25, 0.75), (0.0, 2.0)])
         p = FeaturePath(1, {0: ((0.5, 1.0),)})
         obs = [
             Observation.interval(p, 0.0, 1.5),

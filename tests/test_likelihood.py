@@ -21,14 +21,12 @@ from tvhazard import (
     PenaltyConfig,
     ProportionalModel,
     SolverConfig,
-    StepFunction,
     ZeroBracketWarning,
     build_knot_set,
     default_scenario,
     fit,
     fit_proportional,
     generate,
-    matrix_model,
     model_matrix,
     nll_dataset,
     proportional_nll,
@@ -53,13 +51,11 @@ def random_instance(rng, d=3, n_knots=4, horizon=8.0):
     """Random nonnegative model plus feature paths on a shared window."""
     times = np.sort(rng.uniform(0.3, horizon - 0.3, size=n_knots))
     ks = KnotSet(tuple(times), horizon)
-    intercept = StepFunction(ks, tuple(rng.uniform(0.05, 0.6, size=ks.n_intervals)))
-    coefficients = {
-        int(j): StepFunction(ks, tuple(rng.uniform(0.0, 1.5, size=ks.n_intervals)))
-        for j in rng.choice(d, size=rng.integers(1, d + 1), replace=False)
-    }
-    m = HazardModel(knots=ks, d=d, intercept=intercept, coefficients=coefficients)
-    return m, ks
+    W = np.zeros((d + 1, ks.n_intervals))
+    W[0] = rng.uniform(0.05, 0.6, size=ks.n_intervals)
+    for j in rng.choice(d, size=rng.integers(1, d + 1), replace=False):
+        W[j + 1] = rng.uniform(0.0, 1.5, size=ks.n_intervals)
+    return HazardModel(ks, W), ks
 
 
 def random_path(rng, d, horizon):
@@ -119,26 +115,56 @@ def design_inputs(draw, horizon=10.0, low=-3.0):
 class TestHazardModel:
     def test_rejects_negative_values(self):
         ks = KnotSet((1.0,), 2.0)
-        bad = StepFunction(ks, (-0.1, 0.2))
-        with pytest.raises(ValueError):
-            HazardModel(knots=ks, d=0, intercept=bad)
+        with pytest.raises(ValueError, match="negative"):
+            HazardModel(ks, [(-0.1, 0.2)])
+        with pytest.raises(ValueError, match="negative"):
+            HazardModel(ks, [(0.1, 0.2), (0.0, -1e-300)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            HazardModel(KnotSet((1.0,), 2.0), [(0.1, 0.2), (bad, 0.0)])
 
     def test_rejects_mismatched_knots(self):
+        # W's columns are the intervals of its own knot set
         ks = KnotSet((1.0,), 2.0)
-        other = KnotSet((0.5,), 2.0)
-        with pytest.raises(ValueError):
-            HazardModel(
-                knots=ks,
-                d=1,
-                intercept=StepFunction(ks, (0.1, 0.1)),
-                coefficients={0: StepFunction(other, (0.0, 0.0))},
-            )
+        other = KnotSet((0.5, 1.0), 2.0)
+        with pytest.raises(ValueError, match="shape"):
+            HazardModel(ks, np.zeros((2, other.n_intervals)))
 
-    def test_rejects_out_of_range_feature(self):
-        ks = KnotSet((), 2.0)
-        sf = StepFunction(ks, (0.1,))
+    @pytest.mark.parametrize("W", [np.zeros((0, 2)), np.zeros(2), np.zeros((1, 2, 1))],
+                             ids=["no rows", "1-D", "3-D"])
+    def test_rejects_a_matrix_that_is_not_rows_by_intervals(self, W):
+        with pytest.raises(ValueError, match="shape"):
+            HazardModel(KnotSet((1.0,), 2.0), W)
+
+    def test_stores_a_read_only_float_copy_with_positive_zeros(self):
+        ks = KnotSet((1.0,), 2.0)
+        W = np.array([[-0.0, 1.0], [0.0, -0.0]])
+        m = HazardModel(ks, W)
+        assert not np.signbit(m.W).any()
+        assert m.W.dtype == float and not m.W.flags.writeable
         with pytest.raises(ValueError):
-            HazardModel(knots=ks, d=1, intercept=sf, coefficients={1: sf})
+            m.W[0, 0] = 1.0
+        W[0, 1] = 7.0  # the caller's array is not the model's
+        assert m.W[0, 1] == 1.0
+        assert HazardModel(ks, [[0, 1]]).W.dtype == float
+
+    def test_d_is_the_row_count_after_the_intercept(self):
+        ks = KnotSet((), 2.0)
+        assert HazardModel(ks, [[0.5]]).d == 0
+        assert HazardModel(ks, np.zeros((41, 1))).d == 40
+
+    def test_equality_is_by_value(self):
+        ks = KnotSet((1.0,), 2.0)
+        m = HazardModel(ks, [(0.5, 1.0), (0.0, 0.25)])
+        assert m == HazardModel(KnotSet((1.0,), 2.0), np.array([[0.5, 1.0], [-0.0, 0.25]]))
+        assert m != HazardModel(ks, [(0.5, 1.0), (0.0, 0.5)])
+        assert m != HazardModel(ks, [(0.5, 1.0), (0.0, 0.25), (0.0, 0.0)])
+        assert m != HazardModel(KnotSet((1.5,), 2.0), m.W)
+        assert m != ks
+        with pytest.raises(TypeError):
+            hash(m)
 
 
 class TestCumulativeHazard:
@@ -201,7 +227,7 @@ class TestLog1mExp:
 class TestNLLObservation:
     def test_right_censored_is_cumulative_hazard(self):
         ks = KnotSet((2.0,), 5.0)
-        m = HazardModel(knots=ks, d=0, intercept=StepFunction(ks, (0.5, 1.0)))
+        m = HazardModel(ks, [(0.5, 1.0)])
         p = FeaturePath(0, {})
         o = Observation.right_censored(p, 3.0)
         assert nll_observation(m, o) == pytest.approx(0.5 * 2 + 1.0 * 1, rel=1e-15)
@@ -209,7 +235,7 @@ class TestNLLObservation:
     def test_interval_closed_form(self):
         # hazard 0.5 on [0,2), 1.0 after; event inside (1, 3]
         ks = KnotSet((2.0,), 5.0)
-        m = HazardModel(knots=ks, d=0, intercept=StepFunction(ks, (0.5, 1.0)))
+        m = HazardModel(ks, [(0.5, 1.0)])
         p = FeaturePath(0, {})
         o = Observation.interval(p, 1.0, 3.0)
         lam_pre = 0.5  # Lambda(0,1)
@@ -219,7 +245,7 @@ class TestNLLObservation:
 
     def test_zero_mass_bracket_warns_and_is_inf(self):
         ks = KnotSet((1.0,), 4.0)
-        m = HazardModel(knots=ks, d=0, intercept=StepFunction(ks, (0.5, 0.0)))
+        m = HazardModel(ks, [(0.5, 0.0)])
         p = FeaturePath(0, {})
         o = Observation.interval(p, 2.0, 3.0)  # hazard identically 0 there
         with pytest.warns(ZeroBracketWarning):
@@ -240,7 +266,7 @@ class TestNLLObservation:
         shape = (obs[0].path.d + 1, knots.n_intervals)
         level = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
         W = data.draw(st.lists(level, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
-        m = matrix_model(knots, np.reshape(W, shape))
+        m = HazardModel(knots, np.reshape(W, shape))
         with warnings.catch_warnings(record=True) as oracle_caught:
             warnings.simplefilter("always")
             want = scalar_nll(m, obs)
@@ -255,6 +281,16 @@ class TestNLLObservation:
             assert not caught
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_a_subnormal_bracket_mass_warns_nothing(self):
+        # 1/(e^x - 1) overflows to +inf below x = 1/max float; the NLL never
+        # uses it and the gradient's rounded value is -inf
+        ks = KnotSet((), 2.2250738585e-313)
+        o = Observation.interval(FeaturePath(0, {}), 0.0, ks.horizon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nll_dataset(HazardModel(ks, [[1.0]]), [o]) == -math.log(ks.horizon)
+            assert CensoredDesign(ks, [o]).nll_grad([1.0])[1][0] == -math.inf
+
     def test_dataset_is_plain_sum(self):
         rng = np.random.default_rng(8)
         m, ks = random_instance(rng)
@@ -266,19 +302,16 @@ class TestNLLObservation:
 
 class TestModelMatrix:
     def test_round_trip(self):
+        # model_matrix is a writable copy of W; a model built from it is equal
         rng = np.random.default_rng(9)
         m, ks = random_instance(rng)
         W = model_matrix(m)
         assert W.shape == (m.d + 1, ks.n_intervals)
-        m2 = matrix_model(ks, W)
-        assert model_matrix(m2).tolist() == W.tolist()
-
-    def test_zero_rows_omitted(self):
-        ks = KnotSet((1.0,), 2.0)
-        W = np.array([[0.3, 0.3], [0.0, 0.0], [0.2, 0.0]])
-        m = matrix_model(ks, W)
-        assert set(m.coefficients) == {1}
-        assert m.d == 2
+        assert W.tobytes() == m.W.tobytes()
+        W[0, 0] += 1.0
+        assert m.W[0, 0] == W[0, 0] - 1.0
+        W[0, 0] -= 1.0
+        assert HazardModel(ks, W) == m
 
 
 class TestGradient:
@@ -301,8 +334,8 @@ class TestGradient:
                         Wp, Wm = Wb.copy(), Wb.copy()
                         Wp[r, c] += h
                         Wm[r, c] -= h
-                        fp = scalar_nll(matrix_model(ks, Wp), obs)
-                        fm = scalar_nll(matrix_model(ks, Wm), obs)
+                        fp = scalar_nll(HazardModel(ks, Wp), obs)
+                        fm = scalar_nll(HazardModel(ks, Wm), obs)
                         return (fp - fm) / (2 * h)
 
                     # Richardson extrapolation kills the O(h^2) term.
@@ -313,7 +346,7 @@ class TestGradient:
 
     def test_zero_bracket_gradient_raises(self):
         ks = KnotSet((1.0,), 4.0)
-        m = HazardModel(knots=ks, d=0, intercept=StepFunction(ks, (0.5, 0.0)))
+        m = HazardModel(ks, [(0.5, 0.0)])
         p = FeaturePath(0, {})
         o = Observation.interval(p, 2.0, 3.0)
         with pytest.raises(ValueError, match="floor"):
@@ -321,7 +354,7 @@ class TestGradient:
 
     def test_dimension_mismatch_rejected(self):
         ks = KnotSet((), 4.0)
-        m = HazardModel(knots=ks, d=1, intercept=StepFunction(ks, (0.5,)))
+        m = HazardModel(ks, [[0.5], [0.0]])
         o = Observation.right_censored(FeaturePath(2, {1: ((0.0, 1.0),)}), 2.0)
         # the messages name both dimensions (a bare size mismatch in numpy
         # or scipy would raise ValueError too)
@@ -380,7 +413,7 @@ class TestCensoredDesign:
         # called into the package
         ks = KnotSet((1.0,), 4.0)
         obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0)]
-        m = HazardModel(knots=ks, d=0, intercept=StepFunction(ks, (0.5, 0.0)))
+        m = HazardModel(ks, [(0.5, 0.0)])
         design = CensoredDesign(ks, obs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -465,10 +498,10 @@ class TestCensoredDesign:
         design = CensoredDesign(ks, obs)
         assert design.nll(design.flat_coefficients(m)) == nll_dataset(m, obs)
         other = KnotSet(ks.times, ks.horizon + 1.0)
-        moved = HazardModel(knots=other, d=m.d, intercept=StepFunction(other, m.intercept.values))
+        moved = HazardModel(other, m.W)
         with pytest.raises(ValueError, match="knot sets"):
             design.flat_coefficients(moved)
-        wide = HazardModel(knots=ks, d=m.d + 1, intercept=m.intercept)
+        wide = HazardModel(ks, np.vstack([m.W, np.zeros(ks.n_intervals)]))
         with pytest.raises(ValueError, match=f"model d={m.d + 1}"):
             design.flat_coefficients(wide)
 

@@ -272,6 +272,23 @@ class TestIsotonicProject:
             assert z.sum() == pytest.approx(y.sum(), abs=1e-9)
             assert np.allclose(isotonic_project(z), z, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(prox_stacks())
+    def test_a_stack_is_its_rows_projected_one_by_one(self, Y):
+        got = isotonic_project(Y)
+        want = np.vstack([isotonic_project(row) for row in Y])
+        assert got.shape == Y.shape
+        assert got.tobytes() == want.tobytes(), Y
+
+    def test_a_stack_with_a_nonfinite_row_is_rejected_like_the_row(self):
+        Y = np.array([[0.5, 1.0, -2.0], [1.0, np.inf, 0.0]])
+        with pytest.raises(ValueError, match="y must be finite"):
+            isotonic_project(Y[1])
+        with pytest.raises(ValueError, match="y must be finite"):
+            isotonic_project(Y)
+        with pytest.raises(ValueError, match="2-D stack"):
+            isotonic_project(np.zeros((2, 2, 2)))
+
 
 class TestProxStep:
     def test_fused_then_clip_is_joint_minimizer(self):

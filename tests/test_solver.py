@@ -19,6 +19,7 @@ from tvhazard import (
     CampaignSpec,
     CensoredDesign,
     FeaturePath,
+    HazardModel,
     KnotSet,
     Observation,
     PenaltyConfig,
@@ -26,13 +27,11 @@ from tvhazard import (
     SolverWarning,
     build_knot_set,
     default_scenario,
-    eval_step,
     fit,
     fit_proportional,
     fused_lasso_prox,
     generate,
     isotonic_project,
-    matrix_model,
     model_matrix,
     nll_dataset,
     nonzero_parameter_count,
@@ -185,8 +184,8 @@ class TestFullBatch:
             warnings.simplefilter("ignore", SolverWarning)
             res = fit(obs, cfg(0.0, max_iterations=200))
         assert res.model.knots.times == (1.0, 2.0, 3.0, 4.0, 5.0)
-        intercept = res.model.intercept
-        assert eval_step(intercept, 6.0) == eval_step(intercept, 6.0 - 1e-6)
+        intercept, at = res.model.W[0], res.model.knots.interval_index
+        assert intercept[at(6.0)] == intercept[at(6.0 - 1e-6)]
 
     @pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
     def test_solution_is_nonnegative(self):
@@ -203,7 +202,7 @@ class TestFullBatch:
             ks = KnotSet((), horizon=6.0)
 
             def f(w0):
-                return nll_dataset(matrix_model(ks, np.array([[w0]])), obs)
+                return nll_dataset(HazardModel(ks, [[w0]]), obs)
 
             oracle = scipy.optimize.minimize_scalar(
                 f, bounds=(1e-9, 20.0), method="bounded", options={"xatol": 1e-12}
@@ -659,7 +658,7 @@ class TestHelpers:
         obs = sim_observations(rng, n=20)
         knots = build_knot_set(obs)
         W = rng.uniform(0.0, 1.0, size=(4, knots.n_intervals))
-        m = matrix_model(knots, W)
+        m = HazardModel(knots, W)
         pen = PenaltyConfig(gamma=1.7)
         expect = nll_dataset(m, obs) + 1.7 * sum(tv(W[r]) for r in range(W.shape[0]))
         assert np.isclose(objective(m, obs, pen), expect, rtol=1e-12)

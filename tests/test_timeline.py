@@ -1,4 +1,4 @@
-"""Knot grids, step functions, feature paths, and exact integration."""
+"""Knot grids, step-function rows, feature paths, and exact integration."""
 
 import json
 import math
@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from tvhazard import (
     CensoredDesign,
     FeaturePath,
+    HazardModel,
     KnotSet,
     Observation,
-    StepFunction,
     build_knot_set,
-    eval_step,
 )
 from tvhazard.formats import _row_from_json, _row_json
 from tvhazard.timeline import MERGE_TOL
@@ -66,24 +65,25 @@ class TestKnotSet:
 
 
 class TestStepFunction:
+    """A coefficient path is a row of a model's ``W``: one value per knot interval."""
+
     def test_eval_matches_interval_values(self):
         ks = KnotSet((1.0, 3.0), 5.0)
-        f = StepFunction(ks, (0.5, 2.0, 0.25))
-        assert f(0.0) == 0.5
-        assert f(1.0) == 2.0  # right-continuous at the jump
-        assert f(2.9999) == 2.0
-        assert f(3.0) == 0.25
+        row = HazardModel(ks, [[0.5, 2.0, 0.25]]).W[0]
+        assert row[ks.interval_index(0.0)] == 0.5
+        assert row[ks.interval_index(1.0)] == 2.0  # right-continuous at the jump
+        assert row[ks.interval_index(2.9999)] == 2.0
+        assert row[ks.interval_index(3.0)] == 0.25
 
     def test_value_count_must_match(self):
-        with pytest.raises(ValueError):
-            StepFunction(KnotSet((1.0,), 2.0), (1.0,))
+        with pytest.raises(ValueError, match="shape"):
+            HazardModel(KnotSet((1.0,), 2.0), [[1.0]])
 
     def test_to_jumps_drops_flat_segments(self):
-        # the model-file encoding of a step function: its base level, then
-        # one exact delta at each knot where the level changes
+        # the model-file encoding of a row: its base level, then one exact
+        # delta at each knot where the level changes
         ks = KnotSet((1.0, 2.0, 3.0), 4.0)
-        f = StepFunction(ks, (0.7, 0.7, 1.1, 1.1))
-        row = json.loads(_row_json(f), parse_float=str)
+        row = json.loads(_row_json(ks.times, [0.7, 0.7, 1.1, 1.1]), parse_float=str)
         assert row["base"] == "0.7"
         assert [jm["t"] for jm in row["jumps"]] == ["2.0"]
         assert Fraction(row["jumps"][0]["delta"]) == Fraction(1.1) - Fraction(0.7)
@@ -252,28 +252,28 @@ class TestMergeTimes:
 class TestIntegration:
     def test_integrate_step_exact_small_case(self):
         ks = KnotSet((1.0, 2.0), 4.0)
-        f = StepFunction(ks, (1.0, 3.0, 0.5))
-        assert integrate_step(f, 0.0, 4.0) == 1.0 + 3.0 + 0.5 * 2
-        assert integrate_step(f, 0.5, 1.5) == 0.5 * 1.0 + 0.5 * 3.0
-        assert integrate_step(f, 2.0, 2.0) == 0.0
+        f = (1.0, 3.0, 0.5)
+        assert integrate_step(ks, f, 0.0, 4.0) == 1.0 + 3.0 + 0.5 * 2
+        assert integrate_step(ks, f, 0.5, 1.5) == 0.5 * 1.0 + 0.5 * 3.0
+        assert integrate_step(ks, f, 2.0, 2.0) == 0.0
 
     def test_integrate_step_matches_quadrature(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             ks = random_knots(rng)
-            f = StepFunction(ks, tuple(rng.uniform(0, 4, size=ks.n_intervals)))
+            f = rng.uniform(0, 4, size=ks.n_intervals).tolist()
             a, b = np.sort(rng.uniform(0, ks.horizon, size=2))
             ref, err = scipy.integrate.quad(
-                lambda t: eval_step(f, t), a, b,
+                lambda t: f[ks.interval_index(t)], a, b,
                 points=[t for t in ks.times if a < t < b], limit=200,
             )
-            assert integrate_step(f, a, b) == pytest.approx(ref, abs=max(1e-9, 10 * err))
+            assert integrate_step(ks, f, a, b) == pytest.approx(ref, abs=max(1e-9, 10 * err))
 
     def test_integrate_step_product_matches_quadrature(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             ks = random_knots(rng)
-            f = StepFunction(ks, tuple(rng.uniform(0, 4, size=ks.n_intervals)))
+            f = rng.uniform(0, 4, size=ks.n_intervals).tolist()
             k = rng.integers(0, 5)
             ts = merge_times(np.sort(rng.uniform(0, ks.horizon, size=k)).tolist(), tol=1e-6)
             vals = rng.uniform(0, 2, size=len(ts))
@@ -281,15 +281,15 @@ class TestIntegration:
             a, b = np.sort(rng.uniform(0, ks.horizon, size=2))
             pts = [t for t in list(ks.times) + list(ts) if a < t < b]
             ref, err = scipy.integrate.quad(
-                lambda t: eval_step(f, t) * level_at(p, 0, t), a, b,
+                lambda t: f[ks.interval_index(t)] * level_at(p, 0, t), a, b,
                 points=sorted(pts), limit=200,
             )
-            got = integrate_step_product(f, p, 0, a, b)
+            got = integrate_step_product(ks, f, p, 0, a, b)
             assert got == pytest.approx(ref, abs=max(1e-9, 10 * err))
 
     def test_bounds_validated(self):
-        f = StepFunction(KnotSet((1.0,), 2.0), (1.0, 2.0))
+        ks = KnotSet((1.0,), 2.0)
         with pytest.raises(ValueError):
-            integrate_step(f, 1.5, 0.5)
+            integrate_step(ks, (1.0, 2.0), 1.5, 0.5)
         with pytest.raises(ValueError):
-            integrate_step(f, 0.0, 3.0)
+            integrate_step(ks, (1.0, 2.0), 0.0, 3.0)
