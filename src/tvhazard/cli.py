@@ -35,6 +35,18 @@ def _refuse_overwrite(force, *paths):
             raise FileExistsError(f"refusing to overwrite {path} (use --force)")
 
 
+def _nonnegative_int(text):
+    """argparse type of ``--seed``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if value >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=1)
@@ -236,7 +248,9 @@ def build_parser():
     p.add_argument("--spec", default=None, help="campaign spec JSON (default: built-in scenario)")
     p.add_argument("--out", required=True, help="observation file to write (JSON lines)")
     p.add_argument("--truth-out", default=None, help="truth model path (default: OUT.truth.json)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=_nonnegative_int, default=0, help="seed of every site's random stream"
+    )
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(func=cmd_simulate)
 
@@ -260,7 +274,9 @@ def build_parser():
     p.add_argument("--gammas", default="0,0.5,1,2,4,8,16", help="comma-separated gamma grid")
     p.add_argument("--split", type=float, default=0.7, help="train fraction")
     _fit_flags(p, gamma=False)
-    p.add_argument("--seed", type=int, default=0, help="seed of the train/validation split")
+    p.add_argument(
+        "--seed", type=_nonnegative_int, default=0, help="seed of the train/validation split"
+    )
     p.add_argument("--out", default=None, help="sweep table JSON path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)

@@ -7,7 +7,10 @@ interval and the event time inverts the running sum of those rates.  It is
 then censored the way a periodic blacklist would observe it: the event is
 bracketed by the surrounding scan times, or right-censored at the horizon if
 it happens after the last scan (or not at all).  Everything is deterministic
-given the spec seed; each site gets its own derived RNG stream.
+given the spec seed; each site gets its own derived RNG stream,
+``default_rng(SeedSequence((seed, site)))``, and every site's stream is
+computed in one array pass: SeedSequence's hash and PCG64's 128-bit LCG run
+on uint32/uint64 arrays over all sites and give bitwise the same doubles.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class CampaignSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d", "n"):
+        for name in ("d", "n", "seed"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
@@ -63,6 +66,8 @@ class CampaignSpec:
             raise ValueError("d must be nonnegative")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if not 0.0 <= self.feature_density <= 1.0:
@@ -117,10 +122,106 @@ def truth_model(spec):
     return HazardModel(knots, W)
 
 
-def _target(rng):
-    """One uniform draw ``u`` as the cumulative hazard ``-log u`` at the
+# SeedSequence's hash constants (NumPy's bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier as (high, low) 64-bit words; NEP 19 keeps both
+# streams fixed across NumPy versions
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MASK32 = 0xFFFFFFFF
+_U32, _U64 = np.uint32, np.uint64
+
+
+def _hasher(const, mult):
+    """SeedSequence's multiplicative hash as a function of uint32 arrays; its
+    multiplier steps by ``mult`` on each call, the same for every site, so
+    it stays a Python int."""
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ _U32(const)
+        const = const * mult & _MASK32
+        value = value * _U32(const)
+        return value ^ (value >> _U32(16))
+
+    return hash_
+
+
+def _pcg64_seeds(seed, sites):
+    """``(state_hi, state_lo, inc_hi, inc_lo)`` uint64 arrays: the PCG64 of
+    ``default_rng(SeedSequence((seed, site)))`` for each site (< 2**32).
+
+    The entropy is the seed's little-endian 32-bit words (``[0]`` for 0)
+    followed by the site's word, mixed into SeedSequence's 4-word pool and
+    expanded by ``generate_state(4, uint64)``, all sites at once in uint32
+    arrays.  PCG64 is then seeded as ``pcg64_set_seed`` does.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(len(sites), w, dtype=_U32) for w in words]
+    entropy.append(np.asarray(sites, dtype=_U32))
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _U32(16))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(len(sites), dtype=_U32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    expand = _hasher(_INIT_B, _MULT_B)
+    state = [expand(pool[i % _POOL_SIZE]).astype(_U64) for i in range(2 * _POOL_SIZE)]
+    # each 64-bit word is two 32-bit words, low first
+    s_hi, s_lo, q_hi, q_lo = (state[2 * k] | (state[2 * k + 1] << _U64(32)) for k in range(4))
+    inc_hi = (q_hi << _U64(1)) | (q_lo >> _U64(63))
+    inc_lo = (q_lo << _U64(1)) | _U64(1)
+    # state = (initstate + inc) * M + inc
+    lo = s_lo + inc_lo
+    hi = s_hi + inc_hi + (lo < inc_lo)
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """``state * M + inc`` mod 2**128 on (hi, lo) uint64 arrays; the high
+    word of ``lo * M_lo`` is summed from 32-bit-limb products."""
+    a0, a1 = lo & _U64(_MASK32), lo >> _U64(32)
+    b0, b1 = _PCG_MULT_LO & _U64(_MASK32), _PCG_MULT_LO >> _U64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _U64(_MASK32)) + (p10 & _U64(_MASK32))
+    carry = a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _site_uniforms(seed, sites, count):
+    """Yield ``count`` float64 arrays: draw ``t`` holds, for every site, the
+    ``t``-th double of ``default_rng(SeedSequence((seed, site))).random()``,
+    bitwise.
+
+    Every site's PCG64 steps at once; each draw is the XSL-RR output of the
+    stepped 128-bit state, ``(x >> 11) * 2**-53``.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_seeds(seed, sites)
+    for _ in range(count):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> _U64(58)
+        x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+        yield (x >> _U64(11)) * 2.0**-53
+
+
+def _target(u):
+    """A uniform draw ``u`` as the cumulative hazard ``-log u`` at the
     event; ``inf`` for ``u = 0``."""
-    u = rng.random()
     return -math.log(u) if u > 0.0 else math.inf
 
 
@@ -169,15 +270,17 @@ def sample_event_time(path, truth, rng):
         if len(changes) > 1 or changes[0][0] != 0.0:
             raise ValueError(f"feature {j} of the path changes after t=0")
         levels[0, j] = changes[0][1]
-    return float(_event_times(truth, levels, np.array([_target(rng)]))[0])
+    return float(_event_times(truth, levels, np.array([_target(rng.random())]))[0])
 
 
 def generate(spec):
     """Simulate the scenario: returns ``(truth_model, observations)``.
 
-    Per site, from its own stream ``SeedSequence((seed, site))``: features
-    present independently with probability ``feature_density`` (value 1 from
-    t=0), then one uniform ``u``.  Every site's event time solves
+    Per site, from its own stream ``default_rng(SeedSequence((seed, site)))``:
+    features present independently with probability ``feature_density``
+    (value 1 from t=0), then one uniform ``u``.  Every site's stream is
+    computed in one array pass over all sites, bitwise the doubles that
+    ``default_rng`` would draw.  Every site's event time solves
     ``Lambda(0, t) = -log u`` exactly over the truth's per-interval rates,
     all sites at once, and is censored by the shared scans:
     ``Interval(last scan < tau, first scan >= tau)`` when a scan catches the
@@ -185,17 +288,23 @@ def generate(spec):
     """
     truth = truth_model(spec)
     present = np.empty((spec.n, spec.d), dtype=bool)
-    targets = np.empty(spec.n)
-    for site in range(spec.n):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, site)))
-        present[site] = rng.random(spec.d) < spec.feature_density
-        targets[site] = _target(rng)
+    for t, u in enumerate(_site_uniforms(spec.seed, np.arange(spec.n), spec.d + 1)):
+        if t < spec.d:
+            present[:, t] = u < spec.feature_density
+        else:
+            targets = np.array([_target(x) for x in u.tolist()])
     taus = _event_times(truth, present.astype(float), targets)
     scans = spec.scan_times
     brackets = np.searchsorted(scans, taus, "left").tolist()
+    counts = present.sum(axis=1).tolist()
+    features = np.nonzero(present)[1].tolist()
+    # the records' Python objects set the peak memory: free the matrix first
+    del present
     observations = []
-    for site, k in enumerate(brackets):
-        path = FeaturePath(spec.d, {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present[site])})
+    start = 0
+    for site, (k, count) in enumerate(zip(brackets, counts)):
+        path = FeaturePath(spec.d, {j: ((0.0, 1.0),) for j in features[start : start + count]})
+        start += count
         uid = f"site-{site:06d}"
         # taus are capped at the horizon, beyond the last scan, or inf
         if k < len(scans):

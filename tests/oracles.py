@@ -17,9 +17,11 @@ its direct algorithm, a second fused-lasso algorithm;
 ``json.dump``, for the library's one-write observation writer;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
 rate computed from the run table's arrays; ``run_table_loop``, one run at
-a time, for the run table assembled with NumPy; and
+a time, for the run table assembled with NumPy;
 ``dyadic_decimal``, exact rational arithmetic on integers, for the model
-writer's decimal deltas.
+writer's decimal deltas; and ``site_uniforms_loop``, one NumPy
+``Generator`` per site, for the generator's streams computed in one array
+pass.
 ``representer_observations`` is not an oracle: it draws the datasets of
 acceptance criterion 3, which the solver tests reuse.
 """
@@ -274,6 +276,16 @@ def run_table_loop(observations):
                     flat += (i, j + 1, start, end, v)
     table = np.array(flat, dtype=float).reshape(-1, 5)
     return d, table, np.array(left), np.array(right), np.array(is_interval)
+
+
+def site_uniforms_loop(seed, sites, count):
+    """(len(sites), count) array: row ``i`` holds the first ``count`` doubles
+    of ``default_rng(SeedSequence((seed, sites[i])))``, one site at a time."""
+    rows = []
+    for site in sites:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, int(site))))
+        rows.append(rng.random(count))
+    return np.array(rows, dtype=float).reshape(len(rows), count)
 
 
 def isotonic_bruteforce(y):

@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,28 @@ class TestSimulate:
         for shape in ({"n": 10.5}, {"d": 4.5}):
             write_spec(bad, **shape)
             assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "w.jsonl")]) == 2
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_bad_seed_names_the_flag(self, command, value, obs_file, tmp_path, capsys):
+        argv = {
+            "simulate": ["simulate", "--out", str(tmp_path / "o.jsonl")],
+            "sweep": ["sweep", "--observations", str(obs_file)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: expected a nonnegative integer, got {value!r}" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_simulate_help_describes_the_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert re.search(r"--seed SEED +\S", capsys.readouterr().out)
 
 
 class TestFit:

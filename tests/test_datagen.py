@@ -22,7 +22,9 @@ from tvhazard import (
     write_observations,
 )
 
-from oracles import cumulative_hazard, merge_times
+from tvhazard.datagen import _site_uniforms
+
+from oracles import cumulative_hazard, merge_times, site_uniforms_loop
 
 
 def tiny_spec(**overrides):
@@ -68,6 +70,15 @@ class TestSpecValidation:
             tiny_spec(feature_density=1.5)
         with pytest.raises(ValueError):
             tiny_spec(baseline_level=-0.1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            tiny_spec(seed=seed)
+
+    def test_integer_seed_becomes_an_int(self):
+        seed = tiny_spec(seed=np.uint64(2**63)).seed
+        assert type(seed) is int and seed == 2**63
 
     def test_rejects_bad_active_entries(self):
         with pytest.raises(ValueError):
@@ -216,6 +227,28 @@ class TestSampler:
         assert abs(k - n * p) < 4.0 * math.sqrt(n * p * (1 - p))
 
 
+def check_against_replay(spec):
+    """Replay each site's own ``default_rng`` stream one site at a time and
+    check ``generate``'s paths, ids and censoring of the replayed times."""
+    truth, obs = generate(spec)
+    assert len(obs) == spec.n
+    scans = spec.scan_times
+    draws = site_uniforms_loop(spec.seed, range(spec.n), spec.d + 1)
+    for site, o in enumerate(obs):
+        present = draws[site, : spec.d] < spec.feature_density
+        path = FeaturePath(spec.d, {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present)})
+        assert path == o.path
+        tau = sample_event_time(path, truth, _FixedU(draws[site, spec.d]))
+        if o.kind == "interval":
+            assert o.left < tau <= o.right
+            assert o.right in scans
+            assert o.left == 0.0 or o.left in scans
+        else:
+            assert o.right == spec.horizon
+            assert tau > scans[-1]
+        assert o.id == f"site-{site:06d}"
+
+
 class TestGenerate:
     # sha256 of the observation and truth files of default_scenario(s),
     # s = 0, 1, 2; the benchmark's stored objectives rest on these bytes
@@ -253,24 +286,20 @@ class TestGenerate:
         assert o1 != o2
 
     def test_brackets_contain_replayed_event_times(self):
-        # replay each site's private stream and check the censoring logic
-        spec = tiny_spec(n=200)
-        truth, obs = generate(spec)
-        scans = spec.scan_times
-        for site, o in enumerate(obs):
-            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, site)))
-            present = rng.random(spec.d) < spec.feature_density
-            path = FeaturePath(spec.d, {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present)})
-            assert path == o.path
-            tau = sample_event_time(path, truth, rng)
-            if o.kind == "interval":
-                assert o.left < tau <= o.right
-                assert o.right in scans
-                assert o.left == 0.0 or o.left in scans
-            else:
-                assert o.right == spec.horizon
-                assert tau > scans[-1]
-            assert o.id == f"site-{site:06d}"
+        check_against_replay(tiny_spec(n=200))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n=50, d=0, active=()),
+            dict(n=1),
+            dict(n=50, feature_density=0.0),
+            dict(n=50, feature_density=1.0, seed=2**64 + 3),
+        ],
+        ids=["d=0", "n=1", "density=0", "density=1"],
+    )
+    def test_edge_specs_match_the_replay(self, overrides):
+        check_against_replay(tiny_spec(**overrides))
 
     def test_zero_baseline_featureless_sites_never_event(self):
         spec = default_scenario(0)
@@ -287,3 +316,31 @@ class TestGenerate:
         carriers = sum(1 for o in obs if o.path.entries)
         # density 0.08 over 40 features: most sites carry something
         assert carriers > 900
+
+
+def site_uniforms(seed, sites, count):
+    """``_site_uniforms``'s draws as a (len(sites), count) array."""
+    draws = list(_site_uniforms(seed, np.asarray(sites), count))
+    return np.array(draws, dtype=float).reshape(count, len(sites)).T
+
+
+class TestSiteStreams:
+    # every site's stream, computed in one array pass, must be bitwise the
+    # doubles of its own default_rng(SeedSequence((seed, site)))
+    @pytest.mark.parametrize("count", [1, 41])
+    @pytest.mark.parametrize("seed", [0, 1, 97003, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
+    def test_streams_match_one_generator_per_site(self, seed, count):
+        # 2**100 takes five entropy words: more than SeedSequence's pool
+        for sites in (range(300), range(2**32 - 300, 2**32)):
+            got = site_uniforms(seed, sites, count)
+            assert got.tobytes() == site_uniforms_loop(seed, sites, count).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**128 - 1),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+        st.integers(0, 50),
+    )
+    def test_streams_match_for_any_seed_and_sites(self, seed, sites, count):
+        got = site_uniforms(seed, sites, count)
+        assert got.tobytes() == site_uniforms_loop(seed, sites, count).tobytes()
