@@ -179,7 +179,7 @@ def cmd_sweep(args):
     rows = []
     for gamma in gammas:
         result = fit(train, _solver_config(args, gamma), knots=knots)
-        val_nll = val_design.nll(val_design.flat_coefficients(result.model))
+        val_nll = val_design.nll(result.model.W)
         rows.append(
             {
                 "gamma": gamma,

@@ -100,7 +100,9 @@ def nll_dataset(m, observations):
     if not observations:
         return 0.0
     design = CensoredDesign(m.knots, observations)
-    return design.nll(design.flat_coefficients(m))
+    if m.d != design.d:
+        raise ValueError(f"dimension mismatch: model d={m.d}, observations d={design.d}")
+    return design.nll(m.W)
 
 
 def model_matrix(m):
@@ -111,10 +113,12 @@ def model_matrix(m):
 class CensoredDesign:
     """Precomputed exposures for fast NLL and gradient evaluation.
 
-    For coefficient matrix ``W`` (row 0 = intercept) flattened to ``w``, the
-    head term of observation ``i`` (hazard mass on ``[0, e_i]``, with ``e_i``
-    the bracket's left end or the censoring time) and the mass of each
-    interval bracket ``[l_i, r_i]`` are linear in ``w``.
+    For coefficient matrix ``W`` (row 0 = intercept), the head term of
+    observation ``i`` (hazard mass on ``[0, e_i]``, with ``e_i`` the
+    bracket's left end or the censoring time) and the mass of each interval
+    bracket ``[l_i, r_i]`` are linear in ``W``.  :meth:`nll` and
+    :meth:`nll_grad` take ``W`` of shape ``shape`` = (d+1, intervals) or
+    flattened row by row.
 
     The constructor takes every nonzero constant run from one segment table
     (:func:`_run_table`) and overlaps every run with every knot interval in
@@ -123,8 +127,9 @@ class CensoredDesign:
     are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
     matrix of per-observation head exposures is never formed.  Bracket
     exposures are kept as the CSR matrix ``V``, one row per interval
-    observation; ``interval_rows`` holds those observations' indices, and
-    ``left``, ``right`` and ``is_interval`` every observation's bracket and kind.
+    observation, and ``interval_rows`` holds those observations' indices.
+    ``pooled_event_rate`` is the observations' events over exposure
+    (:func:`_pooled_event_rate`), the solver's start intercept.
 
     Each cell adds its runs in run order and the column sum adds
     observations in input order, so ``_u_colsum`` and ``V`` are bitwise
@@ -140,7 +145,7 @@ class CensoredDesign:
                 f"observation times ({left[i]}, {right[i]}) outside knot range [0, {knots.horizon}]"
             )
         self.knots = knots
-        self.left, self.right, self.is_interval = left, right, is_interval
+        self.pooled_event_rate = _pooled_event_rate(left, right, is_interval)
         self.d = d
         self.n_slots = K = knots.n_intervals
         self.shape = (d + 1, K)
@@ -169,21 +174,8 @@ class CensoredDesign:
         # than going through V.T and bitwise the same (rows added in order)
         self._V_t = self.V.T.tocsr()
 
-    def flat_coefficients(self, m):
-        """Model ``m``'s coefficients flattened as this design's ``w``.
-
-        Evaluating several models on one observation set (a gamma sweep's
-        validation NLLs) this way builds the design once.  Raises
-        ``ValueError`` if ``m``'s knots or dimension differ from the design's.
-        """
-        if m.knots != self.knots:
-            raise ValueError("model and design have different knot sets")
-        if m.d != self.d:
-            raise ValueError(f"dimension mismatch: model d={m.d}, observations d={self.d}")
-        return m.W.ravel()
-
     def nll(self, w, floor=0.0):
-        """Dataset NLL at flattened coefficients ``w``.
+        """Dataset NLL at coefficients ``w``.
 
         With ``floor = 0`` the value is exact: zero-mass brackets yield
         ``+inf`` and one :class:`ZeroBracketWarning` that counts them.  With
@@ -208,7 +200,7 @@ class CensoredDesign:
         return total
 
     def nll_grad(self, w, floor=0.0):
-        """NLL value and gradient (flattened) at ``w``.
+        """NLL value and gradient at ``w``, the gradient in ``w``'s shape.
 
         With ``floor > 0`` bracket masses are clamped below at ``floor``
         (optimizer use: keeps the objective finite and smooth near the
@@ -216,6 +208,7 @@ class CensoredDesign:
         a zero-mass bracket raises ``ValueError``: the gradient is undefined
         there.
         """
+        shape = np.shape(w)
         w = np.asarray(w).ravel()
         value = float(self._u_colsum @ w)
         grad = self._u_colsum.copy()
@@ -231,7 +224,7 @@ class CensoredDesign:
             log_mass, inv = _bracket_terms(br)
             value += float(-log_mass.sum())
             grad -= self._V_t @ inv
-        return value, grad
+        return value, grad.reshape(shape)
 
 
 def _run_table(observations):

@@ -29,9 +29,10 @@ every trial of FISTA's sufficient-decrease test, as a step underflow.
 Every uncertified exit warns once, at the first caller outside the package.
 
 The solver sees the problem only through the :class:`CensoredDesign`
-(``nll``, ``nll_grad``, the start's arrays) and the :class:`PenaltyConfig`
-(``value``, ``prox``).  The smooth part is the likelihood alone; TV and
-every constraint, monotone mode's too, live in the penalty's prox.
+(``nll``, ``nll_grad``, ``shape``, ``pooled_event_rate``) and the
+:class:`PenaltyConfig` (``value``, ``prox``).  The smooth part is the
+likelihood alone; TV and every constraint, monotone mode's too, live in the
+penalty's prox.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 import scipy
 from scipy import optimize
 
-from .likelihood import CensoredDesign, HazardModel, _pooled_event_rate, _warn_at_caller, nll_dataset
+from .likelihood import CensoredDesign, HazardModel, _warn_at_caller, nll_dataset
 from .penalty import PenaltyConfig
 from .timeline import _window_knots, build_knot_set
 
@@ -148,16 +149,6 @@ def nonzero_parameter_count(W):
     return count
 
 
-def _smooth(design, W, with_grad=True):
-    """Smooth part of the objective at ``W`` (NLL with floored bracket
-    masses) and its gradient, or ``None`` for the gradient without
-    ``with_grad``: one ``nll_grad`` or one value-only ``nll`` call."""
-    if with_grad:
-        val, grad = design.nll_grad(W.ravel(), floor=_MASS_FLOOR)
-        return val, grad.reshape(W.shape)
-    return design.nll(W.ravel(), floor=_MASS_FLOOR), None
-
-
 def _backtrack(design, Y, f, g, step, config):
     """Backtracking line search of a prox-gradient step from ``Y``.
 
@@ -170,7 +161,7 @@ def _backtrack(design, Y, f, g, step, config):
     while True:
         Z = config.penalty.prox(Y - step * g, step)
         dZ = Z - Y
-        fZ, _ = _smooth(design, Z, with_grad=False)
+        fZ = design.nll(Z, floor=_MASS_FLOOR)
         bound = f + float(np.vdot(g, dZ)) + float(np.vdot(dZ, dZ)) / (2.0 * step)
         if fZ <= bound:
             return Z, fZ, step
@@ -180,7 +171,7 @@ def _backtrack(design, Y, f, g, step, config):
 
 
 def _fit_full_batch(design, config):
-    """Monotone FISTA with function-value restart, from :func:`_default_start`.
+    """Monotone FISTA with function-value restart, from :func:`_start`.
 
     ``X`` is the best iterate so far and ``Y`` the point the next step
     starts from: ``X`` itself (a momentum-free step) or ``X`` extrapolated
@@ -202,21 +193,14 @@ def _fit_full_batch(design, config):
     """
     pen = config.penalty
     tol = config.tolerance
-    X = _default_start(design)
-    f, g = _smooth(design, X)
-    FX = f + pen.value(X)
-    if not math.isfinite(FX):
-        raise NumericalError(f"objective not finite at initialization: {FX!r}")
+    X, f, g, first, ref = _start(design, config)
+    FX = f  # the start has no TV
     trace = [(0, FX)]
     Y, at_x, momentum = X, True, 1.0
     step = _FIRST_STEP
-    ref = None  # max(1, G1): the mapping norm of iteration 1
     for it in range(1, config.max_iterations + 1):
-        Z, fZ, t = _backtrack(design, Y, f, g, step, config)
-        gap = float(np.linalg.norm(Y - Z)) / t
-        if ref is None:
-            ref = max(1.0, gap)
-        rel = gap / ref
+        Z, fZ, t = first if it == 1 else _backtrack(design, Y, f, g, step, config)
+        rel = float(np.linalg.norm(Y - Z)) / t / ref
         FZ = math.inf if fZ is None else fZ + pen.value(Z)
         if at_x and (rel <= tol or fZ is None or not FZ < FX):
             trace.append((it, FX))
@@ -246,11 +230,11 @@ def _fit_full_batch(design, config):
         trace.append((it, FX))
         if fZ is not None:
             step = min(t * _GROW, _FIRST_STEP)
-        f, g = _smooth(design, Y)
+        f, g = design.nll_grad(Y, floor=_MASS_FLOOR)
     else:
         stop = "max_iterations"
         if not at_x:
-            f, g = _smooth(design, X)
+            f, g = design.nll_grad(X, floor=_MASS_FLOOR)
     # G_step(X) for the step the last line search started from
     gap = float(np.linalg.norm(X - pen.prox(X - step * g, step))) / step
     return _uncertified(X, trace, stop, gap / ref, config, it)
@@ -259,7 +243,7 @@ def _fit_full_batch(design, config):
 def _fit_box_lbfgs(design, config):
     """Unpenalized fit (gamma = 0, not monotone): L-BFGS-B (Byrd, Lu,
     Nocedal & Zhu 1995) on the smooth part with the bounds ``W >= 0``, from
-    :func:`_default_start`.
+    :func:`_start`.
 
     The certificate is :func:`_fit_full_batch`'s: ``G1`` is the mapping
     norm of one line search from the start, and the fit is certified at
@@ -271,12 +255,7 @@ def _fit_box_lbfgs(design, config):
     trace holds the objective after every L-BFGS-B iteration.
     """
     pen = config.penalty
-    X = _default_start(design)
-    f, g = _smooth(design, X)
-    if not math.isfinite(f):
-        raise NumericalError(f"objective not finite at initialization: {f!r}")
-    Z, _, t = _backtrack(design, X, f, g, _FIRST_STEP, config)
-    ref = max(1.0, float(np.linalg.norm(X - Z)) / t)
+    X, f, g, _, ref = _start(design, config)
 
     def relative_norm(W, grad):
         return float(np.linalg.norm(W - pen.prox(W - grad, 1.0))) / ref
@@ -363,10 +342,24 @@ def _uncertified(X, trace, stop, rel, config, it):
     return X, trace, stop, rel
 
 
-def _default_start(design):
-    W = np.zeros(design.shape)
-    W[0, :] = _pooled_event_rate(design.left, design.right, design.is_interval)
-    return W
+def _start(design, config):
+    """The one start of every fit, and the first line search from it.
+
+    The start is an intercept at the design's pooled event rate with every
+    feature row zero, so it has no TV and its objective is its floored NLL
+    ``f``.  Returns ``(X, f, g, first, ref)``: ``g`` the gradient at ``X``,
+    ``first`` what :func:`_backtrack` returns for a step from ``X`` at the
+    first trial step, and ``ref = max(1, G1)`` from that step.  Raises
+    :class:`NumericalError` if ``f`` is not finite.
+    """
+    X = np.zeros(design.shape)
+    X[0, :] = design.pooled_event_rate
+    f, g = design.nll_grad(X, floor=_MASS_FLOOR)
+    if not math.isfinite(f):
+        raise NumericalError(f"objective not finite at initialization: {f!r}")
+    first = _backtrack(design, X, f, g, _FIRST_STEP, config)
+    Z, _, t = first
+    return X, f, g, first, max(1.0, float(np.linalg.norm(X - Z)) / t)
 
 
 def fit(observations, config, knots=None):

@@ -227,6 +227,8 @@ class TestProportional:
                 else:
                     expect += lam_int(o.path, 0.0, o.right)
             assert np.isclose(proportional_nll(model, obs), expect, rtol=1e-9)
+        # as nll_dataset: no observations, no likelihood terms
+        assert proportional_nll(model, []) == 0.0
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(54)

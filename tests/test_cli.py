@@ -20,12 +20,15 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 import tvhazard
 from tvhazard import (
     ConstantAdditiveModel,
+    FeaturePath,
     NumericalError,
+    Observation,
     fit_constant_additive,
     nll_dataset,
     read_model,
     read_observations,
     write_model,
+    write_observations,
 )
 from tvhazard.cli import main
 
@@ -232,6 +235,50 @@ class TestFit:
         monkeypatch.setattr("tvhazard.cli.fit", boom)
         args = ["fit", "--observations", str(obs_file), "--out", str(tmp_path / "m.json")]
         assert main(args) == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["fit", "--gamma", "1"], ["sweep", "--gammas", "0,1"]], ids=["fista", "lbfgsb"]
+    )
+    def test_a_start_with_no_finite_objective_exits_3(self, argv, tmp_path, capsys):
+        # the site's head exposure 1e10 * 1.5e308 overflows to inf, and the
+        # start's zero feature row makes its head term inf * 0 = NaN
+        obs = tmp_path / "obs.jsonl"
+        sites = [
+            Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308),
+            Observation.interval(FeaturePath(1, {}), 0.0, 1.0),
+        ]
+        write_observations(obs, sites, d=1, horizon=1.5e308)
+        out = tmp_path / "out.json"
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(argv + ["--observations", str(obs), "--out", str(out)]) == 3
+        assert "invalid value encountered in matmul" in {str(w.message) for w in caught}
+        assert "objective not finite at initialization: nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, records, message",
+        [
+            ("fit", 0, "no observation records"),
+            ("evaluate", 0, "no observation records"),
+            ("sweep", 1, "sweep needs at least 2 observations to split"),
+        ],
+    )
+    def test_too_few_records_is_validation_error(
+        self, command, records, message, obs_file, tmp_path, capsys
+    ):
+        obs = tmp_path / "few.jsonl"
+        obs.write_text("".join(obs_file.read_text().splitlines(keepends=True)[: 1 + records]))
+        model = tmp_path / "model.json"
+        write_model(model, ConstantAdditiveModel(0.2, (0.1,) * 4).to_hazard_model(4.0))
+        out = tmp_path / "out.json"
+        argv = {
+            "fit": ["fit", "--observations", str(obs), "--out", str(out)],
+            "evaluate": ["evaluate", "--model", str(model), "--observations", str(obs)],
+            "sweep": ["sweep", "--observations", str(obs), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

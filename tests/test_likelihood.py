@@ -417,7 +417,7 @@ class TestCensoredDesign:
         design = CensoredDesign(ks, obs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert design.nll(design.flat_coefficients(m)) == math.inf
+            assert design.nll(m.W) == math.inf
             assert nll_dataset(m, obs) == math.inf
         assert [w.category for w in caught] == [ZeroBracketWarning] * 2
         assert [w.filename for w in caught] == [__file__] * 2
@@ -489,21 +489,42 @@ class TestCensoredDesign:
         with pytest.raises(ValueError):
             CensoredDesign(ks, obs)
 
-    def test_flat_coefficients_fit_only_their_design(self):
-        # a design serves every model of its knot set and dimension, bitwise
-        # as nll_dataset would; any other model is refused
+    def test_design_rejects_observations_past_the_horizon(self):
+        ks = KnotSet((1.0,), 4.0)
+        p = FeaturePath(0, {})
+        for o in (Observation.right_censored(p, 4.5), Observation.interval(p, 2.0, 4.5)):
+            with pytest.raises(ValueError, match=r"outside knot range \[0, 4.0\]"):
+                CensoredDesign(ks, [Observation.right_censored(p, 1.0), o])
+
+    def test_nll_dataset_refuses_other_dimensions(self):
+        # a design evaluates a model of its knot set at m.W bitwise as
+        # nll_dataset does; nll_dataset refuses a model with a row more or
+        # less than the paths have, naming both dimensions
         rng = np.random.default_rng(16)
         m, ks = random_instance(rng)
         obs = random_observations(rng, m.d, ks.horizon)
-        design = CensoredDesign(ks, obs)
-        assert design.nll(design.flat_coefficients(m)) == nll_dataset(m, obs)
-        other = KnotSet(ks.times, ks.horizon + 1.0)
-        moved = HazardModel(other, m.W)
-        with pytest.raises(ValueError, match="knot sets"):
-            design.flat_coefficients(moved)
+        assert CensoredDesign(ks, obs).nll(m.W) == nll_dataset(m, obs)
         wide = HazardModel(ks, np.vstack([m.W, np.zeros(ks.n_intervals)]))
-        with pytest.raises(ValueError, match=f"model d={m.d + 1}"):
-            design.flat_coefficients(wide)
+        with pytest.raises(ValueError, match=f"model d={m.d + 1}, observations d={m.d}"):
+            nll_dataset(wide, obs)
+        narrow = HazardModel(ks, m.W[:-1])
+        with pytest.raises(ValueError, match=f"model d={m.d - 1}, observations d={m.d}"):
+            nll_dataset(narrow, obs)
+
+    def test_gradient_takes_the_argument_shape(self):
+        # flat in gives flat out, (d+1, K) in gives (d+1, K) out, and the two
+        # agree bitwise, with and without a floor
+        rng = np.random.default_rng(17)
+        m, ks = random_instance(rng)
+        obs = random_observations(rng, m.d, ks.horizon)
+        design = CensoredDesign(ks, obs)
+        for floor in (0.0, 1e-12):
+            value, grad = design.nll_grad(m.W, floor=floor)
+            flat_value, flat_grad = design.nll_grad(m.W.ravel(), floor=floor)
+            assert grad.shape == design.shape == m.W.shape
+            assert flat_grad.shape == (m.W.size,)
+            assert value == flat_value
+            assert grad.tobytes() == flat_grad.tobytes()
 
 
 @st.composite
@@ -568,12 +589,15 @@ class TestPooledEventRate:
     @example([Observation.right_censored(FeaturePath(0, {}), t) for t in (0.5, 3.0, 7.25)])
     def test_run_table_arrays_match_the_loop_bitwise(self, obs):
         # the start's rate, from the arrays of the one pass over the
-        # observations, adds the exposures in input order
+        # observations, adds the exposures in input order; the design keeps
+        # that one float
         _, _, left, right, is_interval = _run_table(obs)
         got = _pooled_event_rate(left, right, is_interval)
         want = pooled_event_rate_loop(obs)
         assert type(got) is float
         assert got.hex() == want.hex()
+        design = CensoredDesign(KnotSet((), float(right.max())), obs)
+        assert design.pooled_event_rate.hex() == want.hex()
         if not is_interval.any():
             assert got == 0.0
 

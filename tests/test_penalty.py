@@ -76,6 +76,15 @@ class TestTV:
         assert PenaltyConfig(gamma=0.0).value(np.array([[0.0, 1.0]])) == 0.0
 
 
+@pytest.mark.parametrize("y", [np.array([]), np.zeros((2, 0)), np.zeros((0, 3))],
+                         ids=["empty-row", "empty-rows", "no-rows"])
+@pytest.mark.parametrize("project", [lambda y: fused_lasso_prox(y, 0.5), isotonic_project],
+                         ids=["fused", "isotonic"])
+def test_an_empty_y_is_rejected(project, y):
+    with pytest.raises(ValueError, match="y must be nonempty"):
+        project(y)
+
+
 class TestFusedLassoProx:
     def test_weight_zero_is_identity(self):
         y = np.array([3.0, -1.0, 2.0])

@@ -54,6 +54,11 @@ class TestKnotSet:
         with pytest.raises(ValueError):
             KnotSet((-1.0,), 4.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_horizon_that_is_not_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            KnotSet((), horizon)
+
     def test_interval_index_right_continuous(self):
         ks = KnotSet((1.0, 2.0), 5.0)
         # at a knot the index belongs to the interval on the right
@@ -62,6 +67,11 @@ class TestKnotSet:
         assert ks.interval_index(1.999) == 1
         assert ks.interval_index(2.0) == 2
         assert ks.interval_index(5.0) == 2
+
+    @pytest.mark.parametrize("t", [-1e-9, 5.0 + 1e-9, math.nan])
+    def test_interval_index_outside_window_raises(self, t):
+        with pytest.raises(ValueError, match=r"outside observation window \[0, 5.0\]"):
+            KnotSet((1.0, 2.0), 5.0).interval_index(t)
 
 
 class TestStepFunction:
@@ -119,6 +129,24 @@ class TestFeaturePath:
             FeaturePath(2, {2: ((0.0, 1.0),)})
         with pytest.raises(ValueError, match="outside"):
             FeaturePath(2, {-1: ((0.0, 1.0),)})
+        with pytest.raises(ValueError, match="d must be nonnegative"):
+            FeaturePath(-1, {})
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            (((math.inf, 1.0),), "non-finite change"),
+            (((math.nan, 1.0),), "non-finite change"),
+            (((1.0, math.nan),), "non-finite change"),
+            (((-0.5, 1.0),), "is negative"),
+            (((1.0, 1.0), (1.0, 2.0)), "not strictly increasing"),
+            (((2.0, 1.0), (1.0, 2.0)), "not strictly increasing"),
+        ],
+        ids=["time-inf", "time-nan", "value-nan", "negative", "repeated", "decreasing"],
+    )
+    def test_rejects_bad_changes(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            FeaturePath(1, {0: changes})
 
     def test_change_times_collects_all_features(self):
         p = FeaturePath(4, {0: ((1.0, 1.0),), 3: ((0.5, 2.0), (1.0, 0.0))})
@@ -134,6 +162,20 @@ class TestObservation:
             Observation.interval(p, -1.0, 2.0)
         o = Observation.interval(p, 0.0, 2.0)
         assert (o.left, o.right, o.kind) == (0.0, 2.0, "interval")
+
+    @pytest.mark.parametrize(
+        "kind, left, right, match",
+        [
+            ("left", 0.0, 1.0, "unknown censoring kind 'left'"),
+            ("interval", 0.0, math.inf, "censoring times must be finite"),
+            ("interval", math.nan, 1.0, "censoring times must be finite"),
+            ("right", math.inf, math.inf, "censoring times must be finite"),
+        ],
+        ids=["kind", "interval-inf", "interval-nan", "right-inf"],
+    )
+    def test_rejects_unknown_kind_and_non_finite_times(self, kind, left, right, match):
+        with pytest.raises(ValueError, match=match):
+            Observation(FeaturePath(1, {}), kind, left, right)
 
     def test_right_censoring_needs_positive_time(self):
         p = FeaturePath(1, {})
@@ -194,6 +236,13 @@ class TestBuildKnotSet:
         ks = build_knot_set(obs, horizon=2.0)
         assert ks.times == (1.0,)
         assert tuple(ks.boundaries()) == (0.0, 1.0, 2.0)
+
+    def test_rejects_no_observations_and_a_boundary_past_the_horizon(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            build_knot_set([])
+        obs = [Observation.right_censored(FeaturePath(1, {}), 5.0)]
+        with pytest.raises(ValueError, match="censoring boundary 5.0 beyond horizon 4.0"):
+            build_knot_set(obs, horizon=4.0)
 
     def test_changes_beyond_horizon_dropped(self):
         p = FeaturePath(1, {0: ((1.0, 1.0), (9.0, 0.0))})
