@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -146,6 +147,11 @@ def cmd_evaluate(args):
         raise FormatError(f"{args.observations}: no observation records")
     _check_compatible(model, header, observations, args.model, args.observations)
     total = nll_dataset(model, observations)
+    if math.isnan(total):
+        raise NumericalError(
+            f"total NLL of {args.observations} under {args.model} is NaN: an exposure "
+            "overflows (horizon times feature value) where the model's weight is zero"
+        )
     report = {"n": len(observations), "total_nll": total, "mean_nll": total / len(observations)}
     if args.out is not None:
         _refuse_overwrite(args.force, args.out)
@@ -305,7 +311,8 @@ def _fit_flags(p, gamma=True):
         type=float,
         default=1e-7,
         help="stationarity certificate: stop once the prox-gradient mapping norm at "
-        "the best iterate is at most TOL * max(1, G1), G1 being that of iteration 1",
+        "step 1 of the best iterate is at most TOL * max(1, G1), G1 being that of "
+        "the first line search from the start",
     )
 
 

@@ -174,6 +174,18 @@ class CensoredDesign:
         # than going through V.T and bitwise the same (rows added in order)
         self._V_t = self.V.T.tocsr()
 
+    @property
+    def head_exposure(self):
+        """The head exposure of each cell, summed over the observations, in
+        the shape of ``W``: the constant part of the NLL's gradient."""
+        return self._u_colsum.reshape(self.shape)
+
+    @property
+    def bracket_exposure(self):
+        """The bracket exposure of each cell, summed over the interval
+        observations, in the shape of ``W``."""
+        return np.asarray(self.V.sum(axis=0)).reshape(self.shape)
+
     def nll(self, w, floor=0.0):
         """Dataset NLL at coefficients ``w``.
 
@@ -197,6 +209,32 @@ class CensoredDesign:
                 )
                 return math.inf
             total += float(-_bracket_terms(br)[0].sum())
+        return total
+
+    def nll_change(self, w, dw, floor):
+        """``nll(w + dw, floor) - nll(w, floor)`` from the change of each
+        term, ``floor > 0``: accurate to the rounding of the change itself,
+        where the difference of the two rounded values is lost once it falls
+        below the rounding of either.  A bracket whose mass moves from ``b``
+        to ``b + db`` changes its term by ``-log1p(r)``, ``r = (1 - e^-db) /
+        (e^b - 1)``, while ``|r| <= 1/2``; beyond that its two terms differ
+        by more than their rounding and are subtracted."""
+        w = np.asarray(w).ravel()
+        dw = np.asarray(dw).ravel()
+        total = float(self._u_colsum @ dw)
+        if self.V.shape[0]:
+            b, db = self.V @ w, self.V @ dw
+            moved = b + db
+            low = (b < floor) | (moved < floor)
+            if low.any():
+                b, moved = np.maximum(b, floor), np.maximum(moved, floor)
+                db = np.where(low, moved - b, db)
+            log_mass, inv = _bracket_terms(b)
+            r = -np.expm1(-db) * inv
+            change = log_mass - _bracket_terms(moved)[0]
+            small = np.abs(r) <= 0.5
+            change[small] = -np.log1p(r[small])
+            total += float(change.sum())
         return total
 
     def nll_grad(self, w, floor=0.0):

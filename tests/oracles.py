@@ -9,10 +9,13 @@ integrates one observation at a time on the common refinement of knots and
 change times (with the pointwise ``hazard``, ``level_at``, ``step_at``,
 ``merge_times`` and ``tv`` it is written from).  Most are exponential or
 polynomially slow and meant for tiny instances only.  The exceptions run
-at any size: ``fused_prox_kkt_residual``, the fused-lasso prox's optimality
-conditions; and earlier library code kept as references:
+at any size: ``fused_prox_kkt_residual``, the optimality conditions of the
+fused-lasso prox and of its monotone form, at any per-entry weights; and
+earlier library code kept as references:
 ``fused_lasso_prox_array``, the message-passing DP the library ran before
 its direct algorithm, a second fused-lasso algorithm;
+``condat_row_unweighted``, the direct algorithm as the library ran it
+before its pass took per-entry weights;
 ``write_observations_streamed``, which encodes record by record with
 ``json.dump``, for the library's one-write observation writer;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
@@ -97,28 +100,87 @@ def fused_prox_dual(y, lam):
     return y - d_mat.T @ res.x
 
 
-def fused_prox_kkt_residual(y, weight, x):
+def fused_prox_kkt_residual(y, weight, x, d=None, monotone=False):
     """Largest violation of the optimality conditions of the fused-lasso
-    prox by ``x``, in units of ``len(y) * max(1, max|y|)``.
+    prox by ``x``, in units of ``sum(d) * max(1, max|y|)``, at per-entry
+    weights ``d`` (all ones if None).
 
-    ``x`` minimizes ``(1/2)||y - x||^2 + weight * TV(x)`` exactly when
-    ``z = cumsum(y - x)`` ends at zero, stays within ``[-weight, weight]``
-    and equals ``-weight * sign(x[k+1] - x[k])`` wherever ``x`` jumps.  A
+    ``x`` minimizes ``(1/2) sum_k d_k (y_k - x_k)^2 + weight * TV(x)``
+    exactly when ``z = cumsum(d * (y - x))`` ends at zero, stays within
+    ``[-weight, weight]`` and equals ``-weight * sign(x[k+1] - x[k])``
+    wherever ``x`` jumps.  With ``monotone``, for the problem restricted to
+    nondecreasing ``x``, ``z`` has no upper bound and ``x`` must not
+    decrease (a decrease counts in units of ``max(1, max|y|)``).  A
     difference counts as a jump above ``1e-9 * max(1, max|y|)``.  A
     certificate for any algorithm, at any weight, with no second solver.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    d = np.ones_like(y) if d is None else np.asarray(d, dtype=float)
     scale = max(1.0, float(np.abs(y).max()))
-    z = np.cumsum(y - x)
+    z = np.cumsum(d * (y - x))
     dx = np.diff(x)
     jump = np.abs(dx) > 1e-9 * scale
     worst = max(
         abs(float(z[-1])),
-        float(np.max(np.abs(z[:-1]) - weight, initial=0.0)),
+        float(np.max(-z[:-1] - weight, initial=0.0)),
         float(np.max(np.abs(z[:-1][jump] + weight * np.sign(dx[jump])), initial=0.0)),
     )
-    return worst / (y.size * scale)
+    if monotone:
+        worst = max(worst, float(np.max(-dx, initial=0.0)) * float(d.sum()))
+    else:
+        worst = max(worst, float(np.max(z[:-1] - weight, initial=0.0)))
+    return worst / (float(d.sum()) * scale)
+
+
+def condat_row_unweighted(y, lam, out):
+    """Condat's direct algorithm on a row ``y`` (a list of at least two
+    floats) at weight ``lam > 0``, appending the solution to the list
+    ``out``: the library's pass before it took per-entry weights, for the
+    weighted pass at unit weights, which must match it bitwise."""
+    n = len(y)
+    k = k0 = kminus = kplus = 0
+    mlam = -lam
+    umin, umax = lam, mlam
+    vmin, vmax = y[0] - lam, y[0] + lam
+    twolam = lam + lam
+    while True:
+        while k == n - 1:
+            if umin < 0.0:
+                out += [vmin] * (kminus + 1 - k0)
+                k = kminus = k0 = kminus + 1
+                vmin, umin, umax = y[k], lam, y[k] + lam - vmax
+            elif umax > 0.0:
+                out += [vmax] * (kplus + 1 - k0)
+                k = kplus = k0 = kplus + 1
+                vmax, umin, umax = y[k], y[k] - lam - vmin, mlam
+            else:
+                out += [vmin + umin / (k - k0 + 1)] * (n - k0)
+                return
+        k += 1
+        yk = y[k]
+        umin += yk - vmin
+        if umin < mlam:
+            out += [vmin] * (kminus + 1 - k0)
+            k = kminus = kplus = k0 = kminus + 1
+            vmin, vmax = y[k], y[k] + twolam
+            umin, umax = lam, mlam
+            continue
+        umax += yk - vmax
+        if umax > lam:
+            out += [vmax] * (kplus + 1 - k0)
+            k = kminus = kplus = k0 = kplus + 1
+            vmin, vmax = y[k] - twolam, y[k]
+            umin, umax = lam, mlam
+            continue
+        if umin >= lam:
+            kminus = k
+            vmin += (umin - lam) / (k - k0 + 1)
+            umin = lam
+        if umax <= mlam:
+            kplus = k
+            vmax += (umax + lam) / (k - k0 + 1)
+            umax = mlam
 
 
 def fused_lasso_prox_array(y, weight):
@@ -288,28 +350,31 @@ def site_uniforms_loop(seed, sites, count):
     return np.array(rows, dtype=float).reshape(len(rows), count)
 
 
-def isotonic_bruteforce(y):
-    """Projection onto nondecreasing sequences by partition enumeration.
+def isotonic_bruteforce(y, d=None):
+    """Projection onto nondecreasing sequences by partition enumeration, in
+    the metric of per-entry weights ``d`` (all ones if None).
 
-    The projection is blockwise constant at block means with strictly
-    increasing means across blocks; ties belong to the merged partition.
-    Means and squared errors are exact fractions: in floats, partitions
-    whose objectives differ by less than the rounding of a large total
-    (e.g. 1e-14 next to 18.75) would tie and the first one would win.
+    The projection is blockwise constant at block weighted means with
+    strictly increasing means across blocks; ties belong to the merged
+    partition.  Means and squared errors are exact fractions: in floats,
+    partitions whose objectives differ by less than the rounding of a large
+    total (e.g. 1e-14 next to 18.75) would tie and the first one would win.
     """
     exact = [Fraction(float(v)) for v in np.asarray(y, dtype=float)]
     n = len(exact)
+    w = [Fraction(1)] * n if d is None else [Fraction(float(v)) for v in np.asarray(d, dtype=float)]
     best, best_obj = None, None
     for cuts in itertools.product((0, 1), repeat=n - 1):
         bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [n]
-        blocks = [exact[a:b] for a, b in zip(bounds, bounds[1:])]
-        means = [sum(block) / len(block) for block in blocks]
+        blocks = list(zip(bounds, bounds[1:]))
+        means = [sum(v * c for v, c in zip(exact[a:b], w[a:b])) / sum(w[a:b]) for a, b in blocks]
         if any(a >= b for a, b in zip(means, means[1:])):
             continue
-        obj = sum((v - m) ** 2 for block, m in zip(blocks, means) for v in block)
+        obj = sum(c * (v - m) ** 2 for (a, b), m in zip(blocks, means)
+                  for v, c in zip(exact[a:b], w[a:b]))
         if best_obj is None or obj < best_obj:
             best_obj = obj
-            best = np.repeat([float(m) for m in means], [len(block) for block in blocks])
+            best = np.repeat([float(m) for m in means], [b - a for a, b in blocks])
     return best
 
 

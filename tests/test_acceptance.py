@@ -321,8 +321,6 @@ def figure1():
     }
 
 
-# the figure-1 fits stop at their 4,000-iteration cap a little above tolerance
-@pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
 def test_criterion_5_figure1_ordering(capsys, figure1):
     l1, mono = figure1["l1"], figure1["mono"]
     best = min(l1, key=lambda r: r["val"])
@@ -349,7 +347,6 @@ def test_criterion_5_figure1_ordering(capsys, figure1):
     assert dt < 600.0
 
 
-@pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
 def test_criterion_6_change_point_localization(capsys, figure1):
     spec = figure1["spec"]
     best = min(figure1["l1"], key=lambda r: r["val"])

@@ -255,6 +255,27 @@ class TestFit:
         assert "objective not finite at initialization: nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_evaluating_an_overflowing_exposure_exits_3(self, tmp_path, capsys):
+        # the site's head exposure 1e10 * 1.5e308 overflows to inf, and a
+        # zero weight on its feature makes its head term inf * 0 = NaN,
+        # which is not JSON: no report is written
+        obs = tmp_path / "obs.jsonl"
+        sites = [
+            Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308),
+            Observation.interval(FeaturePath(1, {}), 0.0, 1.0),
+        ]
+        write_observations(obs, sites, d=1, horizon=1.5e308)
+        model = tmp_path / "model.json"
+        write_model(model, ConstantAdditiveModel(0.2, (0.0,)).to_hazard_model(1.5e308))
+        out = tmp_path / "eval.json"
+        args = ["evaluate", "--model", str(model), "--observations", str(obs), "--out", str(out)]
+        with pytest.warns(RuntimeWarning):
+            assert main(args) == 3
+        captured = capsys.readouterr()
+        assert "total NLL" in captured.err and "is NaN" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, records, message",
         [

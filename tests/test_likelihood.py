@@ -448,6 +448,52 @@ class TestCensoredDesign:
                 # the value-only route, which line-search trials take
                 assert design.nll(w, floor=floor) == got_value
 
+    def test_nll_change_is_exact_where_rounded_values_lose_it(self):
+        # against 50-digit arithmetic on the dense oracle's exposures, for
+        # steps whose change is far above and far below the rounding of
+        # the NLL itself
+        rng = np.random.default_rng(17)
+        lost = 0
+        for scale in (1e-1, 1e-6, 1e-12):
+            for _ in range(8):
+                m, ks = random_instance(rng)
+                obs = random_observations(rng, m.d, ks.horizon)
+                design = CensoredDesign(ks, obs)
+                U, V = dense_design(ks, obs)
+                w = model_matrix(m).ravel()
+                dw = scale * rng.uniform(-1.0, 1.0, size=w.size) * w
+                with mpmath.workdps(50):
+                    head = [mpmath.mpf(float(u)) for u in U.sum(axis=0)]
+
+                    def exact_nll(x):
+                        masses = [mpmath.fsum(mpmath.mpf(float(v)) * xk for v, xk in zip(row, x))
+                                  for row in V]
+                        return (mpmath.fsum(h * xk for h, xk in zip(head, x))
+                                - mpmath.fsum(mpmath.log(1 - mpmath.exp(-b)) for b in masses))
+
+                    x0 = [mpmath.mpf(float(v)) for v in w]
+                    x1 = [a + mpmath.mpf(float(b)) for a, b in zip(x0, dw)]
+                    want = float(exact_nll(x1) - exact_nll(x0))
+                got = design.nll_change(w, dw, floor=1e-12)
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+                rounded = design.nll(w + dw, floor=1e-12) - design.nll(w, floor=1e-12)
+                lost += abs(rounded - want) > 1e-3 * abs(want)
+        # the difference of two rounded values misses most tiny changes
+        assert lost >= 6
+
+    def test_nll_change_clamps_masses_at_the_floor(self):
+        # a bracket with no hazard at w: its mass is clamped on both sides,
+        # as nll clamps it
+        ks = KnotSet((1.0,), 4.0)
+        obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0),
+               Observation.interval(FeaturePath(0, {}), 0.5, 1.5)]
+        design = CensoredDesign(ks, obs)
+        w, dw = np.array([0.5, 0.0]), np.array([0.1, 0.3])
+        want = design.nll(w + dw, floor=1e-12) - design.nll(w, floor=1e-12)
+        assert design.nll_change(w, dw, floor=1e-12) == pytest.approx(want, rel=1e-12)
+        back = design.nll(w, floor=1e-12) - design.nll(w + dw, floor=1e-12)
+        assert design.nll_change(w + dw, -dw, floor=1e-12) == pytest.approx(back, rel=1e-12)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(design_inputs())
     def test_matches_dense_oracle_bitwise(self, case):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvhazard import PenaltyConfig, fused_lasso_prox, isotonic_project
+from tvhazard.penalty import _condat_row
 
 from oracles import (
+    condat_row_unweighted,
     fused_lasso_prox_array,
     fused_prox_bruteforce,
     fused_prox_dual,
@@ -30,10 +32,10 @@ def prox_step(y, lam, monotone=False):
 
 
 @st.composite
-def prox_rows(draw):
-    """Rows of length 1-120 with signed zeros and ties: mixed, nonpositive or constant."""
+def prox_rows(draw, top=120):
+    """Rows of length 1-``top`` with signed zeros and ties: mixed, nonpositive or constant."""
     levels = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-1e3, 1e3))
-    y = draw(arrays(np.float64, st.integers(1, 120), elements=levels))
+    y = draw(arrays(np.float64, st.integers(1, top), elements=levels))
     kind = draw(st.sampled_from(["mixed", "nonpositive", "constant"]))
     if kind == "nonpositive":
         y = np.where(y > 0.0, -y, y)
@@ -63,6 +65,30 @@ def prox_weights(top=20):
         st.integers(-20, top).map(lambda e: 10.0**e),
         st.floats(1e-20, 10.0**top),
     )
+
+
+def entry_weights(size):
+    """Per-entry weights from 1e-3 to 1e5: powers of ten and floats."""
+    return arrays(np.float64, size, elements=st.one_of(
+        st.integers(-3, 5).map(lambda e: 10.0**e), st.floats(1e-3, 1e5)))
+
+
+@st.composite
+def weighted_rows(draw, top=120):
+    """A row of :func:`prox_rows` of length at most ``top`` and its weights."""
+    y = draw(prox_rows(top))
+    return y, draw(entry_weights(y.size))
+
+
+def kkt_bound(y, weight, d):
+    """1e-12 times the weighted pass's conditioning.  Its levels start at
+    ``y_k +- weight / d_k`` and carry that value's rounding, which the
+    cumulative sums weigh with ``sum(d)``; a row whose weight reaches
+    ``sum(d) * (max - min) / 4`` is screened flat, so larger weights add
+    nothing."""
+    spread = float(y.max() - y.min())
+    effective = min(weight, float(d.sum()) * spread / 4.0)
+    return 1e-12 * (1.0 + effective / (float(d.min()) * max(1.0, float(np.abs(y).max()))))
 
 
 class TestTV:
@@ -297,6 +323,68 @@ class TestIsotonicProject:
             isotonic_project(Y)
         with pytest.raises(ValueError, match="2-D stack"):
             isotonic_project(np.zeros((2, 2, 2)))
+
+
+class TestWeights:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(weighted_rows(), prox_weights(), st.booleans())
+    @example((np.array([0.5, 0.2, 0.9]), np.array([1e5, 1e-3, 1.0])), 1e20, True)
+    @example((np.array([0.5, 0.2, 0.9]), np.array([1e5, 1e-3, 1.0])), 1e4, False)
+    def test_the_weighted_prox_meets_the_optimality_conditions(self, row, weight, monotone):
+        # in both modes, at weights spanning eight decades and at every
+        # weight up to 1e20, where the flat screen takes over
+        y, d = row
+        if monotone:
+            # on a positive row the clip at zero never binds, so the
+            # penalty's prox is the monotone prox itself
+            y = np.abs(y) + 1e-3
+            x = PenaltyConfig(gamma=weight, monotone=True).prox(y[None, :], 1.0, d[None, :])[0]
+        else:
+            x = fused_lasso_prox(y, weight, d)
+        residual = fused_prox_kkt_residual(y, weight, x, d, monotone=monotone)
+        assert residual <= kkt_bound(y, weight, d), (y, d, weight)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(prox_stacks(), prox_weights())
+    @example(np.array([[-2.1, -2.7, 0.0], [1.0, -1.0, 3.0]]), 1e-17)
+    def test_unit_weights_are_the_unweighted_pass_bitwise(self, Y, weight):
+        # each product with 1.0 and division by it is exact, so the weighted
+        # pass at unit weights repeats the unweighted pass operation for
+        # operation
+        if Y.shape[1] > 1 and weight > 0.0:
+            for row in Y.tolist():
+                got, want = [], []
+                _condat_row(row, [1.0] * len(row), weight, got)
+                condat_row_unweighted(row, weight, want)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (row, weight)
+        unit = fused_lasso_prox(Y, weight, np.ones_like(Y))
+        assert unit.tobytes() == fused_lasso_prox(Y, weight).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(weighted_rows(top=7))
+    def test_weighted_isotonic_matches_the_bruteforce_oracle(self, row):
+        y, d = row
+        z = isotonic_project(y, d)
+        assert np.abs(z - isotonic_bruteforce(y, d)).max() <= 1e-12 * max(1.0, np.abs(y).max())
+        assert np.all(np.diff(z) >= 0.0)
+
+    def test_a_flat_weighted_row_gives_its_weighted_mean(self):
+        assert fused_lasso_prox([1.0, 2.0, 4.0], 1e300, [1.0, 1.0, 2.0]).tolist() == [2.75] * 3
+        got = PenaltyConfig(gamma=1e20, monotone=True).prox(
+            np.array([[4.0, 2.0, 1.0]]), 1.0, np.array([[2.0, 1.0, 1.0]]))
+        assert got.tolist() == [[2.75] * 3]
+
+    @pytest.mark.parametrize("project", [lambda y, d: fused_lasso_prox(y, 0.5, d), isotonic_project],
+                             ids=["fused", "isotonic"])
+    def test_bad_weights_are_rejected(self, project):
+        y = np.array([[0.5, 1.0, -2.0], [1.0, 0.0, 3.0]])
+        with pytest.raises(ValueError, match="not y's"):
+            project(y, np.ones(3))
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            d = np.ones_like(y)
+            d[1, 2] = bad
+            with pytest.raises(ValueError, match="finite and > 0"):
+                project(y, d)
 
 
 class TestProxStep:
