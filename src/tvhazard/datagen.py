@@ -16,6 +16,7 @@ on uint32/uint64 arrays over all sites and give bitwise the same doubles.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ class CampaignSpec:
     before its first change).  Sites carry each feature independently with
     probability ``feature_density`` (present from t=0).  ``scan_times`` are
     the shared blacklist sweeps that create interval censoring.
+    ``horizon``, ``baseline_level`` and ``feature_density`` are stored as
+    Python floats.
     """
 
     d: int
@@ -53,6 +56,14 @@ class CampaignSpec:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("horizon", "baseline_level", "feature_density"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} {value!r} is too large for a float") from None
         object.__setattr__(
             self,
             "active",
@@ -68,12 +79,12 @@ class CampaignSpec:
             raise ValueError("n must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0.0 <= self.feature_density <= 1.0:
             raise ValueError("feature_density must be in [0, 1]")
-        if self.baseline_level < 0:
-            raise ValueError("baseline_level must be >= 0")
+        if not (math.isfinite(self.baseline_level) and self.baseline_level >= 0):
+            raise ValueError(f"baseline_level must be finite and >= 0, got {self.baseline_level}")
         seen = set()
         any_level = False
         for j, changes in self.active:
@@ -300,18 +311,24 @@ def generate(spec):
     features = np.nonzero(present)[1].tolist()
     # the records' Python objects set the peak memory: free the matrix first
     del present
+    # the records are built unchecked: feature indices are ints in [0, d),
+    # each path is the one change (0.0, 1.0), and the spec's scans increase
+    # strictly inside (0, horizon)
     observations = []
     start = 0
+    present_from_0 = ((0.0, 1.0),)
+    horizon = float(spec.horizon)
     for site, (k, count) in enumerate(zip(brackets, counts)):
-        path = FeaturePath(spec.d, {j: ((0.0, 1.0),) for j in features[start : start + count]})
+        entries = dict.fromkeys(features[start : start + count], present_from_0)
+        path = FeaturePath._trusted(spec.d, entries)
         start += count
         uid = f"site-{site:06d}"
         # taus are capped at the horizon, beyond the last scan, or inf
         if k < len(scans):
             left = scans[k - 1] if k > 0 else 0.0
-            observations.append(Observation.interval(path, left, scans[k], id=uid))
+            observations.append(Observation._trusted(path, "interval", left, scans[k], uid))
         else:
-            observations.append(Observation.right_censored(path, spec.horizon, id=uid))
+            observations.append(Observation._trusted(path, "right", horizon, horizon, uid))
     return truth, observations
 
 

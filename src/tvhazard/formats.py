@@ -57,39 +57,48 @@ def _integer(value, what):
     return value
 
 
-def observation_record(o):
-    """JSON-ready dict for one observation."""
-    if o.kind == "interval":
-        censoring = {"kind": "interval", "l": o.left, "r": o.right}
-    else:
-        censoring = {"kind": "right", "t": o.right}
-    features = [
-        {"j": j, "changes": [{"t": t, "v": v} for t, v in o.path.entries[j]]}
-        for j in sorted(o.path.entries)
-    ]
-    return {"id": o.id, "censoring": censoring, "features": features}
+# one observation line, as json.dumps writes its record: floats by repr,
+# which for a finite float is json's own number token, and features in
+# index order
+_INTERVAL_LINE = '{"id": %s, "censoring": {"kind": "interval", "l": %r, "r": %r}, "features": [%s]}\n'
+_RIGHT_LINE = '{"id": %s, "censoring": {"kind": "right", "t": %r}, "features": [%s]}\n'
+_FEATURE = '{"j": %d, "changes": [%s]}'
+_CHANGE = '{"t": %r, "v": %r}'
 
 
 def write_observations(path, observations, d, horizon):
     """Write the header plus one observation per line, in one write.
 
-    Raises ``ValueError``, before the file is opened, for a path whose
+    Raises ``ValueError``, before the file is opened, for a header the reader
+    would refuse (negative ``d``, non-finite ``horizon``), a path whose
     dimension is not ``d`` or a censoring boundary beyond ``horizon``: the
     reader or the fit would refuse the file.
     """
-    # json.dumps runs the C encoder; json.dump to a file, the Python one
-    header = {"d": int(d), "horizon": float(horizon), "time_unit": "abstract"}
-    observations = list(observations)
+    d, horizon = int(d), float(horizon)
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    lines = [json.dumps({"d": d, "horizon": horizon, "time_unit": "abstract"}) + "\n"]
     for o in observations:
-        if o.path.d != header["d"]:
-            raise ValueError(f"observation {o.id!r}: path d={o.path.d}, file d={header['d']}")
-        if o.right > header["horizon"]:
+        if o.path.d != d:
+            raise ValueError(f"observation {o.id!r}: path d={o.path.d}, file d={d}")
+        if o.right > horizon:
             raise ValueError(
-                f"observation {o.id!r}: censoring boundary {o.right} beyond horizon {header['horizon']}"
+                f"observation {o.id!r}: censoring boundary {o.right} beyond horizon {horizon}"
             )
-    lines = [json.dumps(header)] + [json.dumps(observation_record(o)) for o in observations]
+        entries = o.path.entries
+        features = ", ".join(
+            _FEATURE % (j, ", ".join([_CHANGE % change for change in entries[j]]))
+            for j in sorted(entries)
+        )
+        # json.dumps keeps the id's escaping (ensure_ascii)
+        if o.kind == "interval":
+            lines.append(_INTERVAL_LINE % (json.dumps(o.id), o.left, o.right, features))
+        else:
+            lines.append(_RIGHT_LINE % (json.dumps(o.id), o.right, features))
     with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(line + "\n" for line in lines))
+        f.write("".join(lines))
 
 
 def _parse_observation(rec, d, lineno, path):

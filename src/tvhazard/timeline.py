@@ -111,6 +111,19 @@ class FeaturePath:
                 clean[j] = changes
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _trusted(cls, d, entries):
+        """A path set from values that already pass ``__post_init__``'s
+        checks, which it skips.  The caller guarantees that ``d`` is a
+        nonnegative ``int``, that every key of ``entries`` is an ``int`` in
+        ``[0, d)``, and that every change tuple is non-empty and holds pairs
+        of finite Python ``float``s whose times increase strictly from 0 or
+        later."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     def change_times(self):
         """Sorted unique change times across all features."""
         out = set()
@@ -151,6 +164,21 @@ class Observation:
             if self.right <= 0:
                 raise ValueError(f"right-censoring time {self.right} must be positive")
             object.__setattr__(self, "left", self.right)
+
+    @classmethod
+    def _trusted(cls, path, kind, left, right, id):
+        """An observation set from values that already pass
+        ``__post_init__``'s checks, which it skips.  The caller guarantees
+        that ``left`` and ``right`` are finite Python ``float``s and that
+        ``kind`` is ``"interval"`` with ``0 <= left < right`` or ``"right"``
+        with ``left == right > 0``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "id", id)
+        return self
 
     @classmethod
     def interval(cls, path, left, right, id=""):

@@ -16,8 +16,9 @@ earlier library code kept as references:
 its direct algorithm, a second fused-lasso algorithm;
 ``condat_row_unweighted``, the direct algorithm as the library ran it
 before its pass took per-entry weights;
-``write_observations_streamed``, which encodes record by record with
-``json.dump``, for the library's one-write observation writer;
+``write_observations_streamed``, which encodes each record's dict
+(``observation_record``) with ``json.dump``, for the library's observation
+writer, which formats each line itself and writes once;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
 rate computed from the run table's arrays; ``run_table_loop``, one run at
 a time, for the run table assembled with NumPy;
@@ -40,7 +41,6 @@ import numpy as np
 import scipy.optimize
 
 from tvhazard import FeaturePath, Observation, ZeroBracketWarning
-from tvhazard.formats import observation_record
 from tvhazard.timeline import MERGE_TOL
 
 
@@ -273,6 +273,19 @@ def fused_lasso_prox_array(y, weight):
             beta[k] = beta[k + 1]
     # the exact minimizer never exceeds max(y); rounding can, at tiny weights
     return np.minimum(beta, y.max(), out=beta)
+
+
+def observation_record(o):
+    """JSON-ready dict for one observation, as the file format defines it."""
+    if o.kind == "interval":
+        censoring = {"kind": "interval", "l": o.left, "r": o.right}
+    else:
+        censoring = {"kind": "right", "t": o.right}
+    features = [
+        {"j": j, "changes": [{"t": t, "v": v} for t, v in o.path.entries[j]]}
+        for j in sorted(o.path.entries)
+    ]
+    return {"id": o.id, "censoring": censoring, "features": features}
 
 
 def write_observations_streamed(path, observations, d, horizon):

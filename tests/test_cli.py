@@ -120,6 +120,15 @@ class TestSimulate:
             assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "w.jsonl")]) == 2
 
 
+    def test_non_finite_spec_value_names_its_field(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", baseline_level=float("nan"))
+        assert '"baseline_level": NaN' in spec.read_text()
+        out = tmp_path / "o.jsonl"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "spec.json: bad campaign spec: baseline_level" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSeedFlag:
     @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -1,7 +1,9 @@
 """Synthetic campaign generator: planted truths, exact sampling, censoring."""
 
+import bisect
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tvhazard import (
     FeaturePath,
     HazardModel,
     KnotSet,
+    Observation,
     default_scenario,
     generate,
     sample_event_time,
@@ -75,6 +78,19 @@ class TestSpecValidation:
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(ValueError, match="seed"):
             tiny_spec(seed=seed)
+
+    def test_real_fields_become_floats(self):
+        spec = tiny_spec(horizon=4, baseline_level=np.float32(0.25), feature_density=True)
+        values = (spec.horizon, spec.baseline_level, spec.feature_density)
+        assert [type(v) for v in values] == [float] * 3 and values == (4.0, 0.25, 1.0)
+
+    @pytest.mark.parametrize("field", ["horizon", "baseline_level"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, "4.0", 10**400], ids=["nan", "inf", "str", "huge int"]
+    )
+    def test_non_finite_or_non_real_fields_name_themselves(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_spec(**{field: value})
 
     def test_integer_seed_becomes_an_int(self):
         seed = tiny_spec(seed=np.uint64(2**63)).seed
@@ -229,7 +245,8 @@ class TestSampler:
 
 def check_against_replay(spec):
     """Replay each site's own ``default_rng`` stream one site at a time and
-    check ``generate``'s paths, ids and censoring of the replayed times."""
+    check that ``generate`` returns the records the public constructors
+    build from the replayed times, field types included."""
     truth, obs = generate(spec)
     assert len(obs) == spec.n
     scans = spec.scan_times
@@ -237,33 +254,51 @@ def check_against_replay(spec):
     for site, o in enumerate(obs):
         present = draws[site, : spec.d] < spec.feature_density
         path = FeaturePath(spec.d, {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present)})
-        assert path == o.path
         tau = sample_event_time(path, truth, _FixedU(draws[site, spec.d]))
-        if o.kind == "interval":
-            assert o.left < tau <= o.right
-            assert o.right in scans
-            assert o.left == 0.0 or o.left in scans
+        uid = f"site-{site:06d}"
+        k = bisect.bisect_left(scans, tau)
+        if k < len(scans):
+            left = scans[k - 1] if k else 0.0
+            assert left < tau <= scans[k]
+            want = Observation.interval(path, left, scans[k], id=uid)
         else:
-            assert o.right == spec.horizon
-            assert tau > scans[-1]
-        assert o.id == f"site-{site:06d}"
+            assert tau > (scans[-1] if scans else 0.0)
+            want = Observation.right_censored(path, spec.horizon, id=uid)
+        assert o == want
+        assert type(o.path.d) is int and type(o.left) is float and type(o.right) is float
+        for j, changes in o.path.entries.items():
+            assert type(j) is int and type(changes) is tuple
+            for change in changes:
+                assert type(change) is tuple and [type(x) for x in change] == [float, float]
 
 
 class TestGenerate:
-    # sha256 of the observation and truth files of default_scenario(s),
-    # s = 0, 1, 2; the benchmark's stored objectives rest on these bytes
+    # sha256 of the observation and truth files of default_scenario(seed)
+    # resized to n sites, keyed by (seed, n); the benchmark's stored
+    # objectives rest on these bytes: n = 1000 is the campaign-sweep size,
+    # n = 5000 the fleet-wide size
     DEFAULT_SCENARIO_FILES = {
-        0: ("fe7013875312d8ca82f0549c7aa0c6b4b37f78313e69a0ca5532f4022a80f27e",
-            "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
-        1: ("115cb90a772678296875de9f35325e2e667476583ac51719890c26027124a1c3",
-            "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
-        2: ("c51565d84637aea26ebe7ab8668236a6c1864add26da4b5ae76ae51dec74fe9b",
-            "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+        (0, 1000): ("fe7013875312d8ca82f0549c7aa0c6b4b37f78313e69a0ca5532f4022a80f27e",
+                    "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+        (1, 1000): ("115cb90a772678296875de9f35325e2e667476583ac51719890c26027124a1c3",
+                    "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+        (2, 1000): ("c51565d84637aea26ebe7ab8668236a6c1864add26da4b5ae76ae51dec74fe9b",
+                    "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+        (0, 5000): ("40a8288d3f38a30ecee52aaeeb33f8c860518ab340c5f93dcb8375e1551d2d20",
+                    "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
+        (1000, 5000): ("8fe56d24f9210c55deebdb4f5fd5c267f95d1f7851275bab03ca455385d46782",
+                       "da3dca7173cb890ff173f8715f750418a5e3d2d98ff78ad3c18b96950ae4a976"),
     }
 
-    @pytest.mark.parametrize("seed", sorted(DEFAULT_SCENARIO_FILES))
-    def test_default_scenario_files_are_stable(self, seed, tmp_path):
-        spec = default_scenario(seed)
+    @pytest.mark.parametrize(
+        "seed, n",
+        [
+            pytest.param(seed, n, id=f"{seed}" if n == 1000 else f"{seed}-n{n}")
+            for seed, n in sorted(DEFAULT_SCENARIO_FILES)
+        ],
+    )
+    def test_default_scenario_files_are_stable(self, seed, n, tmp_path):
+        spec = replace(default_scenario(seed), n=n)
         truth, obs = generate(spec)
         write_observations(tmp_path / "obs.jsonl", obs, d=spec.d, horizon=spec.horizon)
         write_model(tmp_path / "truth.json", truth)
@@ -271,7 +306,7 @@ class TestGenerate:
             hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("obs.jsonl", "truth.json")
         )
-        assert digests == self.DEFAULT_SCENARIO_FILES[seed]
+        assert digests == self.DEFAULT_SCENARIO_FILES[seed, n]
 
     def test_deterministic(self):
         spec = tiny_spec(n=40)
@@ -295,8 +330,9 @@ class TestGenerate:
             dict(n=1),
             dict(n=50, feature_density=0.0),
             dict(n=50, feature_density=1.0, seed=2**64 + 3),
+            dict(n=50, horizon=4, scan_times=(1, 2, 3)),
         ],
-        ids=["d=0", "n=1", "density=0", "density=1"],
+        ids=["d=0", "n=1", "density=0", "density=1", "int horizon"],
     )
     def test_edge_specs_match_the_replay(self, overrides):
         check_against_replay(tiny_spec(**overrides))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tvhazard import (
@@ -25,9 +25,8 @@ from tvhazard import (
     write_model,
     write_observations,
 )
-from tvhazard.formats import observation_record
 
-from oracles import dyadic_decimal, write_observations_streamed
+from oracles import dyadic_decimal, observation_record, write_observations_streamed
 
 
 def random_observations(rng, d=3, n=12, horizon=5.0):
@@ -47,6 +46,34 @@ def random_observations(rng, d=3, n=12, horizon=5.0):
         else:
             obs.append(Observation.right_censored(p, float(rng.uniform(0.2, horizon)), id=f"s{i}"))
     return obs
+
+
+# the largest finite float, so that any drawn censoring time fits the window
+WIDEST_HORIZON = 1.7976931348623157e308
+EDGE_FLOATS = (-0.0, 5e-324, WIDEST_HORIZON, 1e16, 0.1)
+# a quote, a backslash, a slash, control characters, non-ASCII, a line
+# separator, a lone surrogate and an astral character
+EDGE_CHARS = '"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'
+
+
+@st.composite
+def drawn_observations(draw):
+    """One record on d=4 through the public constructors: an id with
+    escapes, non-ASCII, astral characters and lone surrogates; change
+    values and censoring times from the edge floats or any finite float;
+    features inserted out of index order."""
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    times = finite.filter(lambda t: t >= 0)
+    uid = draw(st.text(st.sampled_from(EDGE_CHARS) | st.characters(exclude_categories=())))
+    entries = {}
+    for j in draw(st.permutations(range(4)))[: draw(st.integers(0, 4))]:
+        ts = sorted(draw(st.lists(times, min_size=1, max_size=3, unique=True)))
+        entries[j] = tuple((t, draw(finite)) for t in ts)
+    path = FeaturePath(4, entries)
+    if draw(st.booleans()):
+        left, right = sorted(draw(st.lists(times, min_size=2, max_size=2, unique=True)))
+        return Observation.interval(path, left, right, id=uid)
+    return Observation.right_censored(path, draw(times.filter(lambda t: t > 0)), id=uid)
 
 
 def random_model(rng, d=3, n_knots=4, horizon=6.0):
@@ -128,19 +155,28 @@ class TestObservationFiles:
         got, _ = read_observations(f)
         assert got == obs  # dataclass equality is exact float equality
 
-    def test_bytes_match_the_streamed_writer(self, tmp_path):
-        rng = np.random.default_rng(71)
-        p = FeaturePath(3, {0: ((0.1000000001, 1e-300), (3.9, 7e15))})
-        obs = random_observations(rng, n=40) + [
-            Observation.interval(p, 1e-12, 4.999999999999999, id="edge \u00e9\"q"),
-            Observation.right_censored(p, 2.5000000000000004),
-        ]
-        assert {o.kind for o in obs} == {"interval", "right"}
-        for records in (obs, []):
-            got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-            write_observations(got, records, d=3, horizon=5.0)
-            write_observations_streamed(want, records, d=3, horizon=5.0)
-            assert got.read_bytes() == want.read_bytes()
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(drawn_observations(), max_size=5))
+    @example([])
+    def test_bytes_match_the_streamed_writer(self, tmp_path, records):
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        write_observations(got, records, d=4, horizon=WIDEST_HORIZON)
+        write_observations_streamed(want, records, d=4, horizon=WIDEST_HORIZON)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "d, horizon", [(1, float("nan")), (1, float("inf")), (-1, 5.0)], ids=["nan", "inf", "d<0"]
+    )
+    def test_writer_refuses_a_header_its_reader_refuses(self, tmp_path, d, horizon):
+        f = tmp_path / "obs.jsonl"
+        with pytest.raises(ValueError, match="horizon must be finite|d must be nonnegative"):
+            write_observations(f, [], d=d, horizon=horizon)
+        assert not f.exists()
 
     def test_time_unit_survives(self, tmp_path):
         # the writer always stores "abstract"; the reader keeps what a file says
