@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .datagen import CampaignSpec, default_scenario, generate
-from .formats import FormatError, read_model, read_observations, write_model, write_observations
+from .formats import (FormatError, _load_json, read_model, read_observations, write_model,
+                      write_observations)
 from .likelihood import CensoredDesign, nll_dataset
 from .penalty import PenaltyConfig
 from .solver import NumericalError, SolverConfig, fit
@@ -65,22 +67,12 @@ def _solver_config(args, gamma):
 def _load_campaign_spec(path, seed):
     if path is None:
         return default_scenario(seed=seed)
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{e.lineno}: {e}") from e
-        except ValueError as e:  # an integer past int()'s digit limit
-            raise FormatError(f"{path}: {e}") from e
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: bad campaign spec: expected a JSON object")
-    doc.pop("seed", None)  # the --seed flag is the single source of randomness
     try:
-        doc["active"] = tuple(
-            (j, tuple((t, v) for t, v in changes)) for j, changes in doc.get("active", ())
-        )
-        doc["scan_times"] = tuple(doc.get("scan_times", ()))
-        return CampaignSpec(seed=seed, **doc)
+        # the --seed flag is the single source of randomness
+        return CampaignSpec(**{"active": (), "scan_times": (), **doc, "seed": seed})
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad campaign spec: {e}") from e
 
@@ -249,33 +241,34 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand can write files
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    command = functools.partial(sub.add_parser, parents=[force])
 
-    p = sub.add_parser("simulate", help="generate a synthetic censored dataset + truth model")
+    p = command("simulate", help="generate a synthetic censored dataset + truth model")
     p.add_argument("--spec", default=None, help="campaign spec JSON (default: built-in scenario)")
     p.add_argument("--out", required=True, help="observation file to write (JSON lines)")
     p.add_argument("--truth-out", default=None, help="truth model path (default: OUT.truth.json)")
     p.add_argument(
         "--seed", type=_nonnegative_int, default=0, help="seed of every site's random stream"
     )
-    p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit the TV-penalized additive hazard model")
+    p = command("fit", help="fit the TV-penalized additive hazard model")
     p.add_argument("--observations", required=True)
     p.add_argument("--out", required=True, help="fitted model path")
     p.add_argument("--report-out", default=None, help="fit report path (default: OUT.report.json)")
     _fit_flags(p)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("evaluate", help="mean/total NLL of a model on an observation file")
+    p = command("evaluate", help="mean/total NLL of a model on an observation file")
     p.add_argument("--model", required=True)
     p.add_argument("--observations", required=True)
     p.add_argument("--out", default=None, help="also write the report JSON here")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="gamma-grid sweep with a seeded train/validation split")
+    p = command("sweep", help="gamma-grid sweep with a seeded train/validation split")
     p.add_argument("--observations", required=True)
     p.add_argument("--gammas", default="0,0.5,1,2,4,8,16", help="comma-separated gamma grid")
     p.add_argument("--split", type=float, default=0.7, help="train fraction")
@@ -284,14 +277,12 @@ def build_parser():
         "--seed", type=_nonnegative_int, default=0, help="seed of the train/validation split"
     )
     p.add_argument("--out", default=None, help="sweep table JSON path")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("export", help="coefficient paths as long-format CSV (feature, t, value)")
+    p = command("export", help="coefficient paths as long-format CSV (feature, t, value)")
     p.add_argument("--model", required=True)
     p.add_argument("--features", default=None, help="comma-separated indices; -1 = intercept")
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_export)
     return parser
 
@@ -320,16 +311,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
+    except ValueError as e:  # FormatError too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

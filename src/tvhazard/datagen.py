@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import MERGE_TOL, FeaturePath, Observation, _window_knots
+from .timeline import MERGE_TOL, FeaturePath, Observation, _integer, _window_knots
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,8 @@ class CampaignSpec:
     probability ``feature_density`` (present from t=0).  ``scan_times`` are
     the shared blacklist sweeps that create interval censoring.
     ``horizon``, ``baseline_level`` and ``feature_density`` are stored as
-    Python floats.
+    Python floats; ``d``, ``n``, ``seed`` and the planted indices are
+    integers (a ``bool`` is not) and are stored as Python ints.
     """
 
     d: int
@@ -51,11 +51,7 @@ class CampaignSpec:
 
     def __post_init__(self):
         for name in ("d", "n", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("horizon", "baseline_level", "feature_density"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
@@ -68,7 +64,7 @@ class CampaignSpec:
             self,
             "active",
             tuple(
-                (int(j), tuple((float(t), float(v)) for t, v in changes))
+                (_integer(j, "planted feature index"), tuple((float(t), float(v)) for t, v in changes))
                 for j, changes in self.active
             ),
         )
@@ -99,6 +95,8 @@ class CampaignSpec:
                     raise ValueError(f"change time {t} outside [0, {self.horizon}]")
                 if t <= prev_t:
                     raise ValueError(f"change times for feature {j} not increasing")
+                if not math.isfinite(v):
+                    raise ValueError(f"planted level {v} for feature {j} is not finite")
                 if v < 0:
                     raise ValueError(f"planted level {v} is negative")
                 if self.monotone_truth and v < prev_v:

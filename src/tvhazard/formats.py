@@ -31,7 +31,7 @@ from decimal import Decimal
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import FeaturePath, KnotSet, Observation
+from .timeline import FeaturePath, KnotSet, Observation, _integer
 
 
 # Exact decimal arithmetic: every sum and difference of the model codec is
@@ -49,11 +49,23 @@ class FormatError(ValueError):
     """Malformed observation or model file (includes path/line context)."""
 
 
-def _integer(value, what):
-    """An integer field as stored: a JSON integer, not a number ``int()``
-    would truncate (2.5, 1.7) or a huge Decimal (1e400) it would expand."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+def _load_json(path, parse_float=None):
+    """The JSON document in ``path``; malformed JSON raises :class:`FormatError`."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f, parse_float=parse_float)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}:{e.lineno}: {e}") from e
+        except ValueError as e:  # an integer past int()'s digit limit
+            raise FormatError(f"{path}: {e}") from e
+
+
+def _number(record, key):
+    """``record[key]``, a JSON number as ``json.loads`` makes it: an ``int``
+    or a ``float``, not a string or a boolean ``float()`` would convert."""
+    value = record[key]
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{key} must be a number, got {value!r}")
     return value
 
 
@@ -70,11 +82,11 @@ def write_observations(path, observations, d, horizon):
     """Write the header plus one observation per line, in one write.
 
     Raises ``ValueError``, before the file is opened, for a header the reader
-    would refuse (negative ``d``, non-finite ``horizon``), a path whose
-    dimension is not ``d`` or a censoring boundary beyond ``horizon``: the
-    reader or the fit would refuse the file.
+    would refuse (``d`` not an integer or negative, non-finite ``horizon``),
+    a path whose dimension is not ``d`` or a censoring boundary beyond
+    ``horizon``: the reader or the fit would refuse the file.
     """
-    d, horizon = int(d), float(horizon)
+    d, horizon = _integer(d, "d"), float(horizon)
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
     if not math.isfinite(horizon):
@@ -109,14 +121,15 @@ def _parse_observation(rec, d, lineno, path):
             j = _integer(feat["j"], "feature index j")
             if j in entries:
                 raise ValueError(f"feature index {j} listed twice")
-            entries[j] = tuple((ch["t"], ch["v"]) for ch in feat["changes"])
+            entries[j] = tuple((_number(ch, "t"), _number(ch, "v")) for ch in feat["changes"])
         fpath = FeaturePath(d, entries)
         uid = str(rec.get("id", ""))
         kind = censoring["kind"]
         if kind == "interval":
-            return Observation.interval(fpath, censoring["l"], censoring["r"], id=uid)
+            left, right = _number(censoring, "l"), _number(censoring, "r")
+            return Observation.interval(fpath, left, right, id=uid)
         if kind == "right":
-            return Observation.right_censored(fpath, censoring["t"], id=uid)
+            return Observation.right_censored(fpath, _number(censoring, "t"), id=uid)
         raise ValueError(f"unknown censoring kind {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{path}:{lineno}: {e}") from e
@@ -126,7 +139,8 @@ def read_observations(path):
     """Parse an observation file; returns ``(observations, header_dict)``.
 
     Raises :class:`FormatError`, naming the file and line, for a malformed
-    record or one whose censoring boundary lies beyond the header's horizon.
+    record (a time or value that is not a JSON number, too) or one whose
+    censoring boundary lies beyond the header's horizon.
     """
     observations = []
     header = None
@@ -143,7 +157,7 @@ def read_observations(path):
                 try:
                     header = {
                         "d": _integer(rec["d"], "d"),
-                        "horizon": float(rec["horizon"]),
+                        "horizon": float(_number(rec, "horizon")),
                         "time_unit": str(rec.get("time_unit", "abstract")),
                     }
                 except (KeyError, TypeError, ValueError, OverflowError) as e:
@@ -230,13 +244,7 @@ def _row_from_json(knots, row):
 
 def read_model(path):
     # number tokens are parsed as Decimals so that jump deltas stay exact
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f, parse_float=Decimal)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{e.lineno}: {e}") from e
-        except ValueError as e:  # an integer past int()'s digit limit
-            raise FormatError(f"{path}: {e}") from e
+    doc = _load_json(path, parse_float=Decimal)
     try:
         knots = KnotSet(tuple(float(t) for t in doc["knots"]), horizon=float(doc["horizon"]))
         d = _integer(doc["d"], "d")

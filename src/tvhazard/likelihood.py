@@ -127,7 +127,7 @@ class CensoredDesign:
     are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
     matrix of per-observation head exposures is never formed.  Bracket
     exposures are kept as the CSR matrix ``V``, one row per interval
-    observation, and ``interval_rows`` holds those observations' indices.
+    observation, in input order.
     ``pooled_event_rate`` is the observations' events over exposure
     (:func:`_pooled_event_rate`), the solver's start intercept.
 
@@ -144,10 +144,9 @@ class CensoredDesign:
             raise ValueError(
                 f"observation times ({left[i]}, {right[i]}) outside knot range [0, {knots.horizon}]"
             )
-        self.knots = knots
         self.pooled_event_rate = _pooled_event_rate(left, right, is_interval)
         self.d = d
-        self.n_slots = K = knots.n_intervals
+        K = knots.n_intervals
         self.shape = (d + 1, K)
 
         obs = table[:, 0].astype(np.intp)
@@ -163,12 +162,12 @@ class CensoredDesign:
         keep = is_interval[obs]
         table, obs, row = table[keep], obs[keep], row[keep]
         bracket = _run_exposures(table, B, left[obs], right[obs])
-        self.interval_rows = np.flatnonzero(is_interval)
-        v_row = np.searchsorted(self.interval_rows, obs)
+        interval_rows = np.flatnonzero(is_interval)
+        v_row = np.searchsorted(interval_rows, obs)
         r, k = np.nonzero(bracket)
         self.V = scipy.sparse.csr_matrix(
             (bracket[r, k], (v_row[r], row[r] * K + k)),
-            shape=(len(self.interval_rows), (d + 1) * K),
+            shape=(len(interval_rows), (d + 1) * K),
         )
         # the gradient's product with V.T, stored as CSR: three times faster
         # than going through V.T and bitwise the same (rows added in order)

@@ -31,8 +31,9 @@ the same point, so ``G1`` means the same for every fit.  The reachable norm
 is bounded below: once a step's decrease falls under the rounding error of
 the objective, a step from ``X`` no longer lowers it and the fit stops as
 stalled, or, when every trial of FISTA's sufficient-decrease test fails, as
-a step underflow.  Every uncertified exit warns once, at the first caller
-outside the package.
+a step underflow.  :func:`fit` runs the start, hands it to the route and
+turns every uncertified exit into one :class:`SolverWarning`, raised at the
+first caller outside the package.
 
 The solver sees the problem only through the :class:`CensoredDesign`
 (``nll``, ``nll_change``, ``nll_grad``, ``shape``, ``pooled_event_rate``
@@ -57,7 +58,7 @@ from scipy import optimize
 
 from .likelihood import CensoredDesign, HazardModel, _warn_at_caller, nll_dataset
 from .penalty import PenaltyConfig
-from .timeline import _window_knots, build_knot_set
+from .timeline import _integer, _window_knots, build_knot_set
 
 # Backtracking parameters: the first trial step of a fit (and the largest
 # step), shrink on sufficient-decrease violation, regrow on acceptance, give
@@ -102,6 +103,7 @@ class SolverConfig:
     tolerance: float = 1e-7
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations"))
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
@@ -214,9 +216,9 @@ def _certificate(penalty, X, g, ref):
     return float(np.linalg.norm(X - penalty.prox(X - g, 1.0))) / ref
 
 
-def _fit_full_batch(design, config):
+def _fit_full_batch(design, config, X, f, g, ref):
     """Monotone FISTA in the diagonal metric of :func:`_metric`, with
-    function-value restart, from :func:`_start`.
+    function-value restart, from :func:`_start`'s ``(X, f, g, ref)``.
 
     ``X`` is the best iterate so far and ``Y`` the point the next step
     starts from: ``X`` itself (a momentum-free step) or ``X`` extrapolated
@@ -243,7 +245,6 @@ def _fit_full_batch(design, config):
     """
     pen = config.penalty
     tol = config.tolerance
-    X, f, g, ref = _start(design, config)
     D = _metric(design)
     FX = f  # the start has no TV
     trace = [(0, FX)]
@@ -260,13 +261,9 @@ def _fit_full_batch(design, config):
             rel = _certificate(pen, X, g, ref)
             if rel <= tol or not lower:
                 trace.append((it, FX))
-                if rel <= tol:
-                    return X, trace, "certified", rel
-                if fZ is not None:
-                    # a momentum-free step that raises F: X is a fixed
-                    # point up to rounding
-                    return _uncertified(X, trace, "stalled", rel, config, it)
-                return _uncertified(X, trace, "step_underflow", rel, config, it)
+                # a momentum-free step that raised F: X is fixed up to rounding
+                stop = "stalled" if fZ is not None else "step_underflow"
+                return X, trace, "certified" if rel <= tol else stop, rel
         beta = 0.0
         if lower:
             grown = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
@@ -289,15 +286,13 @@ def _fit_full_batch(design, config):
     if not at_x:
         f, g = design.nll_grad(X, floor=_MASS_FLOOR)
     rel = _certificate(pen, X, g, ref)
-    if rel <= tol:
-        return X, trace, "certified", rel
-    return _uncertified(X, trace, "max_iterations", rel, config, it)
+    return X, trace, "certified" if rel <= tol else "max_iterations", rel
 
 
-def _fit_box_lbfgs(design, config):
+def _fit_box_lbfgs(design, config, X, f, g, ref):
     """Unpenalized fit (gamma = 0, not monotone): L-BFGS-B (Byrd, Lu,
     Nocedal & Zhu 1995) on the smooth part with the bounds ``W >= 0``, from
-    :func:`_start`.
+    :func:`_start`'s ``(X, f, g, ref)``.
 
     The certificate is :func:`_fit_full_batch`'s, :func:`_certificate`:
     the fit is certified at the first iterate ``X`` whose relative mapping
@@ -309,7 +304,6 @@ def _fit_box_lbfgs(design, config):
     trace holds the objective after every L-BFGS-B iteration.
     """
     pen = config.penalty
-    X, f, g, ref = _start(design, config)
     trace = [(0, f)]
     rel = _certificate(pen, X, g, ref)  # at the latest iterate X
     seen = None  # the last point L-BFGS-B evaluated, f and grad f there
@@ -339,10 +333,8 @@ def _fit_box_lbfgs(design, config):
             options={"maxiter": config.max_iterations, "maxcor": _LBFGS_MEMORY, "ftol": 0.0,
                      "gtol": 0.0},
         )
-    if rel <= config.tolerance:
-        return X, trace, "certified", rel
     stop = "max_iterations" if len(trace) > config.max_iterations else "stalled"
-    return _uncertified(X, trace, stop, rel, config, len(trace) - 1)
+    return X, trace, "certified" if rel <= config.tolerance else stop, rel
 
 
 @functools.cache
@@ -377,21 +369,6 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads(threads)
 
 
-def _uncertified(X, trace, stop, rel, config, it):
-    why = {
-        "max_iterations": f"stopped at max_iterations={config.max_iterations}",
-        "stalled": f"stalled at iteration {it}: a step from the best iterate no "
-        "longer lowers the objective",
-        "step_underflow": f"line-search step size underflowed at iteration {it}",
-    }[stop]
-    _warn_at_caller(
-        f"{why}, with relative mapping norm {rel:.3g} > tolerance "
-        f"{config.tolerance:g}; returning the best iterate",
-        SolverWarning,
-    )
-    return X, trace, stop, rel
-
-
 def _start(design, config):
     """The one start of every fit, and the certificate's reference.
 
@@ -421,7 +398,8 @@ def fit(observations, config, knots=None):
     event rate, every feature row zero) reaches the optimum.  An
     unpenalized fit (gamma = 0, not monotone) runs L-BFGS-B, every other
     fit monotone FISTA in the head-exposure metric; both certify the same
-    way (see the module docstring).  Deterministic:
+    way (see the module docstring).  A fit that stops uncertified warns
+    once, with a :class:`SolverWarning` that says why.  Deterministic:
     identical observations, config, and knots reproduce the result bitwise.
     """
     observations = list(observations)
@@ -432,7 +410,19 @@ def fit(observations, config, knots=None):
     design = CensoredDesign(knots, observations)
     pen = config.penalty
     route = _fit_box_lbfgs if pen.gamma == 0.0 and not pen.monotone else _fit_full_batch
-    W, trace, stop, rel = route(design, config)
+    W, trace, stop, rel = route(design, config, *_start(design, config))
+    if stop != "certified":
+        why = {
+            "max_iterations": f"stopped at max_iterations={config.max_iterations}",
+            "stalled": f"stalled at iteration {trace[-1][0]}: a step from the best iterate "
+            "no longer lowers the objective",
+            "step_underflow": f"line-search step size underflowed at iteration {trace[-1][0]}",
+        }[stop]
+        _warn_at_caller(
+            f"{why}, with relative mapping norm {rel:.3g} > tolerance "
+            f"{config.tolerance:g}; returning the best iterate",
+            SolverWarning,
+        )
 
     model = HazardModel(knots, W)
     return FitResult(
@@ -461,9 +451,10 @@ def refine_and_compare(fit_result, observations, extra_knots):
     fit_result.config, knots=refined)``, from the same start as every fit.
     """
     knots = fit_result.model.knots
+    extra_knots = _integer(extra_knots, "extra_knots")
     if extra_knots < 0:
         raise ValueError("extra_knots must be >= 0")
-    grid = np.linspace(0.0, knots.horizon, int(extra_knots) + 2)[1:-1]
+    grid = np.linspace(0.0, knots.horizon, extra_knots + 2)[1:-1]
     refined = _window_knots(list(knots.times) + list(grid), knots.horizon)
     if refined.times == knots.times:
         return 0.0

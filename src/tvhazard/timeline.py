@@ -14,12 +14,25 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # Knots closer than this are considered coincident and merged.
 MERGE_TOL = 1e-9
+
+
+def _integer(value, what):
+    """Every integer the package takes in, as an ``int``: what ``operator.index``
+    takes (NumPy integers too) but a ``bool``; a float, even integral, is
+    refused rather than truncated."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,18 +96,20 @@ class FeaturePath:
     ``entries`` maps feature index ``j`` (0-based, ``j < d``) to a tuple of
     ``(change_time, new_value)`` pairs with strictly increasing times; the
     feature is 0 before its first change time and right-continuous at each
-    change.  Features absent from ``entries`` are identically 0.
+    change.  Features absent from ``entries`` are identically 0.  ``d`` and
+    every index are integers, as :func:`_integer` defines them.
     """
 
     d: int
     entries: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.d < 0:
             raise ValueError("d must be nonnegative")
         clean = {}
         for j, changes in self.entries.items():
-            j = int(j)
+            j = _integer(j, "feature index")
             if not 0 <= j < self.d:
                 raise ValueError(f"feature index {j} outside [0, {self.d})")
             changes = tuple((float(t), float(v)) for t, v in changes)

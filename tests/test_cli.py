@@ -128,6 +128,43 @@ class TestSimulate:
         assert "spec.json: bad campaign spec: baseline_level" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"d": True, "active": [[0, [[1.0, 0.6]]]]}, "d"),
+            ({"active": [[True, [[1.0, 0.6]]]]}, "planted feature index"),
+            ({"active": [[2.5, [[1.0, 0.6]]]]}, "planted feature index"),
+        ],
+        ids=["d-true", "index-true", "index-2.5"],
+    )
+    def test_booleans_and_fractions_in_spec_integers_exit_2(self, tmp_path, capsys, overrides, field):
+        # "d": true simulated d=1, and a planted index true or 2.5 feature 1 or 2
+        spec = write_spec(tmp_path / "spec.json", **overrides)
+        out = tmp_path / "o.jsonl"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"bad campaign spec: {field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_seed_is_ignored_and_lists_default_to_empty(self, tmp_path):
+        doc = {k: v for k, v in SPEC.items() if k not in ("active", "scan_times")}
+        outs = []
+        for name, extra in (("a", {}), ("b", {"seed": 7})):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps({**doc, **extra}))
+            outs.append(tmp_path / f"{name}.jsonl")
+            assert main(["simulate", "--spec", str(spec), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        observations, _ = read_observations(outs[0])
+        assert {o.kind for o in observations} == {"right"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "evaluate", "sweep", "export"])
+def test_every_subcommand_takes_force(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert re.search(r"--force +overwrite existing outputs", capsys.readouterr().out)
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("value", ["-1", "1.5", "x"])

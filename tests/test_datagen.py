@@ -74,7 +74,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(baseline_level=-0.1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(ValueError, match="seed"):
             tiny_spec(seed=seed)
@@ -95,6 +95,32 @@ class TestSpecValidation:
     def test_integer_seed_becomes_an_int(self):
         seed = tiny_spec(seed=np.uint64(2**63)).seed
         assert type(seed) is int and seed == 2**63
+
+    def test_numpy_integers_become_ints(self):
+        spec = tiny_spec(d=np.int32(3), n=np.int64(10), active=((np.uint8(2), ((1.0, 0.5),)),))
+        assert (type(spec.d), type(spec.n), type(spec.active[0][0])) == (int, int, int)
+        assert spec == tiny_spec(active=((2, ((1.0, 0.5),)),))
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"d": True}, "d must be an integer, got True"),
+            ({"n": True}, "n must be an integer, got True"),
+            ({"active": ((2.5, ((1.0, 0.5),)),)}, "planted feature index must be an integer"),
+            ({"active": ((True, ((1.0, 0.5),)),)}, "planted feature index must be an integer"),
+        ],
+        ids=["d-bool", "n-bool", "index-2.5", "index-bool"],
+    )
+    def test_booleans_and_fractions_are_not_integers(self, overrides, match):
+        # operator.index took True as 1; int() planted index 2.5 as feature 2
+        with pytest.raises(ValueError, match=match):
+            tiny_spec(**overrides)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_planted_level_names_its_feature(self, level):
+        # NaN passed every comparison and failed later, in truth_model
+        with pytest.raises(ValueError, match=f"planted level {level} for feature 2 is not finite"):
+            tiny_spec(active=((0, ((1.0, 0.5),)), (2, ((0.5, 0.3), (2.0, level)))))
 
     def test_rejects_bad_active_entries(self):
         with pytest.raises(ValueError):

@@ -170,13 +170,25 @@ class TestObservationFiles:
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(
-        "d, horizon", [(1, float("nan")), (1, float("inf")), (-1, 5.0)], ids=["nan", "inf", "d<0"]
+        "d, horizon",
+        [(1, float("nan")), (1, float("inf")), (-1, 5.0), (2.5, 5.0), (True, 5.0)],
+        ids=["nan", "inf", "d<0", "d=2.5", "d=True"],
     )
     def test_writer_refuses_a_header_its_reader_refuses(self, tmp_path, d, horizon):
+        # int(d) wrote d=2.5 as "d": 2 and True as "d": 1
         f = tmp_path / "obs.jsonl"
-        with pytest.raises(ValueError, match="horizon must be finite|d must be nonnegative"):
+        with pytest.raises(
+            ValueError, match="horizon must be finite|d must be nonnegative|d must be an integer"
+        ):
             write_observations(f, [], d=d, horizon=horizon)
         assert not f.exists()
+
+    def test_writer_takes_a_numpy_integer_d(self, tmp_path):
+        f = tmp_path / "obs.jsonl"
+        path = FeaturePath(2, {1: ((0.0, 1.0),)})
+        write_observations(f, [Observation.right_censored(path, 1.0)], d=np.int64(2), horizon=2.0)
+        assert f.read_text().startswith('{"d": 2, "horizon": 2.0,')
+        assert read_observations(f)[0][0].path == path
 
     def test_time_unit_survives(self, tmp_path):
         # the writer always stores "abstract"; the reader keeps what a file says
@@ -218,6 +230,57 @@ class TestObservationFiles:
             % j
         )
         with pytest.raises(FormatError, match=r"obs\.jsonl:2: feature index j must be an integer"):
+            read_observations(f)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ('"censoring": {"kind": "interval", "l": true, "r": 1.5}', "l"),
+            ('"censoring": {"kind": "interval", "l": 0.5, "r": "2.5"}', "r"),
+            ('"censoring": {"kind": "right", "t": "1.5"}', "t"),
+            ('"censoring": {"kind": "right", "t": false}', "t"),
+            (
+                '"censoring": {"kind": "right", "t": 1.5}, '
+                '"features": [{"j": 0, "changes": [{"t": "0", "v": 1.0}]}]',
+                "t",
+            ),
+            (
+                '"censoring": {"kind": "right", "t": 1.5}, '
+                '"features": [{"j": 0, "changes": [{"t": 0.0, "v": "3"}]}]',
+                "v",
+            ),
+            (
+                '"censoring": {"kind": "right", "t": 1.5}, '
+                '"features": [{"j": 0, "changes": [{"t": 0.0, "v": true}]}]',
+                "v",
+            ),
+        ],
+        ids=["l-bool", "r-string", "t-string", "t-bool", "change-t-string", "v-string", "v-bool"],
+    )
+    def test_non_number_times_and_values_rejected(self, tmp_path, record, field):
+        # float() read true as 1.0 and "2.5" as 2.5
+        f = tmp_path / "obs.jsonl"
+        f.write_text('{"d": 1, "horizon": 2.0}\n{%s}\n' % record)
+        with pytest.raises(FormatError, match=rf"obs\.jsonl:2: {field} must be a number, got "):
+            read_observations(f)
+
+    def test_integer_times_and_values_read_as_floats(self, tmp_path):
+        f = tmp_path / "obs.jsonl"
+        f.write_text(
+            '{"d": 1, "horizon": 2}\n'
+            '{"censoring": {"kind": "interval", "l": 0, "r": 2}, '
+            '"features": [{"j": 0, "changes": [{"t": 0, "v": 3}]}]}\n'
+        )
+        (o,), _ = read_observations(f)
+        assert (o.left, o.right, o.path.entries) == (0.0, 2.0, {0: ((0.0, 3.0),)})
+        assert all(type(x) is float for x in (o.left, o.right, *o.path.entries[0][0]))
+
+    @pytest.mark.parametrize("horizon", ['"4"', "true"])
+    def test_non_number_header_horizon_rejected(self, tmp_path, horizon):
+        # float() read "4" as 4.0 and true as 1.0
+        f = tmp_path / "obs.jsonl"
+        f.write_text('{"d": 1, "horizon": %s}\n' % horizon)
+        with pytest.raises(FormatError, match=r"obs\.jsonl:1: bad header: horizon must be a number"):
             read_observations(f)
 
     @pytest.mark.parametrize("d", ["2.5", "2.0"])

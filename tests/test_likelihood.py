@@ -509,9 +509,6 @@ class TestCensoredDesign:
         assert design.V.shape == V.shape
         assert design.V.toarray().tobytes() == V.tobytes()
         assert design.V.has_canonical_format
-        assert design.interval_rows.tolist() == [
-            i for i, o in enumerate(obs) if o.kind == "interval"
-        ]
 
     def test_build_keeps_no_dense_head_matrix(self):
         # at this shape (n=5000, d=40, 10 intervals) the dense n x (d+1)K

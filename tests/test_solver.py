@@ -74,6 +74,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(penalty=pen, max_iterations=0)
 
+    @pytest.mark.parametrize("cap", [2.5, True])
+    def test_iteration_cap_must_be_an_integer(self, cap):
+        # a float cap failed inside the solver's loop; True ran one iteration
+        with pytest.raises(ValueError, match=f"max_iterations must be an integer, got {cap}"):
+            SolverConfig(penalty=PenaltyConfig(gamma=1.0), max_iterations=cap)
+        assert SolverConfig(penalty=PenaltyConfig(), max_iterations=np.int64(7)).max_iterations == 7
+
     def test_fit_rejects_empty_observations(self):
         with pytest.raises(ValueError):
             fit([], cfg(1.0))
@@ -230,7 +237,7 @@ class TestFullBatch:
             obs = sim_observations(rng, n=50)
             knots = KnotSet((1.5, 3.0, 4.5), horizon=6.0)
             design = CensoredDesign(knots, obs)
-            size = (design.d + 1) * design.n_slots
+            size = math.prod(design.shape)
             ref = scipy.optimize.minimize(
                 lambda w: design.nll_grad(w, floor=1e-12),
                 np.full(size, 0.1),
@@ -675,6 +682,7 @@ class TestRefinement:
         refit = fit(obs, res.config, knots=_window_knots([*ks.times, *grid], ks.horizon))
         want = refit.objective_trace[-1][1] - res.objective_trace[-1][1]
         assert refine_and_compare(res, obs, extra_knots=len(ks.times)) == want
+        assert refine_and_compare(res, obs, extra_knots=np.int64(len(ks.times))) == want
 
     def test_zero_extra_knots_is_exact_zero(self):
         obs = sim_observations(np.random.default_rng(42), n=20)
@@ -686,6 +694,14 @@ class TestRefinement:
         res = fit(obs, cfg(1.0, max_iterations=50))
         with pytest.raises(ValueError):
             refine_and_compare(res, obs, extra_knots=-1)
+
+    @pytest.mark.parametrize("extra", [2.5, True])
+    def test_non_integer_extra_knots_rejected(self, extra):
+        # int() added 2 knots for 2.5 and 1 for True
+        obs = sim_observations(np.random.default_rng(43), n=10)
+        res = fit(obs, cfg(1.0, max_iterations=50))
+        with pytest.raises(ValueError, match=f"extra_knots must be an integer, got {extra}"):
+            refine_and_compare(res, obs, extra_knots=extra)
 
 
 class TestHelpers:

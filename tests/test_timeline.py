@@ -133,6 +133,26 @@ class TestFeaturePath:
             FeaturePath(-1, {})
 
     @pytest.mark.parametrize(
+        "d, entries, match",
+        [
+            (2.5, {}, "d must be an integer, got 2.5"),
+            (True, {}, "d must be an integer, got True"),
+            (3, {1.7: ((0.0, 1.0),)}, "feature index must be an integer, got 1.7"),
+            (3, {True: ((0.0, 1.0),)}, "feature index must be an integer, got True"),
+        ],
+        ids=["d-float", "d-bool", "index-float", "index-bool"],
+    )
+    def test_non_integers_are_refused_not_truncated(self, d, entries, match):
+        # int() read d=2.5 as 2, feature 1.7 as 1 and True as 1
+        with pytest.raises(ValueError, match=match):
+            FeaturePath(d, entries)
+
+    def test_numpy_integers_become_ints(self):
+        p = FeaturePath(np.int64(3), {np.uint8(1): ((0.0, 1.0),)})
+        assert type(p.d) is int and p.d == 3
+        assert [type(j) for j in p.entries] == [int] and list(p.entries) == [1]
+
+    @pytest.mark.parametrize(
         "changes, match",
         [
             (((math.inf, 1.0),), "non-finite change"),
