@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import MERGE_TOL, FeaturePath, Observation, _integer, _window_knots
+from .timeline import MERGE_TOL, FeaturePath, Observation, _integer, _real, _window_knots
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,10 @@ class CampaignSpec:
     the shared blacklist sweeps that create interval censoring.
     ``horizon``, ``baseline_level`` and ``feature_density`` are stored as
     Python floats; ``d``, ``n``, ``seed`` and the planted indices are
-    integers (a ``bool`` is not) and are stored as Python ints.
+    integers (a ``bool`` is not) and are stored as Python ints; planted
+    change times and levels and scan times are real numbers, as
+    :func:`~tvhazard.timeline._real` defines them (a string or a ``bool``
+    is not), stored as Python floats.  ``monotone_truth`` is a ``bool``.
     """
 
     d: int
@@ -64,11 +67,16 @@ class CampaignSpec:
             self,
             "active",
             tuple(
-                (_integer(j, "planted feature index"), tuple((float(t), float(v)) for t, v in changes))
+                (
+                    _integer(j, "planted feature index"),
+                    tuple((_real(t, "change time"), _real(v, "planted level")) for t, v in changes),
+                )
                 for j, changes in self.active
             ),
         )
-        object.__setattr__(self, "scan_times", tuple(float(s) for s in self.scan_times))
+        object.__setattr__(self, "scan_times", tuple(_real(s, "scan time") for s in self.scan_times))
+        if not isinstance(self.monotone_truth, bool):
+            raise ValueError(f"monotone_truth must be a bool, got {self.monotone_truth!r}")
         if self.d < 0:
             raise ValueError("d must be nonnegative")
         if self.n < 1:

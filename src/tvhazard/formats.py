@@ -31,7 +31,7 @@ from decimal import Decimal
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import FeaturePath, KnotSet, Observation, _integer
+from .timeline import FeaturePath, KnotSet, Observation, _integer, _real
 
 
 # Exact decimal arithmetic: every sum and difference of the model codec is
@@ -58,15 +58,6 @@ def _load_json(path, parse_float=None):
             raise FormatError(f"{path}:{e.lineno}: {e}") from e
         except ValueError as e:  # an integer past int()'s digit limit
             raise FormatError(f"{path}: {e}") from e
-
-
-def _number(record, key):
-    """``record[key]``, a JSON number as ``json.loads`` makes it: an ``int``
-    or a ``float``, not a string or a boolean ``float()`` would convert."""
-    value = record[key]
-    if type(value) is not float and type(value) is not int:
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return value
 
 
 # one observation line, as json.dumps writes its record: floats by repr,
@@ -121,17 +112,17 @@ def _parse_observation(rec, d, lineno, path):
             j = _integer(feat["j"], "feature index j")
             if j in entries:
                 raise ValueError(f"feature index {j} listed twice")
-            entries[j] = tuple((_number(ch, "t"), _number(ch, "v")) for ch in feat["changes"])
+            entries[j] = tuple((_real(ch["t"], "t"), _real(ch["v"], "v")) for ch in feat["changes"])
         fpath = FeaturePath(d, entries)
         uid = str(rec.get("id", ""))
         kind = censoring["kind"]
         if kind == "interval":
-            left, right = _number(censoring, "l"), _number(censoring, "r")
+            left, right = _real(censoring["l"], "l"), _real(censoring["r"], "r")
             return Observation.interval(fpath, left, right, id=uid)
         if kind == "right":
-            return Observation.right_censored(fpath, _number(censoring, "t"), id=uid)
+            return Observation.right_censored(fpath, _real(censoring["t"], "t"), id=uid)
         raise ValueError(f"unknown censoring kind {kind!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}:{lineno}: {e}") from e
 
 
@@ -157,10 +148,10 @@ def read_observations(path):
                 try:
                     header = {
                         "d": _integer(rec["d"], "d"),
-                        "horizon": float(_number(rec, "horizon")),
+                        "horizon": _real(rec["horizon"], "horizon"),
                         "time_unit": str(rec.get("time_unit", "abstract")),
                     }
-                except (KeyError, TypeError, ValueError, OverflowError) as e:
+                except (KeyError, TypeError, ValueError) as e:
                     raise FormatError(f"{path}:{lineno}: bad header: {e}") from e
                 if header["d"] < 0 or not math.isfinite(header["horizon"]):
                     raise FormatError(f"{path}:{lineno}: bad header values")

@@ -263,6 +263,24 @@ class CensoredDesign:
             grad -= self._V_t @ inv
         return value, grad.reshape(shape)
 
+    def hessian_diagonal(self, w, floor):
+        """The diagonal of the NLL's Hessian at ``w``, in ``w``'s shape, with
+        bracket masses clamped below at ``floor > 0`` as in :meth:`nll_grad`.
+
+        A bracket of mass ``b`` has the term ``-log(1 - e^-b)``, whose second
+        derivative is ``inv (1 + inv)`` with ``inv = 1/(e^b - 1)``; the
+        diagonal is ``(V o V)^T`` of those (zeros without interval
+        observations).  The solver opens its first line searches from it.
+        """
+        shape = np.shape(w)
+        V_t = self._V_t
+        if not V_t.nnz:
+            return np.zeros(shape)
+        inv = _bracket_terms(np.maximum(self.V @ np.asarray(w).ravel(), floor))[1]
+        squared = scipy.sparse.csr_matrix((V_t.data * V_t.data, V_t.indices, V_t.indptr),
+                                          shape=V_t.shape)
+        return (squared @ (inv * (1.0 + inv))).reshape(shape)
+
 
 def _run_table(observations):
     """The one pass over the observations: their paths' nonzero constant

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -33,6 +34,20 @@ def _integer(value, what):
     except TypeError:
         pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what):
+    """A time or value the package takes in, as a Python ``float``: a
+    ``numbers.Real`` (NumPy floats and integers too) but a ``bool``; a
+    string is refused rather than parsed."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} {value!r} is too large for a float") from None
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +71,16 @@ class KnotSet:
         Strictly increasing breakpoints in ``[0, horizon]``.
     horizon : float
         Right end of the observation window.
+
+    Both are real numbers, as :func:`_real` defines them.
     """
 
     times: tuple
     horizon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "times", tuple(_real(t, "knot") for t in self.times))
+        object.__setattr__(self, "horizon", _real(self.horizon, "horizon"))
         if not math.isfinite(self.horizon) or self.horizon <= 0:
             raise ValueError(f"horizon {self.horizon} must be finite and positive")
         prev = None
@@ -97,7 +114,8 @@ class FeaturePath:
     ``(change_time, new_value)`` pairs with strictly increasing times; the
     feature is 0 before its first change time and right-continuous at each
     change.  Features absent from ``entries`` are identically 0.  ``d`` and
-    every index are integers, as :func:`_integer` defines them.
+    every index are integers, as :func:`_integer` defines them, and every
+    change time and value a real number, as :func:`_real` defines them.
     """
 
     d: int
@@ -112,7 +130,8 @@ class FeaturePath:
             j = _integer(j, "feature index")
             if not 0 <= j < self.d:
                 raise ValueError(f"feature index {j} outside [0, {self.d})")
-            changes = tuple((float(t), float(v)) for t, v in changes)
+            changes = tuple((_real(t, "change time"), _real(v, "change value"))
+                            for t, v in changes)
             prev = -math.inf
             for t, v in changes:
                 if not math.isfinite(t) or not math.isfinite(v):
@@ -153,8 +172,9 @@ class Observation:
 
     ``kind`` is ``"interval"`` (event happened in ``(left, right]``) or
     ``"right"`` (no event up to ``right``; ``left`` is ignored and stored as
-    ``right``).  Intervals require ``0 <= left < right``.  ``id`` is an
-    opaque label carried through serialization.
+    ``right``).  Both are real numbers, as :func:`_real` defines them.
+    Intervals require ``0 <= left < right``.  ``id`` is an opaque label
+    carried through serialization.
     """
 
     path: FeaturePath
@@ -164,8 +184,8 @@ class Observation:
     id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "left", float(self.left))
-        object.__setattr__(self, "right", float(self.right))
+        object.__setattr__(self, "right", _real(self.right, "right"))
+        object.__setattr__(self, "left", _real(self.left, "left"))
         if self.kind not in ("interval", "right"):
             raise ValueError(f"unknown censoring kind {self.kind!r}")
         if not math.isfinite(self.left) or not math.isfinite(self.right):

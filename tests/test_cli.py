@@ -145,6 +145,25 @@ class TestSimulate:
         assert f"bad campaign spec: {field} must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"scan_times": ["1", "2"]}, "scan time"),
+            ({"active": [[0, [[1.0, True]]]]}, "planted level"),
+            ({"monotone_truth": "no"}, "monotone_truth"),
+        ],
+        ids=["scan-str", "level-bool", "monotone-str"],
+    )
+    def test_strings_and_booleans_in_spec_times_and_levels_exit_2(
+        self, tmp_path, capsys, overrides, field
+    ):
+        # float() read "1" as 1.0 and true as 1.0; "no" planted a monotone truth
+        spec = write_spec(tmp_path / "spec.json", **overrides)
+        out = tmp_path / "o.jsonl"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"bad campaign spec: {field} must be a" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spec_seed_is_ignored_and_lists_default_to_empty(self, tmp_path):
         doc = {k: v for k, v in SPEC.items() if k not in ("active", "scan_times")}
         outs = []

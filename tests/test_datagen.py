@@ -134,6 +134,31 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(active=((0, ((9.0, 0.5),)),))  # beyond horizon
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"scan_times": ("1", "2")}, "scan time must be a number, got '1'"),
+            ({"scan_times": (1.0, True)}, "scan time must be a number, got True"),
+            ({"active": ((0, (("1", 0.5),)),)}, "change time must be a number, got '1'"),
+            ({"active": ((0, ((True, 0.5),)),)}, "change time must be a number, got True"),
+            ({"active": ((0, ((1.0, "0.5"),)),)}, "planted level must be a number, got '0.5'"),
+            ({"active": ((0, ((1.0, True),)),)}, "planted level must be a number, got True"),
+            ({"monotone_truth": "no"}, "monotone_truth must be a bool, got 'no'"),
+            ({"monotone_truth": 1}, "monotone_truth must be a bool, got 1"),
+        ],
+        ids=["scan-str", "scan-bool", "time-str", "time-bool", "level-str", "level-bool",
+             "monotone-str", "monotone-int"],
+    )
+    def test_strings_and_booleans_are_not_times_or_levels(self, overrides, match):
+        # float() read "1" as 1.0 and True as 1.0, and "no" counted as true
+        with pytest.raises(ValueError, match=match):
+            tiny_spec(**overrides)
+
+    def test_times_and_levels_become_floats(self):
+        spec = tiny_spec(active=((0, ((1, np.float32(0.5)),)),), scan_times=(np.int64(1), 2, 3.0))
+        assert spec == tiny_spec(active=((0, ((1.0, 0.5),)),))
+        assert all(type(x) is float for x in (*spec.active[0][1][0], *spec.scan_times))
+
     def test_monotone_truth_enforced(self):
         with pytest.raises(ValueError):
             tiny_spec(active=((0, ((1.0, 0.5), (2.0, 0.2))),), monotone_truth=True)

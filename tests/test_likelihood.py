@@ -367,6 +367,54 @@ class TestGradient:
             proportional_nll(ProportionalModel(base_rate=0.5, weights=(0.1,)), [o])
 
 
+class TestHessianDiagonal:
+    def test_matches_central_differences_of_the_gradient(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            m, ks = random_instance(rng, d=3, n_knots=3)
+            obs = random_observations(rng, m.d, ks.horizon, n=8)
+            W = model_matrix(m)
+            design = CensoredDesign(ks, obs)
+            H = design.hessian_diagonal(W, floor=1e-12)
+            assert H.shape == W.shape
+            assert H.ravel().tobytes() == design.hessian_diagonal(W.ravel(), 1e-12).tobytes()
+            for r, c in np.ndindex(W.shape):
+
+                def central(h):
+                    Wp, Wm = W.copy(), W.copy()
+                    Wp[r, c] += h
+                    Wm[r, c] -= h
+                    gp = design.nll_grad(Wp, floor=1e-12)[1][r, c]
+                    return (gp - design.nll_grad(Wm, floor=1e-12)[1][r, c]) / (2 * h)
+
+                # Richardson extrapolation kills the O(h^2) term
+                fd = (4 * central(5e-5) - central(1e-4)) / 3
+                assert abs(H[r, c] - fd) <= 1e-5 * max(1.0, H[r, c]), (r, c)
+
+    @pytest.mark.parametrize("floor", [1e-12, 1e-6, 0.5])
+    def test_clamps_masses_at_the_floor(self, floor):
+        # the first bracket has no hazard at w and takes the floor's
+        # curvature; the second has mass 0.25, or the floor where it is larger
+        ks = KnotSet((1.0,), 4.0)
+        obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0),
+               Observation.interval(FeaturePath(0, {}), 0.5, 1.5)]
+        w = np.array([0.5, 0.0])
+
+        def curvature(b):
+            return math.exp(b) / math.expm1(b) ** 2
+
+        low, mid = curvature(floor), curvature(max(0.25, floor))
+        want = [0.25 * mid, low + 0.25 * mid]
+        got = CensoredDesign(ks, obs).hessian_diagonal(w, floor)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_zero_without_interval_observations(self):
+        obs = [Observation.right_censored(FeaturePath(1, {0: ((0.5, 1.0),)}), 3.0)]
+        design = CensoredDesign(KnotSet((1.0,), 4.0), obs)
+        H = design.hessian_diagonal(np.ones((2, 2)), 1e-12)
+        assert H.shape == (2, 2) and not H.any()
+
+
 class TestCensoredDesign:
     def test_nll_matches_per_observation_route(self):
         rng = np.random.default_rng(12)

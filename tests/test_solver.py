@@ -394,8 +394,8 @@ def steps(monkeypatch):
     seen = []
     backtrack = tvhazard.solver._backtrack
 
-    def recording(design, Y, f, g, step, penalty, D):
-        Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D)
+    def recording(design, Y, f, g, step, penalty, D, **opening):
+        Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D, **opening)
         seen.append((Y.copy(), Z, t, fZ))
         return Z, fZ, t
 
@@ -564,8 +564,8 @@ class TestCertificate:
         obs = sim_observations(np.random.default_rng(39), n=40)
         backtrack, iterates, starts = tvhazard.solver._backtrack, [], []
 
-        def underflowing_once(design, Y, f, g, step, penalty, D):
-            Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D)
+        def underflowing_once(design, Y, f, g, step, penalty, D, **opening):
+            Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D, **opening)
             iterates.append(Z.tobytes())
             starts.append(Y.tobytes())
             # the first start that no trial has reached is extrapolated
@@ -582,6 +582,77 @@ class TestCertificate:
         (k,) = forced
         assert starts[k] in iterates[:k]
         assert res.converged and res.stop == "certified"
+
+
+class TestOpeningSearch:
+    @pytest.mark.parametrize(
+        "curvature, step",
+        [
+            ([0.0, 0.0], 1.0),
+            ([1.0, math.nan], 1.0),
+            ([1.0, math.inf], 1.0),
+            ([4.0, 1.0], 1.0),
+            ([8.0 * 2**10], 2.0**-10),
+            ([8.0 * 2**10 * 0.75], 2.0**-9),
+            ([8.0 * 2**10 * 1.25], 2.0**-10),
+            ([8e12], 2.0**-39),
+            ([1e300], 2.0**-39),
+            ([5e-324], 1.0),
+        ],
+    )
+    def test_opening_step_is_a_power_of_two_at_or_above_eight_over_the_max(self, curvature, step):
+        # within the trials 1, 1/2, ..., 2^-39 a search from 1.0 makes above the floor
+        assert tvhazard.solver._opening_step(np.array(curvature)) == step
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 7),
+        penalty=st.sampled_from([PenaltyConfig(gamma=0.0), PenaltyConfig(gamma=1.0),
+                                 PenaltyConfig(gamma=4.0), PenaltyConfig(gamma=0.5, monotone=True)]),
+        metric=st.booleans(),
+        moved=st.booleans(),
+        k=st.integers(0, 39),
+    )
+    @example(seed=0, penalty=PenaltyConfig(gamma=1.0), metric=False, moved=False, k=39)
+    @example(seed=1, penalty=PenaltyConfig(gamma=1.0), metric=True, moved=False, k=0)
+    def test_returns_what_a_search_from_one_returns(self, seed, penalty, metric, moved, k):
+        # from the start, or from a point past it, in either metric: an
+        # opening trial that fails halves as before, and one that passes
+        # doubles up to the step the search from 1.0 accepts
+        rng = np.random.default_rng(seed)
+        obs = sim_observations(rng, n=(12, 40, 84)[seed % 3])
+        design = CensoredDesign(build_knot_set(obs), obs)
+        Y = np.zeros(design.shape)
+        Y[0] = design.pooled_event_rate
+        if moved:
+            Y += rng.uniform(0.0, 0.05, Y.shape)
+        f, g = design.nll_grad(Y, floor=1e-12)
+        D = tvhazard.solver._metric(design) if metric else np.ones_like(Y)
+        backtrack = tvhazard.solver._backtrack
+        Z, fZ, t = backtrack(design, Y, f, g, 2.0**-k, penalty, D, opening=True)
+        want_Z, want_fZ, want_t = backtrack(design, Y, f, g, 1.0, penalty, D)
+        assert (Z.tobytes(), fZ, t) == (want_Z.tobytes(), want_fZ, want_t)
+
+    def test_a_default_fit_makes_few_trials_before_iteration_two(self, monkeypatch):
+        # the start's search and iteration 1's opened at 1.0: 28 trials
+        prox, nll_grad = PenaltyConfig.prox, CensoredDesign.nll_grad
+        calls, before = [0], []
+
+        def counting(self, *args):
+            calls[0] += 1
+            return prox(self, *args)
+
+        def recording(self, *args, **kwargs):
+            before.append(calls[0])
+            return nll_grad(self, *args, **kwargs)
+
+        monkeypatch.setattr(PenaltyConfig, "prox", counting)
+        monkeypatch.setattr(CensoredDesign, "nll_grad", recording)
+        _, obs = generate(default_scenario(0))
+        assert len(obs) == 1000
+        fit(obs, cfg(1.0))
+        # the second gradient is iteration 1's last evaluation
+        assert 2 <= before[1] <= 8
 
 
 # Row entries: signed zeros, tiny and ordinary magnitudes of either sign.

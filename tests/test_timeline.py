@@ -59,6 +59,21 @@ class TestKnotSet:
         with pytest.raises(ValueError, match="must be finite and positive"):
             KnotSet((), horizon)
 
+    @pytest.mark.parametrize(
+        "times, horizon, match",
+        [
+            (("1.0",), 4.0, "knot must be a number, got '1.0'"),
+            ((True,), 4.0, "knot must be a number, got True"),
+            ((), "4", "horizon must be a number, got '4'"),
+            ((), True, "horizon must be a number, got True"),
+        ],
+        ids=["knot-str", "knot-bool", "horizon-str", "horizon-bool"],
+    )
+    def test_strings_and_booleans_are_refused(self, times, horizon, match):
+        # float() read "1.0" as 1.0 and True as 1.0
+        with pytest.raises(ValueError, match=match):
+            KnotSet(times, horizon)
+
     def test_interval_index_right_continuous(self):
         ks = KnotSet((1.0, 2.0), 5.0)
         # at a knot the index belongs to the interval on the right
@@ -168,6 +183,27 @@ class TestFeaturePath:
         with pytest.raises(ValueError, match=match):
             FeaturePath(1, {0: changes})
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ((("0", 1.0),), "change time must be a number, got '0'"),
+            (((False, 1.0),), "change time must be a number, got False"),
+            (((0.0, "1"),), "change value must be a number, got '1'"),
+            (((0.0, True),), "change value must be a number, got True"),
+            (((0.0, 10**400),), "change value 1000.* is too large for a float"),
+        ],
+        ids=["time-str", "time-bool", "value-str", "value-bool", "value-huge"],
+    )
+    def test_strings_and_booleans_are_refused(self, changes, match):
+        # float() read "0" as 0.0 and True as 1.0
+        with pytest.raises(ValueError, match=match):
+            FeaturePath(1, {0: changes})
+
+    def test_reals_become_floats(self):
+        p = FeaturePath(1, {0: ((np.int64(0), np.float32(0.5)), (1, 2))})
+        assert p == FeaturePath(1, {0: ((0.0, 0.5), (1.0, 2.0))})
+        assert all(type(x) is float for change in p.entries[0] for x in change)
+
     def test_change_times_collects_all_features(self):
         p = FeaturePath(4, {0: ((1.0, 1.0),), 3: ((0.5, 2.0), (1.0, 0.0))})
         assert p.change_times() == (0.5, 1.0)
@@ -196,6 +232,26 @@ class TestObservation:
     def test_rejects_unknown_kind_and_non_finite_times(self, kind, left, right, match):
         with pytest.raises(ValueError, match=match):
             Observation(FeaturePath(1, {}), kind, left, right)
+
+    @pytest.mark.parametrize(
+        "left, right, match",
+        [
+            ("1.5", 2.0, "left must be a number, got '1.5'"),
+            (1.5, "2", "right must be a number, got '2'"),
+            (False, 2.0, "left must be a number, got False"),
+            (0.0, True, "right must be a number, got True"),
+        ],
+        ids=["left-str", "right-str", "left-bool", "right-bool"],
+    )
+    def test_strings_and_booleans_are_refused(self, left, right, match):
+        # float() read "1.5" as 1.5 and True as 1.0
+        with pytest.raises(ValueError, match=match):
+            Observation.interval(FeaturePath(1, {}), left, right)
+
+    @pytest.mark.parametrize("at", ["2", True])
+    def test_a_right_censoring_time_that_is_a_string_or_boolean_is_refused(self, at):
+        with pytest.raises(ValueError, match=f"right must be a number, got {at!r}"):
+            Observation.right_censored(FeaturePath(1, {}), at)
 
     def test_right_censoring_needs_positive_time(self):
         p = FeaturePath(1, {})
