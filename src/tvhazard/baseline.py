@@ -174,10 +174,7 @@ def fit_proportional(observations):
     an L-BFGS-B run that does not report success raises a
     :class:`~tvhazard.solver.SolverWarning`.
     """
-    observations = list(observations)
-    if not observations:
-        raise ValueError("no observations")
-    d, table, left, right, is_interval = _run_table(observations)
+    d, table, left, right, is_interval = _run_table(list(observations))
     pieces = _pieces(d, table, left, right, is_interval)
 
     rate0 = _pooled_event_rate(left, right, is_interval) or 0.01

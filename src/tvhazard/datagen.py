@@ -16,7 +16,6 @@ on uint32/uint64 arrays over all sites and give bitwise the same doubles.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +33,12 @@ class CampaignSpec:
     before its first change).  Sites carry each feature independently with
     probability ``feature_density`` (present from t=0).  ``scan_times`` are
     the shared blacklist sweeps that create interval censoring.
-    ``horizon``, ``baseline_level`` and ``feature_density`` are stored as
-    Python floats; ``d``, ``n``, ``seed`` and the planted indices are
-    integers (a ``bool`` is not) and are stored as Python ints; planted
-    change times and levels and scan times are real numbers, as
-    :func:`~tvhazard.timeline._real` defines them (a string or a ``bool``
-    is not), stored as Python floats.  ``monotone_truth`` is a ``bool``.
+    ``d``, ``n``, ``seed`` and the planted indices are integers (a ``bool``
+    is not) and are stored as Python ints; ``horizon``, ``baseline_level``,
+    ``feature_density``, planted change times and levels and scan times are
+    real numbers, as :func:`~tvhazard.timeline._real` defines them (a string
+    or a ``bool`` is not), stored as Python floats.  ``monotone_truth`` is a
+    ``bool``.
     """
 
     d: int
@@ -56,13 +55,7 @@ class CampaignSpec:
         for name in ("d", "n", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("horizon", "baseline_level", "feature_density"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise ValueError(f"{name} {value!r} is too large for a float") from None
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(
             self,
             "active",

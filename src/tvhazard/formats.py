@@ -73,11 +73,11 @@ def write_observations(path, observations, d, horizon):
     """Write the header plus one observation per line, in one write.
 
     Raises ``ValueError``, before the file is opened, for a header the reader
-    would refuse (``d`` not an integer or negative, non-finite ``horizon``),
-    a path whose dimension is not ``d`` or a censoring boundary beyond
-    ``horizon``: the reader or the fit would refuse the file.
+    would refuse (``d`` not an integer or negative, ``horizon`` not a finite
+    number), a path whose dimension is not ``d`` or a censoring boundary
+    beyond ``horizon``: the reader or the fit would refuse the file.
     """
-    d, horizon = _integer(d, "d"), float(horizon)
+    d, horizon = _integer(d, "d"), _real(horizon, "horizon")
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
     if not math.isfinite(horizon):
@@ -203,10 +203,13 @@ def write_model(path, model):
 
 
 def _delta(token):
-    """A stored jump delta as an exact Decimal, refused before any arithmetic
-    if no difference of two finite floats can have it: such a difference is
-    at most twice the largest float and a multiple of 2**-1074, so it has no
-    decimal digit past the 1074th place."""
+    """A stored jump delta as an exact Decimal, from a number or (as older
+    files hold it) a string, refused before any arithmetic if no difference
+    of two finite floats can have it: such a difference is at most twice the
+    largest float and a multiple of 2**-1074, so it has no decimal digit
+    past the 1074th place."""
+    if isinstance(token, bool):
+        raise ValueError(f"jump delta {token!r} is not a number")
     delta = Decimal(token)
     if not (
         delta.is_finite()
@@ -217,14 +220,22 @@ def _delta(token):
     return delta
 
 
+def _number(token, what):
+    """A number token of a model file as a float: an int or a Decimal, never
+    a string or a ``bool``."""
+    if isinstance(token, (int, Decimal)) and not isinstance(token, bool):
+        return float(token)
+    raise ValueError(f"{what} must be a number, got {token!r}")
+
+
 def _row_from_json(knots, row):
     """Replay a row's jumps exactly: each interval's level is the float nearest it."""
-    level = Decimal(float(row["base"]))
+    level = Decimal(_number(row["base"], "base"))
     values = [float(level)]
     jumps = row["jumps"]
     k = 0
     for t in knots.times:
-        if k < len(jumps) and float(jumps[k]["t"]) == t:
+        if k < len(jumps) and _number(jumps[k]["t"], "jump time") == t:
             level = _EXACT.add(level, _delta(jumps[k]["delta"]))
             k += 1
         values.append(float(level))
@@ -237,7 +248,8 @@ def read_model(path):
     # number tokens are parsed as Decimals so that jump deltas stay exact
     doc = _load_json(path, parse_float=Decimal)
     try:
-        knots = KnotSet(tuple(float(t) for t in doc["knots"]), horizon=float(doc["horizon"]))
+        knots = KnotSet(tuple(_number(t, "knot") for t in doc["knots"]),
+                        horizon=_number(doc["horizon"], "horizon"))
         d = _integer(doc["d"], "d")
         if d < 0:
             raise ValueError(f"d must be nonnegative, got {d}")

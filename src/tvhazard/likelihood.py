@@ -33,6 +33,9 @@ import numpy as np
 import scipy.sparse
 
 _LOG2 = math.log(2.0)
+# the positivity floor: the optimizer's value, gradient and curvature clamp
+# every bracket mass here, so they stay finite and smooth at zero mass
+_MASS_FLOOR = 1e-12
 # every module of the package lives here
 _PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
@@ -116,9 +119,11 @@ class CensoredDesign:
     For coefficient matrix ``W`` (row 0 = intercept), the head term of
     observation ``i`` (hazard mass on ``[0, e_i]``, with ``e_i`` the
     bracket's left end or the censoring time) and the mass of each interval
-    bracket ``[l_i, r_i]`` are linear in ``W``.  :meth:`nll` and
-    :meth:`nll_grad` take ``W`` of shape ``shape`` = (d+1, intervals) or
-    flattened row by row.
+    bracket ``[l_i, r_i]`` are linear in ``W``.  Every method takes ``W``
+    of shape ``shape`` = (d+1, intervals) or flattened row by row.
+    :meth:`nll` is exact by default; the optimizer's :meth:`nll_grad`,
+    :meth:`nll_change`, :meth:`hessian_diagonal` and ``nll(w,
+    floored=True)`` clamp every bracket mass below at ``_MASS_FLOOR``.
 
     The constructor takes every nonzero constant run from one segment table
     (:func:`_run_table`) and overlaps every run with every knot interval in
@@ -185,21 +190,21 @@ class CensoredDesign:
         observations, in the shape of ``W``."""
         return np.asarray(self.V.sum(axis=0)).reshape(self.shape)
 
-    def nll(self, w, floor=0.0):
+    def nll(self, w, floored=False):
         """Dataset NLL at coefficients ``w``.
 
-        With ``floor = 0`` the value is exact: zero-mass brackets yield
-        ``+inf`` and one :class:`ZeroBracketWarning` that counts them.  With
-        ``floor > 0`` bracket masses are clamped below at ``floor``, as in
-        :meth:`nll_grad`, whose value this then equals bitwise: the
-        optimizer's line-search trials need the value only.
+        By default the value is exact: zero-mass brackets yield ``+inf``
+        and one :class:`ZeroBracketWarning` that counts them.  With
+        ``floored`` it is :meth:`nll_grad`'s value bitwise, bracket masses
+        clamped at the floor: the optimizer's line-search trials need the
+        value only.
         """
         w = np.asarray(w).ravel()
         total = float(self._u_colsum @ w)
         if self.V.shape[0]:
             br = self.V @ w
-            if floor > 0.0:
-                br = np.maximum(br, floor)
+            if floored:
+                br = np.maximum(br, _MASS_FLOOR)
             elif np.any(br <= 0.0):
                 _warn_at_caller(
                     f"model assigns zero mass to {np.count_nonzero(br <= 0.0)} event "
@@ -210,9 +215,9 @@ class CensoredDesign:
             total += float(-_bracket_terms(br)[0].sum())
         return total
 
-    def nll_change(self, w, dw, floor):
-        """``nll(w + dw, floor) - nll(w, floor)`` from the change of each
-        term, ``floor > 0``: accurate to the rounding of the change itself,
+    def nll_change(self, w, dw):
+        """``nll(w + dw, floored=True) - nll(w, floored=True)`` from the
+        change of each term: accurate to the rounding of the change itself,
         where the difference of the two rounded values is lost once it falls
         below the rounding of either.  A bracket whose mass moves from ``b``
         to ``b + db`` changes its term by ``-log1p(r)``, ``r = (1 - e^-db) /
@@ -224,9 +229,9 @@ class CensoredDesign:
         if self.V.shape[0]:
             b, db = self.V @ w, self.V @ dw
             moved = b + db
-            low = (b < floor) | (moved < floor)
+            low = (b < _MASS_FLOOR) | (moved < _MASS_FLOOR)
             if low.any():
-                b, moved = np.maximum(b, floor), np.maximum(moved, floor)
+                b, moved = np.maximum(b, _MASS_FLOOR), np.maximum(moved, _MASS_FLOOR)
                 db = np.where(low, moved - b, db)
             log_mass, inv = _bracket_terms(b)
             r = -np.expm1(-db) * inv
@@ -236,36 +241,23 @@ class CensoredDesign:
             total += float(change.sum())
         return total
 
-    def nll_grad(self, w, floor=0.0):
-        """NLL value and gradient at ``w``, the gradient in ``w``'s shape.
-
-        With ``floor > 0`` bracket masses are clamped below at ``floor``
-        (optimizer use: keeps the objective finite and smooth near the
-        boundary); with ``floor = 0`` the value is bitwise :meth:`nll`'s and
-        a zero-mass bracket raises ``ValueError``: the gradient is undefined
-        there.
-        """
+    def nll_grad(self, w):
+        """Floored NLL value and its gradient at ``w``, the gradient in
+        ``w``'s shape: the value is ``nll(w, floored=True)`` bitwise, and a
+        zero-mass bracket contributes the finite gradient of a bracket at
+        the floor."""
         shape = np.shape(w)
         w = np.asarray(w).ravel()
         value = float(self._u_colsum @ w)
         grad = self._u_colsum.copy()
         if self.V.shape[0]:
-            br = self.V @ w
-            if floor > 0.0:
-                br = np.maximum(br, floor)
-            elif np.any(br <= 0.0):
-                raise ValueError(
-                    "zero-mass event bracket: gradient undefined without a floor; "
-                    "keep the intercept strictly positive (positivity floor)"
-                )
-            log_mass, inv = _bracket_terms(br)
+            log_mass, inv = _bracket_terms(np.maximum(self.V @ w, _MASS_FLOOR))
             value += float(-log_mass.sum())
             grad -= self._V_t @ inv
         return value, grad.reshape(shape)
 
-    def hessian_diagonal(self, w, floor):
-        """The diagonal of the NLL's Hessian at ``w``, in ``w``'s shape, with
-        bracket masses clamped below at ``floor > 0`` as in :meth:`nll_grad`.
+    def hessian_diagonal(self, w):
+        """The diagonal of the floored NLL's Hessian at ``w``, in ``w``'s shape.
 
         A bracket of mass ``b`` has the term ``-log(1 - e^-b)``, whose second
         derivative is ``inv (1 + inv)`` with ``inv = 1/(e^b - 1)``; the
@@ -276,7 +268,7 @@ class CensoredDesign:
         V_t = self._V_t
         if not V_t.nnz:
             return np.zeros(shape)
-        inv = _bracket_terms(np.maximum(self.V @ np.asarray(w).ravel(), floor))[1]
+        inv = _bracket_terms(np.maximum(self.V @ np.asarray(w).ravel(), _MASS_FLOOR))[1]
         squared = scipy.sparse.csr_matrix((V_t.data * V_t.data, V_t.indices, V_t.indptr),
                                           shape=V_t.shape)
         return (squared @ (inv * (1.0 + inv))).reshape(shape)

@@ -45,8 +45,9 @@ The solver sees the problem only through the :class:`CensoredDesign`
 (``nll``, ``nll_change``, ``nll_grad``, ``hessian_diagonal``, ``shape``,
 ``pooled_event_rate`` and the two exposure arrays of the metric) and the
 :class:`PenaltyConfig` (``value``, ``prox``).  The smooth part is the
-likelihood alone; TV and every constraint, monotone mode's too, live in the
-penalty's prox.
+likelihood alone, with its bracket masses clamped at the design's
+positivity floor; TV and every constraint, monotone mode's too, live in
+the penalty's prox.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ _STEP_FLOOR = 1e-12
 # the rounded sufficient-decrease bound by less may fail it by rounding
 # alone, and is tested again with the exact change.
 _ROUNDING = 1e-10
-# Bracket masses are clamped here inside the optimizer (positivity floor).
-_MASS_FLOOR = 1e-12
 # Corrections L-BFGS-B stores: on the benchmark's unpenalized sweep fits 20
 # took 653 iterations where 10 took 902 (ten datasets, n = 1000).
 _LBFGS_MEMORY = 20
@@ -198,12 +197,12 @@ def _backtrack(design, Y, f, g, step, penalty, D, opening=False):
     while True:
         Z = penalty.prox(Y - step * h, step, D)
         dZ = Z - Y
-        fZ = design.nll(Z, floor=_MASS_FLOOR)
+        fZ = design.nll(Z, floored=True)
         slope = float(np.vdot(g, dZ))
         curve = float(np.vdot(dZ, D * dZ)) / (2.0 * step)
         excess = fZ - (f + slope + curve)
         if excess <= 0.0 or (excess <= _ROUNDING * abs(f)
-                             and design.nll_change(Y, dZ, floor=_MASS_FLOOR) <= slope + curve):
+                             and design.nll_change(Y, dZ) <= slope + curve):
             if not opening or step >= _MAX_STEP:
                 return Z, fZ, step
             passed, step = (Z, fZ, step), step / _SHRINK
@@ -325,9 +324,9 @@ def _fit_full_batch(design, config, X, f, g, ref, curvature):
         trace.append((it, FX))
         if fZ is not None:
             step = min(t * _GROW, _MAX_STEP)
-        f, g = design.nll_grad(Y, floor=_MASS_FLOOR)
+        f, g = design.nll_grad(Y)
     if not at_x:
-        f, g = design.nll_grad(X, floor=_MASS_FLOOR)
+        f, g = design.nll_grad(X)
     rel = _certificate(pen, X, g, ref)
     return X, trace, "certified" if rel <= tol else "max_iterations", rel
 
@@ -354,7 +353,7 @@ def _fit_box_lbfgs(design, config, X, f, g, ref, curvature):
 
     def fun(w):
         nonlocal seen
-        val, grad = design.nll_grad(w, floor=_MASS_FLOOR)
+        val, grad = design.nll_grad(w)
         seen = w.copy(), val, grad
         return val, grad
 
@@ -362,8 +361,7 @@ def _fit_box_lbfgs(design, config, X, f, g, ref, curvature):
         nonlocal X, rel
         # a new iterate is the last point its line search evaluated
         w = intermediate_result.x
-        val, grad = seen[1:] if np.array_equal(w, seen[0]) else design.nll_grad(
-            w, floor=_MASS_FLOOR)
+        val, grad = seen[1:] if np.array_equal(w, seen[0]) else design.nll_grad(w)
         X = w.reshape(X.shape).copy()
         trace.append((len(trace), val))
         rel = _certificate(pen, X, grad.reshape(X.shape), ref)
@@ -427,10 +425,10 @@ def _start(design, config):
     """
     X = np.zeros(design.shape)
     X[0, :] = design.pooled_event_rate
-    f, g = design.nll_grad(X, floor=_MASS_FLOOR)
+    f, g = design.nll_grad(X)
     if not math.isfinite(f):
         raise NumericalError(f"objective not finite at initialization: {f!r}")
-    curvature = design.hessian_diagonal(X, floor=_MASS_FLOOR)
+    curvature = design.hessian_diagonal(X)
     Z, _, t = _backtrack(design, X, f, g, _opening_step(curvature), config.penalty,
                          np.ones_like(X), opening=True)
     return X, f, g, max(1.0, float(np.linalg.norm(X - Z)) / t), curvature

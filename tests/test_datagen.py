@@ -80,13 +80,14 @@ class TestSpecValidation:
             tiny_spec(seed=seed)
 
     def test_real_fields_become_floats(self):
-        spec = tiny_spec(horizon=4, baseline_level=np.float32(0.25), feature_density=True)
+        spec = tiny_spec(horizon=4, baseline_level=np.float32(0.25), feature_density=np.int64(1))
         values = (spec.horizon, spec.baseline_level, spec.feature_density)
         assert [type(v) for v in values] == [float] * 3 and values == (4.0, 0.25, 1.0)
 
-    @pytest.mark.parametrize("field", ["horizon", "baseline_level"])
+    @pytest.mark.parametrize("field", ["horizon", "baseline_level", "feature_density"])
     @pytest.mark.parametrize(
-        "value", [math.nan, math.inf, "4.0", 10**400], ids=["nan", "inf", "str", "huge int"]
+        "value", [math.nan, math.inf, "4.0", 10**400, True],
+        ids=["nan", "inf", "str", "huge int", "bool"],
     )
     def test_non_finite_or_non_real_fields_name_themselves(self, field, value):
         with pytest.raises(ValueError, match=field):

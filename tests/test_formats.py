@@ -171,15 +171,15 @@ class TestObservationFiles:
 
     @pytest.mark.parametrize(
         "d, horizon",
-        [(1, float("nan")), (1, float("inf")), (-1, 5.0), (2.5, 5.0), (True, 5.0)],
-        ids=["nan", "inf", "d<0", "d=2.5", "d=True"],
+        [(1, float("nan")), (1, float("inf")), (-1, 5.0), (2.5, 5.0), (True, 5.0), (1, "4"),
+         (1, True)],
+        ids=["nan", "inf", "d<0", "d=2.5", "d=True", "horizon str", "horizon=True"],
     )
     def test_writer_refuses_a_header_its_reader_refuses(self, tmp_path, d, horizon):
-        # int(d) wrote d=2.5 as "d": 2 and True as "d": 1
+        # int(d) wrote d=2.5 as "d": 2 and True as "d": 1; float(horizon)
+        # wrote "4" as "horizon": 4.0 and True as 1.0
         f = tmp_path / "obs.jsonl"
-        with pytest.raises(
-            ValueError, match="horizon must be finite|d must be nonnegative|d must be an integer"
-        ):
+        with pytest.raises(ValueError, match="horizon must be|d must be nonnegative|d must be an"):
             write_observations(f, [], d=d, horizon=horizon)
         assert not f.exists()
 
@@ -448,6 +448,20 @@ class TestModelFiles:
         with pytest.raises(FormatError, match=r"m\.json: (d|row index j) must be an integer"):
             read_model(f)
 
+    @pytest.mark.parametrize("token", ['"1.0"', "true"], ids=["str", "bool"])
+    @pytest.mark.parametrize("field", ["knots", "horizon", "base", "jump_t"])
+    def test_non_number_model_tokens_rejected(self, tmp_path, field, token):
+        # float() read the string "1.0" and true as 1.0
+        tokens = {"knots": "1.0", "horizon": "2.0", "base": "0.5", "jump_t": "1.0", field: token}
+        f = tmp_path / "m.json"
+        f.write_text(
+            '{"d": 0, "horizon": %(horizon)s, "knots": [%(knots)s],\n'
+            ' "intercept": {"base": %(base)s, "jumps": [{"t": %(jump_t)s, "delta": 0.25}]},\n'
+            ' "rows": []}\n' % tokens
+        )
+        with pytest.raises(FormatError, match=r"m\.json: (knot|horizon|base|jump time) must be a num"):
+            read_model(f)
+
     def test_duplicate_row_index_rejected(self, tmp_path):
         # a second row for one feature would silently replace the first
         f = tmp_path / "m.json"
@@ -519,7 +533,8 @@ class TestModelFiles:
                 read_model(f)
 
     @pytest.mark.parametrize(
-        "delta", ["1e100000000", "-1e100000000", "1e-100000000", "1e-1075", "Infinity", "NaN", '"x"']
+        "delta",
+        ["1e100000000", "-1e100000000", "1e-100000000", "1e-1075", "Infinity", "NaN", '"x"', "true"],
     )
     def test_delta_no_float_difference_can_have_rejected(self, tmp_path, delta):
         # refused before any exact arithmetic, which on 1e100000000 runs for minutes

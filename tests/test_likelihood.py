@@ -282,14 +282,15 @@ class TestNLLObservation:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_a_subnormal_bracket_mass_warns_nothing(self):
-        # 1/(e^x - 1) overflows to +inf below x = 1/max float; the NLL never
-        # uses it and the gradient's rounded value is -inf
+        # 1/(e^x - 1) overflows to +inf below x = 1/max float; the exact NLL
+        # never uses it and the gradient clamps the mass at the floor
         ks = KnotSet((), 2.2250738585e-313)
         o = Observation.interval(FeaturePath(0, {}), 0.0, ks.horizon)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert nll_dataset(HazardModel(ks, [[1.0]]), [o]) == -math.log(ks.horizon)
-            assert CensoredDesign(ks, [o]).nll_grad([1.0])[1][0] == -math.inf
+            grad = CensoredDesign(ks, [o]).nll_grad([1.0])[1][0]
+            assert grad == pytest.approx(-ks.horizon / math.expm1(1e-12), rel=1e-14)
 
     def test_dataset_is_plain_sum(self):
         rng = np.random.default_rng(8)
@@ -344,13 +345,17 @@ class TestGradient:
                     scale = max(1.0, abs(gg))
                     assert abs(gg - fd) / scale < 1e-5, (r, c)
 
-    def test_zero_bracket_gradient_raises(self):
+    def test_zero_bracket_gradient_is_the_floored_one(self):
+        # a bracket with no hazard takes the value and gradient of a bracket
+        # of mass 1e-12: -log(1 - e^-b) and -1/(e^b - 1) per unit exposure
         ks = KnotSet((1.0,), 4.0)
         m = HazardModel(ks, [(0.5, 0.0)])
-        p = FeaturePath(0, {})
-        o = Observation.interval(p, 2.0, 3.0)
-        with pytest.raises(ValueError, match="floor"):
-            CensoredDesign(ks, [o]).nll_grad(model_matrix(m).ravel())
+        o = Observation.interval(FeaturePath(0, {}), 2.0, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = CensoredDesign(ks, [o]).nll_grad(model_matrix(m).ravel())
+        assert value == pytest.approx(0.5 - math.log(-math.expm1(-1e-12)), rel=1e-14)
+        assert grad == pytest.approx([1.0, 1.0 - 1.0 / math.expm1(1e-12)], rel=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         ks = KnotSet((), 4.0)
@@ -375,26 +380,25 @@ class TestHessianDiagonal:
             obs = random_observations(rng, m.d, ks.horizon, n=8)
             W = model_matrix(m)
             design = CensoredDesign(ks, obs)
-            H = design.hessian_diagonal(W, floor=1e-12)
+            H = design.hessian_diagonal(W)
             assert H.shape == W.shape
-            assert H.ravel().tobytes() == design.hessian_diagonal(W.ravel(), 1e-12).tobytes()
+            assert H.ravel().tobytes() == design.hessian_diagonal(W.ravel()).tobytes()
             for r, c in np.ndindex(W.shape):
 
                 def central(h):
                     Wp, Wm = W.copy(), W.copy()
                     Wp[r, c] += h
                     Wm[r, c] -= h
-                    gp = design.nll_grad(Wp, floor=1e-12)[1][r, c]
-                    return (gp - design.nll_grad(Wm, floor=1e-12)[1][r, c]) / (2 * h)
+                    gp = design.nll_grad(Wp)[1][r, c]
+                    return (gp - design.nll_grad(Wm)[1][r, c]) / (2 * h)
 
                 # Richardson extrapolation kills the O(h^2) term
                 fd = (4 * central(5e-5) - central(1e-4)) / 3
                 assert abs(H[r, c] - fd) <= 1e-5 * max(1.0, H[r, c]), (r, c)
 
-    @pytest.mark.parametrize("floor", [1e-12, 1e-6, 0.5])
-    def test_clamps_masses_at_the_floor(self, floor):
+    def test_clamps_masses_at_the_floor(self):
         # the first bracket has no hazard at w and takes the floor's
-        # curvature; the second has mass 0.25, or the floor where it is larger
+        # curvature; the second has mass 0.25
         ks = KnotSet((1.0,), 4.0)
         obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0),
                Observation.interval(FeaturePath(0, {}), 0.5, 1.5)]
@@ -403,15 +407,15 @@ class TestHessianDiagonal:
         def curvature(b):
             return math.exp(b) / math.expm1(b) ** 2
 
-        low, mid = curvature(floor), curvature(max(0.25, floor))
+        low, mid = curvature(1e-12), curvature(0.25)
         want = [0.25 * mid, low + 0.25 * mid]
-        got = CensoredDesign(ks, obs).hessian_diagonal(w, floor)
+        got = CensoredDesign(ks, obs).hessian_diagonal(w)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_without_interval_observations(self):
         obs = [Observation.right_censored(FeaturePath(1, {0: ((0.5, 1.0),)}), 3.0)]
         design = CensoredDesign(KnotSet((1.0,), 4.0), obs)
-        H = design.hessian_diagonal(np.ones((2, 2)), 1e-12)
+        H = design.hessian_diagonal(np.ones((2, 2)))
         assert H.shape == (2, 2) and not H.any()
 
 
@@ -447,14 +451,12 @@ class TestCensoredDesign:
         w = np.array([0.5, 0.0])  # no hazard inside the bracket
         with pytest.warns(ZeroBracketWarning):
             assert design.nll(w) == math.inf
-        with pytest.raises(ValueError):
-            design.nll_grad(w)
-        # a positive floor clamps the bracket mass and keeps things finite
-        fv, fg = design.nll_grad(w, floor=1e-12)
+        # the floor clamps the bracket mass and keeps things finite
+        fv, fg = design.nll_grad(w)
         assert math.isfinite(fv) and np.all(np.isfinite(fg))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert design.nll(w, floor=1e-12) == fv
+            assert design.nll(w, floored=True) == fv
 
     def test_zero_mass_warning_names_the_caller(self):
         # a direct design.nll and nll_dataset alike warn at the line that
@@ -481,20 +483,15 @@ class TestCensoredDesign:
             design = CensoredDesign(ks, obs)
             U, _ = dense_design(ks, obs)
             w = model_matrix(m).ravel() * (rng.random(U.shape[1]) < 0.7)
-            for floor in (0.0, 1e-12):
-                br = design.V @ w
-                if floor > 0.0:
-                    br = np.maximum(br, floor)
-                elif np.any(br <= 0.0):
-                    continue
-                value = float((U @ w).sum()) - sum(log1mexp(float(b)) for b in br)
-                grad = U.sum(axis=0)
-                grad -= design.V.T @ (np.exp(-br) / -np.expm1(-br))
-                got_value, got_grad = design.nll_grad(w, floor=floor)
-                assert got_value == pytest.approx(value, rel=1e-13, abs=0.0)
-                assert got_grad.tobytes() == grad.tobytes()
-                # the value-only route, which line-search trials take
-                assert design.nll(w, floor=floor) == got_value
+            br = np.maximum(design.V @ w, 1e-12)
+            value = float((U @ w).sum()) - sum(log1mexp(float(b)) for b in br)
+            grad = U.sum(axis=0)
+            grad -= design.V.T @ (np.exp(-br) / -np.expm1(-br))
+            got_value, got_grad = design.nll_grad(w)
+            assert got_value == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert got_grad.tobytes() == grad.tobytes()
+            # the value-only route, which line-search trials take
+            assert design.nll(w, floored=True) == got_value
 
     def test_nll_change_is_exact_where_rounded_values_lose_it(self):
         # against 50-digit arithmetic on the dense oracle's exposures, for
@@ -522,9 +519,9 @@ class TestCensoredDesign:
                     x0 = [mpmath.mpf(float(v)) for v in w]
                     x1 = [a + mpmath.mpf(float(b)) for a, b in zip(x0, dw)]
                     want = float(exact_nll(x1) - exact_nll(x0))
-                got = design.nll_change(w, dw, floor=1e-12)
+                got = design.nll_change(w, dw)
                 assert got == pytest.approx(want, rel=1e-9, abs=0.0)
-                rounded = design.nll(w + dw, floor=1e-12) - design.nll(w, floor=1e-12)
+                rounded = design.nll(w + dw, floored=True) - design.nll(w, floored=True)
                 lost += abs(rounded - want) > 1e-3 * abs(want)
         # the difference of two rounded values misses most tiny changes
         assert lost >= 6
@@ -537,10 +534,10 @@ class TestCensoredDesign:
                Observation.interval(FeaturePath(0, {}), 0.5, 1.5)]
         design = CensoredDesign(ks, obs)
         w, dw = np.array([0.5, 0.0]), np.array([0.1, 0.3])
-        want = design.nll(w + dw, floor=1e-12) - design.nll(w, floor=1e-12)
-        assert design.nll_change(w, dw, floor=1e-12) == pytest.approx(want, rel=1e-12)
-        back = design.nll(w, floor=1e-12) - design.nll(w + dw, floor=1e-12)
-        assert design.nll_change(w + dw, -dw, floor=1e-12) == pytest.approx(back, rel=1e-12)
+        want = design.nll(w + dw, floored=True) - design.nll(w, floored=True)
+        assert design.nll_change(w, dw) == pytest.approx(want, rel=1e-12)
+        back = design.nll(w, floored=True) - design.nll(w + dw, floored=True)
+        assert design.nll_change(w + dw, -dw) == pytest.approx(back, rel=1e-12)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(design_inputs())
@@ -604,18 +601,17 @@ class TestCensoredDesign:
 
     def test_gradient_takes_the_argument_shape(self):
         # flat in gives flat out, (d+1, K) in gives (d+1, K) out, and the two
-        # agree bitwise, with and without a floor
+        # agree bitwise
         rng = np.random.default_rng(17)
         m, ks = random_instance(rng)
         obs = random_observations(rng, m.d, ks.horizon)
         design = CensoredDesign(ks, obs)
-        for floor in (0.0, 1e-12):
-            value, grad = design.nll_grad(m.W, floor=floor)
-            flat_value, flat_grad = design.nll_grad(m.W.ravel(), floor=floor)
-            assert grad.shape == design.shape == m.W.shape
-            assert flat_grad.shape == (m.W.size,)
-            assert value == flat_value
-            assert grad.tobytes() == flat_grad.tobytes()
+        value, grad = design.nll_grad(m.W)
+        flat_value, flat_grad = design.nll_grad(m.W.ravel())
+        assert grad.shape == design.shape == m.W.shape
+        assert flat_grad.shape == (m.W.size,)
+        assert value == flat_value
+        assert grad.tobytes() == flat_grad.tobytes()
 
 
 @st.composite

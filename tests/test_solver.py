@@ -132,7 +132,7 @@ class TestFullBatch:
         # nll_dataset gives for the returned model; the exact nll runs once,
         # for train_nll.  In FISTA each iteration takes one gradient, at the
         # point its step starts from (nll_grad), and each line-search trial
-        # one floored value (nll with floor > 0).  The unpenalized route
+        # one floored value (nll with floored=True).  The unpenalized route
         # takes the start's gradient and one line search for G1, then one
         # nll_grad per L-BFGS-B evaluation
         obs = sim_observations(np.random.default_rng(24), n=40)
@@ -140,7 +140,7 @@ class TestFullBatch:
         for name in ("__init__", "nll", "nll_grad"):
 
             def counting(self, *args, _method=getattr(CensoredDesign, name), _name=name, **kwargs):
-                floored = _name == "nll" and kwargs.get("floor", 0.0) > 0.0
+                floored = _name == "nll" and kwargs.get("floored", False)
                 calls["floored nll" if floored else _name] += 1
                 return _method(self, *args, **kwargs)
 
@@ -239,7 +239,7 @@ class TestFullBatch:
             design = CensoredDesign(knots, obs)
             size = math.prod(design.shape)
             ref = scipy.optimize.minimize(
-                lambda w: design.nll_grad(w, floor=1e-12),
+                design.nll_grad,
                 np.full(size, 0.1),
                 jac=True,
                 method="L-BFGS-B",
@@ -305,10 +305,10 @@ class TestFullBatch:
             lib.scipy_openblas_set_num_threads(threads)
 
     def test_unpenalized_fit_meets_the_kkt_conditions(self):
-        # an oracle independent of L-BFGS-B: the exact gradient (no mass
-        # floor) vanishes where W > 0 and is nonnegative where W = 0, within
-        # 1e-5 of its largest entry.  Four small sets on a fixed knot set,
-        # and the figure-1 training split on its own knots
+        # an oracle independent of L-BFGS-B: the gradient vanishes where
+        # W > 0 and is nonnegative where W = 0, within 1e-5 of its largest
+        # entry.  Four small sets on a fixed knot set, and the figure-1
+        # training split on its own knots
         rng = np.random.default_rng(26)
         cases = [(sim_observations(rng, n=50), KnotSet((1.5, 3.0, 4.5), horizon=6.0)) for _ in range(4)]
         spec = default_scenario(0)
@@ -336,7 +336,7 @@ class TestFullBatch:
         res = fit(obs, cfg(1.0, max_iterations=4000, tolerance=1e-6), knots=knots)
         W = model_matrix(res.model)
         design = CensoredDesign(knots, obs)
-        _, g = design.nll_grad(W.ravel(), floor=1e-12)
+        _, g = design.nll_grad(W.ravel())
         g = g.reshape(W.shape)
         s = 1e-3
         Y = W - s * g
@@ -405,7 +405,7 @@ def steps(monkeypatch):
 
 def mapping_norm_at(knots, obs, W, penalty, t):
     """``||W - [prox_t(W - t grad f(W))]_+|| / t`` from scratch."""
-    _, g = CensoredDesign(knots, obs).nll_grad(W.ravel(), floor=1e-12)
+    _, g = CensoredDesign(knots, obs).nll_grad(W.ravel())
     Y = W - t * g.reshape(W.shape)
     if penalty.monotone:
         # the linear TV term of nondecreasing rows joins the gradient
@@ -509,14 +509,29 @@ class TestCertificate:
         assert "stalled" in str(caught[0].message)
         assert f"{res.mapping_norm:.3g}" in str(caught[0].message)
 
+    @pytest.mark.parametrize("n, seed, gamma", [(40, 25, 1e20), (28, 6, 8.0)])
+    def test_a_tied_step_from_the_best_iterate_is_taken(self, n, seed, gamma):
+        # near a minimizer a momentum-free step can move X and round to X's
+        # objective; taking it lets these fits of the command-line tests'
+        # scenario certify, where refusing it stalls them (14 of 960 such
+        # default fits stalled without the rule)
+        spec = CampaignSpec(
+            d=4, active=((0, ((1.0, 0.6),)), (2, ((0.5, 0.4), (2.0, 1.0)))), baseline_level=0.25,
+            horizon=4.0, n=n, feature_density=0.5, scan_times=(1.0, 2.0, 3.0), seed=seed,
+        )
+        _, obs = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit(obs, cfg(gamma)).stop == "certified"
+
     def test_step_underflow_at_the_best_iterate_warns_once(self, monkeypatch):
         # no trial ever meets the sufficient-decrease bound: the fit gives
         # up at its start, uncertified, with one warning
         obs = sim_observations(np.random.default_rng(38), n=20)
         nll = CensoredDesign.nll
 
-        def rejecting(self, w, floor=0.0):
-            return math.inf if floor > 0.0 else nll(self, w, floor)
+        def rejecting(self, w, floored=False):
+            return math.inf if floored else nll(self, w, floored)
 
         monkeypatch.setattr(CensoredDesign, "nll", rejecting)
         with warnings.catch_warnings(record=True) as caught:
@@ -538,9 +553,9 @@ class TestCertificate:
         penalty = PenaltyConfig(gamma=1.0, monotone=True)
         nll, trials = CensoredDesign.nll, []
 
-        def rejecting_late(self, w, floor=0.0):
-            trials.append(floor)
-            return math.inf if floor > 0.0 and len(trials) > 60 else nll(self, w, floor)
+        def rejecting_late(self, w, floored=False):
+            trials.append(floored)
+            return math.inf if floored and len(trials) > 60 else nll(self, w, floored)
 
         monkeypatch.setattr(CensoredDesign, "nll", rejecting_late)
         with warnings.catch_warnings(record=True) as caught:
@@ -626,7 +641,7 @@ class TestOpeningSearch:
         Y[0] = design.pooled_event_rate
         if moved:
             Y += rng.uniform(0.0, 0.05, Y.shape)
-        f, g = design.nll_grad(Y, floor=1e-12)
+        f, g = design.nll_grad(Y)
         D = tvhazard.solver._metric(design) if metric else np.ones_like(Y)
         backtrack = tvhazard.solver._backtrack
         Z, fZ, t = backtrack(design, Y, f, g, 2.0**-k, penalty, D, opening=True)
