@@ -17,6 +17,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -116,6 +117,8 @@ class FeaturePath:
     change.  Features absent from ``entries`` are identically 0.  ``d`` and
     every index are integers, as :func:`_integer` defines them, and every
     change time and value a real number, as :func:`_real` defines them.
+    ``entries`` must not be mutated after construction: designs reuse the
+    runs they once read from it.
     """
 
     d: int
@@ -182,6 +185,14 @@ class Observation:
     left: float
     right: float
     id: str = ""
+    # not a field: ``(block, position)`` once ``likelihood._run_table`` has
+    # walked the record's path.  One attribute keeps the instance dict at
+    # its size, and one tuple is stored in one step.
+    _runs = None
+
+    def __getstate__(self):
+        """The fields only: a pickle or a copy never carries a walked block."""
+        return {k: v for k, v in self.__dict__.items() if k != "_runs"}
 
     def __post_init__(self):
         object.__setattr__(self, "right", _real(self.right, "right"))
@@ -266,6 +277,9 @@ def build_knot_set(observations, horizon=None):
         horizon = max_boundary
     if max_boundary > horizon:
         raise ValueError(f"censoring boundary {max_boundary} beyond horizon {horizon}")
-    raw = [t for obs in observations for t in (obs.left, obs.right, *obs.path.change_times())]
-    return _window_knots(raw, horizon)
+    times = {t for changes in chain.from_iterable(o.path.entries.values() for o in observations)
+             for t, _ in changes}
+    times.update(o.left for o in observations)
+    times.update(o.right for o in observations)
+    return _window_knots(times, horizon)
 

@@ -21,7 +21,9 @@ before its pass took per-entry weights;
 writer, which formats each line itself and writes once;
 ``pooled_event_rate_loop``, one observation at a time, for the start's
 rate computed from the run table's arrays; ``run_table_loop``, one run at
-a time, for the run table assembled with NumPy;
+a time, for the run table assembled with NumPy or gathered from an earlier
+walk; ``knot_set_per_path``, each path's sorted change times, for the knot
+set built from one set of times;
 ``dyadic_decimal``, exact rational arithmetic on integers, for the model
 writer's decimal deltas; and ``site_uniforms_loop``, one NumPy
 ``Generator`` per site, for the generator's streams computed in one array
@@ -41,7 +43,7 @@ import numpy as np
 import scipy.optimize
 
 from tvhazard import FeaturePath, Observation, ZeroBracketWarning
-from tvhazard.timeline import MERGE_TOL
+from tvhazard.timeline import MERGE_TOL, _window_knots
 
 
 def fused_prox_bruteforce(y, lam):
@@ -351,6 +353,16 @@ def run_table_loop(observations):
                     flat += (i, j + 1, start, end, v)
     table = np.array(flat, dtype=float).reshape(-1, 5)
     return d, table, np.array(left), np.array(right), np.array(is_interval)
+
+
+def knot_set_per_path(observations, horizon=None):
+    """``build_knot_set`` as the library ran it before it gathered every time
+    into one set: each record's boundaries and its path's sorted
+    ``change_times()``, repeats kept, under the same window rule."""
+    if horizon is None:
+        horizon = max(o.right for o in observations)
+    raw = [t for o in observations for t in (o.left, o.right, *o.path.change_times())]
+    return _window_knots(raw, horizon)
 
 
 def site_uniforms_loop(seed, sites, count):

@@ -1,6 +1,9 @@
 """Hazard evaluation, censored-data NLL, gradients, and the design cache."""
 
+import copy
 import math
+import pickle
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -30,7 +33,10 @@ from tvhazard import (
     model_matrix,
     nll_dataset,
     proportional_nll,
+    read_observations,
+    write_observations,
 )
+from tvhazard import likelihood
 from tvhazard.likelihood import _bracket_terms, _pooled_event_rate, _run_table
 
 from oracles import (
@@ -635,16 +641,79 @@ def fresh_copies(observations):
     return [replace(o, path=FeaturePath(o.path.d, o.path.entries)) for o in observations]
 
 
+def assert_matches_the_loop(observations):
+    """``_run_table`` of ``observations`` equals the per-run loop bitwise."""
+    want, got = run_table_loop(observations), _run_table(observations)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:], strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def block_of(observations):
+    """The one walked block every record carries, or None."""
+    blocks = {id(o._runs[0]) if o._runs else None for o in observations}
+    return observations[0]._runs[0] if len(blocks) == 1 and None not in blocks else None
+
+
 class TestRunTable:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(design_inputs())
     def test_table_matches_the_loop_bitwise(self, case):
+        assert_matches_the_loop(case[1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(design_inputs(), st.data())
+    def test_gathered_tables_match_the_loop_bitwise(self, case, data):
+        # after one walk, lists of the walked records are gathered from its
+        # block and keep it; lists that mix in other records are walked
+        # again, and all of them equal the loop
         _, obs = case
-        want, got = run_table_loop(obs), _run_table(obs)
-        assert got[0] == want[0]
-        for a, b in zip(got[1:], want[1:], strict=True):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert a.tobytes() == b.tobytes()
+        _run_table(obs)
+        block = block_of(obs)
+        assert block is not None
+        n = len(obs)
+        picks = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        gathered = [
+            data.draw(st.permutations(obs)),
+            [obs[i] for i in data.draw(picks)],
+            obs + [obs[data.draw(st.integers(0, n - 1))]],
+        ]
+        for records in gathered:
+            assert_matches_the_loop(records)
+            assert block_of(records) is block
+        with_copies = obs + fresh_copies(obs[data.draw(st.integers(0, n - 1)):])
+        assert_matches_the_loop(with_copies)
+        walked = block_of(with_copies)
+        assert walked is not None and walked is not block
+        second = fresh_copies(obs)
+        _run_table(second)
+        both = obs + second
+        assert block_of(both) is None
+        assert_matches_the_loop(both)
+        assert block_of(both) is not None
+
+    def test_a_fit_sweep_walks_its_records_once(self, monkeypatch):
+        # the first table walks the full set; the training fits and the
+        # validation NLLs gather from its block
+        walks = []
+        walk = likelihood._walk
+
+        def counted(observations):
+            walks.append(len(observations))
+            return walk(observations)
+
+        monkeypatch.setattr(likelihood, "_walk", counted)
+        truth, obs = generate(replace(default_scenario(4), n=300))
+        nll_dataset(truth, obs)
+        perm = np.random.default_rng(4).permutation(len(obs))
+        train, val = [obs[i] for i in perm[:210]], [obs[i] for i in perm[210:]]
+        knots = build_knot_set(train)
+        for gamma in (1.0, 2.0, 4.0):
+            result = fit(train, SolverConfig(penalty=PenaltyConfig(gamma=gamma)), knots=knots)
+            nll_dataset(result.model, val)
+        nll_dataset(result.model, obs)
+        assert walks == [len(obs)]
 
     def test_design_on_reused_records_equals_a_fresh_one(self):
         _, obs = generate(replace(default_scenario(3), n=400))
@@ -668,6 +737,40 @@ class TestRunTable:
         assert model_matrix(warm.model).tobytes() == model_matrix(cold.model).tobytes()
         assert warm.objective_trace == cold.objective_trace
         assert warm.train_nll == cold.train_nll
+
+
+class TestWalkedRecords:
+    """A walk stamps each record with one private attribute that no
+    comparison, representation, copy or pickle sees."""
+
+    def test_pickles_copies_and_compares_as_before_the_walk(self):
+        _, obs = generate(replace(default_scenario(5), n=40))
+        before = [(pickle.dumps(o), repr(o)) for o in obs]
+        _run_table(obs)
+        assert block_of(obs) is not None
+        for o, (pickled, text), other in zip(obs, before, fresh_copies(obs), strict=True):
+            assert pickle.dumps(o) == pickled
+            assert repr(o) == text
+            assert o == other and other == o
+            for twin in (pickle.loads(pickled), pickle.loads(pickle.dumps(o)), copy.copy(o),
+                         copy.deepcopy(o), replace(o)):
+                assert twin == o
+                assert twin._runs is None
+
+    @pytest.mark.parametrize("source", ["read_observations", "generate", "constructors"])
+    def test_the_stamp_keeps_the_instance_dict_size(self, source, tmp_path):
+        spec = replace(default_scenario(6), n=40)
+        _, obs = generate(spec)
+        if source == "read_observations":
+            write_observations(tmp_path / "obs.jsonl", obs, d=spec.d, horizon=spec.horizon)
+            obs, _ = read_observations(tmp_path / "obs.jsonl")
+        elif source == "constructors":
+            obs = [Observation.interval(o.path, o.left, o.right, o.id) if o.kind == "interval"
+                   else Observation.right_censored(o.path, o.right, o.id) for o in obs]
+        before = [sys.getsizeof(o.__dict__) for o in obs]
+        _run_table(obs)
+        assert block_of(obs) is not None
+        assert [sys.getsizeof(o.__dict__) for o in obs] == before
 
 
 class TestPooledEventRate:

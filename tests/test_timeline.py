@@ -22,7 +22,13 @@ from tvhazard import (
 from tvhazard.formats import _row_from_json, _row_json
 from tvhazard.timeline import MERGE_TOL
 
-from oracles import integrate_step, integrate_step_product, level_at, merge_times
+from oracles import (
+    integrate_step,
+    integrate_step_product,
+    knot_set_per_path,
+    level_at,
+    merge_times,
+)
 
 
 def random_knots(rng, horizon=10.0, max_knots=6):
@@ -288,7 +294,43 @@ def observation_sets(draw):
     return obs, horizon
 
 
+@st.composite
+def shared_time_sets(draw):
+    """Records whose paths have up to three features drawing change times
+    from one small pool, so times repeat across features, records and
+    boundaries; some lie near a window end, some past the horizon."""
+    horizon = draw(st.sampled_from([1.0, 4.0, 9.0]))
+    pool = draw(st.lists(st.one_of(near_end_times(horizon), st.floats(horizon, 2 * horizon)),
+                         min_size=1, max_size=8))
+    times = st.sampled_from(pool)
+    d = draw(st.integers(0, 3))
+    obs = []
+    for _ in range(draw(st.integers(1, 8))):
+        entries = {j: [(t, draw(st.floats(-2.0, 2.0))) for t in
+                       sorted(set(draw(st.lists(times, max_size=4))))]
+                   for j in range(d)}
+        a, b = sorted((draw(near_end_times(horizon)), draw(near_end_times(horizon))))
+        if a < b and draw(st.booleans()):
+            obs.append(Observation.interval(FeaturePath(d, entries), a, b))
+        elif b > 0:
+            obs.append(Observation.right_censored(FeaturePath(d, entries), b))
+    return obs, horizon
+
+
 class TestBuildKnotSet:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(shared_time_sets(), st.booleans())
+    def test_matches_the_per_path_build(self, drawn, explicit_horizon):
+        # one set of every boundary and change time gives the knot set that
+        # each path's sorted change times gave, time for time
+        obs, horizon = drawn
+        assume(obs)
+        horizon = horizon if explicit_horizon else None
+        got, want = build_knot_set(obs, horizon=horizon), knot_set_per_path(obs, horizon)
+        assert got == want
+        assert [t.hex() for t in got.times] == [t.hex() for t in want.times]
+        assert got.horizon.hex() == want.horizon.hex()
+
     def test_single_right_censoring(self):
         p = FeaturePath(1, {})
         ks = build_knot_set([Observation.right_censored(p, 5.0)])
