@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import MERGE_TOL, FeaturePath, Observation, _integer, _real, _window_knots
+from .timeline import (MERGE_TOL, FeaturePath, Observation, _dimension, _horizon, _integer, _real,
+                       _window_knots)
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,10 @@ class CampaignSpec:
     is not) and are stored as Python ints; ``horizon``, ``baseline_level``,
     ``feature_density``, planted change times and levels and scan times are
     real numbers, as :func:`~tvhazard.timeline._real` defines them (a string
-    or a ``bool`` is not), stored as Python floats.  ``monotone_truth`` is a
-    ``bool``.
+    or a ``bool`` is not), stored as Python floats.  ``d`` and ``horizon``
+    follow the package's one rule for each
+    (:func:`~tvhazard.timeline._dimension`, :func:`~tvhazard.timeline._horizon`).
+    ``monotone_truth`` is a ``bool``.
     """
 
     d: int
@@ -52,9 +55,11 @@ class CampaignSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d", "n", "seed"):
+        object.__setattr__(self, "d", _dimension(self.d))
+        object.__setattr__(self, "horizon", _horizon(self.horizon))
+        for name in ("n", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name in ("horizon", "baseline_level", "feature_density"):
+        for name in ("baseline_level", "feature_density"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(
             self,
@@ -70,14 +75,10 @@ class CampaignSpec:
         object.__setattr__(self, "scan_times", tuple(_real(s, "scan time") for s in self.scan_times))
         if not isinstance(self.monotone_truth, bool):
             raise ValueError(f"monotone_truth must be a bool, got {self.monotone_truth!r}")
-        if self.d < 0:
-            raise ValueError("d must be nonnegative")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0.0 <= self.feature_density <= 1.0:
             raise ValueError("feature_density must be in [0, 1]")
         if not (math.isfinite(self.baseline_level) and self.baseline_level >= 0):

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import decimal
 import json
-import math
 import sys
 from decimal import Decimal
 
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import FeaturePath, KnotSet, Observation, _integer, _real
+from .timeline import FeaturePath, KnotSet, Observation, _dimension, _horizon, _integer, _real
 
 
 # Exact decimal arithmetic: every sum and difference of the model codec is
@@ -73,15 +72,12 @@ def write_observations(path, observations, d, horizon):
     """Write the header plus one observation per line, in one write.
 
     Raises ``ValueError``, before the file is opened, for a header the reader
-    would refuse (``d`` not an integer or negative, ``horizon`` not a finite
-    number), a path whose dimension is not ``d`` or a censoring boundary
-    beyond ``horizon``: the reader or the fit would refuse the file.
+    would refuse (``d`` not a :func:`~tvhazard.timeline._dimension`,
+    ``horizon`` not a :func:`~tvhazard.timeline._horizon`), a path whose
+    dimension is not ``d`` or a censoring boundary beyond ``horizon``: the
+    reader or the fit would refuse the file.
     """
-    d, horizon = _integer(d, "d"), _real(horizon, "horizon")
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon}")
+    d, horizon = _dimension(d), _horizon(horizon)
     lines = [json.dumps({"d": d, "horizon": horizon, "time_unit": "abstract"}) + "\n"]
     for o in observations:
         if o.path.d != d:
@@ -105,22 +101,26 @@ def write_observations(path, observations, d, horizon):
 
 
 def _parse_observation(rec, d, lineno, path):
+    """The :class:`Observation` one JSON record holds.  Its ``j``, ``t``,
+    ``v``, ``l`` and ``r`` tokens go to :class:`FeaturePath` and
+    :class:`Observation` as parsed, so the constructors are the one check
+    of a record; only a ``j`` listed twice is caught here, on the token
+    itself.  Any refusal raises :class:`FormatError` naming ``path:lineno``."""
     try:
         censoring = rec["censoring"]
         entries = {}
         for feat in rec.get("features", []):
-            j = _integer(feat["j"], "feature index j")
+            j = feat["j"]
             if j in entries:
-                raise ValueError(f"feature index {j} listed twice")
-            entries[j] = tuple((_real(ch["t"], "t"), _real(ch["v"], "v")) for ch in feat["changes"])
+                raise ValueError(f"feature index {j!r} listed twice")
+            entries[j] = [(ch["t"], ch["v"]) for ch in feat["changes"]]
         fpath = FeaturePath(d, entries)
         uid = str(rec.get("id", ""))
         kind = censoring["kind"]
         if kind == "interval":
-            left, right = _real(censoring["l"], "l"), _real(censoring["r"], "r")
-            return Observation.interval(fpath, left, right, id=uid)
+            return Observation.interval(fpath, censoring["l"], censoring["r"], id=uid)
         if kind == "right":
-            return Observation.right_censored(fpath, _real(censoring["t"], "t"), id=uid)
+            return Observation.right_censored(fpath, censoring["t"], id=uid)
         raise ValueError(f"unknown censoring kind {kind!r}")
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}:{lineno}: {e}") from e
@@ -147,14 +147,12 @@ def read_observations(path):
             if header is None:
                 try:
                     header = {
-                        "d": _integer(rec["d"], "d"),
-                        "horizon": _real(rec["horizon"], "horizon"),
+                        "d": _dimension(rec["d"]),
+                        "horizon": _horizon(rec["horizon"]),
                         "time_unit": str(rec.get("time_unit", "abstract")),
                     }
                 except (KeyError, TypeError, ValueError) as e:
                     raise FormatError(f"{path}:{lineno}: bad header: {e}") from e
-                if header["d"] < 0 or not math.isfinite(header["horizon"]):
-                    raise FormatError(f"{path}:{lineno}: bad header values")
                 continue
             o = _parse_observation(rec, header["d"], lineno, path)
             if o.right > header["horizon"]:
@@ -220,22 +218,14 @@ def _delta(token):
     return delta
 
 
-def _number(token, what):
-    """A number token of a model file as a float: an int or a Decimal, never
-    a string or a ``bool``."""
-    if isinstance(token, (int, Decimal)) and not isinstance(token, bool):
-        return float(token)
-    raise ValueError(f"{what} must be a number, got {token!r}")
-
-
 def _row_from_json(knots, row):
     """Replay a row's jumps exactly: each interval's level is the float nearest it."""
-    level = Decimal(_number(row["base"], "base"))
+    level = Decimal(_real(row["base"], "base"))
     values = [float(level)]
     jumps = row["jumps"]
     k = 0
     for t in knots.times:
-        if k < len(jumps) and _number(jumps[k]["t"], "jump time") == t:
+        if k < len(jumps) and _real(jumps[k]["t"], "jump time") == t:
             level = _EXACT.add(level, _delta(jumps[k]["delta"]))
             k += 1
         values.append(float(level))
@@ -245,14 +235,17 @@ def _row_from_json(knots, row):
 
 
 def read_model(path):
-    # number tokens are parsed as Decimals so that jump deltas stay exact
+    """The :class:`~tvhazard.likelihood.HazardModel` a model file holds.
+
+    Numbers are parsed as Decimals, so that jump deltas stay exact.  Every
+    number but a delta (:func:`_delta`) passes the package's rules: knots
+    and horizon by :class:`KnotSet`, ``d`` by ``_dimension``, bases and
+    jump times by ``_real``.  A refusal raises :class:`FormatError`.
+    """
     doc = _load_json(path, parse_float=Decimal)
     try:
-        knots = KnotSet(tuple(_number(t, "knot") for t in doc["knots"]),
-                        horizon=_number(doc["horizon"], "horizon"))
-        d = _integer(doc["d"], "d")
-        if d < 0:
-            raise ValueError(f"d must be nonnegative, got {d}")
+        knots = KnotSet(doc["knots"], horizon=doc["horizon"])
+        d = _dimension(doc["d"])
         W = np.zeros((d + 1, knots.n_intervals))
         W[0] = _row_from_json(knots, doc["intercept"])
         seen = set()

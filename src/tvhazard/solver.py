@@ -448,8 +448,6 @@ def fit(observations, config, knots=None):
     identical observations, config, and knots reproduce the result bitwise.
     """
     observations = list(observations)
-    if not observations:
-        raise ValueError("no observations")
     if knots is None:
         knots = build_knot_set(observations)
     design = CensoredDesign(knots, observations)

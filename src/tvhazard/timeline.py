@@ -17,6 +17,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import chain
 
 import numpy as np
@@ -39,16 +40,34 @@ def _integer(value, what):
 
 def _real(value, what):
     """A time or value the package takes in, as a Python ``float``: a
-    ``numbers.Real`` (NumPy floats and integers too) but a ``bool``; a
-    string is refused rather than parsed."""
+    ``numbers.Real`` (NumPy floats and integers too) or a ``Decimal`` (a
+    model file's number token) but a ``bool``; a string is refused rather
+    than parsed."""
     if type(value) is float:
         return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if isinstance(value, (numbers.Real, Decimal)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
             raise ValueError(f"{what} {value!r} is too large for a float") from None
     raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _horizon(value):
+    """The right end of an observation window: a finite, positive
+    :func:`_real`."""
+    horizon = _real(value, "horizon")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    return horizon
+
+
+def _dimension(value):
+    """A number of features ``d``: an :func:`_integer` >= 0."""
+    d = _integer(value, "d")
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -69,11 +88,10 @@ class KnotSet:
     Parameters
     ----------
     times : tuple of float
-        Strictly increasing breakpoints in ``[0, horizon]``.
+        Strictly increasing breakpoints in ``[0, horizon]``, each a real
+        number as :func:`_real` defines it.
     horizon : float
-        Right end of the observation window.
-
-    Both are real numbers, as :func:`_real` defines them.
+        Right end of the observation window, as :func:`_horizon` defines it.
     """
 
     times: tuple
@@ -81,9 +99,7 @@ class KnotSet:
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(_real(t, "knot") for t in self.times))
-        object.__setattr__(self, "horizon", _real(self.horizon, "horizon"))
-        if not math.isfinite(self.horizon) or self.horizon <= 0:
-            raise ValueError(f"horizon {self.horizon} must be finite and positive")
+        object.__setattr__(self, "horizon", _horizon(self.horizon))
         prev = None
         for t in self.times:
             if not 0 <= t <= self.horizon:  # NaN fails the comparison too
@@ -114,9 +130,11 @@ class FeaturePath:
     ``entries`` maps feature index ``j`` (0-based, ``j < d``) to a tuple of
     ``(change_time, new_value)`` pairs with strictly increasing times; the
     feature is 0 before its first change time and right-continuous at each
-    change.  Features absent from ``entries`` are identically 0.  ``d`` and
-    every index are integers, as :func:`_integer` defines them, and every
-    change time and value a real number, as :func:`_real` defines them.
+    change.  Features absent from ``entries`` are identically 0.  ``d`` is
+    a dimension, as :func:`_dimension` defines it, every index an integer,
+    as :func:`_integer` defines it, and every change time and value a real
+    number, as :func:`_real` defines it.  This constructor is the one check
+    of a path, the file reader's included.
     ``entries`` must not be mutated after construction: designs reuse the
     runs they once read from it.
     """
@@ -125,9 +143,7 @@ class FeaturePath:
     entries: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer(self.d, "d"))
-        if self.d < 0:
-            raise ValueError("d must be nonnegative")
+        object.__setattr__(self, "d", _dimension(self.d))
         clean = {}
         for j, changes in self.entries.items():
             j = _integer(j, "feature index")
@@ -261,7 +277,8 @@ def build_knot_set(observations, horizon=None):
     ----------
     observations : sequence of Observation
     horizon : float, optional
-        Right end of the window; defaults to the largest censoring boundary.
+        Right end of the window, as :func:`_horizon` defines it; defaults to
+        the largest censoring boundary.
         Change times at or beyond the horizon are dropped (they cannot
         affect any integral on the window).
 
@@ -273,8 +290,7 @@ def build_knot_set(observations, horizon=None):
     if not observations:
         raise ValueError("cannot build a knot set from an empty dataset")
     max_boundary = max(obs.right for obs in observations)
-    if horizon is None:
-        horizon = max_boundary
+    horizon = max_boundary if horizon is None else _horizon(horizon)
     if max_boundary > horizon:
         raise ValueError(f"censoring boundary {max_boundary} beyond horizon {horizon}")
     times = {t for changes in chain.from_iterable(o.path.entries.values() for o in observations)

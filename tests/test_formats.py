@@ -1,6 +1,8 @@
 """Observation and model files: round trips, exactness, error context."""
 
 import json
+import math
+import sys
 import time
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from tvhazard import (
     write_model,
     write_observations,
 )
+
+from tvhazard import timeline
 
 from oracles import dyadic_decimal, observation_record, write_observations_streamed
 
@@ -171,13 +175,14 @@ class TestObservationFiles:
 
     @pytest.mark.parametrize(
         "d, horizon",
-        [(1, float("nan")), (1, float("inf")), (-1, 5.0), (2.5, 5.0), (True, 5.0), (1, "4"),
-         (1, True)],
-        ids=["nan", "inf", "d<0", "d=2.5", "d=True", "horizon str", "horizon=True"],
+        [(1, float("nan")), (1, float("inf")), (1, 0), (1, -3.0), (-1, 5.0), (2.5, 5.0),
+         (True, 5.0), (1, "4"), (1, True)],
+        ids=["nan", "inf", "horizon 0", "horizon<0", "d<0", "d=2.5", "d=True", "horizon str",
+             "horizon=True"],
     )
     def test_writer_refuses_a_header_its_reader_refuses(self, tmp_path, d, horizon):
         # int(d) wrote d=2.5 as "d": 2 and True as "d": 1; float(horizon)
-        # wrote "4" as "horizon": 4.0 and True as 1.0
+        # wrote "4" as "horizon": 4.0 and True as 1.0; 0 and -3.0 were written
         f = tmp_path / "obs.jsonl"
         with pytest.raises(ValueError, match="horizon must be|d must be nonnegative|d must be an"):
             write_observations(f, [], d=d, horizon=horizon)
@@ -229,30 +234,30 @@ class TestObservationFiles:
             '{"censoring": {"kind": "right", "t": 1.0}, "features": [{"j": %s, "changes": []}]}\n'
             % j
         )
-        with pytest.raises(FormatError, match=r"obs\.jsonl:2: feature index j must be an integer"):
+        with pytest.raises(FormatError, match=r"obs\.jsonl:2: feature index must be an integer"):
             read_observations(f)
 
     @pytest.mark.parametrize(
         "record, field",
         [
-            ('"censoring": {"kind": "interval", "l": true, "r": 1.5}', "l"),
-            ('"censoring": {"kind": "interval", "l": 0.5, "r": "2.5"}', "r"),
-            ('"censoring": {"kind": "right", "t": "1.5"}', "t"),
-            ('"censoring": {"kind": "right", "t": false}', "t"),
+            ('"censoring": {"kind": "interval", "l": true, "r": 1.5}', "left"),
+            ('"censoring": {"kind": "interval", "l": 0.5, "r": "2.5"}', "right"),
+            ('"censoring": {"kind": "right", "t": "1.5"}', "right"),
+            ('"censoring": {"kind": "right", "t": false}', "right"),
             (
                 '"censoring": {"kind": "right", "t": 1.5}, '
                 '"features": [{"j": 0, "changes": [{"t": "0", "v": 1.0}]}]',
-                "t",
+                "change time",
             ),
             (
                 '"censoring": {"kind": "right", "t": 1.5}, '
                 '"features": [{"j": 0, "changes": [{"t": 0.0, "v": "3"}]}]',
-                "v",
+                "change value",
             ),
             (
                 '"censoring": {"kind": "right", "t": 1.5}, '
                 '"features": [{"j": 0, "changes": [{"t": 0.0, "v": true}]}]',
-                "v",
+                "change value",
             ),
         ],
         ids=["l-bool", "r-string", "t-string", "t-bool", "change-t-string", "v-string", "v-bool"],
@@ -263,6 +268,89 @@ class TestObservationFiles:
         f.write_text('{"d": 1, "horizon": 2.0}\n{%s}\n' % record)
         with pytest.raises(FormatError, match=rf"obs\.jsonl:2: {field} must be a number, got "):
             read_observations(f)
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_reader_refuses_exactly_what_the_constructors_refuse(self, tmp_path, data):
+        # the constructors are the one check of a record; the reader adds
+        # only its horizon, and a j listed twice.  Each token of a record
+        # that would mostly pass is swapped, never or one time in 4 or 16,
+        # for a numeric string, a bool, null, a list or a number that may
+        # lie outside its field's range.
+        odd = (st.one_of(st.integers(-2, 6), st.floats(-1.0, 6.0)).map(str) | st.booleans()
+               | st.none() | st.lists(st.integers(0, 3), max_size=2) | st.integers(-1, 4)
+               | st.sampled_from([math.nan, math.inf, -1.0, 2.5, 10**400]))
+        swap = data.draw(st.sampled_from([0, 0, 4, 16]))
+
+        def token(value):
+            return data.draw(odd) if swap and data.draw(st.integers(1, swap)) == 1 else value
+
+        d = data.draw(st.integers(0, 3))
+        horizon = data.draw(st.sampled_from([2.0, 5.0]))
+        times = st.floats(0.0, 1.2 * horizon)
+        features = [
+            (token(j), [(token(t), token(data.draw(st.floats(-1.0, 3.0))))
+                        for t in sorted(set(data.draw(st.lists(times, max_size=3))))])
+            for j in data.draw(st.permutations(range(d)))[: data.draw(st.integers(0, d))]
+        ]
+        uid = data.draw(st.text(max_size=2))
+        if data.draw(st.booleans()):
+            left, right = map(token, sorted((data.draw(times), data.draw(times))))
+            censoring = {"kind": "interval", "l": left, "r": right}
+            build = lambda path: Observation.interval(path, left, right, id=uid)
+        else:
+            right = token(data.draw(times))
+            censoring = {"kind": "right", "t": right}
+            build = lambda path: Observation.right_censored(path, right, id=uid)
+        record = {
+            "id": uid,
+            "censoring": censoring,
+            "features": [{"j": j, "changes": [{"t": t, "v": v} for t, v in changes]}
+                         for j, changes in features],
+        }
+        try:
+            entries = dict(features)
+            want = None if len(entries) < len(features) else build(FeaturePath(d, entries))
+        except (TypeError, ValueError):  # an unhashable j fails dict() with a TypeError
+            want = None
+        if want is not None and want.right > horizon:
+            want = None
+        f = tmp_path / "obs.jsonl"
+        f.write_text(json.dumps({"d": d, "horizon": horizon}) + "\n" + json.dumps(record) + "\n")
+        if want is None:
+            with pytest.raises(FormatError) as e:
+                read_observations(f)
+            assert str(e.value).startswith(f"{f}:2: ")
+        else:
+            assert read_observations(f)[0] == [want]
+
+    def test_a_read_converts_each_token_once(self, tmp_path, monkeypatch):
+        # the reader hands tokens to the constructors unconverted, so each
+        # token passes _integer or _real once, in whichever module calls it
+        counts = {"_integer": 0, "_real": 0}
+        for name, rule in (("_integer", timeline._integer), ("_real", timeline._real)):
+            def counted(*args, _name=name, _rule=rule):
+                counts[_name] += 1
+                return _rule(*args)
+            for key, module in list(sys.modules.items()):
+                if key.partition(".")[0] == "tvhazard" and getattr(module, name, None) is rule:
+                    monkeypatch.setattr(module, name, counted)
+        obs = random_observations(np.random.default_rng(3), n=40)
+        f = tmp_path / "obs.jsonl"
+        write_observations(f, obs, d=3, horizon=5.0)
+        counts.update(_integer=0, _real=0)
+        got, _ = read_observations(f)
+        assert got == obs
+        R = len(obs)
+        F = sum(len(o.path.entries) for o in obs)
+        C = sum(len(changes) for o in obs for changes in o.path.entries.values())
+        assert C > F > 0
+        assert counts == {"_integer": 1 + R + F, "_real": 1 + 2 * C + 2 * R}
 
     def test_integer_times_and_values_read_as_floats(self, tmp_path):
         f = tmp_path / "obs.jsonl"
@@ -324,9 +412,10 @@ class TestObservationFiles:
         f.write_text('{"d": -1, "horizon": 2.0}\n')
         with pytest.raises(FormatError, match="bad header"):
             read_observations(f)
-        f.write_text('{"d": 1, "horizon": Infinity}\n')
-        with pytest.raises(FormatError, match="bad header"):
-            read_observations(f)
+        for horizon in ("Infinity", "0", "-3.0"):
+            f.write_text('{"d": 1, "horizon": %s}\n' % horizon)
+            with pytest.raises(FormatError, match=r"obs\.jsonl:1: bad header"):
+                read_observations(f)
         f.write_text('{"d": 1e400, "horizon": 2.0}\n')
         with pytest.raises(FormatError, match="bad header"):
             read_observations(f)
@@ -422,6 +511,10 @@ class TestModelFiles:
             read_model(f)
         f.write_text('{"d": 1, "horizon": 2.0, "knots": []}\n')
         with pytest.raises(FormatError, match=r"m\.json"):
+            read_model(f)
+        f.write_text('{"d": 0, "horizon": 0, "knots": [], "intercept": {"base": 0.5, "jumps": []},'
+                     ' "rows": []}\n')
+        with pytest.raises(FormatError, match=r"m\.json: horizon must be finite and positive"):
             read_model(f)
         # integers that overflow to inf: the dimension and a row index
         intercept = '"intercept": {"base": 0.5, "jumps": []}'

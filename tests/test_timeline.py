@@ -20,7 +20,7 @@ from tvhazard import (
     build_knot_set,
 )
 from tvhazard.formats import _row_from_json, _row_json
-from tvhazard.timeline import MERGE_TOL
+from tvhazard.timeline import MERGE_TOL, _real
 
 from oracles import (
     integrate_step,
@@ -79,6 +79,12 @@ class TestKnotSet:
         # float() read "1.0" as 1.0 and True as 1.0
         with pytest.raises(ValueError, match=match):
             KnotSet(times, horizon)
+
+    def test_decimals_become_floats(self):
+        # a model file's number tokens are parsed as Decimals
+        assert _real(Decimal("2.5"), "knot") == 2.5 and type(_real(Decimal("2.5"), "knot")) is float
+        ks = KnotSet((Decimal("0.1"),), Decimal("2"))
+        assert ks.times == (0.1,) and type(ks.horizon) is float and ks.horizon == 2.0
 
     def test_interval_index_right_continuous(self):
         ks = KnotSet((1.0, 2.0), 5.0)
@@ -361,6 +367,13 @@ class TestBuildKnotSet:
         obs = [Observation.right_censored(FeaturePath(1, {}), 5.0)]
         with pytest.raises(ValueError, match="censoring boundary 5.0 beyond horizon 4.0"):
             build_knot_set(obs, horizon=4.0)
+
+    @pytest.mark.parametrize("horizon", ["9", True])
+    def test_a_horizon_that_is_not_a_number_is_refused(self, horizon):
+        # "9" failed the boundary comparison with a TypeError
+        obs = [Observation.right_censored(FeaturePath(1, {}), 0.5)]
+        with pytest.raises(ValueError, match=f"horizon must be a number, got {horizon!r}"):
+            build_knot_set(obs, horizon=horizon)
 
     def test_changes_beyond_horizon_dropped(self):
         p = FeaturePath(1, {0: ((1.0, 1.0), (9.0, 0.0))})
