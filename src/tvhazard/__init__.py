@@ -26,6 +26,7 @@ from .formats import (
 from .likelihood import (
     CensoredDesign,
     HazardModel,
+    NumericalError,
     ZeroBracketWarning,
     model_matrix,
     nll_dataset,
@@ -37,7 +38,6 @@ from .penalty import (
 )
 from .solver import (
     FitResult,
-    NumericalError,
     SolverConfig,
     SolverWarning,
     fit,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import sys
 
@@ -22,9 +21,9 @@ from . import __version__
 from .datagen import CampaignSpec, default_scenario, generate
 from .formats import (FormatError, _load_json, read_model, read_observations, write_model,
                       write_observations)
-from .likelihood import CensoredDesign, nll_dataset
+from .likelihood import CensoredDesign, NumericalError, nll_dataset
 from .penalty import PenaltyConfig
-from .solver import NumericalError, SolverConfig, fit
+from .solver import SolverConfig, fit
 from .timeline import build_knot_set
 
 
@@ -116,34 +115,16 @@ def cmd_fit(args):
     return 0
 
 
-def _check_compatible(model, header, observations, model_path, obs_path):
-    """Refuse a model whose dimension differs from the file's, or whose
-    horizon ends before the file's last censoring boundary."""
-    if model.d != header["d"]:
-        raise FormatError(
-            f"dimension mismatch: model {model_path} has d={model.d}, "
-            f"observations {obs_path} have d={header['d']}"
-        )
-    last = max(o.right for o in observations)
-    if last > model.knots.horizon:
-        raise FormatError(
-            f"horizon mismatch: model {model_path} ends at {model.knots.horizon}, "
-            f"observations {obs_path} reach {last}"
-        )
-
-
 def cmd_evaluate(args):
     model = read_model(args.model)
-    observations, header = read_observations(args.observations)
+    observations, _ = read_observations(args.observations)
     if not observations:
         raise FormatError(f"{args.observations}: no observation records")
-    _check_compatible(model, header, observations, args.model, args.observations)
-    total = nll_dataset(model, observations)
-    if math.isnan(total):
-        raise NumericalError(
-            f"total NLL of {args.observations} under {args.model} is NaN: an exposure "
-            "overflows (horizon times feature value) where the model's weight is zero"
-        )
+    try:
+        total = nll_dataset(model, observations)
+    except ValueError as e:
+        raise FormatError(f"model {args.model} does not fit observations "
+                          f"{args.observations}: {e}") from e
     report = {"n": len(observations), "total_nll": total, "mean_nll": total / len(observations)}
     if args.out is not None:
         _refuse_overwrite(args.force, args.out)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .likelihood import HazardModel
 from .timeline import (MERGE_TOL, FeaturePath, Observation, _dimension, _horizon, _integer, _real,
-                       _window_knots)
+                       _switch, _window_knots)
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class CampaignSpec:
             ),
         )
         object.__setattr__(self, "scan_times", tuple(_real(s, "scan time") for s in self.scan_times))
-        if not isinstance(self.monotone_truth, bool):
-            raise ValueError(f"monotone_truth must be a bool, got {self.monotone_truth!r}")
+        _switch(self.monotone_truth, "monotone_truth")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.seed < 0:

@@ -44,6 +44,10 @@ class ZeroBracketWarning(UserWarning):
     """A model assigned exactly zero probability mass to an observed event bracket."""
 
 
+class NumericalError(RuntimeError):
+    """The objective became non-finite where the contract requires finiteness."""
+
+
 def _warn_at_caller(message, category):
     """Warn at the first caller outside the package."""
     frame, level = sys._getframe(), 1
@@ -94,10 +98,11 @@ def nll_dataset(m, observations):
     """Exact censored NLL of model ``m`` on ``observations`` (0.0 for none).
 
     Evaluates :class:`CensoredDesign` at the model's coefficients with no
-    mass floor: a bracket with exactly zero hazard mass makes the NLL
-    ``+inf``, with one :class:`ZeroBracketWarning` that counts such
-    brackets, rather than an exception.  Raises ``ValueError`` if a path's
-    dimension differs from the model's.
+    mass floor (:meth:`CensoredDesign.nll`): a bracket with exactly zero
+    hazard mass makes the NLL ``+inf``, with one :class:`ZeroBracketWarning`
+    that counts such brackets, rather than an exception, and a NaN total
+    raises :class:`NumericalError`.  Raises ``ValueError`` if a path's
+    dimension differs from the model's or a record ends past its horizon.
     """
     observations = list(observations)
     if not observations:
@@ -201,25 +206,26 @@ class CensoredDesign:
         """Dataset NLL at coefficients ``w``.
 
         By default the value is exact: zero-mass brackets yield ``+inf``
-        and one :class:`ZeroBracketWarning` that counts them.  With
-        ``floored`` it is :meth:`nll_grad`'s value bitwise, bracket masses
-        clamped at the floor: the optimizer's line-search trials need the
-        value only.
+        and one :class:`ZeroBracketWarning` that counts them, and a NaN
+        total raises :class:`NumericalError`.  With ``floored`` it is
+        :meth:`nll_grad`'s value bitwise, bracket masses clamped at the
+        floor: the optimizer's line-search trials need the value only.
         """
         w = np.asarray(w).ravel()
         total = float(self._u_colsum @ w)
-        if self.V.shape[0]:
-            br = self.V @ w
-            if floored:
-                br = np.maximum(br, _MASS_FLOOR)
-            elif np.any(br <= 0.0):
-                _warn_at_caller(
-                    f"model assigns zero mass to {np.count_nonzero(br <= 0.0)} event "
-                    "bracket(s); NLL is +inf",
-                    ZeroBracketWarning,
-                )
-                return math.inf
-            total += float(-_bracket_terms(br)[0].sum())
+        br = self.V @ w
+        if floored:
+            return total + float(-_bracket_terms(np.maximum(br, _MASS_FLOOR))[0].sum())
+        zero = np.count_nonzero(br <= 0.0)
+        if zero:
+            _warn_at_caller(f"model assigns zero mass to {zero} event bracket(s); NLL is +inf",
+                            ZeroBracketWarning)
+        total += math.inf if zero else float(-_bracket_terms(br)[0].sum())
+        if math.isnan(total):
+            raise NumericalError(
+                "total NLL is NaN: an exposure overflows (a feature value times a time "
+                "span) where the weight is zero, or a coefficient is NaN"
+            )
         return total
 
     def nll_change(self, w, dw):
@@ -232,21 +238,18 @@ class CensoredDesign:
         by more than their rounding and are subtracted."""
         w = np.asarray(w).ravel()
         dw = np.asarray(dw).ravel()
-        total = float(self._u_colsum @ dw)
-        if self.V.shape[0]:
-            b, db = self.V @ w, self.V @ dw
-            moved = b + db
-            low = (b < _MASS_FLOOR) | (moved < _MASS_FLOOR)
-            if low.any():
-                b, moved = np.maximum(b, _MASS_FLOOR), np.maximum(moved, _MASS_FLOOR)
-                db = np.where(low, moved - b, db)
-            log_mass, inv = _bracket_terms(b)
-            r = -np.expm1(-db) * inv
-            change = log_mass - _bracket_terms(moved)[0]
-            small = np.abs(r) <= 0.5
-            change[small] = -np.log1p(r[small])
-            total += float(change.sum())
-        return total
+        b, db = self.V @ w, self.V @ dw
+        moved = b + db
+        low = (b < _MASS_FLOOR) | (moved < _MASS_FLOOR)
+        if low.any():
+            b, moved = np.maximum(b, _MASS_FLOOR), np.maximum(moved, _MASS_FLOOR)
+            db = np.where(low, moved - b, db)
+        log_mass, inv = _bracket_terms(b)
+        r = -np.expm1(-db) * inv
+        change = log_mass - _bracket_terms(moved)[0]
+        small = np.abs(r) <= 0.5
+        change[small] = -np.log1p(r[small])
+        return float(self._u_colsum @ dw) + float(change.sum())
 
     def nll_grad(self, w):
         """Floored NLL value and its gradient at ``w``, the gradient in
@@ -255,13 +258,9 @@ class CensoredDesign:
         the floor."""
         shape = np.shape(w)
         w = np.asarray(w).ravel()
-        value = float(self._u_colsum @ w)
-        grad = self._u_colsum.copy()
-        if self.V.shape[0]:
-            log_mass, inv = _bracket_terms(np.maximum(self.V @ w, _MASS_FLOOR))
-            value += float(-log_mass.sum())
-            grad -= self._V_t @ inv
-        return value, grad.reshape(shape)
+        log_mass, inv = _bracket_terms(np.maximum(self.V @ w, _MASS_FLOOR))
+        value = float(self._u_colsum @ w) + float(-log_mass.sum())
+        return value, (self._u_colsum - self._V_t @ inv).reshape(shape)
 
     def hessian_diagonal(self, w):
         """The diagonal of the floored NLL's Hessian at ``w``, in ``w``'s shape.
@@ -271,14 +270,8 @@ class CensoredDesign:
         diagonal is ``(V o V)^T`` of those (zeros without interval
         observations).  The solver opens its first line searches from it.
         """
-        shape = np.shape(w)
-        V_t = self._V_t
-        if not V_t.nnz:
-            return np.zeros(shape)
         inv = _bracket_terms(np.maximum(self.V @ np.asarray(w).ravel(), _MASS_FLOOR))[1]
-        squared = scipy.sparse.csr_matrix((V_t.data * V_t.data, V_t.indices, V_t.indptr),
-                                          shape=V_t.shape)
-        return (squared @ (inv * (1.0 + inv))).reshape(shape)
+        return (self._V_t.power(2) @ (inv * (1.0 + inv))).reshape(np.shape(w))
 
 
 def _run_table(observations):

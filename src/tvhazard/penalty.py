@@ -34,6 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+from .timeline import _real, _switch
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
@@ -44,16 +46,19 @@ class PenaltyConfig:
     Parameters
     ----------
     gamma : float
-        Total-variation weight, finite and >= 0.
+        Total-variation weight, a finite real number >= 0
+        (:func:`~tvhazard.timeline._real`), stored as a Python float.
     monotone : bool
         Constrain every coefficient row, the intercept included, to be
-        nondecreasing in time.
+        nondecreasing in time; a switch (:func:`~tvhazard.timeline._switch`).
     """
 
     gamma: float = 0.0
     monotone: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
+        _switch(self.monotone, "monotone")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 

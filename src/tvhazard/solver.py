@@ -64,9 +64,9 @@ import numpy as np
 import scipy
 from scipy import optimize
 
-from .likelihood import CensoredDesign, HazardModel, _warn_at_caller, nll_dataset
+from .likelihood import CensoredDesign, HazardModel, NumericalError, _warn_at_caller, nll_dataset
 from .penalty import PenaltyConfig
-from .timeline import _integer, _window_knots, build_knot_set
+from .timeline import _integer, _real, _window_knots, build_knot_set
 
 # Backtracking parameters: the largest step, shrink on sufficient-decrease
 # violation, regrow on acceptance, give up below the floor.
@@ -83,10 +83,6 @@ _ROUNDING = 1e-10
 _LBFGS_MEMORY = 20
 
 
-class NumericalError(RuntimeError):
-    """The objective became non-finite where the contract requires finiteness."""
-
-
 class SolverWarning(UserWarning):
     """Diagnostic from the optimizer (e.g. line-search step underflow)."""
 
@@ -95,7 +91,8 @@ class SolverWarning(UserWarning):
 class SolverConfig:
     """Optimizer settings.
 
-    ``tolerance`` is the stationarity certificate: a fit converges when the
+    ``tolerance`` is the stationarity certificate, a finite, positive real
+    number (:func:`~tvhazard.timeline._real`): a fit converges when the
     relative prox-gradient mapping norm at step 1 of its best iterate,
     ``||X - [prox_1(X - grad f(X))]_+|| / max(1, G1)``, is at most
     ``tolerance`` (see the module docstring); it is not a bound on the change
@@ -112,8 +109,9 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations"))
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+        object.__setattr__(self, "tolerance", _real(self.tolerance, "tolerance"))
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -125,9 +123,8 @@ class FitResult:
     ``objective_trace`` holds ``(iteration, penalized objective)`` pairs
     starting at iteration 0: the objective of the best iterate after each
     iteration, so it is nonincreasing and ends at the returned model's.
-    ``converged`` is ``stop == "certified"``; ``stop`` is one of
-    ``"certified"``, ``"stalled"``, ``"max_iterations"`` and
-    ``"step_underflow"``, and ``mapping_norm`` is the certificate's
+    ``stop`` is one of ``"certified"``, ``"stalled"``, ``"max_iterations"``
+    and ``"step_underflow"``, and ``mapping_norm`` is the certificate's
     relative mapping norm at step 1 of the returned model.
     ``train_nll`` is the unpenalized dataset NLL of the fitted model,
     evaluated on the fit's own :class:`CensoredDesign` exactly as
@@ -140,11 +137,15 @@ class FitResult:
     model: object
     objective_trace: tuple
     train_nll: float
-    converged: bool
     mapping_norm: float
     stop: str
     nonzero_parameter_count: int
     config: SolverConfig
+
+    @property
+    def converged(self):
+        """Whether the fit is certified: ``stop == "certified"``."""
+        return self.stop == "certified"
 
 
 def objective(model, observations, penalty):
@@ -472,7 +473,6 @@ def fit(observations, config, knots=None):
         model=model,
         objective_trace=tuple(trace),
         train_nll=design.nll(model.W),
-        converged=stop == "certified",
         mapping_norm=rel,
         stop=stop,
         nonzero_parameter_count=nonzero_parameter_count(W),

@@ -53,6 +53,13 @@ def _real(value, what):
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+def _switch(value, what):
+    """Refuse a switch the package takes in unless it is a ``bool``: a truthy
+    stand-in such as ``"no"`` or ``1`` is not read as one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a bool, got {value!r}")
+
+
 def _horizon(value):
     """The right end of an observation window: a finite, positive
     :func:`_real`."""
@@ -192,8 +199,8 @@ class Observation:
     ``kind`` is ``"interval"`` (event happened in ``(left, right]``) or
     ``"right"`` (no event up to ``right``; ``left`` is ignored and stored as
     ``right``).  Both are real numbers, as :func:`_real` defines them.
-    Intervals require ``0 <= left < right``.  ``id`` is an opaque label
-    carried through serialization.
+    Intervals require ``0 <= left < right``.  ``id`` is an opaque ``str``
+    label carried through serialization.
     """
 
     path: FeaturePath
@@ -215,6 +222,8 @@ class Observation:
         object.__setattr__(self, "left", _real(self.left, "left"))
         if self.kind not in ("interval", "right"):
             raise ValueError(f"unknown censoring kind {self.kind!r}")
+        if not isinstance(self.id, str):
+            raise ValueError(f"id must be a str, got {self.id!r}")
         if not math.isfinite(self.left) or not math.isfinite(self.right):
             raise ValueError("censoring times must be finite")
         if self.kind == "interval":

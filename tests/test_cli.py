@@ -301,6 +301,17 @@ class TestFit:
         args = ["fit", "--observations", str(obs_file), "--out", str(tmp_path / "m.json")]
         assert main(args) == 3
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_a_tolerance_that_is_not_finite_and_positive_exits_2(
+        self, tol, obs_file, tmp_path, capsys
+    ):
+        # --tol inf reported converged=True at iteration 1
+        out = tmp_path / "m.json"
+        args = ["fit", "--observations", str(obs_file), "--out", str(out), "--tol", tol]
+        assert main(args) == 2
+        assert "tolerance must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv", [["fit", "--gamma", "1"], ["sweep", "--gammas", "0,1"]], ids=["fista", "lbfgsb"]
     )
@@ -368,11 +379,13 @@ class TestFit:
 
 
 class TestEvaluate:
-    def test_dimension_mismatch_rejected(self, obs_file, tmp_path):
+    def test_dimension_mismatch_rejected(self, obs_file, tmp_path, capsys):
         model = ConstantAdditiveModel(intercept=0.2, weights=(0.1,)).to_hazard_model(4.0)
         mpath = tmp_path / "d1.json"
         write_model(mpath, model)
         assert main(["evaluate", "--model", str(mpath), "--observations", str(obs_file)]) == 2
+        err = capsys.readouterr().err
+        assert str(mpath) in err and str(obs_file) in err and "model d=1" in err
 
     def test_horizon_mismatch_names_both_files(self, obs_file, tmp_path, capsys):
         # decided from the records: a model covering every record evaluates
@@ -432,6 +445,23 @@ class TestSweep:
         assert nz[0] >= nz[1]  # heavier penalty cannot store more parameters
         for r in table["rows"]:
             assert np.isfinite(r["train_nll"]) and np.isfinite(r["validation_nll"])
+
+    def test_a_nan_validation_nll_exits_3_without_a_table(self, tmp_path, capsys):
+        # --seed 0 puts the first site in validation; its head exposure
+        # 1e10 * 1.5e308 overflows to inf, and the fitted zero weight on its
+        # feature makes its head term inf * 0 = NaN, which is not JSON
+        obs = tmp_path / "obs.jsonl"
+        sites = [Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308)]
+        sites += [Observation.interval(FeaturePath(1, {}), 0.5 + k / 10, 1.5 + k / 10)
+                  for k in range(9)]
+        write_observations(obs, sites, d=1, horizon=1.5e308)
+        out = tmp_path / "sweep.json"
+        args = ["sweep", "--observations", str(obs), "--gammas", "0,1", "--seed", "0",
+                "--out", str(out)]
+        with pytest.warns(RuntimeWarning):
+            assert main(args) == 3
+        assert "numerical failure: total NLL is NaN" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_and_split_rejected(self, obs_file, tmp_path):
         base = ["sweep", "--observations", str(obs_file)]

@@ -30,3 +30,12 @@ def test_star_import_gives_exactly_the_public_names(tmp_path):
     star, public, names = json.loads(proc.stdout)
     assert star == public
     assert len(names) == len(set(names))
+
+
+def test_numerical_error_is_one_class():
+    # the design raises it, the solver re-exports it, and the CLI maps it to exit 3
+    import tvhazard.likelihood
+    import tvhazard.solver
+
+    assert tvhazard.solver.NumericalError is tvhazard.likelihood.NumericalError
+    assert tvhazard.NumericalError is tvhazard.likelihood.NumericalError

@@ -159,6 +159,13 @@ class TestObservationFiles:
         got, _ = read_observations(f)
         assert got == obs  # dataclass equality is exact float equality
 
+    def test_ids_round_trip(self, tmp_path):
+        p = FeaturePath(0, {})
+        obs = [Observation.right_censored(p, 1.0, id=uid) for uid in ("", "5", "None", "é\n\"")]
+        f = tmp_path / "obs.jsonl"
+        write_observations(f, obs, d=0, horizon=1.0)
+        assert read_observations(f)[0] == obs
+
     @settings(
         max_examples=300,
         deadline=None,

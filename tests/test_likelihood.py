@@ -20,6 +20,7 @@ from tvhazard import (
     FeaturePath,
     HazardModel,
     KnotSet,
+    NumericalError,
     Observation,
     PenaltyConfig,
     ProportionalModel,
@@ -604,6 +605,45 @@ class TestCensoredDesign:
         narrow = HazardModel(ks, m.W[:-1])
         with pytest.raises(ValueError, match=f"model d={m.d - 1}, observations d={m.d}"):
             nll_dataset(narrow, obs)
+
+    def test_a_nan_total_is_refused(self):
+        # the first site's head exposure 1e10 * 1.5e308 overflows to inf,
+        # and a zero weight on its feature makes its head term inf * 0 = NaN
+        ks = KnotSet((1.0,), 1.5e308)
+        obs = [Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308),
+               Observation.interval(FeaturePath(1, {}), 0.0, 1.0)]
+        m = HazardModel(ks, [[0.2, 0.2], [0.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            design = CensoredDesign(ks, obs)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(NumericalError, match="total NLL is NaN"):
+                design.nll(m.W)
+            # the optimizer's floored value is returned as it is
+            assert math.isnan(design.nll(m.W, floored=True))
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalError, match="total NLL is NaN"):
+            nll_dataset(m, obs)
+        # a NaN coefficient is refused too, where a zero bracket would not mask it
+        plain = CensoredDesign(ks, obs[1:])
+        with pytest.raises(NumericalError, match="total NLL is NaN"):
+            plain.nll(np.array([[math.nan, 0.2], [0.0, 0.0]]))
+        with pytest.warns(ZeroBracketWarning), pytest.raises(NumericalError):
+            plain.nll(np.array([[0.0, math.nan], [0.0, 0.0]]))
+
+    def test_a_right_censored_design_is_its_head_terms(self):
+        # no interval observation leaves V without rows: every bracket term
+        # is +0.0, the gradient and curvature of the brackets zero
+        rng = np.random.default_rng(18)
+        ks = KnotSet((1.0, 2.5), 4.0)
+        path = FeaturePath(2, {0: ((0.5, 1.5),), 1: ((0.0, 2.0), (3.0, 0.5))})
+        design = CensoredDesign(ks, [Observation.right_censored(path, t) for t in (1.2, 3.0, 4.0)])
+        assert design.V.shape == (0, 9)
+        w, dw = rng.uniform(0.0, 1.0, design.shape), rng.uniform(-0.1, 0.1, design.shape)
+        u = design.head_exposure
+        head = float(u.ravel() @ w.ravel())
+        assert design.nll(w) == design.nll(w, floored=True) == head
+        value, grad = design.nll_grad(w)
+        assert value == head and grad.tobytes() == u.tobytes()
+        assert design.nll_change(w, dw) == float(u.ravel() @ dw.ravel())
 
     def test_gradient_takes_the_argument_shape(self):
         # flat in gives flat out, (d+1, K) in gives (d+1, K) out, and the two

@@ -455,6 +455,16 @@ class TestProxStep:
         assert np.allclose(prox_step(y, 5.0, monotone=True), np.full(3, y.mean()))
 
     def test_gamma_validation(self):
-        for gamma in (-1.0, np.inf, np.nan):
+        # True ran a gamma=1 fit, and "1" failed the range test with a TypeError
+        for gamma in (-1.0, np.inf, np.nan, True, "1"):
             with pytest.raises(ValueError):
                 PenaltyConfig(gamma=gamma)
+        for given in (2, np.float32(2.0), np.int64(2)):
+            stored = PenaltyConfig(gamma=given).gamma
+            assert type(stored) is float and stored == 2.0
+
+    @pytest.mark.parametrize("monotone", ["no", 1, None, np.True_])
+    def test_monotone_is_a_bool(self, monotone):
+        # "no" ran a monotone fit, bitwise that of monotone=True
+        with pytest.raises(ValueError, match=f"monotone must be a bool, got {monotone!r}"):
+            PenaltyConfig(gamma=1.0, monotone=monotone)

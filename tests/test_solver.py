@@ -4,7 +4,7 @@ stationarity certificate."""
 import contextlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from tvhazard import (
     CampaignSpec,
     CensoredDesign,
     FeaturePath,
+    FitResult,
     HazardModel,
     KnotSet,
     Observation,
@@ -73,6 +74,28 @@ class TestConfigValidation:
             SolverConfig(penalty=pen, tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(penalty=pen, max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "tol, match",
+        [(math.inf, "finite and > 0, got inf"), (math.nan, "finite and > 0, got nan"),
+         (-1e-7, "finite and > 0, got -1e-07"), (True, "a number, got True"),
+         ("1e-7", "a number, got '1e-7'")],
+        ids=["inf", "nan", "negative", "bool", "str"],
+    )
+    def test_tolerance_is_a_finite_positive_real(self, tol, match):
+        # tolerance=inf certified any start at iteration 1
+        with pytest.raises(ValueError, match=f"tolerance must be {match}"):
+            SolverConfig(penalty=PenaltyConfig(gamma=1.0), tolerance=tol)
+        stored = SolverConfig(penalty=PenaltyConfig(), tolerance=np.float32(0.5)).tolerance
+        assert type(stored) is float and stored == 0.5
+
+    def test_converged_is_the_certified_stop(self):
+        # FitResult states the stop once; converged reads it
+        assert "converged" not in {f.name for f in fields(FitResult)}
+        res = fit(sim_observations(np.random.default_rng(3)), cfg(1.0))
+        assert res.converged is True and res.stop == "certified"
+        for stop in ("stalled", "max_iterations", "step_underflow"):
+            assert replace(res, stop=stop).converged is False
 
     @pytest.mark.parametrize("cap", [2.5, True])
     def test_iteration_cap_must_be_an_integer(self, cap):

@@ -265,6 +265,13 @@ class TestObservation:
         with pytest.raises(ValueError, match=f"right must be a number, got {at!r}"):
             Observation.right_censored(FeaturePath(1, {}), at)
 
+    @pytest.mark.parametrize("uid", [5, None, b"site"])
+    def test_id_must_be_a_string(self, uid):
+        # the reader's str() turned id=5 into '5' and id=None into 'None',
+        # so the record no longer equalled itself after a write and read
+        with pytest.raises(ValueError, match=f"id must be a str, got {uid!r}"):
+            Observation.right_censored(FeaturePath(1, {}), 2.0, id=uid)
+
     def test_right_censoring_needs_positive_time(self):
         p = FeaturePath(1, {})
         with pytest.raises(ValueError):
