@@ -18,11 +18,10 @@ import numpy as np
 import scipy.sparse
 from scipy import optimize
 
-from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _run_table
-from .likelihood import _warn_at_caller
+from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _warn_at_caller
 from .penalty import PenaltyConfig
 from .solver import SolverConfig, SolverWarning, _one_blas_thread, fit
-from .timeline import KnotSet
+from .timeline import KnotSet, _run_table
 
 _WEIGHT_CAP = 50.0
 _L2_WEIGHT = 1e-6  # the ridge on the proportional model's weights
@@ -81,9 +80,7 @@ def fit_constant_additive(observations):
     weights is identifiable; the fit splits it between them.
     """
     observations = list(observations)
-    if not observations:
-        raise ValueError("no observations")
-    knots = KnotSet((), horizon=max(o.right for o in observations))
+    knots = KnotSet((), horizon=float(_run_table(observations)[3].max()))
     result = fit(observations, SolverConfig(penalty=PenaltyConfig()), knots=knots)
     W = result.model.W[:, 0]
     return ConstantAdditiveModel(intercept=W[0], weights=tuple(W[1:]))
@@ -94,15 +91,16 @@ _EXP_CAP = 700.0  # keeps exp() finite while the optimizer probes extreme weight
 
 def _pieces(d, table, left, right, is_interval):
     """Cut every path into constant-feature pieces at 0 and at every start
-    and end of its runs in the likelihood's run table; the arguments are
-    :func:`~tvhazard.likelihood._run_table`'s results.
+    and end of its nonzero runs in the records' run table; the arguments
+    are :func:`~tvhazard.timeline._run_table`'s results.
 
     Returns ``(X, obs, head, bracket, is_interval)``: the sparse (pieces, d)
     feature rows, each piece's observation, its overlaps with the head
     window ``[0, e_i]`` and the bracket ``[l_i, r_i]`` (empty when
     right-censored), and which observations are interval-censored.
     """
-    table = table[table[:, 1] > 0]  # the intercept run is the base rate
+    # the intercept run is the base rate; a zero-valued run sets nothing
+    table = table[(table[:, 1] > 0) & (table[:, 4] != 0.0)]
     n = len(left)
     run_obs = table[:, 0].astype(np.intp)
     starts, ends = table[:, 2], table[:, 3]

@@ -27,10 +27,11 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse
+
+from .timeline import _run_table
 
 _LOG2 = math.log(2.0)
 # the positivity floor: the optimizer's value, gradient and curvature clamp
@@ -130,16 +131,12 @@ class CensoredDesign:
     :meth:`nll_change`, :meth:`hessian_diagonal` and ``nll(w,
     floored=True)`` clamp every bracket mass below at ``_MASS_FLOOR``.
 
-    The constructor takes every nonzero constant run from one segment table
-    (:func:`_run_table`) and overlaps every run with every knot interval in
-    one broadcast, once for the head window and once for the bracket.
-    The table of a list of records is walked from their paths once and
-    kept as one read-only block that the records point to: a later design
-    over records of that one block (the same list, a permutation, a
-    sublist, repeats) gathers its rows from it, while records never
-    walked, or from two blocks, are walked again.  A block holds 40 B per
-    run and about 110 B per record, its ``(block, position)`` pair
-    included, and is freed with the records.
+    The constructor reads the records' run table
+    (:func:`tvhazard.timeline._run_table`, gathered without a walk when
+    the knot set was built from them) and overlaps every run with every
+    knot interval in one broadcast, once for the head window and once for
+    the bracket.  An exposure (a feature value times a time span) that
+    overflows raises :class:`NumericalError`.
     The dataset NLL needs only the sum of the head terms, so head exposures
     are reduced straight to their column sum ``_u_colsum``; the n x (d+1)K
     matrix of per-observation head exposures is never formed.  Bracket
@@ -186,6 +183,8 @@ class CensoredDesign:
             (bracket[r, k], (v_row[r], row[r] * K + k)),
             shape=(len(interval_rows), (d + 1) * K),
         )
+        if not (np.isfinite(self._u_colsum).all() and np.isfinite(self.V.data).all()):
+            raise NumericalError("an exposure (a feature value times a time span) overflows")
         # the gradient's product with V.T, stored as CSR: three times faster
         # than going through V.T and bitwise the same (rows added in order)
         self._V_t = self.V.T.tocsr()
@@ -222,10 +221,7 @@ class CensoredDesign:
                             ZeroBracketWarning)
         total += math.inf if zero else float(-_bracket_terms(br)[0].sum())
         if math.isnan(total):
-            raise NumericalError(
-                "total NLL is NaN: an exposure overflows (a feature value times a time "
-                "span) where the weight is zero, or a coefficient is NaN"
-            )
+            raise NumericalError("total NLL is NaN: a coefficient is NaN or a term overflows")
         return total
 
     def nll_change(self, w, dw):
@@ -274,117 +270,23 @@ class CensoredDesign:
         return (self._V_t.power(2) @ (inv * (1.0 + inv))).reshape(np.shape(w))
 
 
-def _run_table(observations):
-    """The paths' nonzero constant runs as one table, and the records'
-    brackets and kinds, from one walk over each set of records.
-
-    Returns the paths' common dimension ``d``; a (runs, 5) float array of
-    ``(observation, coefficient row, start, end, value)`` rows, sorted by
-    observation, then row, then start; and the ``left`` and ``right`` ends
-    and ``is_interval`` flags, in input order.  Row 0 is the intercept, one
-    run of value 1 from time 0; feature ``j`` is row ``j + 1``, one run per
-    nonzero change until the next change (or forever).
-
-    The first call over a list walks its paths (:func:`_walk`) and keeps
-    the result as one read-only block, stamping each record with
-    ``Observation._runs = (block, position)``; that call returns the
-    block's own arrays.  A later call whose records all carry one block
-    (a permutation, a sublist, repeats) gathers their rows from it with
-    NumPy, bitwise what a walk would give.  Records never walked, or from
-    two blocks, are walked and stamped again.  Raises ``ValueError`` for no
-    observations or paths of different dimensions.
-    """
-    if not observations:
-        raise ValueError("no observations")
-    first = observations[0]._runs
-    if first is not None:
-        block = first[0]
-        stamps = [o._runs for o in observations]
-        if all(s is not None and s[0] is block for s in stamps):
-            return _gather(block, np.fromiter((s[1] for s in stamps), np.intp, len(stamps)))
-    d, table, left, right, is_interval = _walk(observations)
-    for array in (table, left, right, is_interval):
-        array.flags.writeable = False
-    # each record's rows start at the first row of its observation number
-    offsets = np.searchsorted(table[:, 0], np.arange(len(observations) + 1))
-    # a tuple of an int and arrays, so the cyclic collector stops tracking
-    # it, and then the stamps that hold it
-    block = (d, table, offsets, left, right, is_interval)
-    stamp = object.__setattr__
-    for i, o in enumerate(observations):
-        stamp(o, "_runs", (block, i))
-    return d, table, left, right, is_interval
-
-
-def _gather(block, positions):
-    """:func:`_walk`'s result for the block's records at ``positions``:
-    their rows in that order, renumbered."""
-    d, table, offsets, left, right, is_interval = block
-    first = offsets[positions]
-    count = offsets[positions + 1] - first
-    # row r of the result is row (first of its record) + (its rank there)
-    starts = np.cumsum(count) - count
-    rows = np.arange(int(count.sum())) + np.repeat(first - starts, count)
-    out = table[rows]
-    out[:, 0] = np.repeat(np.arange(len(positions)), count)
-    return d, out, left[positions], right[positions], is_interval[positions]
-
-
-def _walk(observations):
-    """The one Python pass over the records' paths behind :func:`_run_table`.
-
-    Python only chains the paths' change lists into flat arrays; the runs'
-    ends, their observation and row columns and the intercept rows are
-    filled by NumPy.
-    """
-    n = len(observations)
-    paths = [o.path for o in observations]
-    dims = [p.d for p in paths]
-    d = dims[0]
-    if dims.count(d) != n:
-        other = next(x for x in dims if x != d)
-        raise ValueError(f"dimension mismatch: paths with d={d} and d={other}")
-    left = np.array([o.left for o in observations])
-    right = np.array([o.right for o in observations])
-    is_interval = np.fromiter((o.kind == "interval" for o in observations), bool, n)
-    # one item per feature with changes, in path order; fromiter skips the
-    # type discovery that np.array does on a list
-    entries = [p.entries for p in paths]
-    changes = list(chain.from_iterable(map(dict.values, entries)))
-    size = np.fromiter(map(len, changes), np.intp, len(changes))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(changes)), float)
-    start, value = flat.reshape(-1, 2).T
-    # each change lasts until its feature's next change, the last one forever
-    end = np.empty_like(start)
-    end[:-1] = start[1:]
-    end[np.cumsum(size) - 1] = math.inf
-    row = np.repeat(np.fromiter(chain.from_iterable(entries), np.intp, len(changes)) + 1, size)
-    obs = np.repeat(np.repeat(np.arange(n), list(map(len, entries))), size)
-    keep = value != 0.0
-    table = np.empty((n + int(keep.sum()), 5))
-    table[:n] = (0.0, 0.0, 0.0, math.inf, 1.0)
-    table[:n, 0] = np.arange(n)
-    for c, column in enumerate((obs, row, start, end, value)):
-        table[n:, c] = column[keep]
-    # intercept runs first; the stable sort by (observation, row) keeps each
-    # feature's runs in time order
-    key = np.concatenate((np.arange(n) * (d + 1), (obs * (d + 1) + row)[keep]))
-    return d, table[np.argsort(key, kind="stable")], left, right, is_interval
-
-
 def _pooled_event_rate(left, right, is_interval):
     """Events over exposure, added in input order (``cumsum``, not the pairwise
     ``sum``); an event's exposure ends at its bracket's midpoint."""
-    exposure = float(np.cumsum(np.where(is_interval, 0.5 * (left + right), right))[-1])
+    exposure = right.copy()
+    exposure[is_interval] = 0.5 * (left[is_interval] + right[is_interval])
+    exposure = float(np.cumsum(exposure)[-1])
     return int(is_interval.sum()) / exposure if exposure > 0.0 else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_exposures(table, B, a, b):
     """Exposure of each segment-table run on its window ``[a, b]``, per knot interval.
 
     Returns a (runs, intervals) array.  The row of the first run of each
     (observation, coefficient row) holds the sum over that pair's runs, added
-    in run order; the rows of its later runs are zero.
+    in run order; the rows of its later runs are zero.  An overflow gives
+    ``inf`` or NaN without a warning: the design refuses it once.
     """
     lo = np.maximum(B[:-1], np.maximum(a, table[:, 2])[:, None])
     out = np.minimum(B[1:], np.minimum(b, table[:, 3])[:, None])

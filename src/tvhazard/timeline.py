@@ -5,9 +5,9 @@ whose jumps live on a single shared :class:`KnotSet`; a model holds one
 value per (coefficient row, knot interval), the matrix ``W`` of
 :class:`tvhazard.likelihood.HazardModel`, and its file form, a base level
 plus jumps, belongs to :mod:`tvhazard.formats`.  Feature paths carry
-their own change times and are right-continuous as well.  Integrals of
-hazards along feature paths are taken exactly, by
-:class:`tvhazard.likelihood.CensoredDesign`.
+their own change times and are right-continuous as well.  A set of records
+is read as one run table (:func:`_run_table`), from which the knot set and
+:class:`tvhazard.likelihood.CensoredDesign`'s exact integrals are taken.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class Observation:
     left: float
     right: float
     id: str = ""
-    # not a field: ``(block, position)`` once ``likelihood._run_table`` has
-    # walked the record's path.  One attribute keeps the instance dict at
+    # not a field: ``(block, position)`` once :func:`_run_table` has walked
+    # the record's path.  One attribute keeps the instance dict at
     # its size, and one tuple is stored in one step.
     _runs = None
 
@@ -260,6 +260,105 @@ class Observation:
         return cls(path, "right", at, at, id)
 
 
+def _run_table(observations):
+    """The paths' constant runs as one table, and the records' brackets and
+    kinds: the one form in which the package reads a set of records.
+
+    Returns the paths' common dimension ``d``; a (runs, 5) float array of
+    ``(observation, coefficient row, start, end, value)`` rows, sorted by
+    observation, then row, then start; and the ``left`` and ``right`` ends
+    and ``is_interval`` flags, in input order.  Row 0 is the intercept, one
+    run of value 1 from time 0; feature ``j`` is row ``j + 1``, one run per
+    change, zero-valued ones included, until the next change (or forever).
+
+    The first call over a list walks its paths (:func:`_walk`) and keeps
+    the result as one read-only block, stamping each record with
+    ``Observation._runs = (block, position)``; that call returns the
+    block's own arrays.  A later call whose records all carry one block
+    (a permutation, a sublist, repeats) gathers their rows from it with
+    NumPy, bitwise what a walk would give.  Records never walked, or from
+    two blocks, are walked and stamped again.  A block holds 40 B per run
+    and about 110 B per record, its ``(block, position)`` pair included,
+    and is freed with the records.  Raises ``ValueError`` for no
+    observations or paths of different dimensions.
+    """
+    if not observations:
+        raise ValueError("no observations")
+    first = observations[0]._runs
+    if first is not None:
+        block = first[0]
+        stamps = [o._runs for o in observations]
+        if all(s is not None and s[0] is block for s in stamps):
+            return _gather(block, np.fromiter((s[1] for s in stamps), np.intp, len(stamps)))
+    d, table, left, right, is_interval = _walk(observations)
+    for array in (table, left, right, is_interval):
+        array.flags.writeable = False
+    # each record's rows start at the first row of its observation number
+    offsets = np.searchsorted(table[:, 0], np.arange(len(observations) + 1))
+    # a tuple of an int and arrays, so the cyclic collector stops tracking
+    # it, and then the stamps that hold it
+    block = (d, table, offsets, left, right, is_interval)
+    stamp = object.__setattr__
+    for i, o in enumerate(observations):
+        stamp(o, "_runs", (block, i))
+    return d, table, left, right, is_interval
+
+
+def _gather(block, positions):
+    """:func:`_walk`'s result for the block's records at ``positions``:
+    their rows in that order, renumbered."""
+    d, table, offsets, left, right, is_interval = block
+    first = offsets[positions]
+    count = offsets[positions + 1] - first
+    # row r of the result is row (first of its record) + (its rank there)
+    starts = np.cumsum(count) - count
+    rows = np.arange(int(count.sum())) + np.repeat(first - starts, count)
+    out = table[rows]
+    out[:, 0] = np.repeat(np.arange(len(positions)), count)
+    return d, out, left[positions], right[positions], is_interval[positions]
+
+
+def _walk(observations):
+    """The one Python pass over the records' paths behind :func:`_run_table`.
+
+    Python only chains the paths' change lists into flat arrays; the runs'
+    ends, their observation and row columns and the intercept rows are
+    filled by NumPy.
+    """
+    n = len(observations)
+    paths = [o.path for o in observations]
+    dims = [p.d for p in paths]
+    d = dims[0]
+    if dims.count(d) != n:
+        other = next(x for x in dims if x != d)
+        raise ValueError(f"dimension mismatch: paths with d={d} and d={other}")
+    left = np.array([o.left for o in observations])
+    right = np.array([o.right for o in observations])
+    is_interval = np.fromiter((o.kind == "interval" for o in observations), bool, n)
+    # one item per feature with changes, in path order; fromiter skips the
+    # type discovery that np.array does on a list
+    entries = [p.entries for p in paths]
+    changes = list(chain.from_iterable(map(dict.values, entries)))
+    size = np.fromiter(map(len, changes), np.intp, len(changes))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(changes)), float)
+    start, value = flat.reshape(-1, 2).T
+    # each change lasts until its feature's next change, the last one forever
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
+    end[np.cumsum(size) - 1] = math.inf
+    row = np.repeat(np.fromiter(chain.from_iterable(entries), np.intp, len(changes)) + 1, size)
+    obs = np.repeat(np.repeat(np.arange(n), list(map(len, entries))), size)
+    table = np.empty((n + len(start), 5))
+    table[:n] = (0.0, 0.0, 0.0, math.inf, 1.0)
+    table[:n, 0] = np.arange(n)
+    for c, column in enumerate((obs, row, start, end, value)):
+        table[n:, c] = column
+    # intercept runs first; the stable sort by (observation, row) keeps each
+    # feature's runs in time order
+    key = np.concatenate((np.arange(n) * (d + 1), obs * (d + 1) + row))
+    return d, table[np.argsort(key, kind="stable")], left, right, is_interval
+
+
 def _window_knots(times, horizon):
     """Where a coefficient may jump: ``times`` merged at ``MERGE_TOL`` together
     with both window ends, keeping what lies strictly between the ends.  A
@@ -277,7 +376,8 @@ def build_knot_set(observations, horizon=None):
     """Candidate jump times induced by a dataset.
 
     The knot set holds every censoring boundary and every feature change
-    time strictly inside ``(0, horizon)``, merged at tolerance ``MERGE_TOL``.
+    time strictly inside ``(0, horizon)``, merged at tolerance ``MERGE_TOL``,
+    read from the records' run table (:func:`_run_table`).
     Restricting coefficient paths to jump only at these times loses nothing:
     for any step-function model there is one with jumps on this set
     attaining an equal or better penalized likelihood.
@@ -285,6 +385,7 @@ def build_knot_set(observations, horizon=None):
     Parameters
     ----------
     observations : sequence of Observation
+        Records whose paths share one dimension (``ValueError`` otherwise).
     horizon : float, optional
         Right end of the window, as :func:`_horizon` defines it; defaults to
         the largest censoring boundary.
@@ -298,13 +399,10 @@ def build_knot_set(observations, horizon=None):
     observations = list(observations)
     if not observations:
         raise ValueError("cannot build a knot set from an empty dataset")
-    max_boundary = max(obs.right for obs in observations)
+    _, table, left, right, _ = _run_table(observations)
+    max_boundary = float(right.max())
     horizon = max_boundary if horizon is None else _horizon(horizon)
     if max_boundary > horizon:
         raise ValueError(f"censoring boundary {max_boundary} beyond horizon {horizon}")
-    times = {t for changes in chain.from_iterable(o.path.entries.values() for o in observations)
-             for t, _ in changes}
-    times.update(o.left for o in observations)
-    times.update(o.right for o in observations)
-    return _window_knots(times, horizon)
-
+    # every change time is some run's start
+    return _window_knots(np.unique(np.concatenate((table[:, 2], left, right))).tolist(), horizon)

@@ -332,11 +332,11 @@ def pooled_event_rate_loop(observations):
 
 
 def run_table_loop(observations):
-    """The likelihood's run table built one run at a time, as
-    ``likelihood._run_table`` returns it: ``(d, table, left, right,
+    """The records' run table built one run at a time, as
+    ``timeline._run_table`` returns it: ``(d, table, left, right,
     is_interval)``, the table's rows ``(observation, coefficient row, start,
     end, value)`` with the intercept run first and then each feature's
-    nonzero runs by ascending ``j``."""
+    runs, zero-valued ones included, by ascending ``j``."""
     d = observations[0].path.d
     flat, left, right, is_interval = [], [], [], []
     for i, o in enumerate(observations):
@@ -348,9 +348,8 @@ def run_table_loop(observations):
         flat += (i, 0, 0.0, math.inf, 1.0)
         for j, changes in sorted(o.path.entries.items()):
             for c, (start, v) in enumerate(changes):
-                if v != 0.0:
-                    end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
-                    flat += (i, j + 1, start, end, v)
+                end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
+                flat += (i, j + 1, start, end, v)
     table = np.array(flat, dtype=float).reshape(-1, 5)
     return d, table, np.array(left), np.array(right), np.array(is_interval)
 

@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+import scipy.sparse
 
 import tvhazard.baseline
 from tvhazard import (
@@ -27,7 +29,7 @@ from tvhazard import (
     proportional_nll,
 )
 from tvhazard.baseline import _pieces, _proportional_value_grad
-from tvhazard.likelihood import _run_table
+from tvhazard.timeline import _run_table
 
 from oracles import level_at, tv
 
@@ -229,6 +231,21 @@ class TestProportional:
             assert np.isclose(proportional_nll(model, obs), expect, rtol=1e-9)
         # as nll_dataset: no observations, no likelihood terms
         assert proportional_nll(model, []) == 0.0
+
+    def test_a_zero_valued_run_cuts_no_piece(self):
+        # a feature is 0 before its first change, so a zero-valued change
+        # before it leaves the path as it was: the run table keeps that run,
+        # and the pieces and the fit must not see it
+        rng = np.random.default_rng(56)
+        obs = sim_observations(rng, d=2, n=40)
+        padded = [replace(o, path=FeaturePath(2, {j: ((c[0][0] / 2, 0.0), *c)
+                                                  for j, c in o.path.entries.items()}))
+                  for o in obs]
+        assert len(_run_table(padded)[1]) > len(_run_table(obs)[1])
+        for a, b in zip(_pieces(*_run_table(padded)), _pieces(*_run_table(obs)), strict=True):
+            a, b = (x.toarray() if scipy.sparse.issparse(x) else x for x in (a, b))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert fit_proportional(padded) == fit_proportional(obs)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(54)

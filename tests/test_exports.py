@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,9 @@ def test_numerical_error_is_one_class():
 
     assert tvhazard.solver.NumericalError is tvhazard.likelihood.NumericalError
     assert tvhazard.NumericalError is tvhazard.likelihood.NumericalError
+
+
+def test_every_export_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # a code span that opens with the name: `fit(...)`, `KnotSet` or `FitResult.stop`
+    assert [n for n in tvhazard.__all__ if not re.search(rf"`{n}\b", readme)] == []

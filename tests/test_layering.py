@@ -1,0 +1,52 @@
+"""The package's layering, read from its source with ``ast``: ``timeline``
+owns the records and imports no package module, every package import sits
+at a module's top level, and only ``timeline`` sets a record's run stamp."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tvhazard
+
+SOURCES = {p.stem: ast.parse(p.read_text(), filename=str(p))
+           for p in sorted(Path(tvhazard.__file__).parent.glob("*.py"))}
+
+
+def package_imports(node):
+    """The package imports anywhere under ``node``: relative ones and those of ``tvhazard``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("tvhazard")):
+            yield n
+        elif isinstance(n, ast.Import) and any(a.name.split(".")[0] == "tvhazard" for a in n.names):
+            yield n
+
+
+def test_every_module_is_read():
+    assert {"timeline", "likelihood", "baseline", "cli"} <= set(SOURCES)
+
+
+def test_timeline_imports_no_package_module():
+    assert [ast.unparse(n) for n in package_imports(SOURCES["timeline"])] == []
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_package_imports_sit_at_the_top_level(module):
+    functions = [n for n in ast.walk(SOURCES[module])
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert [ast.unparse(n) for f in functions for n in package_imports(f)] == []
+
+
+def run_stamp_stores(tree):
+    """Where ``tree`` may set ``Observation._runs``: an attribute store, or
+    the name handed to ``setattr`` or ``object.__setattr__``."""
+    return [ast.unparse(n) for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and n.attr == "_runs"
+                and not isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Constant) and n.value == "_runs")]
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_only_timeline_sets_the_run_stamp(module):
+    stores = run_stamp_stores(SOURCES[module])
+    assert bool(stores) == (module == "timeline"), stores

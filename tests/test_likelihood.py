@@ -37,8 +37,9 @@ from tvhazard import (
     read_observations,
     write_observations,
 )
-from tvhazard import likelihood
-from tvhazard.likelihood import _bracket_terms, _pooled_event_rate, _run_table
+from tvhazard import timeline
+from tvhazard.likelihood import _bracket_terms, _pooled_event_rate
+from tvhazard.timeline import _run_table
 
 from oracles import (
     cumulative_hazard,
@@ -608,20 +609,22 @@ class TestCensoredDesign:
 
     def test_a_nan_total_is_refused(self):
         # the first site's head exposure 1e10 * 1.5e308 overflows to inf,
-        # and a zero weight on its feature makes its head term inf * 0 = NaN
+        # which a zero weight on its feature would turn into a NaN head
+        # term: the design refuses it when built, without a NumPy warning
         ks = KnotSet((1.0,), 1.5e308)
         obs = [Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308),
                Observation.interval(FeaturePath(1, {}), 0.0, 1.0)]
         m = HazardModel(ks, [[0.2, 0.2], [0.0, 0.0]])
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            design = CensoredDesign(ks, obs)
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            with pytest.raises(NumericalError, match="total NLL is NaN"):
-                design.nll(m.W)
-            # the optimizer's floored value is returned as it is
-            assert math.isnan(design.nll(m.W, floored=True))
-        with pytest.warns(RuntimeWarning), pytest.raises(NumericalError, match="total NLL is NaN"):
-            nll_dataset(m, obs)
+        overflow = r"an exposure \(a feature value times a time span\) overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=overflow):
+                CensoredDesign(ks, obs)
+            with pytest.raises(NumericalError, match=overflow):
+                nll_dataset(m, obs)
+            # an overflowing bracket exposure is refused the same way
+            with pytest.raises(NumericalError, match=overflow):
+                CensoredDesign(ks, [Observation.interval(obs[0].path, 0.0, 1.5e308)])
         # a NaN coefficient is refused too, where a zero bracket would not mask it
         plain = CensoredDesign(ks, obs[1:])
         with pytest.raises(NumericalError, match="total NLL is NaN"):
@@ -737,13 +740,13 @@ class TestRunTable:
         # the first table walks the full set; the training fits and the
         # validation NLLs gather from its block
         walks = []
-        walk = likelihood._walk
+        walk = timeline._walk
 
         def counted(observations):
             walks.append(len(observations))
             return walk(observations)
 
-        monkeypatch.setattr(likelihood, "_walk", counted)
+        monkeypatch.setattr(timeline, "_walk", counted)
         truth, obs = generate(replace(default_scenario(4), n=300))
         nll_dataset(truth, obs)
         perm = np.random.default_rng(4).permutation(len(obs))
@@ -754,6 +757,20 @@ class TestRunTable:
             nll_dataset(result.model, val)
         nll_dataset(result.model, obs)
         assert walks == [len(obs)]
+
+    def test_a_design_after_the_knot_build_does_not_walk(self, monkeypatch, tmp_path):
+        # the knot build walks freshly read records; the design over them,
+        # and the fit's, gather from that walk
+        spec = replace(default_scenario(7), n=200)
+        write_observations(tmp_path / "obs.jsonl", generate(spec)[1], d=spec.d,
+                           horizon=spec.horizon)
+        obs, _ = read_observations(tmp_path / "obs.jsonl")
+        knots = build_knot_set(obs)
+        walks, walk = [], timeline._walk
+        monkeypatch.setattr(timeline, "_walk", lambda records: walks.append(records) or walk(records))
+        CensoredDesign(knots, obs)
+        fit(obs, SolverConfig(penalty=PenaltyConfig(gamma=1.0)), knots=knots)
+        assert walks == []
 
     def test_design_on_reused_records_equals_a_fresh_one(self):
         _, obs = generate(replace(default_scenario(3), n=400))
@@ -830,6 +847,16 @@ class TestPooledEventRate:
         assert design.pooled_event_rate.hex() == want.hex()
         if not is_interval.any():
             assert got == 0.0
+
+    def test_a_right_censoring_time_near_the_float_maximum_does_not_overflow(self):
+        # the midpoint is taken of interval records only: 0.5 * (1.5e308 +
+        # 1.5e308) overflowed for the right-censored site, then was discarded
+        obs = [Observation.right_censored(FeaturePath(1, {}), 1.5e308),
+               Observation.interval(FeaturePath(1, {0: ((0.0, 2.0),)}), 1.0, 3.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design = CensoredDesign(KnotSet((1.0,), 1.5e308), obs)
+        assert design.pooled_event_rate.hex() == pooled_event_rate_loop(obs).hex()
 
 
 class TestWarningHygiene:

@@ -309,19 +309,24 @@ def observation_sets(draw):
 
 @st.composite
 def shared_time_sets(draw):
-    """Records whose paths have up to three features drawing change times
+    """Records whose paths have one to three features drawing change times
     from one small pool, so times repeat across features, records and
-    boundaries; some lie near a window end, some past the horizon."""
+    boundaries; some lie near a window end, some past the horizon.  The
+    first record's feature 0 always starts with a zero-valued change, a
+    change time the knot set must keep although it changes no value."""
     horizon = draw(st.sampled_from([1.0, 4.0, 9.0]))
     pool = draw(st.lists(st.one_of(near_end_times(horizon), st.floats(horizon, 2 * horizon)),
                          min_size=1, max_size=8))
     times = st.sampled_from(pool)
-    d = draw(st.integers(0, 3))
+    d = draw(st.integers(1, 3))
     obs = []
     for _ in range(draw(st.integers(1, 8))):
         entries = {j: [(t, draw(st.floats(-2.0, 2.0))) for t in
-                       sorted(set(draw(st.lists(times, max_size=4))))]
+                       sorted(set(draw(st.lists(times, min_size=int(not obs and j == 0),
+                                                max_size=4))))]
                    for j in range(d)}
+        if not obs:
+            entries[0][0] = (entries[0][0][0], 0.0)
         a, b = sorted((draw(near_end_times(horizon)), draw(near_end_times(horizon))))
         if a < b and draw(st.booleans()):
             obs.append(Observation.interval(FeaturePath(d, entries), a, b))
@@ -374,6 +379,12 @@ class TestBuildKnotSet:
         obs = [Observation.right_censored(FeaturePath(1, {}), 5.0)]
         with pytest.raises(ValueError, match="censoring boundary 5.0 beyond horizon 4.0"):
             build_knot_set(obs, horizon=4.0)
+
+    def test_refuses_records_of_mixed_dimension(self):
+        obs = [Observation.right_censored(FeaturePath(1, {}), 2.0),
+               Observation.right_censored(FeaturePath(2, {}), 3.0)]
+        with pytest.raises(ValueError, match="dimension mismatch: paths with d=1 and d=2"):
+            build_knot_set(obs)
 
     @pytest.mark.parametrize("horizon", ["9", True])
     def test_a_horizon_that_is_not_a_number_is_refused(self, horizon):
