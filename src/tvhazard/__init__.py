@@ -15,7 +15,7 @@ from .baseline import (
     fit_proportional,
     proportional_nll,
 )
-from .datagen import CampaignSpec, default_scenario, generate, sample_event_time, truth_model
+from .datagen import CampaignSpec, default_scenario, generate, truth_model
 from .formats import (
     FormatError,
     read_model,
@@ -42,8 +42,6 @@ from .solver import (
     SolverWarning,
     fit,
     nonzero_parameter_count,
-    objective,
-    refine_and_compare,
 )
 from .timeline import (
     FeaturePath,
@@ -82,12 +80,9 @@ __all__ = [
     "model_matrix",
     "nll_dataset",
     "nonzero_parameter_count",
-    "objective",
     "proportional_nll",
     "read_model",
     "read_observations",
-    "refine_and_compare",
-    "sample_event_time",
     "truth_model",
     "write_model",
     "write_observations",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -49,10 +50,22 @@ def _nonnegative_int(text):
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
+def _json_text(payload):
+    """``payload`` as JSON, an infinite float (an NLL of +inf) written as
+    null: JSON has no infinity."""
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return None if isinstance(x, float) and math.isinf(x) else x
+    return json.dumps(finite(payload), indent=1, allow_nan=False)
+
+
 def _write_json(path, payload):
+    text = _json_text(payload)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _solver_config(args, gamma):
@@ -90,11 +103,12 @@ def cmd_simulate(args):
 def cmd_fit(args):
     report_out = args.report_out if args.report_out is not None else args.out + ".report.json"
     _refuse_overwrite(args.force, args.out, report_out)
+    config = _solver_config(args, args.gamma)
     observations, header = read_observations(args.observations)
     if not observations:
         raise FormatError(f"{args.observations}: no observation records")
     knots = build_knot_set(observations, horizon=header["horizon"])
-    result = fit(observations, _solver_config(args, args.gamma), knots=knots)
+    result = fit(observations, config, knots=knots)
     write_model(args.out, result.model)
     _write_json(
         report_out,
@@ -129,7 +143,7 @@ def cmd_evaluate(args):
     if args.out is not None:
         _refuse_overwrite(args.force, args.out)
         _write_json(args.out, report)
-    print(json.dumps(report, indent=1))
+    print(_json_text(report))
     return 0
 
 
@@ -141,6 +155,7 @@ def cmd_sweep(args):
         raise FormatError(f"bad --gammas {args.gammas!r}: {e}") from e
     if not gammas:
         raise FormatError("empty gamma grid")
+    configs = [_solver_config(args, gamma) for gamma in gammas]
     if not 0.0 < args.split < 1.0:
         raise FormatError(f"--split must be in (0, 1), got {args.split}")
     observations, header = read_observations(args.observations)
@@ -156,8 +171,8 @@ def cmd_sweep(args):
     val_design = CensoredDesign(knots, val)
 
     rows = []
-    for gamma in gammas:
-        result = fit(train, _solver_config(args, gamma), knots=knots)
+    for gamma, config in zip(gammas, configs):
+        result = fit(train, config, knots=knots)
         val_nll = val_design.nll(result.model.W)
         rows.append(
             {
@@ -171,18 +186,23 @@ def cmd_sweep(args):
             f"gamma={gamma:g} train={rows[-1]['train_nll']:.6f} "
             f"val={rows[-1]['validation_nll']:.6f} nonzero={rows[-1]['nonzero_parameter_count']}"
         )
-    best = min(rows, key=lambda r: r["validation_nll"])
+    # a gamma whose model puts zero mass on a validation bracket is never the best
+    finite = [r for r in rows if math.isfinite(r["validation_nll"])]
+    best = min(finite, key=lambda r: r["validation_nll"]) if finite else None
     table = {
         "split": args.split,
         "seed": args.seed,
         "n_train": len(train),
         "n_validation": len(val),
         "rows": rows,
-        "best_gamma": best["gamma"],
+        "best_gamma": best["gamma"] if best else None,
     }
     if args.out is not None:
         _write_json(args.out, table)
-    print(f"best gamma: {best['gamma']:g} (validation mean NLL {best['validation_nll']:.6f})")
+    if best:
+        print(f"best gamma: {best['gamma']:g} (validation mean NLL {best['validation_nll']:.6f})")
+    else:
+        print("best gamma: none (no gamma has a finite validation NLL)")
     return 0
 
 

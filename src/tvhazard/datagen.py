@@ -263,26 +263,6 @@ def _event_times(truth, levels, targets):
     return taus
 
 
-def sample_event_time(path, truth, rng):
-    """Exact inverse-CDF draw of an event time under ``truth`` for ``path``.
-
-    Draws u ~ Uniform(0,1) and solves ``Lambda(0, t) = -log u`` over the
-    truth's per-interval rates (see :func:`generate`); returns ``math.inf``
-    when the total mass at the horizon falls short (survived).  ``path``
-    must be constant on the window, every feature set at t=0 and never
-    changed after: ``ValueError`` otherwise, or if its dimension is not the
-    truth's.
-    """
-    if path.d != truth.d:
-        raise ValueError(f"dimension mismatch: path d={path.d}, truth d={truth.d}")
-    levels = np.zeros((1, truth.d))
-    for j, changes in path.entries.items():
-        if len(changes) > 1 or changes[0][0] != 0.0:
-            raise ValueError(f"feature {j} of the path changes after t=0")
-        levels[0, j] = changes[0][1]
-    return float(_event_times(truth, levels, np.array([_target(rng.random())]))[0])
-
-
 def generate(spec):
     """Simulate the scenario: returns ``(truth_model, observations)``.
 

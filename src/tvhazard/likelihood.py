@@ -272,10 +272,12 @@ class CensoredDesign:
 
 def _pooled_event_rate(left, right, is_interval):
     """Events over exposure, added in input order (``cumsum``, not the pairwise
-    ``sum``); an event's exposure ends at its bracket's midpoint."""
+    ``sum``); an event's exposure ends at its bracket's midpoint.  A total
+    past the float maximum gives 0.0: the design then refuses its exposures."""
     exposure = right.copy()
     exposure[is_interval] = 0.5 * (left[is_interval] + right[is_interval])
-    exposure = float(np.cumsum(exposure)[-1])
+    with np.errstate(over="ignore"):
+        exposure = float(np.cumsum(exposure)[-1])
     return int(is_interval.sum()) / exposure if exposure > 0.0 else 0.0
 
 

@@ -64,9 +64,9 @@ import numpy as np
 import scipy
 from scipy import optimize
 
-from .likelihood import CensoredDesign, HazardModel, NumericalError, _warn_at_caller, nll_dataset
+from .likelihood import CensoredDesign, HazardModel, NumericalError, _warn_at_caller
 from .penalty import PenaltyConfig
-from .timeline import _integer, _real, _window_knots, build_knot_set
+from .timeline import _integer, _real, build_knot_set
 
 # Backtracking parameters: the largest step, shrink on sufficient-decrease
 # violation, regrow on acceptance, give up below the floor.
@@ -146,12 +146,6 @@ class FitResult:
     def converged(self):
         """Whether the fit is certified: ``stop == "certified"``."""
         return self.stop == "certified"
-
-
-def objective(model, observations, penalty):
-    """Penalized objective: dataset NLL + gamma * total variation of all rows,
-    bitwise a fit's last traced objective when no bracket mass is floored."""
-    return nll_dataset(model, observations) + penalty.value(model.W)
 
 
 def nonzero_parameter_count(W):
@@ -479,27 +473,3 @@ def fit(observations, config, knots=None):
         config=config,
     )
 
-
-def refine_and_compare(fit_result, observations, extra_knots):
-    """Refit on a knot set enriched with uniformly-placed extra knots.
-
-    The refined knot set merges the fit's knots with ``extra_knots`` evenly
-    spaced times and, like :func:`build_knot_set`, keeps only times strictly
-    inside ``(0, horizon)``.
-
-    Returns ``refined optimum - original optimum`` (penalized objectives).
-    If coefficient paths jumping only at censoring boundaries and feature
-    change times are sufficient, the delta stays above a small negative
-    tolerance: refinement buys nothing.  The refit is ``fit(observations,
-    fit_result.config, knots=refined)``, from the same start as every fit.
-    """
-    knots = fit_result.model.knots
-    extra_knots = _integer(extra_knots, "extra_knots")
-    if extra_knots < 0:
-        raise ValueError("extra_knots must be >= 0")
-    grid = np.linspace(0.0, knots.horizon, extra_knots + 2)[1:-1]
-    refined = _window_knots(list(knots.times) + list(grid), knots.horizon)
-    if refined.times == knots.times:
-        return 0.0
-    refit = fit(observations, fit_result.config, knots=refined)
-    return refit.objective_trace[-1][1] - fit_result.objective_trace[-1][1]

@@ -184,13 +184,6 @@ class FeaturePath:
         object.__setattr__(self, "entries", entries)
         return self
 
-    def change_times(self):
-        """Sorted unique change times across all features."""
-        out = set()
-        for changes in self.entries.values():
-            out.update(t for t, _ in changes)
-        return tuple(sorted(out))
-
 
 @dataclass(frozen=True)
 class Observation:

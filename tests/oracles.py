@@ -28,6 +28,11 @@ set built from one set of times;
 writer's decimal deltas; and ``site_uniforms_loop``, one NumPy
 ``Generator`` per site, for the generator's streams computed in one array
 pass.
+``refine_and_compare`` is acceptance criterion 3's cross-check of the
+knot set, a refit on an enriched one; ``event_time`` reaches the
+generator's own inverse-CDF pass one site at a time, for acceptance
+criterion 4 and the sampler tests; ``change_times`` collects a path's
+change times, where the scalar routes cut their integrals.
 ``representer_observations`` is not an oracle: it draws the datasets of
 acceptance criterion 3, which the solver tests reuse.
 """
@@ -42,7 +47,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.optimize
 
-from tvhazard import FeaturePath, Observation, ZeroBracketWarning
+from tvhazard import FeaturePath, Observation, ZeroBracketWarning, fit
+from tvhazard.datagen import _event_times, _target
 from tvhazard.timeline import MERGE_TOL, _window_knots
 
 
@@ -354,13 +360,18 @@ def run_table_loop(observations):
     return d, table, np.array(left), np.array(right), np.array(is_interval)
 
 
+def change_times(path):
+    """Sorted unique change times across all features of ``path``."""
+    return tuple(sorted({t for changes in path.entries.values() for t, _ in changes}))
+
+
 def knot_set_per_path(observations, horizon=None):
     """``build_knot_set`` as the library ran it before it gathered every time
     into one set: each record's boundaries and its path's sorted
-    ``change_times()``, repeats kept, under the same window rule."""
+    ``change_times``, repeats kept, under the same window rule."""
     if horizon is None:
         horizon = max(o.right for o in observations)
-    raw = [t for o in observations for t in (o.left, o.right, *o.path.change_times())]
+    raw = [t for o in observations for t in (o.left, o.right, *change_times(o.path))]
     return _window_knots(raw, horizon)
 
 
@@ -400,6 +411,36 @@ def isotonic_bruteforce(y, d=None):
             best_obj = obj
             best = np.repeat([float(m) for m in means], [b - a for a, b in blocks])
     return best
+
+
+def refine_and_compare(fit_result, observations, extra_knots):
+    """Refit on the fit's knots enriched with ``extra_knots`` evenly spaced
+    times, kept strictly inside ``(0, horizon)`` as ``build_knot_set`` keeps
+    them, and return ``refined optimum - original optimum`` (penalized
+    objectives); 0.0 when the grid adds no knot.  If paths jumping only at
+    censoring boundaries and change times suffice, the difference stays
+    above a small negative tolerance.  The refit is ``fit(observations,
+    fit_result.config, knots=refined)``, from the start every fit shares."""
+    knots = fit_result.model.knots
+    grid = np.linspace(0.0, knots.horizon, extra_knots + 2)[1:-1]
+    refined = _window_knots(list(knots.times) + list(grid), knots.horizon)
+    if refined.times == knots.times:
+        return 0.0
+    refit = fit(observations, fit_result.config, knots=refined)
+    return refit.objective_trace[-1][1] - fit_result.objective_trace[-1][1]
+
+
+def event_time(path, truth, u):
+    """The event time ``generate`` draws from the uniform ``u`` for a site
+    with ``path``: the generator's own ``_event_times`` pass on the path's
+    levels.  Like every generated path, ``path`` must be constant on the
+    window, each feature set once at t=0."""
+    assert path.d == truth.d
+    levels = np.zeros((1, truth.d))
+    for j, changes in path.entries.items():
+        assert len(changes) == 1 and changes[0][0] == 0.0, changes
+        levels[0, j] = changes[0][1]
+    return float(_event_times(truth, levels, np.array([_target(u)]))[0])
 
 
 def representer_observations(rng):

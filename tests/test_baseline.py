@@ -31,7 +31,7 @@ from tvhazard import (
 from tvhazard.baseline import _pieces, _proportional_value_grad
 from tvhazard.timeline import _run_table
 
-from oracles import level_at, tv
+from oracles import change_times, level_at, tv
 
 
 def sim_observations(rng, d=2, n=50, horizon=6.0):
@@ -78,7 +78,7 @@ def constant_nll(w0, w, obs):
     """Censored NLL of the constant additive model, written out by hand."""
 
     def lam_int(path, a, b):
-        cuts = [a] + [t for t in path.change_times() if a < t < b] + [b]
+        cuts = [a] + [t for t in change_times(path) if a < t < b] + [b]
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             rate = w0 + sum(w[j] * level_at(path, j, lo) for j in range(len(w)))
@@ -217,7 +217,7 @@ class TestProportional:
                     s = sum(model.weights[j] * level_at(path, j, t) for j in range(2))
                     return model.base_rate * math.exp(s)
 
-                pts = [t for t in path.change_times() if a < t < b]
+                pts = [t for t in change_times(path) if a < t < b]
                 val, _ = scipy.integrate.quad(rate, a, b, points=pts, limit=200)
                 return val
 

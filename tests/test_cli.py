@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -54,6 +55,13 @@ def run_without_warnings(argv):
         code = main(argv)
     assert [str(w.message) for w in caught] == []
     return code
+
+
+def strict_json(text):
+    """``json.loads`` that refuses ``Infinity``, ``-Infinity`` and ``NaN``."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_spec(path, **overrides):
@@ -325,6 +333,13 @@ class TestFit:
         assert "tolerance must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flags_are_checked_before_the_file_is_read(self, tmp_path, capsys):
+        # a missing file is an i/o error (exit 4); a bad flag is found first
+        args = ["fit", "--observations", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "m.json"), "--gamma", "-1"]
+        assert main(args) == 2
+        assert "gamma must be finite and >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv", [["fit", "--gamma", "1"], ["sweep", "--gammas", "0,1"]], ids=["fista", "lbfgsb"]
     )
@@ -420,6 +435,20 @@ class TestEvaluate:
         assert f"{short_header}:" in capsys.readouterr().err
 
 
+    def test_an_infinite_nll_is_written_as_null(self, obs_file, tmp_path, capsys):
+        # a model with no hazard puts zero mass on every event bracket
+        model = tmp_path / "zero.json"
+        write_model(model, ConstantAdditiveModel(0.0, (0.0,) * 4).to_hazard_model(4.0))
+        out = tmp_path / "eval.json"
+        args = ["evaluate", "--model", str(model), "--observations", str(obs_file),
+                "--out", str(out)]
+        with pytest.warns(tvhazard.ZeroBracketWarning):
+            assert main(args) == 0
+        report = strict_json(out.read_text())
+        assert report["total_nll"] is None and report["mean_nll"] is None
+        assert strict_json(capsys.readouterr().out) == report
+
+
 class TestSweep:
     def test_table_and_interior_bookkeeping(self, obs_file, tmp_path, monkeypatch):
         built, models = [], []
@@ -472,12 +501,34 @@ class TestSweep:
         assert capsys.readouterr().err == OVERFLOW
         assert not out.exists()
 
-    def test_bad_grid_and_split_rejected(self, obs_file, tmp_path):
-        base = ["sweep", "--observations", str(obs_file)]
+    def test_no_finite_validation_nll_leaves_best_gamma_null(self, tmp_path, capsys):
+        # with this seed every gamma's model puts zero mass on some
+        # validation bracket, so no gamma is the best
+        obs, out = tmp_path / "obs.jsonl", tmp_path / "sweep.json"
+        assert main(["simulate", "--seed", "36", "--out", str(obs)]) == 0
+        with pytest.warns(tvhazard.ZeroBracketWarning):
+            assert main(["sweep", "--observations", str(obs), "--seed", "36",
+                         "--out", str(out)]) == 0
+        table = strict_json(out.read_text())
+        assert len(table["rows"]) == 7
+        assert [r["validation_nll"] for r in table["rows"]] == [None] * 7
+        assert all(math.isfinite(r["train_nll"]) for r in table["rows"])
+        assert table["best_gamma"] is None
+        assert "best gamma: none" in capsys.readouterr().out
+
+    def test_bad_grid_and_split_rejected(self, obs_file, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        base = ["sweep", "--observations", str(obs_file), "--out", str(out)]
         assert main(base + ["--gammas", ","]) == 2
         assert main(base + ["--gammas", "0.5,x"]) == 2
         assert main(base + ["--split", "1.5"]) == 2
         assert main(base + ["--gammas", "1,inf"]) == 2
+        # every gamma is checked before the first fit: no row is printed
+        assert main(base + ["--gammas", "1,-1"]) == 2
+        captured = capsys.readouterr()
+        assert "gamma=" not in captured.out
+        assert "gamma must be finite and >= 0" in captured.err
+        assert not out.exists()
 
 
 class TestHugeIntegerTokens:

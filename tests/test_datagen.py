@@ -19,7 +19,6 @@ from tvhazard import (
     Observation,
     default_scenario,
     generate,
-    sample_event_time,
     truth_model,
     write_model,
     write_observations,
@@ -27,7 +26,7 @@ from tvhazard import (
 
 from tvhazard.datagen import _site_uniforms
 
-from oracles import cumulative_hazard, merge_times, site_uniforms_loop
+from oracles import cumulative_hazard, event_time, merge_times, site_uniforms_loop
 
 
 def tiny_spec(**overrides):
@@ -42,16 +41,6 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return CampaignSpec(**base)
-
-
-class _FixedU:
-    """Stub RNG: hands ``sample_event_time`` a chosen uniform draw."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 class TestSpecValidation:
@@ -243,7 +232,7 @@ class TestSampler:
         # replay the uniform draw: Lambda(0, tau) == -log(u) when the event
         # falls in the window, and no event exactly when Lambda(0, H) < -log(u)
         truth, path, u = case
-        tau = sample_event_time(path, truth, _FixedU(u))
+        tau = event_time(path, truth, u)
         target = -math.log(u)
         H = truth.knots.horizon
         assert math.isinf(tau) == (cumulative_hazard(truth, path, 0.0, H) < target)
@@ -251,17 +240,9 @@ class TestSampler:
             assert 0.0 < tau <= H
             assert abs(cumulative_hazard(truth, path, 0.0, tau) - target) <= 1e-10
 
-    def test_paths_not_constant_on_the_window_are_refused(self):
-        truth = truth_model(tiny_spec())
-        for entries in ({0: ((1.0, 1.0),)}, {0: ((0.0, 1.0), (2.0, 0.0))}):
-            with pytest.raises(ValueError, match="changes after t=0"):
-                sample_event_time(FeaturePath(3, entries), truth, _FixedU(0.5))
-        with pytest.raises(ValueError, match="dimension"):
-            sample_event_time(FeaturePath(2, {}), truth, _FixedU(0.5))
-
     def test_unit_uniform_draw_survives(self):
         truth = truth_model(tiny_spec())
-        assert sample_event_time(FeaturePath(3, {}), truth, _FixedU(0.0)) == math.inf
+        assert event_time(FeaturePath(3, {}), truth, 0.0) == math.inf
 
     def test_constant_hazard_is_exponential(self):
         # d = 0, constant baseline c: draws must be Exponential(c)
@@ -277,7 +258,7 @@ class TestSampler:
         truth = truth_model(spec)
         rng = np.random.default_rng(61)
         path = FeaturePath(0, {})
-        times = np.array([sample_event_time(path, truth, rng) for _ in range(5000)])
+        times = np.array([event_time(path, truth, rng.random()) for _ in range(5000)])
         assert np.all(np.isfinite(times[times < 60.0]))
         stat = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / 0.7))
         assert stat.pvalue > 0.01
@@ -289,7 +270,7 @@ class TestSampler:
         rng = np.random.default_rng(62)
         path = FeaturePath(0, {})
         n = 4000
-        taus = np.array([sample_event_time(path, truth, rng) for _ in range(n)])
+        taus = np.array([event_time(path, truth, rng.random()) for _ in range(n)])
         p = 1.0 - math.exp(-0.3 * 2.0)
         k = int((taus <= 2.0).sum())
         assert abs(k - n * p) < 4.0 * math.sqrt(n * p * (1 - p))
@@ -306,7 +287,7 @@ def check_against_replay(spec):
     for site, o in enumerate(obs):
         present = draws[site, : spec.d] < spec.feature_density
         path = FeaturePath(spec.d, {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present)})
-        tau = sample_event_time(path, truth, _FixedU(draws[site, spec.d]))
+        tau = event_time(path, truth, draws[site, spec.d])
         uid = f"site-{site:06d}"
         k = bisect.bisect_left(scans, tau)
         if k < len(scans):

@@ -1,5 +1,6 @@
 """The package's export list: ``__all__`` names exactly what ``__init__`` imports."""
 
+import ast
 import json
 import os
 import re
@@ -46,3 +47,30 @@ def test_every_export_is_named_in_the_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     # a code span that opens with the name: `fit(...)`, `KnotSet` or `FitResult.stop`
     assert [n for n in tvhazard.__all__ if not re.search(rf"`{n}\b", readme)] == []
+
+
+def names_used(paths):
+    """Every name ``paths`` read or import: a ``Name``, an ``Attribute`` and
+    an imported alias count; a ``def`` or ``class`` statement does not."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    return used
+
+
+def test_every_export_is_used_outside_the_tests():
+    # an export only tests call belongs in the tests: the package's own
+    # modules, the demos or the benchmark must reach each one
+    root = Path(__file__).resolve().parents[1]
+    package = Path(tvhazard.__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    assert {"cli", "run", "regularization_sweep"} <= {p.stem for p in paths}
+    used = names_used(paths)
+    assert [n for n in tvhazard.__all__ if n not in used] == []

@@ -42,6 +42,7 @@ from tvhazard.likelihood import _bracket_terms, _pooled_event_rate
 from tvhazard.timeline import _run_table
 
 from oracles import (
+    change_times,
     cumulative_hazard,
     dense_design,
     hazard,
@@ -183,7 +184,7 @@ class TestCumulativeHazard:
             p = random_path(rng, m.d, ks.horizon)
             a, b = np.sort(rng.uniform(0, ks.horizon, size=2))
             pts = sorted(
-                t for t in list(ks.times) + list(p.change_times()) if a < t < b
+                t for t in list(ks.times) + list(change_times(p)) if a < t < b
             )
             ref, err = scipy.integrate.quad(
                 lambda t: hazard(m, p, t), a, b, points=pts, limit=300
@@ -857,6 +858,19 @@ class TestPooledEventRate:
             warnings.simplefilter("error")
             design = CensoredDesign(KnotSet((1.0,), 1.5e308), obs)
         assert design.pooled_event_rate.hex() == pooled_event_rate_loop(obs).hex()
+
+    def test_a_total_exposure_past_the_float_maximum_is_refused_without_a_warning(self):
+        # no time overflows, but the running sum of two 1e308 censoring
+        # times does: the rate is 0.0 and the design's refusal the only output
+        obs = [Observation.right_censored(FeaturePath(0, {}), 1e308)] * 2
+        obs.append(Observation.interval(FeaturePath(0, {}), 1.0, 2.0))
+        _, _, left, right, is_interval = _run_table(obs)
+        overflow = r"an exposure \(a feature value times a time span\) overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _pooled_event_rate(left, right, is_interval) == 0.0
+            with pytest.raises(NumericalError, match=overflow):
+                CensoredDesign(KnotSet((), 1e308), obs)
 
 
 class TestWarningHygiene:
