@@ -21,7 +21,7 @@ from scipy import optimize
 from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _warn_at_caller
 from .penalty import PenaltyConfig
 from .solver import SolverConfig, SolverWarning, _one_blas_thread, fit
-from .timeline import KnotSet, _run_table
+from .timeline import KnotSet, _real, _run_table
 
 _WEIGHT_CAP = 50.0
 _L2_WEIGHT = 1e-6  # the ridge on the proportional model's weights
@@ -39,10 +39,10 @@ class ConstantAdditiveModel:
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "intercept", float(self.intercept))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if self.intercept < 0 or any(w < 0 for w in self.weights):
-            raise ValueError("constant additive model requires nonnegative values")
+        object.__setattr__(self, "intercept", _real(self.intercept, "intercept"))
+        object.__setattr__(self, "weights", tuple(_real(w, "weight") for w in self.weights))
+        if not all(0.0 <= v < math.inf for v in (self.intercept, *self.weights)):
+            raise ValueError("constant additive model requires finite, nonnegative values")
 
     @property
     def d(self):
@@ -61,10 +61,10 @@ class ProportionalModel:
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "base_rate", float(self.base_rate))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not self.base_rate > 0:
-            raise ValueError("base_rate must be positive")
+        object.__setattr__(self, "base_rate", _real(self.base_rate, "base_rate"))
+        object.__setattr__(self, "weights", tuple(_real(w, "weight") for w in self.weights))
+        if not (0.0 < self.base_rate < math.inf and all(map(math.isfinite, self.weights))):
+            raise ValueError("proportional model requires a finite base_rate > 0, finite weights")
 
     @property
     def d(self):

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -324,6 +325,12 @@ def main(argv=None):
 
 
 def entry_point():
+    # every warning a command raises goes to stderr as one line, each time:
+    # Python's default shows a repeated warning once per location, and under
+    # python -m names the location <frozen runpy>.  The filter goes last, so
+    # -W and PYTHONWARNINGS still decide first.
+    warnings.simplefilter("always", append=True)
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     sys.exit(main())
 
 

@@ -35,11 +35,13 @@ a step underflow.  :func:`fit` runs the start, hands it to the route and
 turns every uncertified exit into one :class:`SolverWarning`, raised at the
 first caller outside the package.
 
-The start's line search for ``G1`` and FISTA's first one open at a power of
-two from the NLL's Hessian diagonal at ``X0`` (:func:`_opening_step`), near
-the step each accepts, and accept the step a search from 1.0 accepts
-(:func:`_backtrack`); from 1.0 the two took 28 trials on a benchmark fit,
-most of its prox work.
+Every line search tries the step it is given and halves it until a trial
+meets the sufficient-decrease bound (:func:`_backtrack`).  The start's
+search for ``G1`` and FISTA's first one open at a power of two from the
+NLL's Hessian diagonal at ``X0`` (:func:`_opening_step`), near the step
+each accepts; from 1.0 the two took 28 trials on a benchmark fit, most of
+its prox work.  Each later search opens at 1.5 times the last accepted
+step, at most 1.0.
 
 The solver sees the problem only through the :class:`CensoredDesign`
 (``nll``, ``nll_change``, ``nll_grad``, ``hessian_diagonal``, ``shape``,
@@ -96,11 +98,10 @@ class SolverConfig:
     relative prox-gradient mapping norm at step 1 of its best iterate,
     ``||X - [prox_1(X - grad f(X))]_+|| / max(1, G1)``, is at most
     ``tolerance`` (see the module docstring); it is not a bound on the change
-    of the objective.  The two opening line searches of a fit start from
-    a power of two set by the NLL's curvature at the start (see
-    :func:`_opening_step`) and accept the step a search from 1.0 would;
-    every later one starts from 1.5 times the last accepted step, at most
-    1.0.
+    of the objective.  Every line search halves its step from where it
+    opens: the two opening searches of a fit at a power of two set by the
+    NLL's curvature at the start (see :func:`_opening_step`), every later
+    one at 1.5 times the last accepted step, at most 1.0.
     """
 
     penalty: PenaltyConfig
@@ -165,7 +166,7 @@ def nonzero_parameter_count(W):
     return count
 
 
-def _backtrack(design, Y, f, g, step, penalty, D, opening=False):
+def _backtrack(design, Y, f, g, step, penalty, D):
     """Backtracking line search of a prox-gradient step from ``Y`` in the
     diagonal metric ``D`` (an array in ``Y``'s shape).
 
@@ -179,16 +180,8 @@ def _backtrack(design, Y, f, g, step, penalty, D, opening=False):
     fail the bound at every step until it underflows, so a trial they fail
     by less than ``_ROUNDING * |f|`` is tested again with the exact change
     ``design.nll_change``.
-
-    An opening search (``opening=True``, from a power of two ``step`` of
-    :func:`_opening_step`) whose first trial meets the bound below 1.0
-    doubles it while the doubled trial meets it too, up to 1.0, and returns
-    the last trial that met it.  Where the trials that meet the bound form
-    one run of halvings, it returns bitwise what a search from 1.0 returns,
-    with fewer trials.
     """
     h = g / D
-    passed = None
     while True:
         Z = penalty.prox(Y - step * h, step, D)
         dZ = Z - Y
@@ -198,15 +191,10 @@ def _backtrack(design, Y, f, g, step, penalty, D, opening=False):
         excess = fZ - (f + slope + curve)
         if excess <= 0.0 or (excess <= _ROUNDING * abs(f)
                              and design.nll_change(Y, dZ) <= slope + curve):
-            if not opening or step >= _MAX_STEP:
-                return Z, fZ, step
-            passed, step = (Z, fZ, step), step / _SHRINK
-        elif passed is not None:
-            return passed
-        elif step * _SHRINK < _STEP_FLOOR:
+            return Z, fZ, step
+        if step * _SHRINK < _STEP_FLOOR:
             return Z, None, step
-        else:
-            step, opening = step * _SHRINK, False
+        step *= _SHRINK
 
 
 def _opening_step(curvature):
@@ -253,9 +241,9 @@ def _certificate(penalty, X, g, ref):
 def _fit_full_batch(design, config, X, f, g, ref, curvature):
     """Monotone FISTA in the diagonal metric of :func:`_metric`, with
     function-value restart, from :func:`_start`'s ``(X, f, g, ref,
-    curvature)``.  The first line search is an opening one, from
-    :func:`_opening_step` of ``curvature / D``; each later one starts at 1.5
-    times the last accepted step, at most 1.0.
+    curvature)``.  The first line search opens at :func:`_opening_step` of
+    ``curvature / D``; each later one at 1.5 times the last accepted step,
+    at most 1.0.
 
     ``X`` is the best iterate so far and ``Y`` the point the next step
     starts from: ``X`` itself (a momentum-free step) or ``X`` extrapolated
@@ -288,7 +276,7 @@ def _fit_full_batch(design, config, X, f, g, ref, curvature):
     Y, at_x, momentum = X, True, 1.0
     step = _opening_step(curvature / D)
     for it in range(1, config.max_iterations + 1):
-        Z, fZ, t = _backtrack(design, Y, f, g, step, pen, D, opening=it == 1)
+        Z, fZ, t = _backtrack(design, Y, f, g, step, pen, D)
         near = float(np.linalg.norm(D * (Y - Z))) / t / ref <= tol
         FZ = math.inf if fZ is None else fZ + pen.value(Z)
         # a momentum-free step that moves X and ties its objective is taken:
@@ -425,7 +413,7 @@ def _start(design, config):
         raise NumericalError(f"objective not finite at initialization: {f!r}")
     curvature = design.hessian_diagonal(X)
     Z, _, t = _backtrack(design, X, f, g, _opening_step(curvature), config.penalty,
-                         np.ones_like(X), opening=True)
+                         np.ones_like(X))
     return X, f, g, max(1.0, float(np.linalg.norm(X - Z)) / t), curvature
 
 

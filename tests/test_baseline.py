@@ -102,12 +102,21 @@ class TestConstantAdditive:
         with pytest.raises(ValueError):
             ConstantAdditiveModel(intercept=0.1, weights=(-0.2,))
 
+    @pytest.mark.parametrize(
+        "intercept, weights",
+        [(math.nan, ()), (math.inf, ()), (True, (False,)), (1.0, (math.inf,)), (1.0, (math.nan,)),
+         ("0.5", ()), (1.0, ("0.5",))],
+    )
+    def test_only_finite_real_values_are_taken(self, intercept, weights):
+        with pytest.raises(ValueError):
+            ConstantAdditiveModel(intercept, weights)
+
     def test_to_hazard_model_has_same_likelihood(self):
         rng = np.random.default_rng(50)
         obs = sim_observations(rng, d=2, n=25)
         cam = ConstantAdditiveModel(intercept=0.3, weights=(0.5, 0.0))
         hm = cam.to_hazard_model(horizon=6.0)
-        assert hm.d == 2
+        assert cam.d == hm.d == 2
         assert hm.W.tolist() == [[0.3], [0.5], [0.0]]
         expect = constant_nll(0.3, (0.5, 0.0), obs)
         assert np.isclose(nll_dataset(hm, obs), expect, rtol=1e-12)
@@ -202,6 +211,15 @@ class TestProportional:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             ProportionalModel(base_rate=0.0, weights=(0.1,))
+
+    @pytest.mark.parametrize(
+        "base_rate, weights",
+        [(math.inf, ()), (math.nan, ()), (True, ()), (1.0, (math.nan,)), (1.0, (-math.inf,)),
+         (1.0, (True,)), ("0.5", ())],
+    )
+    def test_only_finite_real_values_are_taken(self, base_rate, weights):
+        with pytest.raises(ValueError):
+            ProportionalModel(base_rate, weights)
 
     def test_nll_matches_quadrature(self):
         rng = np.random.default_rng(53)

@@ -34,6 +34,8 @@ from tvhazard import (
 )
 from tvhazard.cli import main
 
+from test_demos import run_fresh
+
 SPEC = {
     "d": 4,
     "active": [[0, [[1.0, 0.6]]], [2, [[0.5, 0.4], [2.0, 1.0]]]],
@@ -515,6 +517,17 @@ class TestSweep:
         assert all(math.isfinite(r["train_nll"]) for r in table["rows"])
         assert table["best_gamma"] is None
         assert "best gamma: none" in capsys.readouterr().out
+
+    def test_every_warning_reaches_stderr_once_per_occurrence(self, tmp_path):
+        # under python -m, each of the seven gammas' validation NLLs warns on
+        # its own line, named by its category and not by a frame location
+        obs = tmp_path / "obs.jsonl"
+        assert main(["simulate", "--seed", "36", "--out", str(obs)]) == 0
+        proc = run_fresh(["-m", "tvhazard", "sweep", "--observations", str(obs), "--seed", "36",
+                          "--out", str(tmp_path / "sweep.json")], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        zero = "ZeroBracketWarning: model assigns zero mass to {} event bracket(s); NLL is +inf"
+        assert proc.stderr.splitlines() == [zero.format(3)] + [zero.format(1)] * 6
 
     def test_bad_grid_and_split_rejected(self, obs_file, tmp_path, capsys):
         out = tmp_path / "sweep.json"

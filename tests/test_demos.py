@@ -1,5 +1,6 @@
 """The demos and the README's quick start, the public API's callers outside
-the tests, run to completion."""
+the tests, run to completion without a warning: every package warning is a
+``UserWarning``, so a fit that stops uncertified fails them."""
 
 import os
 import re
@@ -11,6 +12,10 @@ import tvhazard
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+# a UserWarning (a package warning among them) ends the script with an error
+CLEAN = ["-W", "error::UserWarning"]
 
 
 def run_fresh(args, cwd):
@@ -28,12 +33,12 @@ def run_fresh(args, cwd):
 def test_every_demo_exits_zero(tmp_path):
     assert DEMOS, "no demos found"
     for demo in DEMOS:
-        proc = run_fresh([str(demo)], tmp_path)
+        proc = run_fresh([*CLEAN, str(demo)], tmp_path)
         assert proc.returncode == 0, f"{demo.name} exited {proc.returncode}:\n{proc.stderr}"
 
 
 def test_readme_quick_start_exits_zero(tmp_path):
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
     assert len(blocks) == 1, f"expected one python block in README.md, found {len(blocks)}"
-    proc = run_fresh(["-c", blocks[0]], tmp_path)
+    proc = run_fresh([*CLEAN, "-c", blocks[0]], tmp_path)
     assert proc.returncode == 0, f"README quick start exited {proc.returncode}:\n{proc.stderr}"

@@ -22,6 +22,7 @@ from tvhazard import (
     FitResult,
     HazardModel,
     KnotSet,
+    NumericalError,
     Observation,
     PenaltyConfig,
     SolverConfig,
@@ -416,8 +417,8 @@ def steps(monkeypatch):
     seen = []
     backtrack = tvhazard.solver._backtrack
 
-    def recording(design, Y, f, g, step, penalty, D, **opening):
-        Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D, **opening)
+    def recording(design, Y, f, g, step, penalty, D):
+        Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D)
         seen.append((Y.copy(), Z, t, fZ))
         return Z, fZ, t
 
@@ -599,8 +600,8 @@ class TestCertificate:
         obs = sim_observations(np.random.default_rng(39), n=40)
         backtrack, iterates, starts = tvhazard.solver._backtrack, [], []
 
-        def underflowing_once(design, Y, f, g, step, penalty, D, **opening):
-            Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D, **opening)
+        def underflowing_once(design, Y, f, g, step, penalty, D):
+            Z, fZ, t = backtrack(design, Y, f, g, step, penalty, D)
             iterates.append(Z.tobytes())
             starts.append(Y.tobytes())
             # the first start that no trial has reached is extrapolated
@@ -650,10 +651,10 @@ class TestOpeningSearch:
     )
     @example(seed=0, penalty=PenaltyConfig(gamma=1.0), metric=False, moved=False, k=39)
     @example(seed=1, penalty=PenaltyConfig(gamma=1.0), metric=True, moved=False, k=0)
-    def test_returns_what_a_search_from_one_returns(self, seed, penalty, metric, moved, k):
-        # from the start, or from a point past it, in either metric: an
-        # opening trial that fails halves as before, and one that passes
-        # doubles up to the step the search from 1.0 accepts
+    def test_halves_from_where_it_opens(self, seed, penalty, metric, moved, k):
+        # from the start, or from a point past it, in either metric: a search
+        # from 2^-k returns what the search from 1.0 returns when that one
+        # accepts a step of at most 2^-k, and otherwise its own first trial
         rng = np.random.default_rng(seed)
         obs = sim_observations(rng, n=(12, 40, 84)[seed % 3])
         design = CensoredDesign(build_knot_set(obs), obs)
@@ -664,9 +665,20 @@ class TestOpeningSearch:
         f, g = design.nll_grad(Y)
         D = tvhazard.solver._metric(design) if metric else np.ones_like(Y)
         backtrack = tvhazard.solver._backtrack
-        Z, fZ, t = backtrack(design, Y, f, g, 2.0**-k, penalty, D, opening=True)
+        Z, fZ, t = backtrack(design, Y, f, g, 2.0**-k, penalty, D)
         want_Z, want_fZ, want_t = backtrack(design, Y, f, g, 1.0, penalty, D)
-        assert (Z.tobytes(), fZ, t) == (want_Z.tobytes(), want_fZ, want_t)
+        if want_t <= 2.0**-k:
+            assert (Z.tobytes(), fZ, t) == (want_Z.tobytes(), want_fZ, want_t)
+        else:
+            assert t == 2.0**-k and fZ is not None
+
+    def test_a_non_finite_start_objective_is_refused(self, monkeypatch):
+        # before any line search: the start is where G1 is measured from
+        obs = sim_observations(np.random.default_rng(0), n=20)
+        monkeypatch.setattr(CensoredDesign, "nll_grad", lambda self, w: (math.inf, np.zeros_like(w)))
+        monkeypatch.setattr(tvhazard.solver, "_backtrack", None)
+        with pytest.raises(NumericalError, match="objective not finite at initialization: inf"):
+            fit(obs, cfg(1.0))
 
     def test_a_default_fit_makes_few_trials_before_iteration_two(self, monkeypatch):
         # the start's search and iteration 1's opened at 1.0: 28 trials
