@@ -217,9 +217,11 @@ def cmd_export(args):
             indices = [int(j) for j in args.features.split(",") if j.strip() != ""]
         except ValueError as e:
             raise FormatError(f"bad --features {args.features!r}: {e}") from e
-        for j in indices:
+        for k, j in enumerate(indices):
             if not -1 <= j < model.d:
                 raise FormatError(f"feature index {j} outside [-1, {model.d})")
+            if j in indices[:k]:
+                raise FormatError(f"feature index {j} listed twice")
     B = model.knots.boundaries()
     ts = sorted({float(t) for t in B} | {0.5 * (a + b) for a, b in zip(B[:-1], B[1:])})
     with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -304,8 +306,7 @@ def _fit_flags(p, gamma=True):
         type=float,
         default=1e-7,
         help="stationarity certificate: stop once the prox-gradient mapping norm at "
-        "step 1 of the best iterate is at most TOL * max(1, G1), G1 being that of "
-        "the first line search from the start",
+        "step 1 of the best iterate is at most TOL * max(1, its norm at the start)",
     )
 
 

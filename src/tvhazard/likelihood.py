@@ -264,7 +264,7 @@ class CensoredDesign:
         A bracket of mass ``b`` has the term ``-log(1 - e^-b)``, whose second
         derivative is ``inv (1 + inv)`` with ``inv = 1/(e^b - 1)``; the
         diagonal is ``(V o V)^T`` of those (zeros without interval
-        observations).  The solver opens its first line searches from it.
+        observations).  FISTA opens its first line search from it.
         """
         inv = _bracket_terms(np.maximum(self.V @ np.asarray(w).ravel(), _MASS_FLOOR))[1]
         return (self._V_t.power(2) @ (inv * (1.0 + inv))).reshape(np.shape(w))

@@ -20,14 +20,17 @@ Lu, Nocedal & Zhu 1995) instead.  The knot set is frozen before
 optimization; candidate jump times are never inserted adaptively.
 
 Both routes share one start and one certificate: ``converged`` is a
-stationarity certificate in the identity metric.  With ``G1 = ||X0 -
-[prox_t(X0 - t grad f(X0))]_+|| / t`` from one identity-metric line search
-from the start ``X0``, a fit is certified when its returned iterate ``X``
-has ``||X - [prox_1(X - grad f(X))]_+|| <= tolerance * max(1, G1)``
-(Frobenius norms; :func:`_certificate`).  FISTA tests this at ``X``
-whenever a step from ``X`` is small in its metric, or fails to lower the
-objective; L-BFGS-B tests it after every iteration.  Every fit starts from
-the same point, so ``G1`` means the same for every fit.  The reachable norm
+stationarity certificate in the identity metric.  A fit is certified when
+its returned iterate ``X`` has ``G(X) <= tolerance * max(1, G(X0))``, with
+``G(X) = ||X - [prox_1(X - grad f(X))]_+||`` the prox-gradient mapping
+norm at step 1 (Frobenius norms; :func:`_certificate`) and ``G(X0)`` the
+certificate's norm at the start ``X0``, one prox.  The mapping norm does
+not increase with the step (Beck, First-Order Methods in Optimization,
+2017, Thm 10.9), so ``G(X0)`` is at most that of any step ``t <= 1`` from
+``X0``.  FISTA tests the certificate at ``X`` whenever a step from ``X`` is
+small in its metric, or fails to lower the objective; L-BFGS-B tests it
+after every iteration.  Every fit starts from the same point, so the
+reference means the same for every fit.  The reachable norm
 is bounded below: once a step's decrease falls under the rounding error of
 the objective, a step from ``X`` no longer lowers it and the fit stops as
 stalled, or, when every trial of FISTA's sufficient-decrease test fails, as
@@ -35,13 +38,13 @@ a step underflow.  :func:`fit` runs the start, hands it to the route and
 turns every uncertified exit into one :class:`SolverWarning`, raised at the
 first caller outside the package.
 
-Every line search tries the step it is given and halves it until a trial
-meets the sufficient-decrease bound (:func:`_backtrack`).  The start's
-search for ``G1`` and FISTA's first one open at a power of two from the
-NLL's Hessian diagonal at ``X0`` (:func:`_opening_step`), near the step
-each accepts; from 1.0 the two took 28 trials on a benchmark fit, most of
-its prox work.  Each later search opens at 1.5 times the last accepted
-step, at most 1.0.
+Every line search is FISTA's.  It tries the step it is given and halves
+it until a trial meets the sufficient-decrease bound (:func:`_backtrack`).
+The first opens at a power of two from the NLL's Hessian diagonal at
+``X0`` over the metric (:func:`_opening_step`), near the step it accepts:
+on the gamma=1 fits of the benchmark's datasets it took 1-4 trials, where
+from 1.0 it took 11-13.  Each later search opens at 1.5 times the last
+accepted step, at most 1.0.
 
 The solver sees the problem only through the :class:`CensoredDesign`
 (``nll``, ``nll_change``, ``nll_grad``, ``hessian_diagonal``, ``shape``,
@@ -95,13 +98,14 @@ class SolverConfig:
 
     ``tolerance`` is the stationarity certificate, a finite, positive real
     number (:func:`~tvhazard.timeline._real`): a fit converges when the
-    relative prox-gradient mapping norm at step 1 of its best iterate,
-    ``||X - [prox_1(X - grad f(X))]_+|| / max(1, G1)``, is at most
-    ``tolerance`` (see the module docstring); it is not a bound on the change
-    of the objective.  Every line search halves its step from where it
-    opens: the two opening searches of a fit at a power of two set by the
-    NLL's curvature at the start (see :func:`_opening_step`), every later
-    one at 1.5 times the last accepted step, at most 1.0.
+    prox-gradient mapping norm at step 1 of its best iterate, ``G(X) = ||X
+    - [prox_1(X - grad f(X))]_+||``, is at most ``tolerance * max(1,
+    G(X0))``, ``G(X0)`` the certificate's norm at the start (see the module
+    docstring); it is not a bound on the change of the objective.  Every
+    line search halves its step from where it opens: FISTA's first at a
+    power of two set by the NLL's curvature at the start (see
+    :func:`_opening_step`), every later one at 1.5 times the last accepted
+    step, at most 1.0.
     """
 
     penalty: PenaltyConfig
@@ -198,15 +202,15 @@ def _backtrack(design, Y, f, g, step, penalty, D):
 
 
 def _opening_step(curvature):
-    """The first trial step of an opening line search from curvature
+    """The first trial step of FISTA's first line search from curvature
     estimates (an array): the power of two at or above ``8 /
     max(curvature)``, clamped into the trials ``1, 1/2, ...`` that a search
     from 1.0 makes above the step floor; 1.0 for a zero or non-finite
     maximum.
 
-    On the benchmark's data ``1 / max`` of the start's Hessian diagonal lay
-    within one halving of the step the search from 1.0 accepts, so the
-    opening trial is about 8 times that step.
+    On the gamma=1 fits of the benchmark's datasets a search from 1.0
+    accepted 1.5 to 8.7 times ``1 / max`` of the start's Hessian diagonal
+    over the metric, so one from the opening trial took 1-4 trials.
     """
     top = float(np.max(curvature, initial=0.0))
     if not 0.0 < top < math.inf or 8.0 / top >= _MAX_STEP:
@@ -233,17 +237,17 @@ def _metric(design):
 
 def _certificate(penalty, X, g, ref):
     """The relative mapping norm at ``t = 1`` of an iterate ``X`` with
-    gradient ``g``: ``||X - [prox_1(X - g)]_+|| / ref``, ``ref = max(1,
-    G1)``."""
+    gradient ``g``: ``||X - [prox_1(X - g)]_+|| / ref``, ``ref`` the
+    certificate's norm at the start, at least 1 (see :func:`_start`)."""
     return float(np.linalg.norm(X - penalty.prox(X - g, 1.0))) / ref
 
 
-def _fit_full_batch(design, config, X, f, g, ref, curvature):
+def _fit_full_batch(design, config, X, f, g, ref):
     """Monotone FISTA in the diagonal metric of :func:`_metric`, with
-    function-value restart, from :func:`_start`'s ``(X, f, g, ref,
-    curvature)``.  The first line search opens at :func:`_opening_step` of
-    ``curvature / D``; each later one at 1.5 times the last accepted step,
-    at most 1.0.
+    function-value restart, from :func:`_start`'s ``(X, f, g, ref)``.  The
+    first line search opens at :func:`_opening_step` of the NLL's Hessian
+    diagonal at the start over ``D``; each later one at 1.5 times the last
+    accepted step, at most 1.0.
 
     ``X`` is the best iterate so far and ``Y`` the point the next step
     starts from: ``X`` itself (a momentum-free step) or ``X`` extrapolated
@@ -253,7 +257,7 @@ def _fit_full_batch(design, config, X, f, g, ref, curvature):
     from ``X``.  A momentum-free step that moves ``X`` and ties its
     objective is taken: near a minimizer the objective rounds alike at both
     points.  The step's mapping norm in its metric, ``||D (Y - Z)|| / t /
-    max(1, G1)``, screens for the certificate: a step from an extrapolated
+    ref``, screens for the certificate: a step from an extrapolated
     point that passes the tolerance restarts the momentum too, so that the
     next iteration tests ``X`` itself.  A step from ``X`` tests the
     certificate of :func:`_certificate` at ``X`` when it passes the screen
@@ -274,7 +278,7 @@ def _fit_full_batch(design, config, X, f, g, ref, curvature):
     FX = f  # the start has no TV
     trace = [(0, FX)]
     Y, at_x, momentum = X, True, 1.0
-    step = _opening_step(curvature / D)
+    step = _opening_step(design.hessian_diagonal(X) / D)
     for it in range(1, config.max_iterations + 1):
         Z, fZ, t = _backtrack(design, Y, f, g, step, pen, D)
         near = float(np.linalg.norm(D * (Y - Z))) / t / ref <= tol
@@ -314,16 +318,15 @@ def _fit_full_batch(design, config, X, f, g, ref, curvature):
     return X, trace, "certified" if rel <= tol else "max_iterations", rel
 
 
-def _fit_box_lbfgs(design, config, X, f, g, ref, curvature):
+def _fit_box_lbfgs(design, config, X, f, g, ref):
     """Unpenalized fit (gamma = 0, not monotone): L-BFGS-B (Byrd, Lu,
     Nocedal & Zhu 1995) on the smooth part with the bounds ``W >= 0``, from
-    :func:`_start`'s ``(X, f, g, ref)``; L-BFGS-B scales its own first step
-    and leaves ``curvature`` unused.
+    :func:`_start`'s ``(X, f, g, ref)``; L-BFGS-B scales its own first step.
 
     The certificate is :func:`_fit_full_batch`'s, :func:`_certificate`:
     the fit is certified at the first iterate ``X`` whose relative mapping
-    norm at ``t = 1``, ``||X - [X - grad f(X)]_+|| / max(1, G1)``, is at
-    most ``tolerance``.
+    norm at ``t = 1``, ``||X - [X - grad f(X)]_+|| / ref``, is at most
+    ``tolerance``.
     L-BFGS-B's own stopping tests are off, so otherwise it stops at the
     iteration cap, or stalls: a step no longer lowers the objective or its
     line search fails.  Returns what :func:`_fit_full_batch` returns; the
@@ -397,24 +400,18 @@ def _one_blas_thread():
 def _start(design, config):
     """The one start of every fit, and the certificate's reference.
 
-    The start is an intercept at the design's pooled event rate with every
-    feature row zero, so it has no TV and its objective is its floored NLL
-    ``f``.  Returns ``(X, f, g, ref, curvature)``: ``g`` the gradient at
-    ``X``, ``ref = max(1, G1)``, ``G1`` the mapping norm ``||X - Z|| / t``
-    of the step :func:`_backtrack` takes from ``X`` in the identity metric,
-    and ``curvature`` the Hessian diagonal at ``X``, from which that search
-    opens (:func:`_opening_step`) and FISTA's first one too.  Raises
-    :class:`NumericalError` if ``f`` is not finite.
+    The start ``X`` is an intercept at the design's pooled event rate with
+    every feature row zero, so it has no TV and its objective is its floored
+    NLL ``f``.  Returns ``(X, f, g, ref)``: ``g`` the gradient at ``X`` and
+    ``ref`` the certificate's norm at ``X``, at least 1: one prox, no line
+    search.  Raises :class:`NumericalError` if ``f`` is not finite.
     """
     X = np.zeros(design.shape)
     X[0, :] = design.pooled_event_rate
     f, g = design.nll_grad(X)
     if not math.isfinite(f):
         raise NumericalError(f"objective not finite at initialization: {f!r}")
-    curvature = design.hessian_diagonal(X)
-    Z, _, t = _backtrack(design, X, f, g, _opening_step(curvature), config.penalty,
-                         np.ones_like(X))
-    return X, f, g, max(1.0, float(np.linalg.norm(X - Z)) / t), curvature
+    return X, f, g, max(1.0, _certificate(config.penalty, X, g, 1.0))
 
 
 def fit(observations, config, knots=None):

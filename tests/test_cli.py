@@ -596,6 +596,9 @@ class TestExport:
         bad = tmp_path / "bad.csv"
         assert main(["export", "--model", str(mpath), "--features", "7", "--out", str(bad)]) == 2
         assert main(["export", "--model", str(mpath), "--features", "x", "--out", str(bad)]) == 2
+        # a row listed twice wrote its path twice
+        assert main(["export", "--model", str(mpath), "--features=0,-1,0", "--out", str(bad)]) == 2
+        assert not bad.exists()
 
     def test_grid_covers_boundaries_and_midpoints(self, obs_file, tmp_path):
         model_path = tmp_path / "m.json"

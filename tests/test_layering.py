@@ -1,6 +1,7 @@
 """The package's layering, read from its source with ``ast``: ``timeline``
 owns the records and imports no package module, every package import sits
-at a module's top level, and only ``timeline`` sets a record's run stamp."""
+at a module's top level, only ``timeline`` sets a record's run stamp, and
+only FISTA runs a line search or reads the NLL's curvature."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,21 @@ def run_stamp_stores(tree):
 def test_only_timeline_sets_the_run_stamp(module):
     stores = run_stamp_stores(SOURCES[module])
     assert bool(stores) == (module == "timeline"), stores
+
+
+def uses(name):
+    """``module.definition`` of every use of ``name`` in the package (a
+    name, an attribute or a string constant, as ``getattr`` takes it), by
+    the module's top-level definition that holds it."""
+    return [f"{module}.{getattr(top, 'name', '<module>')}"
+            for module, tree in SOURCES.items() for top in tree.body for n in ast.walk(top)
+            if (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            or (isinstance(n, ast.Constant) and n.value == name)]
+
+
+@pytest.mark.parametrize("name", ["_backtrack", "hessian_diagonal"])
+def test_only_fista_searches_and_reads_the_curvature(name):
+    # the start measures its reference with one prox; a line search or a
+    # curvature read anywhere else is a second search path
+    assert uses(name) == ["solver._fit_full_batch"]
