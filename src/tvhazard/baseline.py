@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy import optimize
 
 from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _warn_at_caller
 from .penalty import PenaltyConfig
-from .solver import SolverConfig, SolverWarning, _one_blas_thread, fit
+from .solver import SolverConfig, SolverWarning, _lbfgsb, fit
 from .timeline import KnotSet, _real, _run_table
 
 _WEIGHT_CAP = 50.0
@@ -165,11 +164,12 @@ def _proportional_value_grad(theta, pieces, l2_weight):
 def fit_proportional(observations):
     """Censored-likelihood fit of the constant-base-rate proportional model.
 
-    L-BFGS-B over ``(log lambda_0, w)`` with ``|w_j| <= 50`` and a ridge of
-    weight ``1e-6`` on ``w``, from the
-    pooled event rate (0.01 without events) and zero weights.  Hitting the
-    cap indicates quasi-separation and raises a :class:`SeparationWarning`;
-    an L-BFGS-B run that does not report success raises a
+    L-BFGS-B by :func:`~tvhazard.solver._lbfgsb`, to SciPy's ``ftol=1e-12``
+    or ``gtol=1e-10``, over ``(log lambda_0, w)`` with ``|w_j| <= 50`` and a
+    ridge of weight ``1e-6`` on ``w``, from the pooled event rate (0.01
+    without events) and zero weights.  Hitting the cap indicates
+    quasi-separation and raises a :class:`SeparationWarning`; an L-BFGS-B
+    run that does not report success raises a
     :class:`~tvhazard.solver.SolverWarning`.
     """
     d, table, left, right, is_interval = _run_table(list(observations))
@@ -179,16 +179,8 @@ def fit_proportional(observations):
     x0 = np.concatenate(([math.log(rate0)], np.zeros(d)))
     bounds = [(-30.0, 30.0)] + [(-_WEIGHT_CAP, _WEIGHT_CAP)] * d
 
-    with _one_blas_thread():
-        res = optimize.minimize(
-            _proportional_value_grad,
-            x0,
-            args=(pieces, _L2_WEIGHT),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-10},
-        )
+    res = _lbfgsb(lambda theta: _proportional_value_grad(theta, pieces, _L2_WEIGHT), x0, bounds,
+                  maxiter=2000, ftol=1e-12, gtol=1e-10)
     theta = res.x
     if not res.success:
         _warn_at_caller(

@@ -222,6 +222,8 @@ def cmd_export(args):
                 raise FormatError(f"feature index {j} outside [-1, {model.d})")
             if j in indices[:k]:
                 raise FormatError(f"feature index {j} listed twice")
+        if not indices:
+            raise FormatError(f"--features {args.features!r} selects no row")
     B = model.knots.boundaries()
     ts = sorted({float(t) for t in B} | {0.5 * (a + b) for a, b in zip(B[:-1], B[1:])})
     with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -300,11 +302,11 @@ def _fit_flags(p, gamma=True):
         default=False,
         help="constrain coefficient paths to be nondecreasing",
     )
-    p.add_argument("--max-iter", type=int, default=500, help="iteration cap")
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations, help="iteration cap")
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-7,
+        default=SolverConfig.tolerance,
         help="stationarity certificate: stop once the prox-gradient mapping norm at "
         "step 1 of the best iterate is at most TOL * max(1, its norm at the start)",
     )

@@ -16,8 +16,9 @@ five decades across the cells of a large design (1 to 1e5 at 10^5 sites);
 in the identity metric the step must suit the stiffest cell and the
 iteration count grew with the number of sites.  An unpenalized fit (gamma =
 0, not monotone) is smooth plus the box ``W >= 0`` and runs L-BFGS-B (Byrd,
-Lu, Nocedal & Zhu 1995) instead.  The knot set is frozen before
-optimization; candidate jump times are never inserted adaptively.
+Lu, Nocedal & Zhu 1995) instead, by :func:`_lbfgsb`, the package's one
+SciPy minimization.  The knot set is frozen before optimization; candidate
+jump times are never inserted adaptively.
 
 Both routes share one start and one certificate: ``converged`` is a
 stationarity certificate in the identity metric.  A fit is certified when
@@ -57,7 +58,6 @@ the penalty's prox.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import glob
@@ -321,7 +321,8 @@ def _fit_full_batch(design, config, X, f, g, ref):
 def _fit_box_lbfgs(design, config, X, f, g, ref):
     """Unpenalized fit (gamma = 0, not monotone): L-BFGS-B (Byrd, Lu,
     Nocedal & Zhu 1995) on the smooth part with the bounds ``W >= 0``, from
-    :func:`_start`'s ``(X, f, g, ref)``; L-BFGS-B scales its own first step.
+    :func:`_start`'s ``(X, f, g, ref)``, by :func:`_lbfgsb`; L-BFGS-B scales
+    its own first step.
 
     The certificate is :func:`_fit_full_batch`'s, :func:`_certificate`:
     the fit is certified at the first iterate ``X`` whose relative mapping
@@ -354,13 +355,8 @@ def _fit_box_lbfgs(design, config, X, f, g, ref):
         if rel <= config.tolerance:
             raise StopIteration
 
-    with _one_blas_thread():
-        optimize.minimize(
-            fun, X.ravel(), jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * X.size,
-            callback=callback,
-            options={"maxiter": config.max_iterations, "maxcor": _LBFGS_MEMORY, "ftol": 0.0,
-                     "gtol": 0.0},
-        )
+    _lbfgsb(fun, X.ravel(), [(0.0, None)] * X.size, callback, maxiter=config.max_iterations,
+            maxcor=_LBFGS_MEMORY, ftol=0.0, gtol=0.0)
     stop = "max_iterations" if len(trace) > config.max_iterations else "stalled"
     return X, trace, "certified" if rel <= config.tolerance else stop, rel
 
@@ -379,22 +375,23 @@ def _scipy_openblas():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """SciPy's OpenBLAS on one thread inside the block.  L-BFGS-B hands a
-    small triangular solve to a worker thread every iteration, which on a
-    busy two-core host waited for a core each time (0.4-0.5 s per sweep fit,
-    not 10-20 ms).  The solve splits by columns: the results are the same."""
+def _lbfgsb(fun, x0, bounds, callback=None, **options):
+    """The package's one SciPy minimization: L-BFGS-B of ``fun`` (value and
+    gradient) on one thread of SciPy's OpenBLAS, the caller's count restored
+    after, also when it raises.  L-BFGS-B hands a small triangular solve to a
+    worker thread every iteration, which on a busy two-core host waited for a
+    core each time (0.4-0.5 s per sweep fit, not 10-20 ms).  The solve splits
+    by columns: the results are the same."""
     lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    threads = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
+    if lib is not None:
+        threads = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(1)
     try:
-        yield
+        return optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                                 callback=callback, options=options)
     finally:
-        lib.scipy_openblas_set_num_threads(threads)
+        if lib is not None:
+            lib.scipy_openblas_set_num_threads(threads)
 
 
 def _start(design, config):

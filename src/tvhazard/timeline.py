@@ -19,6 +19,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -141,9 +142,8 @@ class FeaturePath:
     a dimension, as :func:`_dimension` defines it, every index an integer,
     as :func:`_integer` defines it, and every change time and value a real
     number, as :func:`_real` defines it.  This constructor is the one check
-    of a path, the file reader's included.
-    ``entries`` must not be mutated after construction: designs reuse the
-    runs they once read from it.
+    of a path, the file reader's included.  ``entries`` is stored
+    read-only, so the runs a design once read from it stay the path's.
     """
 
     d: int
@@ -169,7 +169,11 @@ class FeaturePath:
                 prev = t
             if changes:
                 clean[j] = changes
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", MappingProxyType(clean))
+
+    def __reduce__(self):
+        """Rebuilt through the constructor: a read-only mapping does not pickle."""
+        return type(self), (self.d, dict(self.entries))
 
     @classmethod
     def _trusted(cls, d, entries):
@@ -181,7 +185,7 @@ class FeaturePath:
         later."""
         self = object.__new__(cls)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
         return self
 
 
@@ -331,7 +335,7 @@ def _walk(observations):
     # one item per feature with changes, in path order; fromiter skips the
     # type discovery that np.array does on a list
     entries = [p.entries for p in paths]
-    changes = list(chain.from_iterable(map(dict.values, entries)))
+    changes = list(chain.from_iterable(e.values() for e in entries))
     size = np.fromiter(map(len, changes), np.intp, len(changes))
     flat = np.fromiter(chain.from_iterable(chain.from_iterable(changes)), float)
     start, value = flat.reshape(-1, 2).T

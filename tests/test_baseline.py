@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.sparse
 
-import tvhazard.baseline
+import tvhazard.solver
 from tvhazard import (
     ConstantAdditiveModel,
     FeaturePath,
@@ -334,7 +334,7 @@ class TestProportional:
         def one_iteration(*args, options, **kwargs):
             return minimize(*args, options={**options, "maxiter": 1}, **kwargs)
 
-        monkeypatch.setattr(tvhazard.baseline.optimize, "minimize", one_iteration)
+        monkeypatch.setattr(tvhazard.solver.optimize, "minimize", one_iteration)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit_proportional(obs)

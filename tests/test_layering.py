@@ -1,7 +1,8 @@
 """The package's layering, read from its source with ``ast``: ``timeline``
 owns the records and imports no package module, every package import sits
 at a module's top level, only ``timeline`` sets a record's run stamp, and
-only FISTA runs a line search or reads the NLL's curvature."""
+only FISTA runs a line search or reads the NLL's curvature, and only
+``solver._lbfgsb`` runs a SciPy minimization."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,16 @@ def test_only_fista_searches_and_reads_the_curvature(name):
     # the start measures its reference with one prox; a line search or a
     # curvature read anywhere else is a second search path
     assert uses(name) == ["solver._fit_full_batch"]
+
+
+def test_one_scipy_minimization():
+    # the one L-BFGS-B driver pins SciPy's BLAS to one thread; a second call
+    # site, pinned or not, is a second driver
+    assert uses("minimize") == ["solver._lbfgsb"]
+
+
+def test_baseline_imports_nothing_from_scipy_optimize():
+    imported = [f"{n.module}.{a.name}" if isinstance(n, ast.ImportFrom) else a.name
+                for n in ast.walk(SOURCES["baseline"]) if isinstance(n, (ast.Import, ast.ImportFrom))
+                for a in n.names]
+    assert [name for name in imported if name.startswith("scipy.optimize")] == []

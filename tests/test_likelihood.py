@@ -830,6 +830,28 @@ class TestWalkedRecords:
         assert block_of(obs) is not None
         assert [sys.getsizeof(o.__dict__) for o in obs] == before
 
+    @pytest.mark.parametrize("source", ["read_observations", "generate", "constructors"])
+    def test_a_walked_path_cannot_change_under_its_runs(self, source, tmp_path):
+        # with entries a plain dict, setting a feature after the walk left
+        # nll_dataset at the walked table's 50.357529906736794, where the
+        # same records rebuilt gave 49.718237245853835
+        spec = replace(default_scenario(0), n=200)
+        truth, obs = generate(spec)
+        if source == "read_observations":
+            write_observations(tmp_path / "obs.jsonl", obs, d=spec.d, horizon=spec.horizon)
+            obs, _ = read_observations(tmp_path / "obs.jsonl")
+        elif source == "constructors":
+            obs = fresh_copies(obs)
+        value = nll_dataset(truth, obs)
+        assert block_of(obs) is not None
+        with pytest.raises(TypeError):
+            obs[0].path.entries[11] = ((0.0, 5.0),)
+        assert nll_dataset(truth, obs) == value == nll_dataset(truth, fresh_copies(obs))
+        twin = pickle.loads(pickle.dumps(obs[0]))
+        assert twin == obs[0] and twin._runs is None
+        with pytest.raises(TypeError):
+            twin.path.entries[11] = ((0.0, 5.0),)
+
 
 class TestPooledEventRate:
     @settings(max_examples=200, deadline=None, derandomize=True)

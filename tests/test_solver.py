@@ -1,7 +1,6 @@
 """Proximal gradient solver: descent, determinism, constraints, optima and the
 stationarity certificate."""
 
-import contextlib
 import math
 import warnings
 from dataclasses import fields, replace
@@ -305,6 +304,9 @@ class TestFullBatch:
             with pytest.raises(RuntimeError, match="minimize failed"):
                 fit(obs, cfg(0.0))
             assert lib.scipy_openblas_get_num_threads() == 2
+            with pytest.raises(RuntimeError, match="minimize failed"):
+                fit_proportional(obs)
+            assert lib.scipy_openblas_get_num_threads() == 2
         finally:
             lib.scipy_openblas_set_num_threads(threads)
 
@@ -322,7 +324,7 @@ class TestFullBatch:
         try:
             lib.scipy_openblas_set_num_threads(2)
             pinned = run()
-            monkeypatch.setattr(tvhazard.solver, "_one_blas_thread", contextlib.nullcontext)
+            monkeypatch.setattr(tvhazard.solver, "_scipy_openblas", lambda: None)
             assert run() == pinned
         finally:
             lib.scipy_openblas_set_num_threads(threads)
