@@ -1,7 +1,8 @@
 """Command-line surface: simulate, fit, evaluate, sweep, export.
 
-Exit codes: 0 success, 2 validation/format error, 3 numerical failure,
-4 I/O error.  Existing output files are never overwritten without --force.
+Exit codes: 0 success, 2 validation/format error (undecodable bytes and JSON
+nested past the recursion limit too), 3 numerical failure, 4 I/O error or out
+of memory.  Existing output files are never overwritten without --force.
 All randomness flows from the --seed flag; two invocations with identical
 inputs and seeds produce bitwise-identical output files.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .datagen import CampaignSpec, default_scenario, generate
-from .formats import (FormatError, _load_json, read_model, read_observations, write_model,
+from .formats import (_MALFORMED, FormatError, read_model, read_observations, write_model,
                       write_observations)
 from .likelihood import CensoredDesign, NumericalError, nll_dataset
 from .penalty import PenaltyConfig
@@ -80,14 +81,15 @@ def _solver_config(args, gamma):
 def _load_campaign_spec(path, seed):
     if path is None:
         return default_scenario(seed=seed)
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: bad campaign spec: expected a JSON object")
-    try:
-        # the --seed flag is the single source of randomness
-        return CampaignSpec(**{"active": (), "scan_times": (), **doc, "seed": seed})
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}: bad campaign spec: {e}") from e
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+            if not isinstance(doc, dict):
+                raise ValueError("expected a JSON object")
+            # the --seed flag is the single source of randomness
+            return CampaignSpec(**{"active": (), "scan_times": (), **doc, "seed": seed})
+        except _MALFORMED as e:
+            raise FormatError(f"{path}: bad campaign spec: {e}") from e
 
 
 def cmd_simulate(args):
@@ -321,6 +323,9 @@ def main(argv=None):
         return 3
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
+        return 4
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 4
     except ValueError as e:  # FormatError too
         print(f"error: {e}", file=sys.stderr)

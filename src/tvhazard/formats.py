@@ -48,15 +48,8 @@ class FormatError(ValueError):
     """Malformed observation or model file (includes path/line context)."""
 
 
-def _load_json(path, parse_float=None):
-    """The JSON document in ``path``; malformed JSON raises :class:`FormatError`."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f, parse_float=parse_float)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{e.lineno}: {e}") from e
-        except ValueError as e:  # an integer past int()'s digit limit
-            raise FormatError(f"{path}: {e}") from e
+# the one rule of every reader's refusal: JSON nested past the recursion limit too
+_MALFORMED = (KeyError, TypeError, ValueError, RecursionError)
 
 
 # one observation line, as json.dumps writes its record: floats by repr,
@@ -100,66 +93,63 @@ def write_observations(path, observations, d, horizon):
         f.write("".join(lines))
 
 
-def _parse_observation(rec, d, lineno, path):
+def _parse_observation(rec, d):
     """The :class:`Observation` one JSON record holds.  Its ``j``, ``t``,
     ``v``, ``l`` and ``r`` tokens go to :class:`FeaturePath` and
     :class:`Observation` as parsed, so the constructors are the one check
     of a record; only a ``j`` listed twice is caught here, on the token
-    itself.  Any refusal raises :class:`FormatError` naming ``path:lineno``."""
-    try:
-        censoring = rec["censoring"]
-        entries = {}
-        for feat in rec.get("features", []):
-            j = feat["j"]
-            if j in entries:
-                raise ValueError(f"feature index {j!r} listed twice")
-            entries[j] = [(ch["t"], ch["v"]) for ch in feat["changes"]]
-        fpath = FeaturePath(d, entries)
-        uid = str(rec.get("id", ""))
-        kind = censoring["kind"]
-        if kind == "interval":
-            return Observation.interval(fpath, censoring["l"], censoring["r"], id=uid)
-        if kind == "right":
-            return Observation.right_censored(fpath, censoring["t"], id=uid)
-        raise ValueError(f"unknown censoring kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}:{lineno}: {e}") from e
+    itself."""
+    censoring = rec["censoring"]
+    entries = {}
+    for feat in rec.get("features", []):
+        j = feat["j"]
+        if j in entries:
+            raise ValueError(f"feature index {j!r} listed twice")
+        entries[j] = [(ch["t"], ch["v"]) for ch in feat["changes"]]
+    fpath = FeaturePath(d, entries)
+    uid = str(rec.get("id", ""))
+    kind = censoring["kind"]
+    if kind == "interval":
+        return Observation.interval(fpath, censoring["l"], censoring["r"], id=uid)
+    if kind == "right":
+        return Observation.right_censored(fpath, censoring["t"], id=uid)
+    raise ValueError(f"unknown censoring kind {kind!r}")
 
 
 def read_observations(path):
     """Parse an observation file; returns ``(observations, header_dict)``.
 
-    Raises :class:`FormatError`, naming the file and line, for a malformed
-    record (a time or value that is not a JSON number, too) or one whose
+    Every refusal is a :class:`FormatError` naming the file and line: a
+    line that is not UTF-8 or not JSON, a malformed header or record (a
+    time or value that is not a JSON number, too) or a record whose
     censoring boundary lies beyond the header's horizon.
     """
     observations = []
     header = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    # bytes, so that a line that is not UTF-8 is refused with its number
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
-            except ValueError as e:  # malformed JSON, or an integer past int()'s digit limit
-                raise FormatError(f"{path}:{lineno}: {e}") from e
-            if header is None:
-                try:
+                if header is None:
                     header = {
                         "d": _dimension(rec["d"]),
                         "horizon": _horizon(rec["horizon"]),
                         "time_unit": str(rec.get("time_unit", "abstract")),
                     }
-                except (KeyError, TypeError, ValueError) as e:
-                    raise FormatError(f"{path}:{lineno}: bad header: {e}") from e
-                continue
-            o = _parse_observation(rec, header["d"], lineno, path)
-            if o.right > header["horizon"]:
-                raise FormatError(
-                    f"{path}:{lineno}: censoring boundary {o.right} beyond horizon {header['horizon']}"
-                )
-            observations.append(o)
+                    continue
+                o = _parse_observation(rec, header["d"])
+                if o.right > header["horizon"]:
+                    raise ValueError(
+                        f"censoring boundary {o.right} beyond horizon {header['horizon']}"
+                    )
+                observations.append(o)
+            except _MALFORMED as e:
+                what = "bad header: " if header is None else ""
+                raise FormatError(f"{path}:{lineno}: {what}{e}") from e
     if header is None:
         raise FormatError(f"{path}: empty file (missing header record)")
     return observations, header
@@ -240,23 +230,26 @@ def read_model(path):
     Numbers are parsed as Decimals, so that jump deltas stay exact.  Every
     number but a delta (:func:`_delta`) passes the package's rules: knots
     and horizon by :class:`KnotSet`, ``d`` by ``_dimension``, bases and
-    jump times by ``_real``.  A refusal raises :class:`FormatError`.
+    jump times by ``_real``.  Every refusal is a :class:`FormatError`
+    naming the file, and the line of a JSON syntax error.
     """
-    doc = _load_json(path, parse_float=Decimal)
-    try:
-        knots = KnotSet(doc["knots"], horizon=doc["horizon"])
-        d = _dimension(doc["d"])
-        W = np.zeros((d + 1, knots.n_intervals))
-        W[0] = _row_from_json(knots, doc["intercept"])
-        seen = set()
-        for row in doc["rows"]:
-            j = _integer(row["j"], "row index j")
-            if not 0 <= j < d:
-                raise ValueError(f"row index {j} outside [0, {d})")
-            if j in seen:
-                raise ValueError(f"row index {j} listed twice")
-            seen.add(j)
-            W[j + 1] = _row_from_json(knots, row)
-        return HazardModel(knots, W)
-    except (KeyError, TypeError, ValueError, OverflowError, decimal.InvalidOperation) as e:
-        raise FormatError(f"{path}: {e}") from e
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f, parse_float=Decimal)
+            knots = KnotSet(doc["knots"], horizon=doc["horizon"])
+            d = _dimension(doc["d"])
+            W = np.zeros((d + 1, knots.n_intervals))
+            W[0] = _row_from_json(knots, doc["intercept"])
+            seen = set()
+            for row in doc["rows"]:
+                j = _integer(row["j"], "row index j")
+                if not 0 <= j < d:
+                    raise ValueError(f"row index {j} outside [0, {d})")
+                if j in seen:
+                    raise ValueError(f"row index {j} listed twice")
+                seen.add(j)
+                W[j + 1] = _row_from_json(knots, row)
+            return HazardModel(knots, W)
+        except _MALFORMED + (OverflowError, decimal.InvalidOperation) as e:
+            where = f"{path}:{e.lineno}" if isinstance(e, json.JSONDecodeError) else path
+            raise FormatError(f"{where}: {e}") from e

@@ -269,36 +269,35 @@ def _run_table(observations):
     change, zero-valued ones included, until the next change (or forever).
 
     The first call over a list walks its paths (:func:`_walk`) and keeps
-    the result as one read-only block, stamping each record with
-    ``Observation._runs = (block, position)``; that call returns the
-    block's own arrays.  A later call whose records all carry one block
-    (a permutation, a sublist, repeats) gathers their rows from it with
-    NumPy, bitwise what a walk would give.  Records never walked, or from
-    two blocks, are walked and stamped again.  A block holds 40 B per run
-    and about 110 B per record, its ``(block, position)`` pair included,
-    and is freed with the records.  Raises ``ValueError`` for no
-    observations or paths of different dimensions.
+    the result as one private block, stamping each record with
+    ``Observation._runs = (block, position)``.  A later call whose records
+    all carry one block (a permutation, a sublist, repeats) does not walk;
+    records never walked, or from two blocks, are walked and stamped again.
+    Every call, the first too, gathers its records' rows from the block
+    with NumPy (:func:`_gather`): fresh arrays, bitwise what a walk would
+    give.  A block holds 40 B per run and about 110 B per record, its
+    ``(block, position)`` pair included, and is freed with the records.
+    Raises ``ValueError`` for no observations or paths of different
+    dimensions.
     """
     if not observations:
         raise ValueError("no observations")
-    first = observations[0]._runs
-    if first is not None:
-        block = first[0]
-        stamps = [o._runs for o in observations]
-        if all(s is not None and s[0] is block for s in stamps):
-            return _gather(block, np.fromiter((s[1] for s in stamps), np.intp, len(stamps)))
-    d, table, left, right, is_interval = _walk(observations)
-    for array in (table, left, right, is_interval):
-        array.flags.writeable = False
-    # each record's rows start at the first row of its observation number
-    offsets = np.searchsorted(table[:, 0], np.arange(len(observations) + 1))
-    # a tuple of an int and arrays, so the cyclic collector stops tracking
-    # it, and then the stamps that hold it
-    block = (d, table, offsets, left, right, is_interval)
-    stamp = object.__setattr__
-    for i, o in enumerate(observations):
-        stamp(o, "_runs", (block, i))
-    return d, table, left, right, is_interval
+    stamps = [o._runs for o in observations]
+    block = stamps[0][0] if stamps[0] else None
+    if all(s is not None and s[0] is block for s in stamps):
+        positions = np.fromiter((s[1] for s in stamps), np.intp, len(stamps))
+    else:
+        d, table, left, right, is_interval = _walk(observations)
+        # each record's rows start at the first row of its observation number
+        offsets = np.searchsorted(table[:, 0], np.arange(len(observations) + 1))
+        # a tuple of an int and arrays, so the cyclic collector stops tracking
+        # it, and then the stamps that hold it
+        block = (d, table, offsets, left, right, is_interval)
+        stamp = object.__setattr__
+        for i, o in enumerate(observations):
+            stamp(o, "_runs", (block, i))
+        positions = np.arange(len(observations))
+    return _gather(block, positions)
 
 
 def _gather(block, positions):

@@ -566,6 +566,64 @@ class TestHugeIntegerTokens:
             assert where in err and "Exceeds the limit" in err
 
 
+class TestMalformedInputs:
+    # no file content makes a command exit with a traceback: each reader
+    # refuses under one rule, and the command exits 2 with one line
+    @pytest.mark.parametrize(
+        "bad",
+        [b"[" * 2000 + b"]" * 2000, b"\xff", b"[1, 2]", b'"d"', b"7"],
+        ids=["nested-2000", "byte-0xff", "array", "string", "number"],
+    )
+    @pytest.mark.parametrize("line", [1, 2], ids=["as-header", "as-record"])
+    def test_every_reader_exits_2_with_one_line(self, tmp_path, capsys, bad, line):
+        header = b'{"d": 1, "horizon": 4.0}\n'
+        record = b'{"censoring": {"kind": "right", "t": 1.0}}\n'
+        bad_obs = tmp_path / "bad.jsonl"
+        bad_obs.write_bytes(bad + b"\n" + record if line == 1 else header + bad + b"\n")
+        bad_doc = tmp_path / "bad.json"
+        bad_doc.write_bytes(bad)
+        obs = tmp_path / "obs.jsonl"
+        obs.write_bytes(header + record)
+        model = tmp_path / "model.json"
+        write_model(model, ConstantAdditiveModel(intercept=0.3, weights=(0.5,)).to_hazard_model(4.0))
+        where = "bad.jsonl:1: bad header: " if line == 1 else "bad.jsonl:2: "
+        runs = [
+            (["fit", "--observations", str(bad_obs), "--out", str(tmp_path / "m.json")], where),
+            (["evaluate", "--model", str(model), "--observations", str(bad_obs)], where),
+            (["evaluate", "--model", str(bad_doc), "--observations", str(obs)], "bad.json: "),
+            (["export", "--model", str(bad_doc), "--out", str(tmp_path / "p.csv")], "bad.json: "),
+            (["simulate", "--spec", str(bad_doc), "--out", str(tmp_path / "o.jsonl")],
+             "bad.json: bad campaign spec: "),
+        ]
+        for argv, named in runs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and named in err[0], (argv, err)
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "o.jsonl").exists()
+
+
+class TestOutOfMemory:
+    # an input whose arrays do not fit exits 4, as a full disk does.  The
+    # error is injected: a real 745 GiB np.zeros can succeed under
+    # overcommit and then touch every page.
+    @pytest.mark.parametrize("command", ["export", "fit"])
+    def test_memory_error_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch, command):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr("tvhazard.cli.read_model", exhausted)
+        monkeypatch.setattr("tvhazard.cli.fit", exhausted)
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"d": 1, "horizon": 4.0}\n{"censoring": {"kind": "right", "t": 1.0}}\n')
+        argv = {
+            "export": ["export", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "p.csv")],
+            "fit": ["fit", "--observations", str(obs), "--out", str(tmp_path / "m.json")],
+        }[command]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory: Unable to allocate 745. GiB for an array"
+        ]
+
+
 class TestExport:
     def test_constant_model_exports_single_level_per_feature(self, tmp_path):
         model = ConstantAdditiveModel(intercept=0.3, weights=(0.5, 0.0)).to_hazard_model(4.0)

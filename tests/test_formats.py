@@ -29,6 +29,7 @@ from tvhazard import (
 )
 
 from tvhazard import timeline
+from tvhazard.cli import _load_campaign_spec
 
 from oracles import dyadic_decimal, observation_record, write_observations_streamed
 
@@ -223,6 +224,9 @@ class TestObservationFiles:
             read_observations(f)
         f.write_text('{"d": 1, "horizon": 2.0}\n{"id": 1\n')
         with pytest.raises(FormatError, match=r"obs\.jsonl:2"):
+            read_observations(f)
+        f.write_bytes(b'{"d": 1, "horizon": 2.0}\n\n{"id": "\xff"}\n')
+        with pytest.raises(FormatError, match=r"obs\.jsonl:3: 'utf-8' codec can't decode byte 0xff"):
             read_observations(f)
         # a feature index that overflows to inf
         f.write_text(
@@ -659,3 +663,96 @@ class TestModelFiles:
         )
         with pytest.raises(FormatError):
             read_model(f)
+
+
+# the names the three readers look up, so that drawn objects reach past
+# the first lookup; any other string is as likely as one of them
+READER_KEYS = st.sampled_from([
+    "d", "horizon", "time_unit", "id", "censoring", "kind", "interval", "right", "l", "r",
+    "t", "v", "j", "features", "changes", "knots", "intercept", "base", "jumps", "delta",
+    "rows", "n", "active", "baseline_level", "feature_density", "scan_times",
+    "monotone_truth", "seed",
+]) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 1000) | st.floats(-5, 1000)
+    | st.sampled_from([math.inf, -math.inf, math.nan]) | READER_KEYS,
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(READER_KEYS, children, max_size=6),
+    max_leaves=8,
+)
+
+
+def shaped(template):
+    """Values shaped like ``template`` (a dict's keys, a one-item list's
+    items, a tuple's fields, a leaf strategy) at each level, or any JSON
+    value instead, with even odds."""
+    if isinstance(template, dict):
+        shape = st.fixed_dictionaries({k: shaped(v) for k, v in template.items()})
+    elif isinstance(template, list):
+        shape = st.lists(shaped(template[0]), max_size=3)
+    elif isinstance(template, tuple):
+        shape = st.tuples(*map(shaped, template))
+    else:
+        shape = template
+    return shape | JSON_VALUES
+
+
+INDEX = st.integers(-1, 3)
+TIME = st.integers(0, 5) | st.floats(0, 5)
+HEADER = {"d": INDEX, "horizon": TIME}
+RECORD = {
+    "id": READER_KEYS,
+    "censoring": {"kind": st.sampled_from(["right", "interval"]), "t": TIME, "l": TIME, "r": TIME},
+    "features": [{"j": INDEX, "changes": [{"t": TIME, "v": TIME}]}],
+}
+ROW = {"base": TIME, "jumps": [{"t": TIME, "delta": TIME}]}
+MODEL = {"d": INDEX, "horizon": TIME, "knots": [TIME], "intercept": ROW, "rows": [{"j": INDEX, **ROW}]}
+SPEC = {
+    "d": INDEX, "active": [(INDEX, [(TIME, TIME)])], "baseline_level": TIME, "horizon": TIME,
+    "n": st.integers(-5, 1000), "feature_density": st.floats(-1, 2), "scan_times": [TIME],
+    "monotone_truth": st.booleans(),
+}
+
+
+class TestReadersRefuseOnlyWithFormatError:
+    """Whatever a file holds, each reader returns or raises ``FormatError``."""
+
+    @staticmethod
+    def read_each(tmp_path, observations, model, spec):
+        for path, data, read in (
+            (tmp_path / "obs.jsonl", observations, read_observations),
+            (tmp_path / "model.json", model, read_model),
+            (tmp_path / "spec.json", spec, lambda p: _load_campaign_spec(p, 0)),
+        ):
+            path.write_bytes(data)
+            try:
+                read(path)
+            except FormatError:
+                pass
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        header=st.just({"d": 3, "horizon": 4.0}) | shaped(HEADER),
+        records=st.lists(shaped(RECORD), max_size=4),
+        model=shaped(MODEL),
+        spec=shaped(SPEC),
+    )
+    def test_json_values(self, tmp_path, header, records, model, spec):
+        lines = "".join(json.dumps(value) + "\n" for value in [header, *records])
+        self.read_each(tmp_path, lines.encode(), json.dumps(model).encode(), json.dumps(spec).encode())
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.binary(max_size=300), after_header=st.booleans())
+    def test_raw_bytes(self, tmp_path, data, after_header):
+        header = b'{"d": 1, "horizon": 4.0}\n' if after_header else b""
+        self.read_each(tmp_path, header + data, data, data)

@@ -1,8 +1,9 @@
 """The package's layering, read from its source with ``ast``: ``timeline``
 owns the records and imports no package module, every package import sits
 at a module's top level, only ``timeline`` sets a record's run stamp, and
-only FISTA runs a line search or reads the NLL's curvature, and only
-``solver._lbfgsb`` runs a SciPy minimization."""
+only FISTA runs a line search or reads the NLL's curvature, only
+``solver._lbfgsb`` runs a SciPy minimization, and JSON is parsed only by
+the three readers, each under ``formats._MALFORMED``."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,12 @@ def test_baseline_imports_nothing_from_scipy_optimize():
                 for n in ast.walk(SOURCES["baseline"]) if isinstance(n, (ast.Import, ast.ImportFrom))
                 for a in n.names]
     assert [name for name in imported if name.startswith("scipy.optimize")] == []
+
+
+def test_json_is_parsed_only_at_the_three_refusal_sites():
+    # each reader refuses outside input under the one rule; a fourth parse
+    # site, or a reader that skips the rule, can crash the command line
+    assert uses("loads") == ["formats.read_observations"]
+    assert sorted(uses("load")) == ["cli._load_campaign_spec", "formats.read_model"]
+    for site in uses("loads") + uses("load"):
+        assert site in uses("_MALFORMED"), site

@@ -737,6 +737,20 @@ class TestRunTable:
         assert_matches_the_loop(both)
         assert block_of(both) is not None
 
+    def test_every_read_returns_fresh_arrays(self):
+        # the block never leaves timeline: a caller may write into the
+        # first table too, and a later read is unchanged
+        _, obs = generate(replace(default_scenario(5), n=50))
+        first = _run_table(obs)
+        block = block_of(obs)
+        want = [a.tobytes() for a in first[1:]]
+        for a in first[1:]:
+            assert a.flags.writeable
+            a[...] = 0
+        second = _run_table(obs)
+        assert block_of(obs) is block
+        assert [a.tobytes() for a in second[1:]] == want
+
     def test_a_fit_sweep_walks_its_records_once(self, monkeypatch):
         # the first table walks the full set; the training fits and the
         # validation NLLs gather from its block
