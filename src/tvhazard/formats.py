@@ -3,7 +3,7 @@
 Observation files hold one JSON record per line — a header carrying
 ``{d, horizon, time_unit}`` followed by one record per site — so large
 datasets stream without loading everything to parse.  The writer stores
-``"time_unit": "abstract"``; the reader keeps what the file says.
+``"time_unit": "abstract"``; the reader keeps the string a file gives.
 
 Model files store the coefficient matrix ``W`` of a
 :class:`~tvhazard.likelihood.HazardModel` row by row: the intercept, then
@@ -121,7 +121,8 @@ def read_observations(path):
 
     Every refusal is a :class:`FormatError` naming the file and line: a
     line that is not UTF-8 or not JSON, a malformed header or record (a
-    time or value that is not a JSON number, too) or a record whose
+    ``time_unit`` not a string, a time or value not a number, too) or a
+    record whose
     censoring boundary lies beyond the header's horizon.
     """
     observations = []
@@ -135,11 +136,11 @@ def read_observations(path):
                     continue
                 rec = json.loads(line)
                 if header is None:
-                    header = {
-                        "d": _dimension(rec["d"]),
-                        "horizon": _horizon(rec["horizon"]),
-                        "time_unit": str(rec.get("time_unit", "abstract")),
-                    }
+                    d, horizon = _dimension(rec["d"]), _horizon(rec["horizon"])
+                    unit = rec.get("time_unit", "abstract")
+                    if not isinstance(unit, str):
+                        raise ValueError(f"time_unit must be a string, got {unit!r}")
+                    header = {"d": d, "horizon": horizon, "time_unit": unit}
                     continue
                 o = _parse_observation(rec, header["d"])
                 if o.right > header["horizon"]:

@@ -22,6 +22,7 @@ for tiny brackets.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import sys
@@ -268,6 +269,46 @@ class CensoredDesign:
         """
         inv = _bracket_terms(np.maximum(self.V @ np.asarray(w).ravel(), _MASS_FLOOR))[1]
         return (self._V_t.power(2) @ (inv * (1.0 + inv))).reshape(np.shape(w))
+
+    def limit_problem(self, gamma, monotone):
+        """The fit's limit problem: ``(design, lift)``.
+
+        A cell with no head exposure but some bracket exposure lowers the
+        NLL without bound as it rises, when nothing with head exposure holds
+        it: at ``gamma = 0`` nothing, in monotone mode no later cell of its
+        row, at ``gamma > 0`` no cell of its row (which rises as a constant
+        at no TV cost).  The infimum is then the problem without the
+        brackets that touch such a cell (as an MLE under separation, Albert
+        & Anderson 1984): ``design`` is this design without those rows of
+        ``V``, or itself if there are none.  ``lift`` raises each such cell
+        of a solution to ``-log(eps)`` over its column's smallest positive
+        ``V`` entry, at ``gamma > 0`` the cell's row to its largest such
+        level, then in monotone mode every row to its running maximum: each
+        dropped bracket's term is then at most ``eps``.
+        """
+        u = self.head_exposure
+        cells = (u == 0.0) & (self.bracket_exposure > 0.0)
+        if gamma > 0.0:
+            cells &= ~u.any(axis=1, keepdims=True)
+        elif monotone:
+            cells &= np.logical_and.accumulate(u[:, ::-1] == 0.0, axis=1)[:, ::-1]
+        if not cells.any():
+            return self, lambda W: W
+        columns = np.flatnonzero(cells)
+        levels = np.zeros(self.shape)
+        smallest = [self._V_t[c].data[self._V_t[c].data > 0.0].min() for c in columns]
+        levels.flat[columns] = -math.log(np.finfo(float).eps) / np.array(smallest)
+        if gamma > 0.0:
+            levels[:] = levels.max(axis=1, keepdims=True)
+        limit = copy.copy(self)
+        limit.V = self.V[self.V[:, columns].getnnz(axis=1) == 0]
+        limit._V_t = limit.V.T.tocsr()
+
+        def lift(W):
+            W = np.maximum(W, levels)
+            return np.maximum.accumulate(W, axis=1) if monotone else W
+
+        return limit, lift
 
 
 def _pooled_event_rate(left, right, is_interval):

@@ -5,22 +5,24 @@ columns = knot intervals),
 
     NLL(W) + gamma * sum_rows TV(W[r])        s.t. W >= 0 (+ monotone mode)
 
-by one of two routes.  Every fit with a TV term or monotone mode runs
-monotone FISTA (Beck & Teboulle 2009) with function-value restart
-(O'Donoghue & Candes 2015) and backtracking line search, in a diagonal
-metric: variable-metric forward-backward (Combettes & Vu 2014) with the
-metric ``D`` the design's head exposure per cell (see :func:`_metric`).  A
-step from ``Y`` is ``prox^D_t(Y - t grad f(Y) / D)``, whose prox solves the
-penalty's row problems at the per-entry weights ``D``.  Head exposure spans
-five decades across the cells of a large design (1 to 1e5 at 10^5 sites);
-in the identity metric the step must suit the stiffest cell and the
-iteration count grew with the number of sites.  An unpenalized fit (gamma =
-0, not monotone) is smooth plus the box ``W >= 0`` and runs L-BFGS-B (Byrd,
-Lu, Nocedal & Zhu 1995) instead, by :func:`_lbfgsb`, the package's one
-SciPy minimization.  The knot set is frozen before optimization; candidate
-jump times are never inserted adaptively.
+by one route: monotone FISTA (Beck & Teboulle 2009) with function-value
+restart (O'Donoghue & Candes 2015) and backtracking line search, in a
+diagonal metric: variable-metric forward-backward (Combettes & Vu 2014)
+with the metric ``D`` the design's head exposure per cell (see
+:func:`_metric`).  A step from ``Y`` is ``prox^D_t(Y - t grad f(Y) / D)``,
+whose prox solves the penalty's row problems at the per-entry weights
+``D``.  Head exposure spans five decades across the cells of a large design
+(1 to 1e5 at 10^5 sites); in the identity metric the step must suit the
+stiffest cell and the iteration count grew with the number of sites.  The
+knot set is frozen before optimization; candidate jump times are never
+inserted adaptively.
 
-Both routes share one start and one certificate: ``converged`` is a
+Where the objective has no minimizer, the fit solves the design's limit
+problem (:meth:`~tvhazard.likelihood.CensoredDesign.limit_problem`): the
+trace ends at its objective, which the returned model's exceeds by at most
+machine epsilon per dropped bracket.
+
+Every fit has one start and one certificate: ``converged`` is a
 stationarity certificate in the identity metric.  A fit is certified when
 its returned iterate ``X`` has ``G(X) <= tolerance * max(1, G(X0))``, with
 ``G(X) = ||X - [prox_1(X - grad f(X))]_+||`` the prox-gradient mapping
@@ -29,18 +31,17 @@ certificate's norm at the start ``X0``, one prox.  The mapping norm does
 not increase with the step (Beck, First-Order Methods in Optimization,
 2017, Thm 10.9), so ``G(X0)`` is at most that of any step ``t <= 1`` from
 ``X0``.  FISTA tests the certificate at ``X`` whenever a step from ``X`` is
-small in its metric, or fails to lower the objective; L-BFGS-B tests it
-after every iteration.  Every fit starts from the same point, so the
-reference means the same for every fit.  The reachable norm
-is bounded below: once a step's decrease falls under the rounding error of
+small in its metric, or fails to lower the objective.  Every fit starts
+from the same point, so the reference means the same for every fit.  The
+reachable norm is bounded below: once a step's decrease falls under the rounding error of
 the objective, a step from ``X`` no longer lowers it and the fit stops as
 stalled, or, when every trial of FISTA's sufficient-decrease test fails, as
-a step underflow.  :func:`fit` runs the start, hands it to the route and
+a step underflow.  :func:`fit` runs the start, hands it to FISTA and
 turns every uncertified exit into one :class:`SolverWarning`, raised at the
 first caller outside the package.
 
-Every line search is FISTA's.  It tries the step it is given and halves
-it until a trial meets the sufficient-decrease bound (:func:`_backtrack`).
+Each line search tries the step it is given and halves it until a trial
+meets the sufficient-decrease bound (:func:`_backtrack`).
 The first opens at a power of two from the NLL's Hessian diagonal at
 ``X0`` over the metric (:func:`_opening_step`), near the step it accepts:
 on the gamma=1 fits of the benchmark's datasets it took 1-4 trials, where
@@ -48,12 +49,12 @@ from 1.0 it took 11-13.  Each later search opens at 1.5 times the last
 accepted step, at most 1.0.
 
 The solver sees the problem only through the :class:`CensoredDesign`
-(``nll``, ``nll_change``, ``nll_grad``, ``hessian_diagonal``, ``shape``,
-``pooled_event_rate`` and the two exposure arrays of the metric) and the
-:class:`PenaltyConfig` (``value``, ``prox``).  The smooth part is the
-likelihood alone, with its bracket masses clamped at the design's
-positivity floor; TV and every constraint, monotone mode's too, live in
-the penalty's prox.
+(``limit_problem``, ``nll``, ``nll_change``, ``nll_grad``,
+``hessian_diagonal``, ``shape``, ``pooled_event_rate`` and the two exposure
+arrays of the metric) and the :class:`PenaltyConfig` (``value``,
+``prox``).  The smooth part is the likelihood alone, with its bracket
+masses clamped at the design's positivity floor; TV and every constraint,
+monotone mode's too, live in the penalty's prox.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ _STEP_FLOOR = 1e-12
 # the rounded sufficient-decrease bound by less may fail it by rounding
 # alone, and is tested again with the exact change.
 _ROUNDING = 1e-10
-# Corrections L-BFGS-B stores: on the benchmark's unpenalized sweep fits 20
-# took 653 iterations where 10 took 902 (ten datasets, n = 1000).
-_LBFGS_MEMORY = 20
 
 
 class SolverWarning(UserWarning):
@@ -127,10 +125,11 @@ class FitResult:
 
     ``objective_trace`` holds ``(iteration, penalized objective)`` pairs
     starting at iteration 0: the objective of the best iterate after each
-    iteration, so it is nonincreasing and ends at the returned model's.
+    iteration, so it is nonincreasing and ends at the returned model's, or
+    at its limit problem's (see the module docstring).
     ``stop`` is one of ``"certified"``, ``"stalled"``, ``"max_iterations"``
     and ``"step_underflow"``, and ``mapping_norm`` is the certificate's
-    relative mapping norm at step 1 of the returned model.
+    relative mapping norm at step 1 of the returned model on that problem.
     ``train_nll`` is the unpenalized dataset NLL of the fitted model,
     evaluated on the fit's own :class:`CensoredDesign` exactly as
     :func:`nll_dataset` (and so the evaluation command) evaluates it: the
@@ -318,49 +317,6 @@ def _fit_full_batch(design, config, X, f, g, ref):
     return X, trace, "certified" if rel <= tol else "max_iterations", rel
 
 
-def _fit_box_lbfgs(design, config, X, f, g, ref):
-    """Unpenalized fit (gamma = 0, not monotone): L-BFGS-B (Byrd, Lu,
-    Nocedal & Zhu 1995) on the smooth part with the bounds ``W >= 0``, from
-    :func:`_start`'s ``(X, f, g, ref)``, by :func:`_lbfgsb`; L-BFGS-B scales
-    its own first step.
-
-    The certificate is :func:`_fit_full_batch`'s, :func:`_certificate`:
-    the fit is certified at the first iterate ``X`` whose relative mapping
-    norm at ``t = 1``, ``||X - [X - grad f(X)]_+|| / ref``, is at most
-    ``tolerance``.
-    L-BFGS-B's own stopping tests are off, so otherwise it stops at the
-    iteration cap, or stalls: a step no longer lowers the objective or its
-    line search fails.  Returns what :func:`_fit_full_batch` returns; the
-    trace holds the objective after every L-BFGS-B iteration.
-    """
-    pen = config.penalty
-    trace = [(0, f)]
-    rel = _certificate(pen, X, g, ref)  # at the latest iterate X
-    seen = None  # the last point L-BFGS-B evaluated, f and grad f there
-
-    def fun(w):
-        nonlocal seen
-        val, grad = design.nll_grad(w)
-        seen = w.copy(), val, grad
-        return val, grad
-
-    def callback(intermediate_result):
-        nonlocal X, rel
-        # a new iterate is the last point its line search evaluated
-        w = intermediate_result.x
-        val, grad = seen[1:] if np.array_equal(w, seen[0]) else design.nll_grad(w)
-        X = w.reshape(X.shape).copy()
-        trace.append((len(trace), val))
-        rel = _certificate(pen, X, grad.reshape(X.shape), ref)
-        if rel <= config.tolerance:
-            raise StopIteration
-
-    _lbfgsb(fun, X.ravel(), [(0.0, None)] * X.size, callback, maxiter=config.max_iterations,
-            maxcor=_LBFGS_MEMORY, ftol=0.0, gtol=0.0)
-    stop = "max_iterations" if len(trace) > config.max_iterations else "stalled"
-    return X, trace, "certified" if rel <= config.tolerance else stop, rel
-
-
 @functools.cache
 def _scipy_openblas():
     """SciPy's bundled OpenBLAS, or None where SciPy links another BLAS."""
@@ -375,20 +331,20 @@ def _scipy_openblas():
     return None
 
 
-def _lbfgsb(fun, x0, bounds, callback=None, **options):
+def _lbfgsb(fun, x0, bounds, **options):
     """The package's one SciPy minimization: L-BFGS-B of ``fun`` (value and
     gradient) on one thread of SciPy's OpenBLAS, the caller's count restored
     after, also when it raises.  L-BFGS-B hands a small triangular solve to a
     worker thread every iteration, which on a busy two-core host waited for a
-    core each time (0.4-0.5 s per sweep fit, not 10-20 ms).  The solve splits
-    by columns: the results are the same."""
+    core each time (0.4-0.5 s per run on 1000 sites, not 10-20 ms).  The
+    solve splits by columns: the results are the same."""
     lib = _scipy_openblas()
     if lib is not None:
         threads = lib.scipy_openblas_get_num_threads()
         lib.scipy_openblas_set_num_threads(1)
     try:
         return optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                                 callback=callback, options=options)
+                                 options=options)
     finally:
         if lib is not None:
             lib.scipy_openblas_set_num_threads(threads)
@@ -417,20 +373,19 @@ def fit(observations, config, knots=None):
     The knot set defaults to :func:`build_knot_set` of the observations
     (candidate jumps at every censoring boundary and feature change time).
     The objective is convex, so the one start (an intercept at the pooled
-    event rate, every feature row zero) reaches the optimum.  An
-    unpenalized fit (gamma = 0, not monotone) runs L-BFGS-B, every other
-    fit monotone FISTA in the head-exposure metric; both certify the same
-    way (see the module docstring).  A fit that stops uncertified warns
-    once, with a :class:`SolverWarning` that says why.  Deterministic:
-    identical observations, config, and knots reproduce the result bitwise.
+    event rate, every feature row zero) reaches the optimum; where there is
+    none, the infimum, on the limit problem.  Every fit runs
+    monotone FISTA in the head-exposure metric (see the module docstring).
+    A fit that stops uncertified warns once, with a :class:`SolverWarning`
+    that says why.  Deterministic: identical observations, config, and
+    knots reproduce the result bitwise.
     """
     observations = list(observations)
     if knots is None:
         knots = build_knot_set(observations)
     design = CensoredDesign(knots, observations)
-    pen = config.penalty
-    route = _fit_box_lbfgs if pen.gamma == 0.0 and not pen.monotone else _fit_full_batch
-    W, trace, stop, rel = route(design, config, *_start(design, config))
+    limit, lift = design.limit_problem(config.penalty.gamma, config.penalty.monotone)
+    W, trace, stop, rel = _fit_full_batch(limit, config, *_start(limit, config))
     if stop != "certified":
         why = {
             "max_iterations": f"stopped at max_iterations={config.max_iterations}",
@@ -444,14 +399,14 @@ def fit(observations, config, knots=None):
             SolverWarning,
         )
 
-    model = HazardModel(knots, W)
+    model = HazardModel(knots, lift(W))
     return FitResult(
         model=model,
         objective_trace=tuple(trace),
         train_nll=design.nll(model.W),
         mapping_norm=rel,
         stop=stop,
-        nonzero_parameter_count=nonzero_parameter_count(W),
+        nonzero_parameter_count=nonzero_parameter_count(model.W),
         config=config,
     )
 

@@ -33,6 +33,8 @@ knot set, a refit on an enriched one; ``event_time`` reaches the
 generator's own inverse-CDF pass one site at a time, for acceptance
 criterion 4 and the sampler tests; ``change_times`` collects a path's
 change times, where the scalar routes cut their integrals.
+``limit_nll_grad`` is the fit's limit problem rebuilt from the dense
+exposures, for the fit's own limit design.
 ``representer_observations`` is not an oracle: it draws the datasets of
 acceptance criterion 3, which the solver tests reuse.
 """
@@ -545,6 +547,31 @@ def dense_design(knots, observations):
     rows = [exposure(o.path, o.left, o.right) for o in observations if o.kind == "interval"]
     V = np.array(rows) if rows else np.zeros((0, U.shape[1]))
     return U, V
+
+
+def limit_nll_grad(knots, observations, gamma, monotone):
+    """The floored NLL of a fit's limit problem and its gradient, as a
+    function of a flat ``w``, from :func:`dense_design`: the column sums of
+    ``U``, and ``V`` without every row with an entry in a cell along which
+    the objective falls forever.  Such a cell has no head exposure and some
+    bracket exposure, and nothing else with head exposure holds it: at
+    ``gamma > 0`` no cell of its row, in monotone mode no later cell of its
+    row.  Masses are floored at 1e-12, the design's positivity floor."""
+    U, V = dense_design(knots, observations)
+    shape = (observations[0].path.d + 1, knots.n_intervals)
+    u = U.sum(axis=0)
+    head, bracket = u.reshape(shape), V.sum(axis=0).reshape(shape)
+    falls = np.zeros(shape, dtype=bool)
+    for r, k in np.ndindex(shape):
+        holds = head[r] if gamma > 0.0 else head[r, k:] if monotone else head[r, k:k + 1]
+        falls[r, k] = bracket[r, k] > 0.0 and not holds.any()
+    V = V[~V[:, falls.ravel()].any(axis=1)]
+
+    def nll_grad(w):
+        mass = np.maximum(V @ w, 1e-12)
+        return float(u @ w - np.log(-np.expm1(-mass)).sum()), u - V.T @ (1.0 / np.expm1(mass))
+
+    return nll_grad
 
 
 def merge_times(times, tol=MERGE_TOL):

@@ -343,7 +343,7 @@ class TestFit:
         assert "gamma must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv", [["fit", "--gamma", "1"], ["sweep", "--gammas", "0,1"]], ids=["fista", "lbfgsb"]
+        "argv", [["fit", "--gamma", "1"], ["sweep", "--gammas", "0,1"]], ids=["fista", "unpenalized"]
     )
     def test_fitting_an_overflowing_exposure_exits_3(self, argv, tmp_path, capsys):
         # the site's head exposure 1e10 * 1.5e308 overflows to inf: the
@@ -600,6 +600,15 @@ class TestMalformedInputs:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and named in err[0], (argv, err)
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "o.jsonl").exists()
+
+    def test_a_time_unit_that_is_not_a_string_exits_2(self, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"d": 1, "horizon": 4.0, "time_unit": [1, {"a": null}]}\n'
+                       '{"censoring": {"kind": "right", "t": 1.0}}\n')
+        assert main(["fit", "--observations", str(obs), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "obs.jsonl:1: bad header: time_unit must be a string" in err[0]
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestOutOfMemory:

@@ -210,6 +210,14 @@ class TestObservationFiles:
         got, header = read_observations(f)
         assert got == [] and header["time_unit"] == "days"
 
+    @pytest.mark.parametrize("unit", ['[1, {"a": null}]', "3", "null", "true"])
+    def test_time_unit_that_is_not_a_string_rejected(self, tmp_path, unit):
+        # the reader kept str() of any JSON value: a list read as its repr
+        f = tmp_path / "obs.jsonl"
+        f.write_text('{"d": 1, "horizon": 2.0, "time_unit": %s}\n' % unit)
+        with pytest.raises(FormatError, match=r"obs\.jsonl:1: bad header: time_unit must be a string"):
+            read_observations(f)
+
     def test_blank_lines_tolerated(self, tmp_path):
         f = tmp_path / "obs.jsonl"
         rec = observation_record(Observation.right_censored(FeaturePath(1, {}), 1.5))

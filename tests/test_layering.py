@@ -1,9 +1,10 @@
 """The package's layering, read from its source with ``ast``: ``timeline``
 owns the records and imports no package module, every package import sits
-at a module's top level, only ``timeline`` sets a record's run stamp, and
-only FISTA runs a line search or reads the NLL's curvature, only
-``solver._lbfgsb`` runs a SciPy minimization, and JSON is parsed only by
-the three readers, each under ``formats._MALFORMED``."""
+at a module's top level, only ``timeline`` sets a record's run stamp,
+every fit runs one solver route, FISTA, which alone runs a line search or
+reads the NLL's curvature, only ``solver._lbfgsb`` runs a SciPy
+minimization, for the proportional baseline alone, and JSON is parsed only
+by the three readers, each under ``formats._MALFORMED``."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,13 @@ def test_only_fista_searches_and_reads_the_curvature(name):
     # the start measures its reference with one prox; a line search or a
     # curvature read anywhere else is a second search path
     assert uses(name) == ["solver._fit_full_batch"]
+
+
+def test_every_fit_runs_one_route():
+    # gamma = 0 runs FISTA on its limit problem too; a second route is a
+    # second optimizer to certify
+    assert uses("_fit_full_batch") == ["solver.fit"]
+    assert uses("_lbfgsb") == ["baseline.fit_proportional"]
 
 
 def test_one_scipy_minimization():

@@ -39,7 +39,13 @@ from tvhazard import (
 )
 from tvhazard.timeline import _window_knots
 
-from oracles import pooled_event_rate_loop, refine_and_compare, representer_observations, tv
+from oracles import (
+    limit_nll_grad,
+    pooled_event_rate_loop,
+    refine_and_compare,
+    representer_observations,
+    tv,
+)
 
 
 def sim_observations(rng, d=3, n=60, horizon=6.0):
@@ -108,8 +114,6 @@ class TestConfigValidation:
 
 
 class TestFullBatch:
-    # its gamma=0 fit, on the L-BFGS-B route, stops at the cap
-    @pytest.mark.filterwarnings("ignore:stopped at max_iterations:tvhazard.SolverWarning")
     def test_objective_trace_descends(self):
         rng = np.random.default_rng(21)
         for gamma in (0.0, 1.0):
@@ -151,11 +155,10 @@ class TestFullBatch:
     def test_train_nll_from_the_fit_design(self, penalty, monkeypatch):
         # fit builds one design and takes train_nll from it, bitwise what
         # nll_dataset gives for the returned model; the exact nll runs once,
-        # for train_nll.  In FISTA each iteration takes one gradient, at the
-        # point its step starts from (nll_grad), and each line-search trial
-        # one floored value (nll with floored=True).  The unpenalized route
-        # takes the start's gradient, then one nll_grad per L-BFGS-B
-        # evaluation, and runs no line search of its own
+        # for train_nll.  Each iteration takes one gradient, at the point its
+        # step starts from (nll_grad), and each line-search trial one floored
+        # value (nll with floored=True).  The gamma=0 set has three brackets
+        # on cells with no head exposure, which its limit design drops
         obs = sim_observations(np.random.default_rng(24), n=40)
         calls = {"__init__": 0, "nll": 0, "floored nll": 0, "nll_grad": 0}
         for name in ("__init__", "nll", "nll_grad"):
@@ -166,40 +169,30 @@ class TestFullBatch:
                 return _method(self, *args, **kwargs)
 
             monkeypatch.setattr(CensoredDesign, name, counting)
-        evaluations = []
-        minimize = tvhazard.solver.optimize.minimize
-
-        def recording(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            evaluations.append(res.nfev)
-            return res
-
-        monkeypatch.setattr(tvhazard.solver.optimize, "minimize", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SolverWarning)
             res = fit(obs, SolverConfig(penalty=penalty, max_iterations=100))
         iterations = res.objective_trace[-1][0]
         assert calls["__init__"] == 1
         assert calls["nll"] == 1
-        if penalty.gamma == 0.0:
-            assert len(evaluations) == 1 and evaluations[0] > iterations > 0
-            assert calls["nll_grad"] == 1 + evaluations[0]
-            assert calls["floored nll"] == 0
-        else:
-            assert evaluations == []
-            assert iterations > 0 and calls["floored nll"] >= iterations
-            # the start's gradient, one per later iteration, and at the cap
-            # one at the returned iterate for its mapping norm
-            assert iterations <= calls["nll_grad"] <= iterations + 2
+        assert iterations > 0 and calls["floored nll"] >= iterations
+        # the start's gradient, one per later iteration, and at the cap
+        # one at the returned iterate for its mapping norm
+        assert iterations <= calls["nll_grad"] <= iterations + 2
         monkeypatch.undo()
         assert nll_dataset(res.model, obs) == res.train_nll
         # the accuracy floor reads the trace's last objective.  No bracket
-        # mass is floored here, so the fit's smooth value is the exact NLL,
-        # and adding the penalty's own value gives the traced objective bitwise
+        # mass is floored here, so the fit's smooth value is the exact NLL of
+        # its limit design, and adding the penalty's own value gives the
+        # traced objective bitwise; each dropped bracket adds at most eps
         design = CensoredDesign(res.model.knots, obs)
-        assert np.all(design.V @ model_matrix(res.model).ravel() > 1e-12)
-        objective = nll_dataset(res.model, obs) + penalty.value(res.model.W)
-        assert res.objective_trace[-1][1] == objective
+        limit = design.limit_problem(penalty.gamma, penalty.monotone)[0]
+        assert (limit is design) == (penalty.gamma > 0.0)
+        W = model_matrix(res.model)
+        assert np.all(design.V @ W.ravel() > 1e-12)
+        assert res.objective_trace[-1][1] == limit.nll(W) + penalty.value(W)
+        objective = res.train_nll + penalty.value(W)
+        assert abs(objective - res.objective_trace[-1][1]) <= 4 * math.ulp(objective)
 
     def test_default_knots_equal_explicit_union(self):
         obs = sim_observations(np.random.default_rng(23), n=25)
@@ -274,9 +267,9 @@ class TestFullBatch:
             assert ref.fun <= fitted + 1e-5 * max(1.0, abs(fitted))
 
     def test_lbfgs_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
-        # both L-BFGS-B callers, the unpenalized fit and the proportional
-        # baseline, pin SciPy's OpenBLAS to one thread for the minimization
-        # only, also when it raises
+        # the one L-BFGS-B caller, the proportional baseline, pins SciPy's
+        # OpenBLAS to one thread for the minimization only, also when it
+        # raises; no fit runs L-BFGS-B
         lib = tvhazard.solver._scipy_openblas()
         assert lib is not None
         obs = sim_observations(np.random.default_rng(27), n=40)
@@ -294,16 +287,11 @@ class TestFullBatch:
         try:
             lib.scipy_openblas_set_num_threads(2)
             monkeypatch.setattr(tvhazard.solver.optimize, "minimize", recording)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SolverWarning)
-                fit(obs, cfg(0.0, max_iterations=20))
+            fit(obs, cfg(0.0))
             fit_proportional(obs)
-            assert seen == [1, 1]
+            assert seen == [1]
             assert lib.scipy_openblas_get_num_threads() == 2
             monkeypatch.setattr(tvhazard.solver.optimize, "minimize", failing)
-            with pytest.raises(RuntimeError, match="minimize failed"):
-                fit(obs, cfg(0.0))
-            assert lib.scipy_openblas_get_num_threads() == 2
             with pytest.raises(RuntimeError, match="minimize failed"):
                 fit_proportional(obs)
             assert lib.scipy_openblas_get_num_threads() == 2
@@ -311,14 +299,14 @@ class TestFullBatch:
             lib.scipy_openblas_set_num_threads(threads)
 
     def test_one_blas_thread_leaves_an_unpenalized_fit_bitwise_unchanged(self, monkeypatch):
-        # L-BFGS-B's solves split by columns, so the fit on one BLAS thread
-        # is the fit on the caller's two
+        # L-BFGS-B's solves split by columns, so the proportional baseline,
+        # unpenalized but for its small ridge, fitted on one BLAS thread is
+        # the fit on the caller's two
         lib = tvhazard.solver._scipy_openblas()
         _, obs = generate(default_scenario(0))
 
         def run():
-            res = fit(obs, cfg(0.0))
-            return model_matrix(res.model).tobytes(), res.objective_trace
+            return fit_proportional(obs)
 
         threads = lib.scipy_openblas_get_num_threads()
         try:
@@ -352,6 +340,54 @@ class TestFullBatch:
             assert np.all(g[W == 0.0] >= -eps)
         # the figure-1 split certifies at the default settings, inside the cap
         assert res.converged and res.objective_trace[-1][0] < 500
+
+    @pytest.mark.parametrize("monotone", [False, True], ids=["fused", "monotone"])
+    def test_unpenalized_fit_matches_scipy_on_its_limit_problem(self, monotone):
+        # the figure-1 training split on its own knots has cells with no head
+        # exposure and some bracket exposure: the gamma=0 fit's objective is
+        # the limit problem's minimum, which SciPy finds too
+        spec = default_scenario(0)
+        _, obs = generate(spec)
+        perm = np.random.default_rng(np.random.SeedSequence((0, 3))).permutation(len(obs))
+        train = [obs[i] for i in perm[: int(0.7 * len(obs))]]
+        knots = build_knot_set(train, horizon=spec.horizon)
+        design = CensoredDesign(knots, train)
+        assert design.limit_problem(0.0, monotone)[0].V.shape[0] < design.V.shape[0]
+        assert_matches_scipy_on_the_limit_problem(knots, train, monotone)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), monotone=st.booleans())
+    def test_small_unpenalized_fits_match_scipy_on_their_limit_problem(self, seed, monotone):
+        rng = np.random.default_rng(seed)
+        obs = sim_observations(rng, d=2, n=int(rng.integers(6, 40)))
+        assert_matches_scipy_on_the_limit_problem(build_knot_set(obs), obs, monotone)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("monotone", [False, True], ids=["fused", "monotone"])
+    def test_rows_with_no_head_exposure_certify(self, gamma, monotone):
+        # the feature row has no head exposure anywhere, so at every gamma it
+        # rises as a constant at no TV cost and lowers the NLL without bound,
+        # as does the intercept's first cell at gamma = 0.  At gamma = 1, and
+        # in monotone mode at gamma = 0, these fits ended at the iteration
+        # cap; on the limit problem they certify, and the returned model's
+        # objective is the limit's up to rounding
+        sites = [
+            Observation.interval(FeaturePath(1, {0: ((0.0, 1.0),)}), 0, 1),
+            Observation.interval(FeaturePath(1, {}), 1, 2),
+            Observation.right_censored(FeaturePath(1, {}), 3),
+            Observation.interval(FeaturePath(1, {}), 0, 2),
+        ]
+        penalty = PenaltyConfig(gamma=gamma, monotone=monotone)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(sites, SolverConfig(penalty=penalty))
+        assert res.converged
+        W = model_matrix(res.model)
+        assert W[1, 0] > 36.0 and (np.all(W[1] == W[1, 0]) or not (gamma or monotone))
+        if monotone:
+            assert np.all(np.diff(W, axis=1) >= 0.0)
+        objective = res.train_nll + penalty.value(W)
+        assert abs(objective - res.objective_trace[-1][1]) <= 4 * math.ulp(objective)
 
     def test_solution_is_prox_fixed_point(self):
         # stationarity certificate: a prox-gradient step from the solution
@@ -429,8 +465,9 @@ def steps(monkeypatch):
 
 
 def mapping_norm_at(knots, obs, W, penalty, t):
-    """``||W - [prox_t(W - t grad f(W))]_+|| / t`` from scratch."""
-    _, g = CensoredDesign(knots, obs).nll_grad(W.ravel())
+    """``||W - [prox_t(W - t grad f(W))]_+|| / t`` from scratch, ``f`` the
+    fit's limit problem (:func:`oracles.limit_nll_grad`)."""
+    _, g = limit_nll_grad(knots, obs, penalty.gamma, penalty.monotone)(W.ravel())
     Y = W - t * g.reshape(W.shape)
     if penalty.monotone:
         # the linear TV term of nondecreasing rows joins the gradient
@@ -449,6 +486,36 @@ def start_ref(knots, obs, penalty):
     X0 = np.zeros(CensoredDesign(knots, obs).shape)
     X0[0] = pooled_event_rate_loop(obs)
     return max(1.0, mapping_norm_at(knots, obs, X0, penalty, 1.0))
+
+
+def assert_matches_scipy_on_the_limit_problem(knots, obs, monotone):
+    """The default gamma=0 fit certifies silently, and its final objective is
+    within 1e-8 relative of SciPy's L-BFGS-B on the limit problem from
+    scratch (:func:`oracles.limit_nll_grad`); in monotone mode SciPy runs
+    on each row's increments ``delta >= 0``, ``w = cumsum(delta)``."""
+    penalty = PenaltyConfig(gamma=0.0, monotone=monotone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(obs, SolverConfig(penalty=penalty), knots=knots)
+    assert res.converged
+    shape = res.model.W.shape
+    nll_grad = limit_nll_grad(knots, obs, 0.0, monotone)
+
+    def fun(x):
+        W = np.cumsum(x.reshape(shape), axis=1) if monotone else x
+        f, g = nll_grad(W.ravel())
+        if monotone:
+            g = np.cumsum(g.reshape(shape)[:, ::-1], axis=1)[:, ::-1]
+        return f, g.ravel()
+
+    x0 = np.zeros(shape)
+    x0[:, 0 if monotone else slice(None)] = 0.1
+    ref = scipy.optimize.minimize(
+        fun, x0.ravel(), jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * x0.size,
+        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20000, "maxfun": 40000},
+    )
+    fitted = res.objective_trace[-1][1]
+    assert abs(fitted - ref.fun) <= 1e-8 * max(1.0, abs(ref.fun)), (fitted, ref.fun)
 
 
 class TestCertificate:
@@ -493,12 +560,11 @@ class TestCertificate:
             # coarse knots, so that the unpenalized optimum exists
             (PenaltyConfig(gamma=0.0), 50, 26, KnotSet((1.5, 3.0, 4.5), horizon=6.0)),
         ],
-        ids=["tv", "monotone", "long steps", "lbfgsb"],
+        ids=["tv", "monotone", "long steps", "unpenalized"],
     )
     def test_converged_means_small_mapping_norm_at_step_one(self, penalty, n, seed, knots, steps):
-        # on both routes the certificate is the mapping norm at t = 1 of the
-        # returned model over its norm at the start, both recomputed here
-        # from scratch
+        # the certificate is the mapping norm at t = 1 of the returned model
+        # over its norm at the start, both recomputed here from scratch
         obs = sim_observations(np.random.default_rng(seed), n=n)
         knots = knots or build_knot_set(obs)
         with warnings.catch_warnings():
@@ -523,8 +589,10 @@ class TestCertificate:
         assert all(np.all(Y >= 0.0) for Y, _, _, _ in steps)
 
     def test_capped_fit_reports_the_norm_at_the_returned_model(self, steps):
-        # on both routes; FISTA's last step started from an extrapolated
-        # point, so its norm at the returned model takes one more gradient
+        # the last step started from an extrapolated point, so the norm at
+        # the returned model takes one more gradient.  The gamma=0 set has
+        # cells along which the objective falls forever: its norm is its
+        # limit problem's, where the lifted cells have no exposure
         obs = sim_observations(np.random.default_rng(40), n=40)
         knots = build_knot_set(obs)
         for gamma in (1.0, 0.0):
@@ -543,7 +611,7 @@ class TestCertificate:
 
     def test_warnings_point_at_the_caller(self):
         # an uncertified fit warns at the first frame outside the package,
-        # on either route
+        # at gamma = 0 as at gamma = 1
         obs = sim_observations(np.random.default_rng(40), n=40)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
