@@ -14,9 +14,11 @@ The weighted pass is Condat's with the open segment's running weight in
 place of its entry count and ``+-weight / d_k`` in place of ``+-weight``;
 at unit weights its arithmetic is the unweighted pass's, bitwise.  In
 monotone mode the TV of a nondecreasing row is ``w[last] - w[first]``, so
-the prox is weighted isotonic projection
-(``scipy.optimize.isotonic_regression``) of the row with ``weight / d``
-added to its first entry and taken from its last, then clipping.  Both
+the prox is weighted isotonic projection of the row with ``weight / d``
+added to its first entry and taken from its last, then clipping; the
+projection is a port of SciPy's pool-adjacent-violators
+(``scipy.optimize.isotonic_regression``) to Python lists, bitwise SciPy's
+result without SciPy's per-row call overhead or its import.  Both
 operators compute ``y +- weight / d``, which loses a row the weight dwarfs;
 the screen of :func:`_flat` gives such a row its constant solution, the
 weighted mean, instead.  Neither operator raises a (shifted) row's maximum,
@@ -32,7 +34,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .timeline import _real, _switch
 
@@ -242,13 +243,61 @@ def isotonic_project(y, d=None):
     weights ``d`` (``y``'s shape; all ones if None), of a row ``y`` or of
     each row of a 2-D stack ``y``.
 
-    SciPy's pool-adjacent-violators (``scipy.optimize.isotonic_regression``)
-    on input validated once: each result row is nondecreasing, idempotent,
-    and preserves the row's weighted sum.
+    SciPy's pool-adjacent-violators (``scipy.optimize.isotonic_regression``),
+    ported by :func:`_pava_row` to Python lists, on input validated once:
+    each result row is nondecreasing, idempotent, and preserves the row's
+    weighted sum.
     """
     y = _validated(y)
     d = _weights(d, y)
     rows = y.reshape(d.shape)
-    return np.array([
-        scipy.optimize.isotonic_regression(row, weights=w).x for row, w in zip(rows, d)
-    ]).reshape(y.shape)
+    out = []
+    for row, w in zip(rows.tolist(), d.tolist()):
+        _pava_row(row, w, out)
+    return np.array(out).reshape(y.shape)
+
+
+def _pava_row(x, w, out):
+    """Busing's PAVA (J. Stat. Softw. 102(1), 2022, Algorithm 1) on a row
+    ``x`` (a list of floats) at positive weights ``w`` (a list), both
+    overwritten; appends the projection to the list ``out``.
+
+    A line-for-line port of SciPy's ``_pava_pybind.pava``, with its two
+    ``>=`` tests in place of Busing's ``>`` and its order of operations, so
+    the result is bitwise SciPy's.  Blocks are kept in place: block ``b``
+    has value ``x[b]``, weight ``w[b]`` and covers entries ``r[b]`` to
+    ``r[b + 1] - 1``.  A new entry that does not rise above the last block
+    merges with it, takes in the next entries while they do not rise above
+    the merged value, then merges back while the previous block does not
+    lie below it.
+    """
+    n = len(x)
+    r = [0] * (n + 1)
+    r[1] = 1
+    b = 0
+    xb_prev, wb_prev = x[0], w[0]
+    i = 1
+    while i < n:
+        b += 1
+        xb, wb = x[i], w[i]
+        if xb_prev >= xb:
+            b -= 1
+            sb = wb_prev * xb_prev + wb * xb
+            wb += wb_prev
+            xb = sb / wb
+            while i < n - 1 and xb >= x[i + 1]:
+                i += 1
+                sb += w[i] * x[i]
+                wb += w[i]
+                xb = sb / wb
+            while b > 0 and x[b - 1] >= xb:
+                b -= 1
+                sb += w[b] * x[b]
+                wb += w[b]
+                xb = sb / wb
+        x[b] = xb_prev = xb
+        w[b] = wb_prev = wb
+        r[b + 1] = i + 1
+        i += 1
+    for k in range(b + 1):
+        out += [x[k]] * (r[k + 1] - r[k])

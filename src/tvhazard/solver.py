@@ -54,21 +54,18 @@ The solver sees the problem only through the :class:`CensoredDesign`
 arrays of the metric) and the :class:`PenaltyConfig` (``value``,
 ``prox``).  The smooth part is the likelihood alone, with its bracket
 masses clamped at the design's positivity floor; TV and every constraint,
-monotone mode's too, live in the penalty's prox.
+monotone mode's too, live in the penalty's prox.  The solver runs on NumPy
+and the design's CSR products; no module of the package imports
+``scipy.optimize`` (the proportional baseline's quasi-Newton lives in
+:mod:`~tvhazard.baseline`).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy import optimize
 
 from .likelihood import CensoredDesign, HazardModel, NumericalError, _warn_at_caller
 from .penalty import PenaltyConfig
@@ -315,39 +312,6 @@ def _fit_full_batch(design, config, X, f, g, ref):
         f, g = design.nll_grad(X)
     rel = _certificate(pen, X, g, ref)
     return X, trace, "certified" if rel <= tol else "max_iterations", rel
-
-
-@functools.cache
-def _scipy_openblas():
-    """SciPy's bundled OpenBLAS, or None where SciPy links another BLAS."""
-    for path in glob.glob(os.path.join(scipy.__path__[0], os.pardir, "scipy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_get_num_threads"):
-            lib.scipy_openblas_get_num_threads.argtypes = []
-            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
-            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads.restype = None
-            return lib
-    return None
-
-
-def _lbfgsb(fun, x0, bounds, **options):
-    """The package's one SciPy minimization: L-BFGS-B of ``fun`` (value and
-    gradient) on one thread of SciPy's OpenBLAS, the caller's count restored
-    after, also when it raises.  L-BFGS-B hands a small triangular solve to a
-    worker thread every iteration, which on a busy two-core host waited for a
-    core each time (0.4-0.5 s per run on 1000 sites, not 10-20 ms).  The
-    solve splits by columns: the results are the same."""
-    lib = _scipy_openblas()
-    if lib is not None:
-        threads = lib.scipy_openblas_get_num_threads()
-        lib.scipy_openblas_set_num_threads(1)
-    try:
-        return optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                                 options=options)
-    finally:
-        if lib is not None:
-            lib.scipy_openblas_set_num_threads(threads)
 
 
 def _start(design, config):

@@ -140,8 +140,10 @@ class FeaturePath:
     feature is 0 before its first change time and right-continuous at each
     change.  Features absent from ``entries`` are identically 0.  ``d`` is
     a dimension, as :func:`_dimension` defines it, every index an integer,
-    as :func:`_integer` defines it, and every change time and value a real
-    number, as :func:`_real` defines it.  This constructor is the one check
+    as :func:`_integer` defines it, and every change time and value a
+    finite, nonnegative real number, as :func:`_real` defines it: a negative
+    value would make a head exposure negative, and the NLL fall without
+    bound as that feature's weight rises.  This constructor is the one check
     of a path, the file reader's included.  ``entries`` is stored
     read-only, so the runs a design once read from it stay the path's.
     """
@@ -164,6 +166,8 @@ class FeaturePath:
                     raise ValueError(f"non-finite change ({t!r}, {v!r}) for feature {j}")
                 if t < 0:
                     raise ValueError(f"change time {t!r} for feature {j} is negative")
+                if v < 0:
+                    raise ValueError(f"change value {v!r} for feature {j} is negative")
                 if t <= prev:
                     raise ValueError(f"change times for feature {j} not strictly increasing")
                 prev = t
@@ -182,7 +186,7 @@ class FeaturePath:
         nonnegative ``int``, that every key of ``entries`` is an ``int`` in
         ``[0, d)``, and that every change tuple is non-empty and holds pairs
         of finite Python ``float``s whose times increase strictly from 0 or
-        later."""
+        later and whose values are nonnegative."""
         self = object.__new__(cls)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", MappingProxyType(entries))

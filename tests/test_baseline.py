@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.sparse
 
-import tvhazard.solver
+import tvhazard.baseline
 from tvhazard import (
     ConstantAdditiveModel,
     FeaturePath,
@@ -21,14 +21,17 @@ from tvhazard import (
     SeparationWarning,
     SolverConfig,
     SolverWarning,
+    default_scenario,
     fit,
     fit_constant_additive,
     fit_proportional,
+    generate,
     model_matrix,
     nll_dataset,
     proportional_nll,
 )
 from tvhazard.baseline import _pieces, _proportional_value_grad
+from tvhazard.likelihood import _pooled_event_rate
 from tvhazard.timeline import _run_table
 
 from oracles import change_times, level_at, tv
@@ -328,18 +331,44 @@ class TestProportional:
         assert abs(model.weights[0]) >= 50.0 - 1e-6
 
     def test_lbfgsb_failure_warns_once(self, monkeypatch):
+        # an iteration cap of 1 stops the quasi-Newton uncertified: one
+        # SolverWarning, and the last iterate comes back
         obs = sim_observations(np.random.default_rng(55), d=2, n=80)
-        minimize = scipy.optimize.minimize
-
-        def one_iteration(*args, options, **kwargs):
-            return minimize(*args, options={**options, "maxiter": 1}, **kwargs)
-
-        monkeypatch.setattr(tvhazard.solver.optimize, "minimize", one_iteration)
+        monkeypatch.setattr(tvhazard.baseline, "_MAX_ITERATIONS", 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit_proportional(obs)
+            model = fit_proportional(obs)
         assert [w.category for w in caught] == [SolverWarning]
-        assert "L-BFGS-B" in str(caught[0].message)
+        assert "uncertified (max_iterations)" in str(caught[0].message)
+        assert model.weights != (0.0, 0.0)
+
+    def test_certifies_on_the_figure1_split_below_scipy(self):
+        # the certificate stops the fit, where SciPy's L-BFGS-B at ftol
+        # 1e-12 stopped above it; the objective is no higher than SciPy's
+        spec = default_scenario(0)
+        _, obs = generate(spec)
+        perm = np.random.default_rng(np.random.SeedSequence((0, 3))).permutation(len(obs))
+        train = [obs[i] for i in perm[: int(0.7 * len(obs))]]
+        d, table, left, right, is_interval = _run_table(train)
+        pieces = _pieces(d, table, left, right, is_interval)
+        hi = np.concatenate(([30.0], np.full(d, 50.0)))
+
+        def objective(theta):
+            return _proportional_value_grad(theta, pieces, 1e-6)
+
+        def mapping_norm(theta):
+            return np.linalg.norm(theta - np.clip(theta - objective(theta)[1], -hi, hi))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_proportional(train)
+        theta = np.concatenate(([math.log(model.base_rate)], model.weights))
+        x0 = np.concatenate(([math.log(_pooled_event_rate(left, right, is_interval))], np.zeros(d)))
+        assert mapping_norm(theta) <= 1e-7 * max(1.0, mapping_norm(x0))
+        ref = scipy.optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                                      bounds=list(zip(-hi, hi)),
+                                      options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-10})
+        assert objective(theta)[0] <= ref.fun + 1e-9 * abs(ref.fun)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

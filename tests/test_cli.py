@@ -316,6 +316,19 @@ class TestFit:
             assert f"{obs}:3: censoring boundary 9.0 beyond horizon 5.0" in capsys.readouterr().err
             assert not (tmp_path / "m.json").exists()
 
+    def test_negative_change_value_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        records = [{"d": 1, "horizon": 5.0}, {"censoring": {"kind": "right", "t": 2.0}},
+                   {"censoring": {"kind": "interval", "l": 1.0, "r": 2.0},
+                    "features": [{"j": 0, "changes": [{"t": 0.0, "v": -1.0}]}]}]
+        obs.write_text("".join(json.dumps(r) + "\n" for r in records))
+        args = ["fit", "--observations", str(obs), "--out", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{obs}:3: change value -1.0 for feature 0 is negative" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_numerical_failure_exit_code(self, obs_file, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("objective not finite")

@@ -65,15 +65,15 @@ EDGE_CHARS = '"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'
 def drawn_observations(draw):
     """One record on d=4 through the public constructors: an id with
     escapes, non-ASCII, astral characters and lone surrogates; change
-    values and censoring times from the edge floats or any finite float;
-    features inserted out of index order."""
+    values and censoring times from the edge floats or any finite float
+    >= 0 (-0.0 included); features inserted out of index order."""
     finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
     times = finite.filter(lambda t: t >= 0)
     uid = draw(st.text(st.sampled_from(EDGE_CHARS) | st.characters(exclude_categories=())))
     entries = {}
     for j in draw(st.permutations(range(4)))[: draw(st.integers(0, 4))]:
         ts = sorted(draw(st.lists(times, min_size=1, max_size=3, unique=True)))
-        entries[j] = tuple((t, draw(finite)) for t in ts)
+        entries[j] = tuple((t, draw(times)) for t in ts)
     path = FeaturePath(4, entries)
     if draw(st.booleans()):
         left, right = sorted(draw(st.lists(times, min_size=2, max_size=2, unique=True)))
@@ -286,6 +286,17 @@ class TestObservationFiles:
         f = tmp_path / "obs.jsonl"
         f.write_text('{"d": 1, "horizon": 2.0}\n{%s}\n' % record)
         with pytest.raises(FormatError, match=rf"obs\.jsonl:2: {field} must be a number, got "):
+            read_observations(f)
+
+    def test_negative_change_value_rejected(self, tmp_path):
+        # a negative feature value gives a negative head exposure, and the
+        # NLL falls without bound as that feature's weight rises
+        f = tmp_path / "obs.jsonl"
+        f.write_text('{"d": 1, "horizon": 2.0}\n'
+                     '{"censoring": {"kind": "right", "t": 1.5}, '
+                     '"features": [{"j": 0, "changes": [{"t": 0.0, "v": 1.0}, {"t": 1.0, "v": -1.0}]}]}\n')
+        with pytest.raises(FormatError,
+                           match=r"obs\.jsonl:2: change value -1\.0 for feature 0 is negative"):
             read_observations(f)
 
     @settings(

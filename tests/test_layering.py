@@ -2,11 +2,14 @@
 owns the records and imports no package module, every package import sits
 at a module's top level, only ``timeline`` sets a record's run stamp,
 every fit runs one solver route, FISTA, which alone runs a line search or
-reads the NLL's curvature, only ``solver._lbfgsb`` runs a SciPy
-minimization, for the proportional baseline alone, and JSON is parsed only
-by the three readers, each under ``formats._MALFORMED``."""
+reads the NLL's curvature, no module imports ``scipy.optimize`` (nor does
+``import tvhazard``, checked in a fresh interpreter), and JSON is parsed
+only by the three readers, each under ``formats._MALFORMED``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,20 +81,29 @@ def test_every_fit_runs_one_route():
     # gamma = 0 runs FISTA on its limit problem too; a second route is a
     # second optimizer to certify
     assert uses("_fit_full_batch") == ["solver.fit"]
-    assert uses("_lbfgsb") == ["baseline.fit_proportional"]
 
 
-def test_one_scipy_minimization():
-    # the one L-BFGS-B driver pins SciPy's BLAS to one thread; a second call
-    # site, pinned or not, is a second driver
-    assert uses("minimize") == ["solver._lbfgsb"]
+def test_no_module_imports_scipy_optimize():
+    # the isotonic projection and the proportional baseline run on NumPy and
+    # Python lists; scipy.optimize cost most of the import's time.  Both
+    # ``import scipy.optimize`` and ``from scipy import optimize`` count
+    imported = [(module, a.name if isinstance(n, ast.Import) else f"{n.module}.{a.name}")
+                for module, tree in SOURCES.items() for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+    assert [(m, name) for m, name in imported if name.startswith("scipy.optimize")] == []
 
 
-def test_baseline_imports_nothing_from_scipy_optimize():
-    imported = [f"{n.module}.{a.name}" if isinstance(n, ast.ImportFrom) else a.name
-                for n in ast.walk(SOURCES["baseline"]) if isinstance(n, (ast.Import, ast.ImportFrom))
-                for a in n.names]
-    assert [name for name in imported if name.startswith("scipy.optimize")] == []
+def test_import_loads_no_scipy_optimize(tmp_path):
+    # a fresh interpreter: a SciPy module that loads scipy.optimize itself
+    # would bring its import time and memory back
+    package_root = Path(tvhazard.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package_root), env.get("PYTHONPATH")) if p)
+    code = "import sys, tvhazard; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_json_is_parsed_only_at_the_three_refusal_sites():

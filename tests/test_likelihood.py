@@ -92,12 +92,12 @@ def random_observations(rng, d, horizon, n=12):
 
 
 @st.composite
-def design_inputs(draw, horizon=10.0, low=-3.0):
+def design_inputs(draw, horizon=10.0, low=0.0):
     """Knots and observations with feature paths that ``generate`` never makes:
-    several runs per feature, zero and non-unit values (nonzero ones drawn
-    from ``[low, 3]`` besides 1), a change at t=0 and changes past the
-    horizon, features in any order; optionally no interval observation at
-    all."""
+    several runs per feature, zero and non-unit values (drawn from ``[low,
+    3]`` besides 0 and 1; a path refuses a negative one), a change at t=0
+    and changes past the horizon, features in any order; optionally no
+    interval observation at all."""
     d = draw(st.integers(0, 3))
     change_times = st.one_of(st.just(0.0), st.floats(0.0, 1.5 * horizon))
     values = st.one_of(st.just(0.0), st.just(1.0), st.floats(low, 3.0))

@@ -29,7 +29,6 @@ from tvhazard import (
     build_knot_set,
     default_scenario,
     fit,
-    fit_proportional,
     fused_lasso_prox,
     generate,
     isotonic_project,
@@ -265,57 +264,6 @@ class TestFullBatch:
             fitted = res.objective_trace[-1][1]
             assert fitted <= ref.fun + 1e-5 * max(1.0, abs(ref.fun))
             assert ref.fun <= fitted + 1e-5 * max(1.0, abs(fitted))
-
-    def test_lbfgs_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
-        # the one L-BFGS-B caller, the proportional baseline, pins SciPy's
-        # OpenBLAS to one thread for the minimization only, also when it
-        # raises; no fit runs L-BFGS-B
-        lib = tvhazard.solver._scipy_openblas()
-        assert lib is not None
-        obs = sim_observations(np.random.default_rng(27), n=40)
-        seen = []
-        minimize = tvhazard.solver.optimize.minimize
-
-        def recording(*args, **kwargs):
-            seen.append(lib.scipy_openblas_get_num_threads())
-            return minimize(*args, **kwargs)
-
-        def failing(*args, **kwargs):
-            raise RuntimeError("minimize failed")
-
-        threads = lib.scipy_openblas_get_num_threads()
-        try:
-            lib.scipy_openblas_set_num_threads(2)
-            monkeypatch.setattr(tvhazard.solver.optimize, "minimize", recording)
-            fit(obs, cfg(0.0))
-            fit_proportional(obs)
-            assert seen == [1]
-            assert lib.scipy_openblas_get_num_threads() == 2
-            monkeypatch.setattr(tvhazard.solver.optimize, "minimize", failing)
-            with pytest.raises(RuntimeError, match="minimize failed"):
-                fit_proportional(obs)
-            assert lib.scipy_openblas_get_num_threads() == 2
-        finally:
-            lib.scipy_openblas_set_num_threads(threads)
-
-    def test_one_blas_thread_leaves_an_unpenalized_fit_bitwise_unchanged(self, monkeypatch):
-        # L-BFGS-B's solves split by columns, so the proportional baseline,
-        # unpenalized but for its small ridge, fitted on one BLAS thread is
-        # the fit on the caller's two
-        lib = tvhazard.solver._scipy_openblas()
-        _, obs = generate(default_scenario(0))
-
-        def run():
-            return fit_proportional(obs)
-
-        threads = lib.scipy_openblas_get_num_threads()
-        try:
-            lib.scipy_openblas_set_num_threads(2)
-            pinned = run()
-            monkeypatch.setattr(tvhazard.solver, "_scipy_openblas", lambda: None)
-            assert run() == pinned
-        finally:
-            lib.scipy_openblas_set_num_threads(threads)
 
     def test_unpenalized_fit_meets_the_kkt_conditions(self):
         # an oracle independent of L-BFGS-B: the gradient vanishes where

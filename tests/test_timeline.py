@@ -189,8 +189,13 @@ class TestFeaturePath:
             (((-0.5, 1.0),), "is negative"),
             (((1.0, 1.0), (1.0, 2.0)), "not strictly increasing"),
             (((2.0, 1.0), (1.0, 2.0)), "not strictly increasing"),
+            # a negative value makes a head exposure negative: the NLL then
+            # falls without bound as that feature's weight rises
+            (((0.0, -1.0),), "change value -1.0 for feature 0 is negative"),
+            (((0.0, 1.0), (2.0, -5e-324)), "change value -5e-324 for feature 0 is negative"),
         ],
-        ids=["time-inf", "time-nan", "value-nan", "negative", "repeated", "decreasing"],
+        ids=["time-inf", "time-nan", "value-nan", "negative", "repeated", "decreasing",
+             "value-negative", "value-negative-subnormal"],
     )
     def test_rejects_bad_changes(self, changes, match):
         with pytest.raises(ValueError, match=match):
@@ -323,7 +328,7 @@ def shared_time_sets(draw):
     d = draw(st.integers(1, 3))
     obs = []
     for _ in range(draw(st.integers(1, 8))):
-        entries = {j: [(t, draw(st.floats(-2.0, 2.0))) for t in
+        entries = {j: [(t, draw(st.floats(0.0, 2.0))) for t in
                        sorted(set(draw(st.lists(times, min_size=int(not obs and j == 0),
                                                 max_size=4))))]
                    for j in range(d)}
