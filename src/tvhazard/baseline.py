@@ -102,11 +102,9 @@ def _pieces(d, table, left, right, is_interval):
     and end of its nonzero runs in the records' run table; the arguments
     are :func:`~tvhazard.timeline._run_table`'s results.
 
-    Returns ``(X, XT, obs, head, bracket, is_interval)``: the sparse
-    (pieces, d) feature rows and their transpose (CSR, so the gradient's
-    product does not build a transposed view per call), each piece's
-    observation, its overlaps with the head
-    window ``[0, e_i]`` and the bracket ``[l_i, r_i]`` (empty when
+    Returns ``(X, obs, head, bracket, is_interval)``: the sparse (pieces,
+    d) feature rows (CSR), each piece's observation, its overlaps with the
+    head window ``[0, e_i]`` and the bracket ``[l_i, r_i]`` (empty when
     right-censored), and which observations are interval-censored.
     """
     # the intercept run is the base rate; a zero-valued run sets nothing
@@ -137,7 +135,7 @@ def _pieces(d, table, left, right, is_interval):
     # a right-censored observation stores left = right: its bracket is empty
     head = np.clip(np.minimum(hi, left) - lo, 0.0, None)
     bracket = np.clip(np.minimum(hi, right) - np.maximum(lo, left), 0.0, None)
-    return X, X.T.tocsr(), obs, head, bracket, is_interval
+    return X, obs, head, bracket, is_interval
 
 
 def proportional_nll(model, observations):
@@ -149,27 +147,33 @@ def proportional_nll(model, observations):
     if pieces[0].shape[1] != model.d:
         raise ValueError(f"dimension mismatch: model d={model.d}, paths d={pieces[0].shape[1]}")
     theta = np.concatenate(([math.log(model.base_rate)], model.weights))
-    value, _ = _proportional_value_grad(theta, pieces, 0.0)
-    return value
+    return _proportional_terms(theta, pieces)[0]
 
 
-def _proportional_value_grad(theta, pieces, l2_weight):
-    """Penalized NLL and its gradient in ``(log lambda_0, w)``."""
-    X, XT, obs, head, bracket, is_interval = pieces
+def _proportional_terms(theta, pieces):
+    """The censored NLL at ``theta = (log lambda_0, w)``, with what its
+    gradient is made of: each piece's rate and bracket's ``1/(e^mass - 1)``."""
+    X, obs, head, bracket, is_interval = pieces
     rate = np.exp(np.minimum(theta[0] + X @ theta[1:], _EXP_CAP))
     # mass > 0 on every bracket: positive base rate over a nonempty bracket
     mass = np.bincount(obs, weights=rate * bracket, minlength=len(is_interval))[is_interval]
     log_mass, inv = _bracket_terms(mass)
-    value = float((rate * head).sum() - log_mass.sum())
+    return float((rate * head).sum() - log_mass.sum()), rate, inv
+
+
+def _proportional_value_grad(theta, pieces, XT):
+    """The proportional fit's objective, the NLL plus ``_L2_WEIGHT *
+    ||w||^2``, and its gradient; ``XT``, the rows transposed as CSR, is
+    built once per fit, so no call builds a transposed view."""
+    _, obs, head, bracket, is_interval = pieces
+    value, rate, inv = _proportional_terms(theta, pieces)
     coef = np.zeros(len(is_interval))
     coef[is_interval] = inv
     q = rate * (head - coef[obs] * bracket)
     grad = np.concatenate(([q.sum()], XT @ q))
-    if l2_weight > 0.0:
-        w = theta[1:]
-        value += l2_weight * float(w @ w)
-        grad[1:] += 2.0 * l2_weight * w
-    return value, grad
+    w = theta[1:]
+    grad[1:] += 2.0 * _L2_WEIGHT * w
+    return value + _L2_WEIGHT * float(w @ w), grad
 
 
 def fit_proportional(observations):
@@ -190,8 +194,9 @@ def fit_proportional(observations):
     x0 = np.concatenate(([math.log(rate0)], np.zeros(d)))
     hi = np.concatenate(([30.0], np.full(d, _WEIGHT_CAP)))
 
+    XT = pieces[0].T.tocsr()
     theta, rel, stop = _box_quasi_newton(
-        lambda theta: _proportional_value_grad(theta, pieces, _L2_WEIGHT), x0, -hi, hi)
+        lambda theta: _proportional_value_grad(theta, pieces, XT), x0, -hi, hi)
     if stop != "certified":
         _warn_at_caller(
             f"proportional fit stopped uncertified ({stop}) at relative mapping norm "

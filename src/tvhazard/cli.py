@@ -52,6 +52,14 @@ def _nonnegative_int(text):
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
+def _comma_list(flag, text, parse):
+    """A comma-separated flag's items, blanks skipped, each read by ``parse``."""
+    try:
+        return [parse(item) for item in text.split(",") if item.strip() != ""]
+    except ValueError as e:
+        raise FormatError(f"bad {flag} {text!r}: {e}") from e
+
+
 def _json_text(payload):
     """``payload`` as JSON, an infinite float (an NLL of +inf) written as
     null: JSON has no infinity."""
@@ -152,10 +160,7 @@ def cmd_evaluate(args):
 
 def cmd_sweep(args):
     _refuse_overwrite(args.force, args.out)
-    try:
-        gammas = [float(g) for g in args.gammas.split(",") if g.strip() != ""]
-    except ValueError as e:
-        raise FormatError(f"bad --gammas {args.gammas!r}: {e}") from e
+    gammas = _comma_list("--gammas", args.gammas, float)
     if not gammas:
         raise FormatError("empty gamma grid")
     configs = [_solver_config(args, gamma) for gamma in gammas]
@@ -215,10 +220,7 @@ def cmd_export(args):
     if args.features is None:
         indices = [-1] + np.flatnonzero(model.W[1:].any(axis=1)).tolist()
     else:
-        try:
-            indices = [int(j) for j in args.features.split(",") if j.strip() != ""]
-        except ValueError as e:
-            raise FormatError(f"bad --features {args.features!r}: {e}") from e
+        indices = _comma_list("--features", args.features, int)
         for k, j in enumerate(indices):
             if not -1 <= j < model.d:
                 raise FormatError(f"feature index {j} outside [-1, {model.d})")

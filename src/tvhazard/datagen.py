@@ -22,7 +22,7 @@ import numpy as np
 
 from .likelihood import HazardModel
 from .timeline import (MERGE_TOL, FeaturePath, Observation, _dimension, _horizon, _integer, _real,
-                       _switch, _window_knots)
+                       _step_paths, _switch, _window_knots)
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,15 @@ class CampaignSpec:
     before its first change).  Sites carry each feature independently with
     probability ``feature_density`` (present from t=0).  ``scan_times`` are
     the shared blacklist sweeps that create interval censoring.
-    ``d``, ``n``, ``seed`` and the planted indices are integers (a ``bool``
-    is not) and are stored as Python ints; ``horizon``, ``baseline_level``,
-    ``feature_density``, planted change times and levels and scan times are
-    real numbers, as :func:`~tvhazard.timeline._real` defines them (a string
-    or a ``bool`` is not), stored as Python floats.  ``d`` and ``horizon``
-    follow the package's one rule for each
-    (:func:`~tvhazard.timeline._dimension`, :func:`~tvhazard.timeline._horizon`).
-    ``monotone_truth`` is a ``bool``.
+    ``d``, ``n`` and ``seed`` are integers (a ``bool`` is not) and are
+    stored as Python ints; ``horizon``, ``baseline_level``,
+    ``feature_density`` and scan times are real numbers, as
+    :func:`~tvhazard.timeline._real` defines them (a string or a ``bool``
+    is not), stored as Python floats.  ``d`` and ``horizon`` follow the
+    package's one rule for each (:func:`~tvhazard.timeline._dimension`,
+    :func:`~tvhazard.timeline._horizon`), and the planted paths that for a
+    step path (:func:`~tvhazard.timeline._step_paths`), with times at most
+    the horizon and no index twice.  ``monotone_truth`` is a ``bool``.
     """
 
     d: int
@@ -61,17 +62,8 @@ class CampaignSpec:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("baseline_level", "feature_density"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        object.__setattr__(
-            self,
-            "active",
-            tuple(
-                (
-                    _integer(j, "planted feature index"),
-                    tuple((_real(t, "change time"), _real(v, "planted level")) for t, v in changes),
-                )
-                for j, changes in self.active
-            ),
-        )
+        object.__setattr__(self, "active", tuple(
+            _step_paths(self.active, self.d, "planted feature index", "planted level")))
         object.__setattr__(self, "scan_times", tuple(_real(s, "scan time") for s in self.scan_times))
         _switch(self.monotone_truth, "monotone_truth")
         if self.n < 1:
@@ -83,29 +75,16 @@ class CampaignSpec:
         if not (math.isfinite(self.baseline_level) and self.baseline_level >= 0):
             raise ValueError(f"baseline_level must be finite and >= 0, got {self.baseline_level}")
         seen = set()
-        any_level = False
         for j, changes in self.active:
-            if not 0 <= j < self.d:
-                raise ValueError(f"active feature index {j} outside [0, {self.d})")
             if j in seen:
                 raise ValueError(f"feature {j} planted twice")
             seen.add(j)
-            prev_t, prev_v = -math.inf, 0.0
-            for t, v in changes:
-                if not 0.0 <= t <= self.horizon:
-                    raise ValueError(f"change time {t} outside [0, {self.horizon}]")
-                if t <= prev_t:
-                    raise ValueError(f"change times for feature {j} not increasing")
-                if not math.isfinite(v):
-                    raise ValueError(f"planted level {v} for feature {j} is not finite")
-                if v < 0:
-                    raise ValueError(f"planted level {v} is negative")
-                if self.monotone_truth and v < prev_v:
-                    raise ValueError(f"monotone_truth violated by feature {j}")
-                if v != 0.0:
-                    any_level = True
-                prev_t, prev_v = t, v
-        if self.active and not any_level and self.baseline_level == 0.0:
+            if changes and changes[-1][0] > self.horizon:
+                raise ValueError(f"change time {changes[-1][0]} beyond horizon {self.horizon}")
+            if self.monotone_truth and any(b < a for (_, a), (_, b) in zip(changes, changes[1:])):
+                raise ValueError(f"monotone_truth violated by feature {j}")
+        planted = any(v != 0.0 for _, changes in self.active for _, v in changes)
+        if self.active and not planted and self.baseline_level == 0.0:
             raise ValueError("degenerate truth: all planted levels and the baseline are zero")
         prev = 0.0
         for s in self.scan_times:

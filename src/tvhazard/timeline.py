@@ -78,6 +78,36 @@ def _dimension(value):
     return d
 
 
+def _step_paths(entries, d, index="feature index", level="change value"):
+    """The one rule for a step path, a site's covariate or a campaign's
+    planted coefficient: each ``(j, changes)`` of ``entries``, in order, as
+    an :func:`_integer` in ``[0, d)`` and a tuple of ``(time, level)``
+    pairs of finite, nonnegative :func:`_real` numbers whose times increase
+    strictly.  The messages call the index ``index`` and the level
+    ``level``, and name the feature."""
+    out = []
+    for j, changes in entries:
+        j = _integer(j, index)
+        if not 0 <= j < d:
+            raise ValueError(f"{index} {j} outside [0, {d})")
+        changes = tuple((_real(t, "change time"), _real(v, level)) for t, v in changes)
+        prev = -math.inf
+        for t, v in changes:
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite change time {t!r} for feature {j}")
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite {level} {v!r} for feature {j}")
+            if t < 0:
+                raise ValueError(f"change time {t!r} for feature {j} is negative")
+            if v < 0:
+                raise ValueError(f"{level} {v!r} for feature {j} is negative")
+            if t <= prev:
+                raise ValueError(f"change times for feature {j} not strictly increasing")
+            prev = t
+        out.append((j, changes))
+    return out
+
+
 @dataclass(frozen=True)
 class KnotSet:
     """Sorted candidate jump times over the observation window ``[0, horizon]``.
@@ -139,12 +169,12 @@ class FeaturePath:
     ``(change_time, new_value)`` pairs with strictly increasing times; the
     feature is 0 before its first change time and right-continuous at each
     change.  Features absent from ``entries`` are identically 0.  ``d`` is
-    a dimension, as :func:`_dimension` defines it, every index an integer,
-    as :func:`_integer` defines it, and every change time and value a
-    finite, nonnegative real number, as :func:`_real` defines it: a negative
-    value would make a head exposure negative, and the NLL fall without
-    bound as that feature's weight rises.  This constructor is the one check
-    of a path, the file reader's included.  ``entries`` is stored
+    a dimension, as :func:`_dimension` defines it, and every entry a step
+    path, as :func:`_step_paths` defines it: an integer index and finite,
+    nonnegative change times and values (a negative value would make a
+    head exposure negative, and the NLL fall without bound as that
+    feature's weight rises).  This constructor is the one check of a path,
+    the file reader's included.  ``entries`` is stored
     read-only, so the runs a design once read from it stay the path's.
     """
 
@@ -153,26 +183,7 @@ class FeaturePath:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _dimension(self.d))
-        clean = {}
-        for j, changes in self.entries.items():
-            j = _integer(j, "feature index")
-            if not 0 <= j < self.d:
-                raise ValueError(f"feature index {j} outside [0, {self.d})")
-            changes = tuple((_real(t, "change time"), _real(v, "change value"))
-                            for t, v in changes)
-            prev = -math.inf
-            for t, v in changes:
-                if not math.isfinite(t) or not math.isfinite(v):
-                    raise ValueError(f"non-finite change ({t!r}, {v!r}) for feature {j}")
-                if t < 0:
-                    raise ValueError(f"change time {t!r} for feature {j} is negative")
-                if v < 0:
-                    raise ValueError(f"change value {v!r} for feature {j} is negative")
-                if t <= prev:
-                    raise ValueError(f"change times for feature {j} not strictly increasing")
-                prev = t
-            if changes:
-                clean[j] = changes
+        clean = {j: changes for j, changes in _step_paths(self.entries.items(), self.d) if changes}
         object.__setattr__(self, "entries", MappingProxyType(clean))
 
     def __reduce__(self):

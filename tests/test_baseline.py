@@ -273,15 +273,16 @@ class TestProportional:
         for _ in range(10):
             obs = sim_observations(rng, d=2, n=15)
             per = _pieces(*_run_table(obs))
+            XT = per[0].T.tocsr()
             theta = np.concatenate((rng.normal(-1.0, 0.3, 1), rng.normal(0.0, 0.5, 2)))
-            _, g = _proportional_value_grad(theta, per, 1e-6)
+            _, g = _proportional_value_grad(theta, per, XT)
             h = 1e-6
             for k in range(3):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                fp, _ = _proportional_value_grad(tp, per, 1e-6)
-                fm, _ = _proportional_value_grad(tm, per, 1e-6)
+                fp, _ = _proportional_value_grad(tp, per, XT)
+                fm, _ = _proportional_value_grad(tm, per, XT)
                 fd = (fp - fm) / (2 * h)
                 assert abs(g[k] - fd) / max(1.0, abs(g[k])) < 1e-6
 
@@ -292,7 +293,8 @@ class TestProportional:
             warnings.simplefilter("error")
             model = fit_proportional(obs)
         theta = np.concatenate(([math.log(model.base_rate)], model.weights))
-        _, g = _proportional_value_grad(theta, _pieces(*_run_table(obs)), 1e-6)
+        per = _pieces(*_run_table(obs))
+        _, g = _proportional_value_grad(theta, per, per[0].T.tocsr())
         assert np.abs(g).max() < 1e-4
         null = fit_proportional(
             [
@@ -351,10 +353,11 @@ class TestProportional:
         train = [obs[i] for i in perm[: int(0.7 * len(obs))]]
         d, table, left, right, is_interval = _run_table(train)
         pieces = _pieces(d, table, left, right, is_interval)
+        XT = pieces[0].T.tocsr()
         hi = np.concatenate(([30.0], np.full(d, 50.0)))
 
         def objective(theta):
-            return _proportional_value_grad(theta, pieces, 1e-6)
+            return _proportional_value_grad(theta, pieces, XT)
 
         def mapping_norm(theta):
             return np.linalg.norm(theta - np.clip(theta - objective(theta)[1], -hi, hi))

@@ -43,6 +43,57 @@ def tiny_spec(**overrides):
     return CampaignSpec(**base)
 
 
+# the bad values planted paths are drawn with, beside good ones
+BAD_INDICES = [-1, 3, 4, "1", True, False, 2.5]
+BAD_TIMES = [-1.0, math.nan, math.inf, "1", True]
+BAD_LEVELS = [-0.5, -5e-324, math.nan, math.inf, -math.inf, "0.5", True]
+
+
+def mostly(good, bad):
+    """``good``, or one of ``bad`` one time in eight."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(bad) if k == 0 else good)
+
+
+@st.composite
+def planted_paths(draw):
+    """``active`` entries for ``tiny_spec`` (d=3, horizon 4): mostly good,
+    with indices out of range, repeated or not integers, times past the
+    horizon, not increasing or not numbers, bad levels, zero levels, -0.0
+    and empty change lists."""
+    index = mostly(st.integers(0, 2), BAD_INDICES)
+    time = mostly(st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 4.0])), BAD_TIMES)
+    level = mostly(st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, -0.0, 1.0])), BAD_LEVELS)
+    active = []
+    for _ in range(draw(st.integers(0, 3))):
+        changes = draw(st.lists(st.tuples(time, level), max_size=3))
+        if draw(st.integers(0, 3)):
+            changes.sort(key=lambda c: c[0] if isinstance(c[0], float) else 0.0)
+        active.append((draw(index), tuple(changes)))
+    return tuple(active)
+
+
+def plantable(active, monotone, baseline, d, horizon):
+    """Whether a spec plants ``active``, decided apart from the package:
+    distinct int indices in ``[0, d)``; finite, nonnegative float times and
+    levels; times increasing strictly up to the horizon; levels
+    nondecreasing under ``monotone``; and some nonzero level or baseline
+    when anything is planted."""
+    indices = [j for j, _ in active]
+    if any(type(j) is not int or not 0 <= j < d for j in indices):
+        return False
+    if len(set(indices)) < len(indices):
+        return False
+    for _, changes in active:
+        times, levels = [t for t, _ in changes], [v for _, v in changes]
+        if not all(type(x) is float and 0.0 <= x < math.inf for x in times + levels):
+            return False
+        if any(b <= a for a, b in zip(times, times[1:])) or (times and times[-1] > horizon):
+            return False
+        if monotone and any(b < a for a, b in zip(levels, levels[1:])):
+            return False
+    return not active or baseline != 0.0 or any(v != 0.0 for _, c in active for _, v in c)
+
+
 class TestSpecValidation:
     def test_accepts_well_formed(self):
         tiny_spec()
@@ -109,7 +160,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("level", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_planted_level_names_its_feature(self, level):
         # NaN passed every comparison and failed later, in truth_model
-        with pytest.raises(ValueError, match=f"planted level {level} for feature 2 is not finite"):
+        with pytest.raises(ValueError, match=f"non-finite planted level {level} for feature 2"):
             tiny_spec(active=((0, ((1.0, 0.5),)), (2, ((0.5, 0.3), (2.0, level)))))
 
     def test_rejects_bad_active_entries(self):
@@ -153,6 +204,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(active=((0, ((1.0, 0.5), (2.0, 0.2))),), monotone_truth=True)
         tiny_spec(active=((0, ((1.0, 0.2), (2.0, 0.5))),), monotone_truth=True)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(active=planted_paths(), monotone=st.booleans(), baseline=st.sampled_from([0.0, 0.2]))
+    def test_refuses_exactly_the_bad_planted_paths(self, active, monotone, baseline):
+        try:
+            tiny_spec(active=active, monotone_truth=monotone, baseline_level=baseline)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == plantable(active, monotone, baseline, d=3, horizon=4.0)
 
     def test_rejects_degenerate_and_bad_scans(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +29,7 @@ from tvhazard import (
     build_knot_set,
     default_scenario,
     fit,
+    fit_constant_additive,
     fused_lasso_prox,
     generate,
     isotonic_project,
@@ -464,6 +465,70 @@ def assert_matches_scipy_on_the_limit_problem(knots, obs, monotone):
     )
     fitted = res.objective_trace[-1][1]
     assert abs(fitted - ref.fun) <= 1e-8 * max(1.0, abs(ref.fun)), (fitted, ref.fun)
+
+
+def gamma_max(Z, monotone):
+    """The smallest gamma at which the constant fit is optimal, from ``Z =
+    -grad NLL`` there: the largest ``Z_r[a..b] / ([a > 0] + [b < K-1])``
+    over every interval but a whole row, the denominator the jumps that
+    raising the interval costs; in monotone mode the largest suffix sum
+    ``Z_r[a..]``, ``a > 0``.  Prefix sums ``S`` give ``Z_r[a..b] = S[b+1] -
+    S[a]``."""
+    K = Z.shape[1]
+    S = np.hstack((np.zeros((len(Z), 1)), np.cumsum(Z, axis=1)))
+    suffix = S[:, K:] - S[:, 1:K]
+    if monotone:
+        return float(suffix.max())
+    # an inner interval [a..b], 0 < a <= b < K-1, at its smallest S[a]
+    inner = S[:, 2:K] - np.minimum.accumulate(S[:, 1:K - 1], axis=1)
+    return float(max(S[:, 1:K].max(), suffix.max(), inner.max(initial=-math.inf) / 2))
+
+
+def assert_path_ends_at_the_constant_fit(obs, knots, monotone):
+    """At 1.1 gamma_max the fit is ``fit_constant_additive``'s model on every
+    interval, to within the certificate; at 0.9 gamma_max some row jumps and
+    the objective falls below the constant fit's.  ``Z`` is from scratch
+    (:func:`oracles.limit_nll_grad`); a fit here may stall just above the
+    certificate, at the rounding floor of its objective."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverWarning)
+        c = fit_constant_additive(obs)
+        Wc = np.repeat([[c.intercept, *c.weights]], knots.n_intervals, axis=0).T
+        f_c, g = limit_nll_grad(knots, obs, 1.0, monotone)(Wc.ravel())
+        top = gamma_max(-g.reshape(Wc.shape), monotone)
+        penalties = {scale: PenaltyConfig(gamma=scale * top, monotone=monotone) for scale in (1.1, 0.9)}
+        fits = {scale: fit(obs, SolverConfig(penalty=p), knots=knots) for scale, p in penalties.items()}
+    W = fits[1.1].model.W
+    assert np.all(W == W[:, :1])
+    assert np.abs(W - Wc).max() <= 1e-5 * max(1.0, float(Wc.max()))
+    assert abs(fits[1.1].objective_trace[-1][1] - f_c) <= 1e-9 * max(1.0, abs(f_c))
+    W = fits[0.9].model.W
+    assert np.abs(np.diff(W, axis=1)).max() > 0.0
+    assert fits[0.9].objective_trace[-1][1] < f_c - 1e-9 * max(1.0, abs(f_c))
+    return top
+
+
+class TestPathEnd:
+    @pytest.mark.parametrize("monotone", [False, True], ids=["fused", "monotone"])
+    def test_the_figure1_path_ends_at_the_constant_fit(self, monotone):
+        spec = default_scenario(0)
+        _, obs = generate(spec)
+        perm = np.random.default_rng(np.random.SeedSequence((0, 3))).permutation(len(obs))
+        train = [obs[i] for i in perm[: int(0.7 * len(obs))]]
+        knots = build_knot_set(train, horizon=spec.horizon)
+        top = assert_path_ends_at_the_constant_fit(train, knots, monotone)
+        assert top == pytest.approx(189.03, abs=0.01)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), monotone=st.booleans())
+    def test_small_paths_end_at_the_constant_fit(self, seed, monotone):
+        rng = np.random.default_rng(seed)
+        obs = sim_observations(rng, d=2, n=int(rng.integers(6, 40)))
+        knots = build_knot_set(obs)
+        design = CensoredDesign(knots, obs)
+        # a row with no head exposure makes the fit's a limit problem
+        assume(knots.n_intervals > 1 and design.limit_problem(1.0, monotone)[0] is design)
+        assert assert_path_ends_at_the_constant_fit(obs, knots, monotone) > 0.0
 
 
 class TestCertificate:
