@@ -7,8 +7,8 @@ class and fitted by :func:`~tvhazard.solver.fit` itself, and a
 constant-base-rate proportional-hazards model ``lambda(t|x) = lambda_0 *
 exp(w . x(t))``, fitted with a small ridge term for identifiability with
 collinear binary features by a projected BFGS on NumPy
-(:func:`_box_quasi_newton`), which stops on the package's certificate: the
-box mapping norm at most ``1e-7`` times its value at the start.
+(:func:`_box_quasi_newton`), which stops on the solver's certificate and
+tolerance and reports an uncertified stop as :func:`~tvhazard.solver.fit` does.
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ import scipy.sparse
 
 from .likelihood import HazardModel, _bracket_terms, _pooled_event_rate, _warn_at_caller
 from .penalty import PenaltyConfig
-from .solver import SolverConfig, SolverWarning, fit
+from .solver import SolverConfig, _warn_uncertified, fit
 from .timeline import KnotSet, _real, _run_table
 
 _WEIGHT_CAP = 50.0
 _L2_WEIGHT = 1e-6  # the ridge on the proportional model's weights
-# the proportional fit's quasi-Newton: the certificate's relative tolerance,
-# the iteration cap, the Armijo fraction and the relative curvature floor
-# below which a step does not update the inverse Hessian estimate
-_TOLERANCE = 1e-7
+# the proportional fit's quasi-Newton: the iteration cap, the Armijo fraction
+# and the relative curvature floor below which a step does not update H
 _MAX_ITERATIONS = 2000
 _ARMIJO = 1e-4
 _EPS = np.finfo(float).eps
@@ -182,10 +180,10 @@ def fit_proportional(observations):
     :func:`_box_quasi_newton` over ``(log lambda_0, w)`` with ``|w_j| <=
     50`` and a ridge of weight ``1e-6`` on ``w``, from the pooled event rate
     (0.01 without events) and zero weights, to the package's certificate:
-    the box mapping norm ``||theta - clip(theta - grad)||`` at most ``1e-7``
-    times ``max(1, its value at the start)``.  Hitting the cap indicates
-    quasi-separation and raises a :class:`SeparationWarning`; a fit that
-    stops uncertified raises a :class:`~tvhazard.solver.SolverWarning`.
+    the box mapping norm ``||theta - clip(theta - grad)||`` at most
+    ``SolverConfig.tolerance`` times ``max(1, its value at the start)``.
+    Hitting the cap indicates quasi-separation and raises a
+    :class:`SeparationWarning`; an uncertified stop warns as ``fit`` does.
     """
     d, table, left, right, is_interval = _run_table(list(observations))
     pieces = _pieces(d, table, left, right, is_interval)
@@ -195,14 +193,10 @@ def fit_proportional(observations):
     hi = np.concatenate(([30.0], np.full(d, _WEIGHT_CAP)))
 
     XT = pieces[0].T.tocsr()
-    theta, rel, stop = _box_quasi_newton(
+    theta, rel, stop, iteration = _box_quasi_newton(
         lambda theta: _proportional_value_grad(theta, pieces, XT), x0, -hi, hi)
     if stop != "certified":
-        _warn_at_caller(
-            f"proportional fit stopped uncertified ({stop}) at relative mapping norm "
-            f"{rel:.3g}; returning its last iterate",
-            SolverWarning,
-        )
+        _warn_uncertified(stop, iteration, rel, SolverConfig.tolerance)
     if np.any(np.abs(theta[1:]) >= _WEIGHT_CAP - 1e-6):
         _warn_at_caller(
             "proportional-model weights hit the +-50 cap (possible separation)",
@@ -227,10 +221,12 @@ def _box_quasi_newton(fun, x, lo, hi):
     an L-BFGS two-loop costs several per stored pair.
 
     Stops certified once the box mapping norm ``||x - clip(x - g)||`` is at
-    most ``_TOLERANCE * max(1, its value at the start)``.  Returns ``(x,
-    relative norm, stop)``, ``stop`` one of ``"certified"``, ``"stalled"``
-    (no trial step moves ``x`` and lowers ``fun``) and ``"max_iterations"``.
+    most ``SolverConfig.tolerance * max(1, its value at the start)``.
+    Returns ``(x, relative norm, stop, steps taken)``, ``stop`` one of
+    ``"certified"``, ``"stalled"`` (no trial step moves ``x`` and lowers
+    ``fun``) and ``"max_iterations"``.
     """
+    tol = SolverConfig.tolerance
     f, g = fun(x)
     H = ref = None
     for iteration in range(_MAX_ITERATIONS + 1):
@@ -238,7 +234,7 @@ def _box_quasi_newton(fun, x, lo, hi):
         norm = math.sqrt(float(pg @ pg))
         if ref is None:
             ref = max(1.0, norm)
-        if norm <= _TOLERANCE * ref or iteration == _MAX_ITERATIONS:
+        if norm <= tol * ref or iteration == _MAX_ITERATIONS:
             break
         # a coordinate the gradient holds at a bound has pg = 0
         free = pg != 0.0
@@ -256,7 +252,7 @@ def _box_quasi_newton(fun, x, lo, hi):
             trial = np.clip(x + step * p, lo, hi)
             s = trial - x
             if not s.any():
-                return x, norm / ref, "stalled"
+                return x, norm / ref, "stalled", iteration
             f_trial, g_trial = fun(trial)
             if f_trial <= f + _ARMIJO * float(g @ s):
                 break
@@ -274,4 +270,4 @@ def _box_quasi_newton(fun, x, lo, hi):
             H += ts
             H += ts.T
         x, f, g = trial, f_trial, g_trial
-    return x, norm / ref, "certified" if norm <= _TOLERANCE * ref else "max_iterations"
+    return x, norm / ref, "certified" if norm <= tol * ref else "max_iterations", iteration

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import (MERGE_TOL, FeaturePath, Observation, _dimension, _horizon, _integer, _real,
-                       _step_paths, _switch, _window_knots)
+from .timeline import (MERGE_TOL, Observation, _dimension, _horizon, _integer, _real, _step_paths,
+                       _switch, _window_knots)
 
 
 @dataclass(frozen=True)
@@ -269,24 +269,22 @@ def generate(spec):
     features = np.nonzero(present)[1].tolist()
     # the records' Python objects set the peak memory: free the matrix first
     del present
-    # the records are built unchecked: feature indices are ints in [0, d),
-    # each path is the one change (0.0, 1.0), and the spec's scans increase
-    # strictly inside (0, horizon)
+    # the records are built unchecked (Observation._trusted): each present
+    # feature is the one change (0.0, 1.0), each bracket a pair of scans
     observations = []
     start = 0
     present_from_0 = ((0.0, 1.0),)
     horizon = float(spec.horizon)
     for site, (k, count) in enumerate(zip(brackets, counts)):
         entries = dict.fromkeys(features[start : start + count], present_from_0)
-        path = FeaturePath._trusted(spec.d, entries)
         start += count
-        uid = f"site-{site:06d}"
         # taus are capped at the horizon, beyond the last scan, or inf
         if k < len(scans):
-            left = scans[k - 1] if k > 0 else 0.0
-            observations.append(Observation._trusted(path, "interval", left, scans[k], uid))
+            kind, left, right = "interval", scans[k - 1] if k > 0 else 0.0, scans[k]
         else:
-            observations.append(Observation._trusted(path, "right", horizon, horizon, uid))
+            kind, left, right = "right", horizon, horizon
+        observations.append(
+            Observation._trusted(spec.d, entries, kind, left, right, f"site-{site:06d}"))
     return truth, observations
 
 

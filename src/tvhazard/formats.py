@@ -98,7 +98,7 @@ def _parse_observation(rec, d):
     ``v``, ``l`` and ``r`` tokens go to :class:`FeaturePath` and
     :class:`Observation` as parsed, so the constructors are the one check
     of a record; only a ``j`` listed twice is caught here, on the token
-    itself."""
+    itself.  A JSON number ``id`` goes as its ``str()``."""
     censoring = rec["censoring"]
     entries = {}
     for feat in rec.get("features", []):
@@ -107,7 +107,8 @@ def _parse_observation(rec, d):
             raise ValueError(f"feature index {j!r} listed twice")
         entries[j] = [(ch["t"], ch["v"]) for ch in feat["changes"]]
     fpath = FeaturePath(d, entries)
-    uid = str(rec.get("id", ""))
+    uid = rec.get("id", "")  # a bool, null, object or array is no str
+    uid = str(uid) if type(uid) in (int, float) else uid
     kind = censoring["kind"]
     if kind == "interval":
         return Observation.interval(fpath, censoring["l"], censoring["r"], id=uid)

@@ -38,7 +38,10 @@ the objective, a step from ``X`` no longer lowers it and the fit stops as
 stalled, or, when every trial of FISTA's sufficient-decrease test fails, as
 a step underflow.  :func:`fit` runs the start, hands it to FISTA and
 turns every uncertified exit into one :class:`SolverWarning`, raised at the
-first caller outside the package.
+first caller outside the package (:func:`_warn_uncertified`).  The
+proportional baseline's projected BFGS (:mod:`~tvhazard.baseline`) stops on
+this certificate too, with the box projection for the prox, at
+``SolverConfig.tolerance``, and warns through the same helper.
 
 Each line search tries the step it is given and halves it until a trial
 meets the sufficient-decrease bound (:func:`_backtrack`).
@@ -231,6 +234,18 @@ def _metric(design):
     return np.where(D > 0.0, D, positive.min() if positive.size else 1.0)
 
 
+def _warn_uncertified(stop, iteration, rel, tolerance):
+    """The one report of an uncertified stop, :func:`fit`'s and
+    :func:`~tvhazard.baseline.fit_proportional`'s: a :class:`SolverWarning`
+    at the first caller outside the package."""
+    why = {"max_iterations": "the iteration cap",
+           "stalled": "a step from the best iterate no longer lowers the objective",
+           "step_underflow": "the line-search step size underflowed"}[stop]
+    _warn_at_caller(f"fit stopped uncertified ({stop}) at iteration {iteration}: {why}, with "
+                    f"relative mapping norm {rel:.3g} > tolerance {tolerance:g}; returning the "
+                    "best iterate", SolverWarning)
+
+
 def _certificate(penalty, X, g, ref):
     """The relative mapping norm at ``t = 1`` of an iterate ``X`` with
     gradient ``g``: ``||X - [prox_1(X - g)]_+|| / ref``, ``ref`` the
@@ -351,17 +366,7 @@ def fit(observations, config, knots=None):
     limit, lift = design.limit_problem(config.penalty.gamma, config.penalty.monotone)
     W, trace, stop, rel = _fit_full_batch(limit, config, *_start(limit, config))
     if stop != "certified":
-        why = {
-            "max_iterations": f"stopped at max_iterations={config.max_iterations}",
-            "stalled": f"stalled at iteration {trace[-1][0]}: a step from the best iterate "
-            "no longer lowers the objective",
-            "step_underflow": f"line-search step size underflowed at iteration {trace[-1][0]}",
-        }[stop]
-        _warn_at_caller(
-            f"{why}, with relative mapping norm {rel:.3g} > tolerance "
-            f"{config.tolerance:g}; returning the best iterate",
-            SolverWarning,
-        )
+        _warn_uncertified(stop, trace[-1][0], rel, config.tolerance)
 
     model = HazardModel(knots, lift(W))
     return FitResult(

@@ -190,19 +190,6 @@ class FeaturePath:
         """Rebuilt through the constructor: a read-only mapping does not pickle."""
         return type(self), (self.d, dict(self.entries))
 
-    @classmethod
-    def _trusted(cls, d, entries):
-        """A path set from values that already pass ``__post_init__``'s
-        checks, which it skips.  The caller guarantees that ``d`` is a
-        nonnegative ``int``, that every key of ``entries`` is an ``int`` in
-        ``[0, d)``, and that every change tuple is non-empty and holds pairs
-        of finite Python ``float``s whose times increase strictly from 0 or
-        later and whose values are nonnegative."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-        return self
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -249,12 +236,20 @@ class Observation:
             object.__setattr__(self, "left", self.right)
 
     @classmethod
-    def _trusted(cls, path, kind, left, right, id):
-        """An observation set from values that already pass
-        ``__post_init__``'s checks, which it skips.  The caller guarantees
-        that ``left`` and ``right`` are finite Python ``float``s and that
+    def _trusted(cls, d, entries, kind, left, right, id):
+        """The package's one unchecked record: an observation and its
+        :class:`FeaturePath` ``(d, entries)``, set from values that already
+        pass both ``__post_init__`` checks, which it skips.  The caller
+        guarantees that ``d`` is a nonnegative ``int``; that every key of
+        ``entries`` is an ``int`` in ``[0, d)`` and every change tuple is
+        non-empty and holds pairs of finite Python ``float``s whose times
+        increase strictly from 0 or later and whose values are nonnegative;
+        that ``left`` and ``right`` are finite Python ``float``s and
         ``kind`` is ``"interval"`` with ``0 <= left < right`` or ``"right"``
-        with ``left == right > 0``."""
+        with ``left == right > 0``; and that ``id`` is a ``str``."""
+        path = object.__new__(FeaturePath)
+        object.__setattr__(path, "d", d)
+        object.__setattr__(path, "entries", MappingProxyType(entries))
         self = object.__new__(cls)
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "kind", kind)

@@ -62,10 +62,19 @@ MUTANTS = (
     Mutant("step path: a repeated change time passes", "src/tvhazard/timeline.py",
            "            if t <= prev:\n", "            if t < prev:\n",
            ("tests/test_timeline.py", "tests/test_datagen.py")),
+    # the one unchecked record, which only generate builds
+    Mutant("timeline: the unchecked constructor stores an interval's left as 0.0",
+           "src/tvhazard/timeline.py",
+           'object.__setattr__(self, "left", left)',
+           'object.__setattr__(self, "left", 0.0 if kind == "interval" else left)',
+           ("tests/test_datagen.py",)),
     # the one rule for refused outside input
     Mutant("formats: RecursionError is not malformed input", "src/tvhazard/formats.py",
            "_MALFORMED = (KeyError, TypeError, ValueError, RecursionError)",
            "_MALFORMED = (KeyError, TypeError, ValueError)",
+           ("tests/test_formats.py", "tests/test_cli.py")),
+    Mutant("formats: a record's id is read as str() of any token", "src/tvhazard/formats.py",
+           "str(uid) if type(uid) in (int, float) else uid", "str(uid)",
            ("tests/test_formats.py", "tests/test_cli.py")),
     # the solver
     Mutant("solver: FISTA takes no tied step", "src/tvhazard/solver.py",
@@ -76,6 +85,11 @@ MUTANTS = (
            "if excess <= 0.0 or (excess <= _ROUNDING * abs(f)",
            "if excess <= 0.0 or (False",
            ("tests/test_solver.py",)),
+    # the certificate's one tolerance, for the proportional fit too
+    Mutant("baseline: the proportional fit's tolerance is loosened to 1e-3",
+           "src/tvhazard/baseline.py",
+           "    tol = SolverConfig.tolerance\n", "    tol = 1e-3\n",
+           ("tests/test_baseline.py",)),
     Mutant("likelihood: the monotone lift keeps no running maximum", "src/tvhazard/likelihood.py",
            "return np.maximum.accumulate(W, axis=1) if monotone else W",
            "return W",

@@ -623,6 +623,16 @@ class TestMalformedInputs:
         assert len(err) == 1 and "obs.jsonl:1: bad header: time_unit must be a string" in err[0]
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("token", ["null", "true", '{"a": 1}'])
+    def test_an_id_that_is_neither_a_string_nor_a_number_exits_2(self, tmp_path, capsys, token):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"d": 1, "horizon": 4.0}\n'
+                       '{"id": %s, "censoring": {"kind": "right", "t": 1.0}}\n' % token)
+        assert main(["fit", "--observations", str(obs), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "obs.jsonl:2: id must be a str, got " in err[0]
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestOutOfMemory:
     # an input whose arrays do not fit exits 4, as a full disk does.  The

@@ -218,6 +218,24 @@ class TestObservationFiles:
         with pytest.raises(FormatError, match=r"obs\.jsonl:1: bad header: time_unit must be a string"):
             read_observations(f)
 
+    @pytest.mark.parametrize("token, uid", [('"7"', "7"), ('""', ""), ("5", "5"), ("2.5", "2.5"),
+                                            ("-0.0", "-0.0")])
+    def test_string_ids_read_as_written_and_number_ids_as_their_str(self, tmp_path, token, uid):
+        f = tmp_path / "obs.jsonl"
+        f.write_text('{"d": 0, "horizon": 2.0}\n'
+                     '{"id": %s, "censoring": {"kind": "right", "t": 1.0}}\n' % token)
+        assert [o.id for o in read_observations(f)[0]] == [uid]
+
+    @pytest.mark.parametrize("token", ["null", "true", "false", '{"a": 1}', '["x"]'])
+    def test_id_that_is_neither_a_string_nor_a_number_rejected(self, tmp_path, token):
+        # the reader kept str() of any JSON value: null read as "None",
+        # true as "True", an object as its repr, and the writer kept them
+        f = tmp_path / "obs.jsonl"
+        f.write_text('{"d": 0, "horizon": 2.0}\n'
+                     '{"id": %s, "censoring": {"kind": "right", "t": 1.0}}\n' % token)
+        with pytest.raises(FormatError, match=r"obs\.jsonl:2: id must be a str, got "):
+            read_observations(f)
+
     def test_blank_lines_tolerated(self, tmp_path):
         f = tmp_path / "obs.jsonl"
         rec = observation_record(Observation.right_censored(FeaturePath(1, {}), 1.5))

@@ -2,9 +2,11 @@
 owns the records and imports no package module, every package import sits
 at a module's top level, only ``timeline`` sets a record's run stamp,
 every fit runs one solver route, FISTA, which alone runs a line search or
-reads the NLL's curvature, no module imports ``scipy.optimize`` (nor does
-``import tvhazard``, checked in a fresh interpreter), and JSON is parsed
-only by the three readers, each under ``formats._MALFORMED``."""
+reads the NLL's curvature, only ``solver`` raises ``SolverWarning``, only
+``generate`` builds a record unchecked, no module imports
+``scipy.optimize`` (nor does ``import tvhazard``, checked in a fresh
+interpreter), and JSON is parsed only by the three readers, each under
+``formats._MALFORMED``."""
 
 import ast
 import os
@@ -81,6 +83,25 @@ def test_every_fit_runs_one_route():
     # gamma = 0 runs FISTA on its limit problem too; a second route is a
     # second optimizer to certify
     assert uses("_fit_full_batch") == ["solver.fit"]
+
+
+def test_only_the_solver_names_the_solver_warning():
+    # both smooth fits report an uncertified stop through solver's one
+    # helper; a module that imports the class can raise a second report
+    named = {module for module, tree in SOURCES.items() for n in ast.walk(tree)
+             if (isinstance(n, ast.Name) and n.id == "SolverWarning")
+             or (isinstance(n, ast.alias) and n.name == "SolverWarning")}
+    assert named - {"__init__"} == {"solver"}
+
+
+def test_only_generate_builds_a_record_unchecked():
+    # one unchecked constructor, called once: each more is a second list of
+    # what its caller guarantees
+    defined = [f"{module}.{c.name}" for module, tree in SOURCES.items() for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef) and f.name == "_trusted"]
+    assert defined == ["timeline.Observation"]
+    assert uses("_trusted") == ["datagen.generate"]
 
 
 def test_no_module_imports_scipy_optimize():

@@ -393,7 +393,7 @@ class TestFullBatch:
             starved = fit(obs, cfg(1.0, max_iterations=1, tolerance=1e-6))
         assert not starved.converged
         assert [w.category for w in caught] == [SolverWarning]
-        assert "max_iterations=1" in str(caught[0].message)
+        assert "uncertified (max_iterations) at iteration 1" in str(caught[0].message)
 
 
 @pytest.fixture
@@ -661,6 +661,20 @@ class TestCertificate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fit(obs, cfg(gamma)).stop == "certified"
+
+    @pytest.mark.parametrize("seed, gamma", [(41, 1.0), (78, 0.0), (103, 0.0), (110, 0.0),
+                                             (138, 0.0)])
+    def test_a_trial_that_fails_only_by_rounding_is_retested_exactly(self, seed, gamma):
+        # near these monotone fits' minimizers every rounded trial fails the
+        # sufficient-decrease bound by less than its rounding; the exact
+        # nll_change passes one, and without that retest each fit ends in a
+        # step underflow instead
+        rng = np.random.default_rng(seed)
+        obs = sim_observations(rng, d=2, n=int(rng.integers(6, 60)))
+        penalty = PenaltyConfig(gamma=gamma, monotone=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit(obs, SolverConfig(penalty=penalty)).stop == "certified"
 
     def test_step_underflow_at_the_best_iterate_warns_once(self, monkeypatch):
         # no trial ever meets the sufficient-decrease bound: the fit gives
