@@ -44,7 +44,6 @@ from .solver import (
     nonzero_parameter_count,
 )
 from .timeline import (
-    FeaturePath,
     KnotSet,
     Observation,
     build_knot_set,
@@ -56,7 +55,6 @@ __all__ = [
     "CampaignSpec",
     "CensoredDesign",
     "ConstantAdditiveModel",
-    "FeaturePath",
     "FitResult",
     "FormatError",
     "HazardModel",

@@ -141,6 +141,7 @@ def cmd_fit(args):
 
 
 def cmd_evaluate(args):
+    _refuse_overwrite(args.force, args.out)
     model = read_model(args.model)
     observations, _ = read_observations(args.observations)
     if not observations:
@@ -152,7 +153,6 @@ def cmd_evaluate(args):
                           f"{args.observations}: {e}") from e
     report = {"n": len(observations), "total_nll": total, "mean_nll": total / len(observations)}
     if args.out is not None:
-        _refuse_overwrite(args.force, args.out)
         _write_json(args.out, report)
     print(_json_text(report))
     return 0

@@ -30,7 +30,7 @@ from decimal import Decimal
 import numpy as np
 
 from .likelihood import HazardModel
-from .timeline import FeaturePath, KnotSet, Observation, _dimension, _horizon, _integer, _real
+from .timeline import KnotSet, Observation, _dimension, _horizon, _integer, _real
 
 
 # Exact decimal arithmetic: every sum and difference of the model codec is
@@ -73,13 +73,13 @@ def write_observations(path, observations, d, horizon):
     d, horizon = _dimension(d), _horizon(horizon)
     lines = [json.dumps({"d": d, "horizon": horizon, "time_unit": "abstract"}) + "\n"]
     for o in observations:
-        if o.path.d != d:
-            raise ValueError(f"observation {o.id!r}: path d={o.path.d}, file d={d}")
+        if o.d != d:
+            raise ValueError(f"observation {o.id!r}: path d={o.d}, file d={d}")
         if o.right > horizon:
             raise ValueError(
                 f"observation {o.id!r}: censoring boundary {o.right} beyond horizon {horizon}"
             )
-        entries = o.path.entries
+        entries = o.entries
         features = ", ".join(
             _FEATURE % (j, ", ".join([_CHANGE % change for change in entries[j]]))
             for j in sorted(entries)
@@ -95,10 +95,10 @@ def write_observations(path, observations, d, horizon):
 
 def _parse_observation(rec, d):
     """The :class:`Observation` one JSON record holds.  Its ``j``, ``t``,
-    ``v``, ``l`` and ``r`` tokens go to :class:`FeaturePath` and
-    :class:`Observation` as parsed, so the constructors are the one check
-    of a record; only a ``j`` listed twice is caught here, on the token
-    itself.  A JSON number ``id`` goes as its ``str()``."""
+    ``v``, ``l`` and ``r`` tokens go to the :class:`Observation`
+    constructors as parsed, so they are the one check of a record; only a
+    ``j`` listed twice is caught here, on the token itself.  A JSON number
+    ``id`` goes as its ``str()``."""
     censoring = rec["censoring"]
     entries = {}
     for feat in rec.get("features", []):
@@ -106,14 +106,13 @@ def _parse_observation(rec, d):
         if j in entries:
             raise ValueError(f"feature index {j!r} listed twice")
         entries[j] = [(ch["t"], ch["v"]) for ch in feat["changes"]]
-    fpath = FeaturePath(d, entries)
     uid = rec.get("id", "")  # a bool, null, object or array is no str
     uid = str(uid) if type(uid) in (int, float) else uid
     kind = censoring["kind"]
     if kind == "interval":
-        return Observation.interval(fpath, censoring["l"], censoring["r"], id=uid)
+        return Observation.interval(d, entries, censoring["l"], censoring["r"], id=uid)
     if kind == "right":
-        return Observation.right_censored(fpath, censoring["t"], id=uid)
+        return Observation.right_censored(d, entries, censoring["t"], id=uid)
     raise ValueError(f"unknown censoring kind {kind!r}")
 
 

@@ -129,7 +129,8 @@ def _weights(d, y):
 def fused_lasso_prox(y, weight, d=None):
     """Exact minimizer of ``(1/2) sum_k d_k (y_k - w_k)^2 + weight * TV(w)``,
     of a row ``y`` or of each row of a 2-D stack ``y``, with per-entry
-    weights ``d`` in ``y``'s shape (all ones if None).
+    weights ``d`` in ``y``'s shape (all ones if None).  ``weight`` is a
+    real number, as :func:`~tvhazard.timeline._real` defines it.
 
     Condat's direct algorithm (IEEE Signal Process. Lett. 20(11), 2013),
     weighted, on Python lists of floats, behind the screen of
@@ -138,20 +139,20 @@ def fused_lasso_prox(y, weight, d=None):
     overhead.
     """
     y = _validated(y)
+    weight = _real(weight, "weight")
     if not 0 <= weight < math.inf:
         raise ValueError(f"weight must be finite and >= 0, got {weight!r}")
     d = _weights(d, y)
     if y.shape[-1] == 1 or weight == 0.0:
         return y.copy()
-    lam = float(weight)
     rows = y.reshape(d.shape)
-    flat, top = _flat(rows, lam, d)
+    flat, top = _flat(rows, weight, d)
     out = []
     for row, w, f in zip(rows.tolist(), d.tolist(), flat):
         if f:
             out += _constant_row(row, w)
         else:
-            _condat_row(row, w, lam, out)
+            _condat_row(row, w, weight, out)
     # rounding can lift a level past max(y), which the minimizer never exceeds;
     # the cap (np.minimum keeps signed zeros) keeps PenaltyConfig.prox's skip bitwise
     return np.minimum(np.array(out).reshape(rows.shape), top).reshape(y.shape)

@@ -1,11 +1,12 @@
-"""Shared time axis: knot sets, piecewise-constant feature paths and observations.
+"""Shared time axis: knot sets, and observations with their feature paths.
 
 Every coefficient path in a fitted model is a right-continuous step function
 whose jumps live on a single shared :class:`KnotSet`; a model holds one
 value per (coefficient row, knot interval), the matrix ``W`` of
 :class:`tvhazard.likelihood.HazardModel`, and its file form, a base level
-plus jumps, belongs to :mod:`tvhazard.formats`.  Feature paths carry
-their own change times and are right-continuous as well.  A set of records
+plus jumps, belongs to :mod:`tvhazard.formats`.  Each :class:`Observation`
+carries its site's piecewise-constant feature path, which has its own
+change times and is right-continuous as well.  A set of records
 is read as one run table (:func:`_run_table`), from which the knot set and
 :class:`tvhazard.likelihood.CensoredDesign`'s exact integrals are taken.
 """
@@ -162,47 +163,34 @@ class KnotSet:
 
 
 @dataclass(frozen=True)
-class FeaturePath:
-    """Piecewise-constant covariate trajectories for one observation unit.
-
-    ``entries`` maps feature index ``j`` (0-based, ``j < d``) to a tuple of
-    ``(change_time, new_value)`` pairs with strictly increasing times; the
-    feature is 0 before its first change time and right-continuous at each
-    change.  Features absent from ``entries`` are identically 0.  ``d`` is
-    a dimension, as :func:`_dimension` defines it, and every entry a step
-    path, as :func:`_step_paths` defines it: an integer index and finite,
-    nonnegative change times and values (a negative value would make a
-    head exposure negative, and the NLL fall without bound as that
-    feature's weight rises).  This constructor is the one check of a path,
-    the file reader's included.  ``entries`` is stored
-    read-only, so the runs a design once read from it stay the path's.
-    """
-
-    d: int
-    entries: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", _dimension(self.d))
-        clean = {j: changes for j, changes in _step_paths(self.entries.items(), self.d) if changes}
-        object.__setattr__(self, "entries", MappingProxyType(clean))
-
-    def __reduce__(self):
-        """Rebuilt through the constructor: a read-only mapping does not pickle."""
-        return type(self), (self.d, dict(self.entries))
-
-
-@dataclass(frozen=True)
 class Observation:
-    """One censored observation: a feature path plus censoring information.
+    """One censored site: its piecewise-constant covariate path plus its
+    censoring information.
+
+    The path is ``entries``, a map from feature index ``j`` (0-based,
+    ``j < d``) to a tuple of ``(change_time, new_value)`` pairs with
+    strictly increasing times; the feature is 0 before its first change
+    time and right-continuous at each change.  Features absent from
+    ``entries`` are identically 0.  ``d`` is a dimension, as
+    :func:`_dimension` defines it, and every entry a step path, as
+    :func:`_step_paths` defines it: an integer index and finite, nonnegative
+    change times and values (a negative value would make a head exposure
+    negative, and the NLL fall without bound as that feature's weight
+    rises).  ``entries`` is stored read-only, so the runs a design once read
+    from it stay the record's.
 
     ``kind`` is ``"interval"`` (event happened in ``(left, right]``) or
     ``"right"`` (no event up to ``right``; ``left`` is ignored and stored as
     ``right``).  Both are real numbers, as :func:`_real` defines them.
     Intervals require ``0 <= left < right``.  ``id`` is an opaque ``str``
     label carried through serialization.
+
+    The constructor checks the path first, then the censoring; it is the
+    one check of a record, the file reader's included.
     """
 
-    path: FeaturePath
+    d: int
+    entries: dict
     kind: str
     left: float
     right: float
@@ -212,11 +200,15 @@ class Observation:
     # its size, and one tuple is stored in one step.
     _runs = None
 
-    def __getstate__(self):
-        """The fields only: a pickle or a copy never carries a walked block."""
-        return {k: v for k, v in self.__dict__.items() if k != "_runs"}
+    def __reduce__(self):
+        """Rebuilt through the constructor: a read-only mapping does not
+        pickle, and a pickle or a copy never carries a walked block."""
+        return type(self), (self.d, dict(self.entries), self.kind, self.left, self.right, self.id)
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _dimension(self.d))
+        clean = {j: changes for j, changes in _step_paths(self.entries.items(), self.d) if changes}
+        object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "right", _real(self.right, "right"))
         object.__setattr__(self, "left", _real(self.left, "left"))
         if self.kind not in ("interval", "right"):
@@ -237,9 +229,8 @@ class Observation:
 
     @classmethod
     def _trusted(cls, d, entries, kind, left, right, id):
-        """The package's one unchecked record: an observation and its
-        :class:`FeaturePath` ``(d, entries)``, set from values that already
-        pass both ``__post_init__`` checks, which it skips.  The caller
+        """The package's one unchecked record, set from values that already
+        pass the ``__post_init__`` checks, which it skips.  The caller
         guarantees that ``d`` is a nonnegative ``int``; that every key of
         ``entries`` is an ``int`` in ``[0, d)`` and every change tuple is
         non-empty and holds pairs of finite Python ``float``s whose times
@@ -247,11 +238,9 @@ class Observation:
         that ``left`` and ``right`` are finite Python ``float``s and
         ``kind`` is ``"interval"`` with ``0 <= left < right`` or ``"right"``
         with ``left == right > 0``; and that ``id`` is a ``str``."""
-        path = object.__new__(FeaturePath)
-        object.__setattr__(path, "d", d)
-        object.__setattr__(path, "entries", MappingProxyType(entries))
         self = object.__new__(cls)
-        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
@@ -259,12 +248,12 @@ class Observation:
         return self
 
     @classmethod
-    def interval(cls, path, left, right, id=""):
-        return cls(path, "interval", left, right, id)
+    def interval(cls, d, entries, left, right, id=""):
+        return cls(d, entries, "interval", left, right, id)
 
     @classmethod
-    def right_censored(cls, path, at, id=""):
-        return cls(path, "right", at, at, id)
+    def right_censored(cls, d, entries, at, id=""):
+        return cls(d, entries, "right", at, at, id)
 
 
 def _run_table(observations):
@@ -332,8 +321,7 @@ def _walk(observations):
     filled by NumPy.
     """
     n = len(observations)
-    paths = [o.path for o in observations]
-    dims = [p.d for p in paths]
+    dims = [o.d for o in observations]
     d = dims[0]
     if dims.count(d) != n:
         other = next(x for x in dims if x != d)
@@ -343,7 +331,7 @@ def _walk(observations):
     is_interval = np.fromiter((o.kind == "interval" for o in observations), bool, n)
     # one item per feature with changes, in path order; fromiter skips the
     # type discovery that np.array does on a list
-    entries = [p.entries for p in paths]
+    entries = [o.entries for o in observations]
     changes = list(chain.from_iterable(e.values() for e in entries))
     size = np.fromiter(map(len, changes), np.intp, len(changes))
     flat = np.fromiter(chain.from_iterable(chain.from_iterable(changes)), float)

@@ -40,6 +40,23 @@ class Mutant:
     equivalent: str | None = None  # why it cannot change behaviour
 
 
+# the body of cmd_evaluate between its refusal of --out and its write
+_EVALUATE = (
+    "    model = read_model(args.model)\n"
+    "    observations, _ = read_observations(args.observations)\n"
+    "    if not observations:\n"
+    '        raise FormatError(f"{args.observations}: no observation records")\n'
+    "    try:\n"
+    "        total = nll_dataset(model, observations)\n"
+    "    except ValueError as e:\n"
+    '        raise FormatError(f"model {args.model} does not fit observations "\n'
+    '                          f"{args.observations}: {e}") from e\n'
+    '    report = {"n": len(observations), "total_nll": total, '
+    '"mean_nll": total / len(observations)}\n'
+    "    if args.out is not None:\n"
+)
+_REFUSE_OUT = "    _refuse_overwrite(args.force, args.out)\n"
+
 MUTANTS = (
     # the campaign's own rules on its planted paths
     Mutant("campaign: a repeated planted index passes", "src/tvhazard/datagen.py",
@@ -62,6 +79,14 @@ MUTANTS = (
     Mutant("step path: a repeated change time passes", "src/tvhazard/timeline.py",
            "            if t <= prev:\n", "            if t < prev:\n",
            ("tests/test_timeline.py", "tests/test_datagen.py")),
+    # the one record: its path rule and its rebuild
+    Mutant("record: the constructor skips the step-path rule", "src/tvhazard/timeline.py",
+           "for j, changes in _step_paths(self.entries.items(), self.d) if changes}",
+           "for j, changes in self.entries.items() if changes}",
+           ("tests/test_timeline.py", "tests/test_formats.py")),
+    Mutant("record: a pickle or a copy drops the id", "src/tvhazard/timeline.py",
+           "self.kind, self.left, self.right, self.id)", "self.kind, self.left, self.right)",
+           ("tests/test_likelihood.py",)),
     # the one unchecked record, which only generate builds
     Mutant("timeline: the unchecked constructor stores an interval's left as 0.0",
            "src/tvhazard/timeline.py",
@@ -76,6 +101,14 @@ MUTANTS = (
     Mutant("formats: a record's id is read as str() of any token", "src/tvhazard/formats.py",
            "str(uid) if type(uid) in (int, float) else uid", "str(uid)",
            ("tests/test_formats.py", "tests/test_cli.py")),
+    # the prox reads its weight as every number the package takes in
+    Mutant("penalty: fused_lasso_prox takes its weight unchecked", "src/tvhazard/penalty.py",
+           '    weight = _real(weight, "weight")\n', "",
+           ("tests/test_penalty.py",)),
+    # every command refuses an existing output before it reads its inputs
+    Mutant("cli: evaluate refuses its --out after evaluating", "src/tvhazard/cli.py",
+           _REFUSE_OUT + _EVALUATE, _EVALUATE + "    " + _REFUSE_OUT,
+           ("tests/test_cli.py",)),
     # the solver
     Mutant("solver: FISTA takes no tied step", "src/tvhazard/solver.py",
            "lower = FZ < FX or (at_x and FZ == FX and not np.array_equal(Z, X))",

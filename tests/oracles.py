@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.optimize
 
-from tvhazard import FeaturePath, Observation, ZeroBracketWarning, fit
+from tvhazard import Observation, ZeroBracketWarning, fit
 from tvhazard.datagen import _event_times, _target
 from tvhazard.timeline import MERGE_TOL, _window_knots
 
@@ -292,8 +292,8 @@ def observation_record(o):
     else:
         censoring = {"kind": "right", "t": o.right}
     features = [
-        {"j": j, "changes": [{"t": t, "v": v} for t, v in o.path.entries[j]]}
-        for j in sorted(o.path.entries)
+        {"j": j, "changes": [{"t": t, "v": v} for t, v in o.entries[j]]}
+        for j in sorted(o.entries)
     ]
     return {"id": o.id, "censoring": censoring, "features": features}
 
@@ -345,16 +345,16 @@ def run_table_loop(observations):
     is_interval)``, the table's rows ``(observation, coefficient row, start,
     end, value)`` with the intercept run first and then each feature's
     runs, zero-valued ones included, by ascending ``j``."""
-    d = observations[0].path.d
+    d = observations[0].d
     flat, left, right, is_interval = [], [], [], []
     for i, o in enumerate(observations):
-        if o.path.d != d:
-            raise ValueError(f"dimension mismatch: paths with d={d} and d={o.path.d}")
+        if o.d != d:
+            raise ValueError(f"dimension mismatch: paths with d={d} and d={o.d}")
         left.append(o.left)
         right.append(o.right)
         is_interval.append(o.kind == "interval")
         flat += (i, 0, 0.0, math.inf, 1.0)
-        for j, changes in sorted(o.path.entries.items()):
+        for j, changes in sorted(o.entries.items()):
             for c, (start, v) in enumerate(changes):
                 end = changes[c + 1][0] if c + 1 < len(changes) else math.inf
                 flat += (i, j + 1, start, end, v)
@@ -362,9 +362,9 @@ def run_table_loop(observations):
     return d, table, np.array(left), np.array(right), np.array(is_interval)
 
 
-def change_times(path):
-    """Sorted unique change times across all features of ``path``."""
-    return tuple(sorted({t for changes in path.entries.values() for t, _ in changes}))
+def change_times(entries):
+    """Sorted unique change times across all features of a path ``entries``."""
+    return tuple(sorted({t for changes in entries.values() for t, _ in changes}))
 
 
 def knot_set_per_path(observations, horizon=None):
@@ -373,7 +373,7 @@ def knot_set_per_path(observations, horizon=None):
     ``change_times``, repeats kept, under the same window rule."""
     if horizon is None:
         horizon = max(o.right for o in observations)
-    raw = [t for o in observations for t in (o.left, o.right, *change_times(o.path))]
+    raw = [t for o in observations for t in (o.left, o.right, *change_times(o.entries))]
     return _window_knots(raw, horizon)
 
 
@@ -432,14 +432,13 @@ def refine_and_compare(fit_result, observations, extra_knots):
     return refit.objective_trace[-1][1] - fit_result.objective_trace[-1][1]
 
 
-def event_time(path, truth, u):
+def event_time(entries, truth, u):
     """The event time ``generate`` draws from the uniform ``u`` for a site
-    with ``path``: the generator's own ``_event_times`` pass on the path's
-    levels.  Like every generated path, ``path`` must be constant on the
-    window, each feature set once at t=0."""
-    assert path.d == truth.d
+    with path ``entries``: the generator's own ``_event_times`` pass on the
+    path's levels.  Like every generated path, ``entries`` must be constant
+    on the window, each feature below ``truth.d`` set once at t=0."""
     levels = np.zeros((1, truth.d))
-    for j, changes in path.entries.items():
+    for j, changes in entries.items():
         assert len(changes) == 1 and changes[0][0] == 0.0, changes
         levels[0, j] = changes[0][1]
     return float(_event_times(truth, levels, np.array([_target(u)]))[0])
@@ -453,13 +452,12 @@ def representer_observations(rng):
         for j in range(2):
             if rng.random() < 0.5:
                 entries[j] = ((float(rng.uniform(0.0, 5.0)), 1.0),)
-        p = FeaturePath(2, entries)
         if rng.random() < 0.55:
             l = float(rng.uniform(0.2, 5.4))
             r = min(l + float(rng.uniform(0.3, 1.5)), 6.0)
-            obs.append(Observation.interval(p, l, r))
+            obs.append(Observation.interval(2, entries, l, r))
         else:
-            obs.append(Observation.right_censored(p, float(rng.uniform(0.5, 6.0))))
+            obs.append(Observation.right_censored(2, entries, float(rng.uniform(0.5, 6.0))))
     return obs
 
 
@@ -504,16 +502,16 @@ def dense_design(knots, observations):
     interval into a zeroed row in run order.
     """
     observations = list(observations)
-    d = observations[0].path.d
+    d = observations[0].d
     shape = (d + 1, knots.n_intervals)
     B = knots.boundaries()
 
-    def runs(path, j):
+    def runs(entries, j):
         # (start_times, values) of feature j; the leading run starts at 0
         # with value 0, and the last run extends to infinity
         starts = [0.0]
         vals = [0.0]
-        for t, v in path.entries.get(j, ()):
+        for t, v in entries.get(j, ()):
             if t == 0.0:
                 vals[0] = v
             else:
@@ -521,13 +519,13 @@ def dense_design(knots, observations):
                 vals.append(v)
         return np.asarray(starts), np.asarray(vals)
 
-    def exposure(path, a, b):
+    def exposure(entries, a, b):
         out = np.zeros(shape)
         lo = np.maximum(B[:-1], a)
         hi = np.minimum(B[1:], b)
         out[0] += np.clip(hi - lo, 0.0, None)
-        for j in path.entries:
-            starts, vals = runs(path, j)
+        for j in entries:
+            starts, vals = runs(entries, j)
             ends = np.append(starts[1:], np.inf)
             for s, e, v in zip(starts, ends, vals):
                 if v == 0.0:
@@ -541,10 +539,9 @@ def dense_design(knots, observations):
                 out[j + 1] += v * np.clip(hi - lo, 0.0, None)
         return out.ravel()
 
-    U = np.array(
-        [exposure(o.path, 0.0, o.left if o.kind == "interval" else o.right) for o in observations]
-    )
-    rows = [exposure(o.path, o.left, o.right) for o in observations if o.kind == "interval"]
+    U = np.array([exposure(o.entries, 0.0, o.left if o.kind == "interval" else o.right)
+                  for o in observations])
+    rows = [exposure(o.entries, o.left, o.right) for o in observations if o.kind == "interval"]
     V = np.array(rows) if rows else np.zeros((0, U.shape[1]))
     return U, V
 
@@ -558,7 +555,7 @@ def limit_nll_grad(knots, observations, gamma, monotone):
     ``gamma > 0`` no cell of its row, in monotone mode no later cell of its
     row.  Masses are floored at 1e-12, the design's positivity floor."""
     U, V = dense_design(knots, observations)
-    shape = (observations[0].path.d + 1, knots.n_intervals)
+    shape = (observations[0].d + 1, knots.n_intervals)
     u = U.sum(axis=0)
     head, bracket = u.reshape(shape), V.sum(axis=0).reshape(shape)
     falls = np.zeros(shape, dtype=bool)
@@ -584,11 +581,11 @@ def merge_times(times, tol=MERGE_TOL):
     return tuple(out)
 
 
-def level_at(path, j, t):
-    """Value of feature ``j`` of ``path`` at ``t`` by a linear scan: the
-    level of its last change at or before ``t``, 0 before the first."""
+def level_at(entries, j, t):
+    """Value of feature ``j`` of a path ``entries`` at ``t`` by a linear
+    scan: the level of its last change at or before ``t``, 0 before the first."""
     level = 0.0
-    for ct, v in path.entries.get(int(j), ()):
+    for ct, v in entries.get(int(j), ()):
         if ct <= t:
             level = v
     return level
@@ -600,13 +597,13 @@ def step_at(knots, values, t):
     return values[bisect.bisect_right(knots.times, t)]
 
 
-def hazard(m, p, t):
-    """Pointwise hazard ``w_0(t) + sum_j x_j(t) w_j(t)``, from the rows of
-    ``m.W``, features in ascending ``j``."""
+def hazard(m, entries, t):
+    """Pointwise hazard ``w_0(t) + sum_j x_j(t) w_j(t)`` along a path
+    ``entries``, from the rows of ``m.W``, features in ascending ``j``."""
     W = m.W.tolist()
     total = step_at(m.knots, W[0], t)
-    for j in sorted(p.entries):
-        total += level_at(p, j, t) * step_at(m.knots, W[j + 1], t)
+    for j in sorted(entries):
+        total += level_at(entries, j, t) * step_at(m.knots, W[j + 1], t)
     return total
 
 
@@ -639,35 +636,35 @@ def integrate_step(knots, values, a, b):
     return total
 
 
-def integrate_step_product(knots, values, path, j, a, b):
+def integrate_step_product(knots, values, entries, j, a, b):
     """Integral of ``f(t) * x_j(t)`` over ``[a, b]``, ``f`` the step function
     on ``knots`` with ``values``, piece by piece on the common refinement of
-    the knots and feature ``j``'s change times."""
+    the knots and the change times of feature ``j`` of a path ``entries``."""
     _check_bounds(knots, a, b)
-    changes = path.entries.get(int(j), ())
+    changes = entries.get(int(j), ())
     interior = merge_times(list(knots.times) + [t for t, _ in changes], tol=0.0)
     pts = _segment_points(interior, a, b)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        x = level_at(path, j, lo)
+        x = level_at(entries, j, lo)
         if x != 0.0:
             total += (hi - lo) * values[bisect.bisect_right(knots.times, lo)] * x
     return total
 
 
-def cumulative_hazard(m, p, a, b):
-    """Integral of the hazard of model ``m`` along path ``p`` over ``[a, b]``,
-    from the rows of ``m.W``, features in ascending ``j``."""
+def cumulative_hazard(m, entries, a, b):
+    """Integral of the hazard of model ``m`` along a path ``entries`` over
+    ``[a, b]``, from the rows of ``m.W``, features in ascending ``j``."""
     W = m.W.tolist()
     total = integrate_step(m.knots, W[0], a, b)
-    for j in sorted(p.entries):
-        total += integrate_step_product(m.knots, W[j + 1], p, j, a, b)
+    for j in sorted(entries):
+        total += integrate_step_product(m.knots, W[j + 1], entries, j, a, b)
     return total
 
 
-def survival(m, p, t):
-    """Probability of no event up to ``t``: exp(-Lambda(0, t))."""
-    return math.exp(-cumulative_hazard(m, p, 0.0, t))
+def survival(m, entries, t):
+    """Probability of no event up to ``t`` along a path ``entries``: exp(-Lambda(0, t))."""
+    return math.exp(-cumulative_hazard(m, entries, 0.0, t))
 
 
 def log1mexp(x):
@@ -684,9 +681,9 @@ def nll_observation(m, o):
     ``Lambda(0, l) - log(1 - exp(-Lambda(l, r)))``; a zero-mass bracket gives
     ``+inf`` with a :class:`ZeroBracketWarning`."""
     if o.kind == "right":
-        return cumulative_hazard(m, o.path, 0.0, o.right)
-    head = cumulative_hazard(m, o.path, 0.0, o.left)
-    bracket = cumulative_hazard(m, o.path, o.left, o.right)
+        return cumulative_hazard(m, o.entries, 0.0, o.right)
+    head = cumulative_hazard(m, o.entries, 0.0, o.left)
+    bracket = cumulative_hazard(m, o.entries, o.left, o.right)
     if bracket <= 0.0:
         warnings.warn(
             f"model assigns zero mass to event bracket ({o.left}, {o.right}]", ZeroBracketWarning

@@ -17,7 +17,6 @@ import scipy.stats
 from tvhazard import (
     CampaignSpec,
     CensoredDesign,
-    FeaturePath,
     HazardModel,
     KnotSet,
     Observation,
@@ -75,13 +74,12 @@ def _gradient_instance(rng):
         for j in range(5):
             if rng.random() < 0.6:
                 entries[j] = ((float(rng.uniform(0.0, 6.0)), 1.0),)
-        p = FeaturePath(5, entries)
         if rng.random() < 0.6:
             l = float(rng.uniform(0.2, 6.5))
             r = min(l + float(rng.uniform(0.4, 1.4)), 8.0)
-            obs.append(Observation.interval(p, l, r))
+            obs.append(Observation.interval(5, entries, l, r))
         else:
-            obs.append(Observation.right_censored(p, float(rng.uniform(0.5, 8.0))))
+            obs.append(Observation.right_censored(5, entries, float(rng.uniform(0.5, 8.0))))
     return m, ks, obs
 
 
@@ -227,8 +225,7 @@ def test_criterion_4_sampler_exactness(capsys):
     )
     truth_const = truth_model(const)
     rng = np.random.default_rng(104)
-    path0 = FeaturePath(0, {})
-    times = np.array([event_time(path0, truth_const, rng.random()) for _ in range(5000)])
+    times = np.array([event_time({}, truth_const, rng.random()) for _ in range(5000)])
     assert np.all(np.isfinite(times))  # survival beyond t=60 has mass exp(-42)
     pvalue = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / 0.7)).pvalue
 
@@ -244,12 +241,12 @@ def test_criterion_4_sampler_exactness(capsys):
     truth_step = truth_model(stepped)
     worst = 0.0
     for _ in range(500):
-        path = FeaturePath(2, {0: ((0.0, 1.0),)} if rng.random() < 0.5 else {})
+        entries = {0: ((0.0, 1.0),)} if rng.random() < 0.5 else {}
         u = rng.random()
-        tau = event_time(path, truth_step, u)
+        tau = event_time(entries, truth_step, u)
         target = -math.log(u)
         if math.isfinite(tau) and tau < 6.0:
-            worst = max(worst, abs(cumulative_hazard(truth_step, path, 0.0, tau) - target))
+            worst = max(worst, abs(cumulative_hazard(truth_step, entries, 0.0, tau) - target))
     ok = pvalue > 0.01 and worst < 1e-10
     verdict(
         capsys, 4, "sampler exactness", ok, f"KS p={pvalue:.3f}, inverse residual {worst:.1e}"

@@ -13,7 +13,6 @@ import scipy.sparse
 import tvhazard.baseline
 from tvhazard import (
     ConstantAdditiveModel,
-    FeaturePath,
     KnotSet,
     Observation,
     PenaltyConfig,
@@ -45,13 +44,12 @@ def sim_observations(rng, d=2, n=50, horizon=6.0):
             if rng.random() < 0.5:
                 t = float(rng.uniform(0.0, horizon - 1.0))
                 entries[j] = ((t, float(rng.uniform(0.2, 1.5))),)
-        p = FeaturePath(d, entries)
         if rng.random() < 0.55:
             l = float(rng.uniform(0.2, horizon - 0.6))
             r = min(l + float(rng.uniform(0.3, 1.5)), horizon)
-            obs.append(Observation.interval(p, l, r))
+            obs.append(Observation.interval(d, entries, l, r))
         else:
-            obs.append(Observation.right_censored(p, float(rng.uniform(0.5, horizon))))
+            obs.append(Observation.right_censored(d, entries, float(rng.uniform(0.5, horizon))))
     return obs
 
 
@@ -69,32 +67,31 @@ def changing_observations(rng, d=2, n=8, horizon=6.0):
             values = rng.uniform(0.2, 1.5, size=len(times))
             values[1 + j] = 0.0
             entries[j] = tuple(zip(times, values.tolist()))
-        p = FeaturePath(d, entries)
         if interval:
-            obs.append(Observation.interval(p, l, r))
+            obs.append(Observation.interval(d, entries, l, r))
         else:
-            obs.append(Observation.right_censored(p, r))
+            obs.append(Observation.right_censored(d, entries, r))
     return obs
 
 
 def constant_nll(w0, w, obs):
     """Censored NLL of the constant additive model, written out by hand."""
 
-    def lam_int(path, a, b):
-        cuts = [a] + [t for t in change_times(path) if a < t < b] + [b]
+    def lam_int(entries, a, b):
+        cuts = [a] + [t for t in change_times(entries) if a < t < b] + [b]
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            rate = w0 + sum(w[j] * level_at(path, j, lo) for j in range(len(w)))
+            rate = w0 + sum(w[j] * level_at(entries, j, lo) for j in range(len(w)))
             total += rate * (hi - lo)
         return total
 
     val = 0.0
     for o in obs:
         if o.kind == "interval":
-            m = lam_int(o.path, o.left, o.right)
-            val += lam_int(o.path, 0.0, o.left) - math.log1p(-math.exp(-m))
+            m = lam_int(o.entries, o.left, o.right)
+            val += lam_int(o.entries, 0.0, o.left) - math.log1p(-math.exp(-m))
         else:
-            val += lam_int(o.path, 0.0, o.right)
+            val += lam_int(o.entries, 0.0, o.right)
     return val
 
 
@@ -169,12 +166,12 @@ class TestConstantAdditive:
             if rng.random() < 0.55:
                 l = float(rng.uniform(0.2, 5.4))
                 r = min(l + float(rng.uniform(0.3, 1.5)), 6.0)
-                pairs.append(Observation.interval(FeaturePath(3, both), l, r))
-                merged.append(Observation.interval(FeaturePath(2, alone), l, r))
+                pairs.append(Observation.interval(3, both, l, r))
+                merged.append(Observation.interval(2, alone, l, r))
             else:
                 t = float(rng.uniform(0.5, 6.0))
-                pairs.append(Observation.right_censored(FeaturePath(3, both), t))
-                merged.append(Observation.right_censored(FeaturePath(2, alone), t))
+                pairs.append(Observation.right_censored(3, both, t))
+                merged.append(Observation.right_censored(2, alone, t))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             split, one = fit_constant_additive(pairs), fit_constant_additive(merged)
@@ -185,8 +182,7 @@ class TestConstantAdditive:
         assert one.weights[0] > 0.01
 
     def test_no_events_means_zero_hazard(self):
-        p = FeaturePath(1, {})
-        obs = [Observation.right_censored(p, 3.0) for _ in range(10)]
+        obs = [Observation.right_censored(1, {}, 3.0) for _ in range(10)]
         fitted = fit_constant_additive(obs)
         assert fitted.intercept == pytest.approx(0.0, abs=1e-10)
 
@@ -233,22 +229,22 @@ class TestProportional:
                 weights=tuple(rng.normal(0.0, 0.7, size=2)),
             )
 
-            def lam_int(path, a, b):
+            def lam_int(entries, a, b):
                 def rate(t):
-                    s = sum(model.weights[j] * level_at(path, j, t) for j in range(2))
+                    s = sum(model.weights[j] * level_at(entries, j, t) for j in range(2))
                     return model.base_rate * math.exp(s)
 
-                pts = [t for t in change_times(path) if a < t < b]
+                pts = [t for t in change_times(entries) if a < t < b]
                 val, _ = scipy.integrate.quad(rate, a, b, points=pts, limit=200)
                 return val
 
             expect = 0.0
             for o in obs:
                 if o.kind == "interval":
-                    m = lam_int(o.path, o.left, o.right)
-                    expect += lam_int(o.path, 0.0, o.left) - math.log1p(-math.exp(-m))
+                    m = lam_int(o.entries, o.left, o.right)
+                    expect += lam_int(o.entries, 0.0, o.left) - math.log1p(-math.exp(-m))
                 else:
-                    expect += lam_int(o.path, 0.0, o.right)
+                    expect += lam_int(o.entries, 0.0, o.right)
             assert np.isclose(proportional_nll(model, obs), expect, rtol=1e-9)
         # as nll_dataset: no observations, no likelihood terms
         assert proportional_nll(model, []) == 0.0
@@ -259,8 +255,7 @@ class TestProportional:
         # and the pieces and the fit must not see it
         rng = np.random.default_rng(56)
         obs = sim_observations(rng, d=2, n=40)
-        padded = [replace(o, path=FeaturePath(2, {j: ((c[0][0] / 2, 0.0), *c)
-                                                  for j, c in o.path.entries.items()}))
+        padded = [replace(o, entries={j: ((c[0][0] / 2, 0.0), *c) for j, c in o.entries.items()})
                   for o in obs]
         assert len(_run_table(padded)[1]) > len(_run_table(obs)[1])
         for a, b in zip(_pieces(*_run_table(padded)), _pieces(*_run_table(obs)), strict=True):
@@ -298,7 +293,7 @@ class TestProportional:
         assert np.abs(g).max() < 1e-4
         null = fit_proportional(
             [
-                Observation(path=FeaturePath(2, {}), kind=o.kind, left=o.left, right=o.right)
+                Observation(d=2, entries={}, kind=o.kind, left=o.left, right=o.right)
                 for o in obs
             ]
         )
@@ -310,12 +305,12 @@ class TestProportional:
         obs = []
         for _ in range(400):
             x = 1.0 if rng.random() < 0.5 else 0.0
-            p = FeaturePath(1, {0: ((0.0, 1.0),)} if x else {})
+            entries = {0: ((0.0, 1.0),)} if x else {}
             t = float(rng.exponential(1.0 / (lam0 * math.exp(w_true * x))))
             if t >= 8.0:
-                obs.append(Observation.right_censored(p, 8.0))
+                obs.append(Observation.right_censored(1, entries, 8.0))
             else:
-                obs.append(Observation.interval(p, 0.9 * t, min(1.1 * t + 1e-3, 8.0)))
+                obs.append(Observation.interval(1, entries, 0.9 * t, min(1.1 * t + 1e-3, 8.0)))
         model = fit_proportional(obs)
         assert abs(model.weights[0] - w_true) < 0.25
         assert abs(math.log(model.base_rate) - math.log(lam0)) < 0.25
@@ -323,11 +318,9 @@ class TestProportional:
     def test_separation_hits_weight_cap_and_warns(self):
         # one carrier whose event bracket is so narrow that the MLE hazard
         # ratio exceeds the cap: NLL falls linearly in w until mass ~ 1
-        p1 = FeaturePath(1, {0: ((0.0, 1.0),)})
-        p0 = FeaturePath(1, {})
-        obs = [Observation.interval(p1, 0.0, 1e-22)]
-        obs += [Observation.interval(p0, 1.0, 2.0) for _ in range(5)]
-        obs += [Observation.right_censored(p0, 4.0) for _ in range(5)]
+        obs = [Observation.interval(1, {0: ((0.0, 1.0),)}, 0.0, 1e-22)]
+        obs += [Observation.interval(1, {}, 1.0, 2.0) for _ in range(5)]
+        obs += [Observation.right_censored(1, {}, 4.0) for _ in range(5)]
         with pytest.warns(SeparationWarning):
             model = fit_proportional(obs)
         assert abs(model.weights[0]) >= 50.0 - 1e-6

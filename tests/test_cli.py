@@ -22,7 +22,6 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 import tvhazard
 from tvhazard import (
     ConstantAdditiveModel,
-    FeaturePath,
     NumericalError,
     Observation,
     fit_constant_additive,
@@ -363,8 +362,8 @@ class TestFit:
         # design refuses it when built, with no NumPy warning on the way
         obs = tmp_path / "obs.jsonl"
         sites = [
-            Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308),
-            Observation.interval(FeaturePath(1, {}), 0.0, 1.0),
+            Observation.right_censored(1, {0: ((0.0, 1e10),)}, 1.5e308),
+            Observation.interval(1, {}, 0.0, 1.0),
         ]
         write_observations(obs, sites, d=1, horizon=1.5e308)
         out = tmp_path / "out.json"
@@ -378,8 +377,8 @@ class TestFit:
         # design refuses it when built, and no report is written
         obs = tmp_path / "obs.jsonl"
         sites = [
-            Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308),
-            Observation.interval(FeaturePath(1, {}), 0.0, 1.0),
+            Observation.right_censored(1, {0: ((0.0, 1e10),)}, 1.5e308),
+            Observation.interval(1, {}, 0.0, 1.0),
         ]
         write_observations(obs, sites, d=1, horizon=1.5e308)
         model = tmp_path / "model.json"
@@ -419,6 +418,23 @@ class TestFit:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_an_existing_out_is_refused_before_the_inputs_are_read(self, command, tmp_path,
+                                                                     capsys):
+        # evaluate read and evaluated its inputs first: on a malformed
+        # observation file it exited 2 with the format error, where fit
+        # exits 4 with the refusal
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"d": 1, "horizon": 2.0}\n{"censoring": {"kind": "interval"}}\n')
+        model = tmp_path / "model.json"
+        write_model(model, ConstantAdditiveModel(0.2, (0.0,)).to_hazard_model(2.0))
+        out = tmp_path / "out.json"
+        out.write_text("kept\n")
+        argv = {"fit": ["fit"], "evaluate": ["evaluate", "--model", str(model)]}[command]
+        assert main(argv + ["--observations", str(obs), "--out", str(out)]) == 4
+        assert f"refusing to overwrite {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
     def test_dimension_mismatch_rejected(self, obs_file, tmp_path, capsys):
         model = ConstantAdditiveModel(intercept=0.2, weights=(0.1,)).to_hazard_model(4.0)
         mpath = tmp_path / "d1.json"
@@ -505,8 +521,8 @@ class TestSweep:
         # 1e10 * 1.5e308 overflows to inf, which the validation design
         # refuses when built, before any fit
         obs = tmp_path / "obs.jsonl"
-        sites = [Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308)]
-        sites += [Observation.interval(FeaturePath(1, {}), 0.5 + k / 10, 1.5 + k / 10)
+        sites = [Observation.right_censored(1, {0: ((0.0, 1e10),)}, 1.5e308)]
+        sites += [Observation.interval(1, {}, 0.5 + k / 10, 1.5 + k / 10)
                   for k in range(9)]
         write_observations(obs, sites, d=1, horizon=1.5e308)
         out = tmp_path / "sweep.json"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tvhazard import (
     CampaignSpec,
-    FeaturePath,
     HazardModel,
     KnotSet,
     Observation,
@@ -283,8 +282,8 @@ def sampler_cases(draw):
             W[j + 1] = draw(row)
     truth = HazardModel(knots, W)
     levels = st.floats(0.0, 3.0, exclude_min=True)
-    path = FeaturePath(d, {j: ((0.0, draw(levels)),) for j in range(d) if draw(st.booleans())})
-    return truth, path, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    entries = {j: ((0.0, draw(levels)),) for j in range(d) if draw(st.booleans())}
+    return truth, entries, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 
 
 class TestSampler:
@@ -293,18 +292,18 @@ class TestSampler:
     def test_inverse_residual_tiny(self, case):
         # replay the uniform draw: Lambda(0, tau) == -log(u) when the event
         # falls in the window, and no event exactly when Lambda(0, H) < -log(u)
-        truth, path, u = case
-        tau = event_time(path, truth, u)
+        truth, entries, u = case
+        tau = event_time(entries, truth, u)
         target = -math.log(u)
         H = truth.knots.horizon
-        assert math.isinf(tau) == (cumulative_hazard(truth, path, 0.0, H) < target)
+        assert math.isinf(tau) == (cumulative_hazard(truth, entries, 0.0, H) < target)
         if math.isfinite(tau):
             assert 0.0 < tau <= H
-            assert abs(cumulative_hazard(truth, path, 0.0, tau) - target) <= 1e-10
+            assert abs(cumulative_hazard(truth, entries, 0.0, tau) - target) <= 1e-10
 
     def test_unit_uniform_draw_survives(self):
         truth = truth_model(tiny_spec())
-        assert event_time(FeaturePath(3, {}), truth, 0.0) == math.inf
+        assert event_time({}, truth, 0.0) == math.inf
 
     def test_constant_hazard_is_exponential(self):
         # d = 0, constant baseline c: draws must be Exponential(c)
@@ -319,8 +318,7 @@ class TestSampler:
         )
         truth = truth_model(spec)
         rng = np.random.default_rng(61)
-        path = FeaturePath(0, {})
-        times = np.array([event_time(path, truth, rng.random()) for _ in range(5000)])
+        times = np.array([event_time({}, truth, rng.random()) for _ in range(5000)])
         assert np.all(np.isfinite(times[times < 60.0]))
         stat = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / 0.7))
         assert stat.pvalue > 0.01
@@ -330,9 +328,8 @@ class TestSampler:
         ks = KnotSet((2.0,), horizon=50.0)
         truth = HazardModel(ks, [(0.3, 1.1)])
         rng = np.random.default_rng(62)
-        path = FeaturePath(0, {})
         n = 4000
-        taus = np.array([event_time(path, truth, rng.random()) for _ in range(n)])
+        taus = np.array([event_time({}, truth, rng.random()) for _ in range(n)])
         p = 1.0 - math.exp(-0.3 * 2.0)
         k = int((taus <= 2.0).sum())
         assert abs(k - n * p) < 4.0 * math.sqrt(n * p * (1 - p))
@@ -348,20 +345,20 @@ def check_against_replay(spec):
     draws = site_uniforms_loop(spec.seed, range(spec.n), spec.d + 1)
     for site, o in enumerate(obs):
         present = draws[site, : spec.d] < spec.feature_density
-        path = FeaturePath(spec.d, {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present)})
-        tau = event_time(path, truth, draws[site, spec.d])
+        entries = {int(j): ((0.0, 1.0),) for j in np.flatnonzero(present)}
+        tau = event_time(entries, truth, draws[site, spec.d])
         uid = f"site-{site:06d}"
         k = bisect.bisect_left(scans, tau)
         if k < len(scans):
             left = scans[k - 1] if k else 0.0
             assert left < tau <= scans[k]
-            want = Observation.interval(path, left, scans[k], id=uid)
+            want = Observation.interval(spec.d, entries, left, scans[k], id=uid)
         else:
             assert tau > (scans[-1] if scans else 0.0)
-            want = Observation.right_censored(path, spec.horizon, id=uid)
+            want = Observation.right_censored(spec.d, entries, spec.horizon, id=uid)
         assert o == want
-        assert type(o.path.d) is int and type(o.left) is float and type(o.right) is float
-        for j, changes in o.path.entries.items():
+        assert type(o.d) is int and type(o.left) is float and type(o.right) is float
+        for j, changes in o.entries.items():
             assert type(j) is int and type(changes) is tuple
             for change in changes:
                 assert type(change) is tuple and [type(x) for x in change] == [float, float]
@@ -435,7 +432,7 @@ class TestGenerate:
     def test_zero_baseline_featureless_sites_never_event(self):
         spec = default_scenario(0)
         _, obs = generate(spec)
-        quiet = [o for o in obs if not o.path.entries]
+        quiet = [o for o in obs if not o.entries]
         assert len(quiet) > 0
         assert all(o.kind == "right" and o.right == spec.horizon for o in quiet)
 
@@ -444,7 +441,7 @@ class TestGenerate:
         _, obs = generate(spec)
         events = sum(1 for o in obs if o.kind == "interval")
         assert 100 < events < 900
-        carriers = sum(1 for o in obs if o.path.entries)
+        carriers = sum(1 for o in obs if o.entries)
         # density 0.08 over 40 features: most sites carry something
         assert carriers > 900
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tvhazard import (
     ConstantAdditiveModel,
-    FeaturePath,
     FormatError,
     HazardModel,
     KnotSet,
@@ -43,13 +42,13 @@ def random_observations(rng, d=3, n=12, horizon=5.0):
                 k = int(rng.integers(1, 3))
                 ts = np.sort(rng.uniform(0.0, horizon, size=k))
                 entries[j] = tuple((float(t), float(rng.uniform(0.0, 2.0))) for t in ts)
-        p = FeaturePath(d, entries)
         if rng.random() < 0.5:
             l = float(rng.uniform(0.1, horizon - 0.2))
             r = float(l + rng.uniform(0.05, horizon - l))
-            obs.append(Observation.interval(p, l, min(r, horizon), id=f"s{i}"))
+            obs.append(Observation.interval(d, entries, l, min(r, horizon), id=f"s{i}"))
         else:
-            obs.append(Observation.right_censored(p, float(rng.uniform(0.2, horizon)), id=f"s{i}"))
+            at = float(rng.uniform(0.2, horizon))
+            obs.append(Observation.right_censored(d, entries, at, id=f"s{i}"))
     return obs
 
 
@@ -74,11 +73,10 @@ def drawn_observations(draw):
     for j in draw(st.permutations(range(4)))[: draw(st.integers(0, 4))]:
         ts = sorted(draw(st.lists(times, min_size=1, max_size=3, unique=True)))
         entries[j] = tuple((t, draw(times)) for t in ts)
-    path = FeaturePath(4, entries)
     if draw(st.booleans()):
         left, right = sorted(draw(st.lists(times, min_size=2, max_size=2, unique=True)))
-        return Observation.interval(path, left, right, id=uid)
-    return Observation.right_censored(path, draw(times.filter(lambda t: t > 0)), id=uid)
+        return Observation.interval(4, entries, left, right, id=uid)
+    return Observation.right_censored(4, entries, draw(times.filter(lambda t: t > 0)), id=uid)
 
 
 def random_model(rng, d=3, n_knots=4, horizon=6.0):
@@ -150,10 +148,10 @@ class TestObservationFiles:
         assert not f.exists()
 
     def test_adversarial_floats_round_trip(self, tmp_path):
-        p = FeaturePath(2, {0: ((0.1000000001, 1e-300), (3.9, 7e15))})
+        entries = {0: ((0.1000000001, 1e-300), (3.9, 7e15))}
         obs = [
-            Observation.interval(p, 1e-12, 4.999999999999999),
-            Observation.right_censored(p, 2.5000000000000004),
+            Observation.interval(2, entries, 1e-12, 4.999999999999999),
+            Observation.right_censored(2, entries, 2.5000000000000004),
         ]
         f = tmp_path / "obs.jsonl"
         write_observations(f, obs, d=2, horizon=5.0)
@@ -161,8 +159,8 @@ class TestObservationFiles:
         assert got == obs  # dataclass equality is exact float equality
 
     def test_ids_round_trip(self, tmp_path):
-        p = FeaturePath(0, {})
-        obs = [Observation.right_censored(p, 1.0, id=uid) for uid in ("", "5", "None", "é\n\"")]
+        obs = [Observation.right_censored(0, {}, 1.0, id=uid)
+               for uid in ("", "5", "None", "é\n\"")]
         f = tmp_path / "obs.jsonl"
         write_observations(f, obs, d=0, horizon=1.0)
         assert read_observations(f)[0] == obs
@@ -198,10 +196,10 @@ class TestObservationFiles:
 
     def test_writer_takes_a_numpy_integer_d(self, tmp_path):
         f = tmp_path / "obs.jsonl"
-        path = FeaturePath(2, {1: ((0.0, 1.0),)})
-        write_observations(f, [Observation.right_censored(path, 1.0)], d=np.int64(2), horizon=2.0)
+        o = Observation.right_censored(2, {1: ((0.0, 1.0),)}, 1.0)
+        write_observations(f, [o], d=np.int64(2), horizon=2.0)
         assert f.read_text().startswith('{"d": 2, "horizon": 2.0,')
-        assert read_observations(f)[0][0].path == path
+        assert read_observations(f)[0] == [o]
 
     def test_time_unit_survives(self, tmp_path):
         # the writer always stores "abstract"; the reader keeps what a file says
@@ -238,7 +236,7 @@ class TestObservationFiles:
 
     def test_blank_lines_tolerated(self, tmp_path):
         f = tmp_path / "obs.jsonl"
-        rec = observation_record(Observation.right_censored(FeaturePath(1, {}), 1.5))
+        rec = observation_record(Observation.right_censored(1, {}, 1.5))
         f.write_text('{"d": 1, "horizon": 2.0}\n\n%s\n\n' % json.dumps(rec))
         got, _ = read_observations(f)
         assert len(got) == 1 and got[0].right == 1.5
@@ -350,11 +348,11 @@ class TestObservationFiles:
         if data.draw(st.booleans()):
             left, right = map(token, sorted((data.draw(times), data.draw(times))))
             censoring = {"kind": "interval", "l": left, "r": right}
-            build = lambda path: Observation.interval(path, left, right, id=uid)
+            build = lambda entries: Observation.interval(d, entries, left, right, id=uid)
         else:
             right = token(data.draw(times))
             censoring = {"kind": "right", "t": right}
-            build = lambda path: Observation.right_censored(path, right, id=uid)
+            build = lambda entries: Observation.right_censored(d, entries, right, id=uid)
         record = {
             "id": uid,
             "censoring": censoring,
@@ -363,7 +361,7 @@ class TestObservationFiles:
         }
         try:
             entries = dict(features)
-            want = None if len(entries) < len(features) else build(FeaturePath(d, entries))
+            want = None if len(entries) < len(features) else build(entries)
         except (TypeError, ValueError):  # an unhashable j fails dict() with a TypeError
             want = None
         if want is not None and want.right > horizon:
@@ -395,8 +393,8 @@ class TestObservationFiles:
         got, _ = read_observations(f)
         assert got == obs
         R = len(obs)
-        F = sum(len(o.path.entries) for o in obs)
-        C = sum(len(changes) for o in obs for changes in o.path.entries.values())
+        F = sum(len(o.entries) for o in obs)
+        C = sum(len(changes) for o in obs for changes in o.entries.values())
         assert C > F > 0
         assert counts == {"_integer": 1 + R + F, "_real": 1 + 2 * C + 2 * R}
 
@@ -408,8 +406,8 @@ class TestObservationFiles:
             '"features": [{"j": 0, "changes": [{"t": 0, "v": 3}]}]}\n'
         )
         (o,), _ = read_observations(f)
-        assert (o.left, o.right, o.path.entries) == (0.0, 2.0, {0: ((0.0, 3.0),)})
-        assert all(type(x) is float for x in (o.left, o.right, *o.path.entries[0][0]))
+        assert (o.left, o.right, o.entries) == (0.0, 2.0, {0: ((0.0, 3.0),)})
+        assert all(type(x) is float for x in (o.left, o.right, *o.entries[0][0]))
 
     @pytest.mark.parametrize("horizon", ['"4"', "true"])
     def test_non_number_header_horizon_rejected(self, tmp_path, horizon):
@@ -654,11 +652,11 @@ class TestModelFiles:
         assert [m.W[0, at(t)] for t in (0.0, 0.5, 1.0, 2.0)] == [0.25, 0.25, 0.75, 0.25]
         assert m.W[1, at(1.5)] == 2.0
         interior = HazardModel(KnotSet((1.0,), horizon=2.0), [(0.25, 0.75), (0.0, 2.0)])
-        p = FeaturePath(1, {0: ((0.5, 1.0),)})
+        entries = {0: ((0.5, 1.0),)}
         obs = [
-            Observation.interval(p, 0.0, 1.5),
-            Observation.interval(p, 1.0, 2.0),
-            Observation.right_censored(p, 2.0),
+            Observation.interval(1, entries, 0.0, 1.5),
+            Observation.interval(1, entries, 1.0, 2.0),
+            Observation.right_censored(1, entries, 2.0),
         ]
         assert nll_dataset(m, obs) == pytest.approx(nll_dataset(interior, obs), rel=1e-12)
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from tvhazard import (
     CensoredDesign,
-    FeaturePath,
     HazardModel,
     KnotSet,
     NumericalError,
@@ -74,20 +73,20 @@ def random_path(rng, d, horizon):
             k = int(rng.integers(1, 3))
             ts = np.sort(rng.uniform(0.0, horizon, size=k))
             entries[j] = tuple((float(t), float(rng.uniform(0.0, 2.0))) for t in ts)
-    return FeaturePath(d, entries)
+    return entries
 
 
 def random_observations(rng, d, horizon, n=12):
     obs = []
     for _ in range(n):
-        p = random_path(rng, d, horizon)
+        entries = random_path(rng, d, horizon)
         if rng.random() < 0.5:
             l, r = np.sort(rng.uniform(0.1, horizon, size=2))
             if r - l < 1e-3:
                 r = min(horizon, l + 0.5)
-            obs.append(Observation.interval(p, float(l), float(r)))
+            obs.append(Observation.interval(d, entries, float(l), float(r)))
         else:
-            obs.append(Observation.right_censored(p, float(rng.uniform(0.5, horizon))))
+            obs.append(Observation.right_censored(d, entries, float(rng.uniform(0.5, horizon))))
     return obs
 
 
@@ -108,13 +107,12 @@ def design_inputs(draw, horizon=10.0, low=0.0):
         for j in draw(st.permutations(range(d))):
             times = sorted(draw(st.lists(change_times, max_size=4, unique=True)))
             entries[j] = [(t, draw(values)) for t in times]
-        path = FeaturePath(d, entries)
         if all_right or draw(st.booleans()):
-            obs.append(Observation.right_censored(path, draw(st.floats(0.01, horizon))))
+            obs.append(Observation.right_censored(d, entries, draw(st.floats(0.01, horizon))))
         else:
             left = draw(st.one_of(st.just(0.0), st.floats(0.0, horizon - 0.5)))
             right = draw(st.floats(left, horizon).filter(lambda r: r > left))
-            obs.append(Observation.interval(path, left, right))
+            obs.append(Observation.interval(d, entries, left, right))
     if draw(st.booleans()):
         return build_knot_set(obs), obs
     times = draw(st.lists(st.floats(0.0, horizon), max_size=6))
@@ -237,16 +235,14 @@ class TestNLLObservation:
     def test_right_censored_is_cumulative_hazard(self):
         ks = KnotSet((2.0,), 5.0)
         m = HazardModel(ks, [(0.5, 1.0)])
-        p = FeaturePath(0, {})
-        o = Observation.right_censored(p, 3.0)
+        o = Observation.right_censored(0, {}, 3.0)
         assert nll_observation(m, o) == pytest.approx(0.5 * 2 + 1.0 * 1, rel=1e-15)
 
     def test_interval_closed_form(self):
         # hazard 0.5 on [0,2), 1.0 after; event inside (1, 3]
         ks = KnotSet((2.0,), 5.0)
         m = HazardModel(ks, [(0.5, 1.0)])
-        p = FeaturePath(0, {})
-        o = Observation.interval(p, 1.0, 3.0)
+        o = Observation.interval(0, {}, 1.0, 3.0)
         lam_pre = 0.5  # Lambda(0,1)
         lam_br = 0.5 + 1.0  # Lambda(1,3)
         want = lam_pre - math.log(1.0 - math.exp(-lam_br))
@@ -255,12 +251,11 @@ class TestNLLObservation:
     def test_zero_mass_bracket_warns_and_is_inf(self):
         ks = KnotSet((1.0,), 4.0)
         m = HazardModel(ks, [(0.5, 0.0)])
-        p = FeaturePath(0, {})
-        o = Observation.interval(p, 2.0, 3.0)  # hazard identically 0 there
+        o = Observation.interval(0, {}, 2.0, 3.0)  # hazard identically 0 there
         with pytest.warns(ZeroBracketWarning):
             assert nll_observation(m, o) == math.inf
         # the dataset NLL warns once per call, counting the zero brackets
-        obs = [o, Observation.interval(p, 0.5, 3.0), o, Observation.interval(p, 1.5, 4.0)]
+        obs = [o, Observation.interval(0, {}, 0.5, 3.0), o, Observation.interval(0, {}, 1.5, 4.0)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert nll_dataset(m, obs) == math.inf
@@ -272,7 +267,7 @@ class TestNLLObservation:
     def test_dataset_matches_scalar_oracle(self, data):
         # nonnegative paths and levels: every term of both routes is >= 0
         knots, obs = data.draw(design_inputs(low=1e-3))
-        shape = (obs[0].path.d + 1, knots.n_intervals)
+        shape = (obs[0].d + 1, knots.n_intervals)
         level = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
         W = data.draw(st.lists(level, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
         m = HazardModel(knots, np.reshape(W, shape))
@@ -294,7 +289,7 @@ class TestNLLObservation:
         # 1/(e^x - 1) overflows to +inf below x = 1/max float; the exact NLL
         # never uses it and the gradient clamps the mass at the floor
         ks = KnotSet((), 2.2250738585e-313)
-        o = Observation.interval(FeaturePath(0, {}), 0.0, ks.horizon)
+        o = Observation.interval(0, {}, 0.0, ks.horizon)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert nll_dataset(HazardModel(ks, [[1.0]]), [o]) == -math.log(ks.horizon)
@@ -359,7 +354,7 @@ class TestGradient:
         # of mass 1e-12: -log(1 - e^-b) and -1/(e^b - 1) per unit exposure
         ks = KnotSet((1.0,), 4.0)
         m = HazardModel(ks, [(0.5, 0.0)])
-        o = Observation.interval(FeaturePath(0, {}), 2.0, 3.0)
+        o = Observation.interval(0, {}, 2.0, 3.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, grad = CensoredDesign(ks, [o]).nll_grad(model_matrix(m).ravel())
@@ -369,12 +364,12 @@ class TestGradient:
     def test_dimension_mismatch_rejected(self):
         ks = KnotSet((), 4.0)
         m = HazardModel(ks, [[0.5], [0.0]])
-        o = Observation.right_censored(FeaturePath(2, {1: ((0.0, 1.0),)}), 2.0)
+        o = Observation.right_censored(2, {1: ((0.0, 1.0),)}, 2.0)
         # the messages name both dimensions (a bare size mismatch in numpy
         # or scipy would raise ValueError too)
         with pytest.raises(ValueError, match="model d=1"):
             nll_dataset(m, [o])
-        mixed = [o, Observation.interval(FeaturePath(1, {0: ((0.0, 1.0),)}), 1.0, 2.0)]
+        mixed = [o, Observation.interval(1, {0: ((0.0, 1.0),)}, 1.0, 2.0)]
         with pytest.raises(ValueError, match="paths with d=2 and d=1"):
             fit_proportional(mixed)
         with pytest.raises(ValueError, match="model d=1"):
@@ -409,8 +404,8 @@ class TestHessianDiagonal:
         # the first bracket has no hazard at w and takes the floor's
         # curvature; the second has mass 0.25
         ks = KnotSet((1.0,), 4.0)
-        obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0),
-               Observation.interval(FeaturePath(0, {}), 0.5, 1.5)]
+        obs = [Observation.interval(0, {}, 2.0, 3.0),
+               Observation.interval(0, {}, 0.5, 1.5)]
         w = np.array([0.5, 0.0])
 
         def curvature(b):
@@ -422,7 +417,7 @@ class TestHessianDiagonal:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_without_interval_observations(self):
-        obs = [Observation.right_censored(FeaturePath(1, {0: ((0.5, 1.0),)}), 3.0)]
+        obs = [Observation.right_censored(1, {0: ((0.5, 1.0),)}, 3.0)]
         design = CensoredDesign(KnotSet((1.0,), 4.0), obs)
         H = design.hessian_diagonal(np.ones((2, 2)))
         assert H.shape == (2, 2) and not H.any()
@@ -455,7 +450,7 @@ class TestCensoredDesign:
 
     def test_zero_mass_behaviour_matches_floor(self):
         ks = KnotSet((1.0,), 4.0)
-        obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0)]
+        obs = [Observation.interval(0, {}, 2.0, 3.0)]
         design = CensoredDesign(ks, obs)
         w = np.array([0.5, 0.0])  # no hazard inside the bracket
         with pytest.warns(ZeroBracketWarning):
@@ -471,7 +466,7 @@ class TestCensoredDesign:
         # a direct design.nll and nll_dataset alike warn at the line that
         # called into the package
         ks = KnotSet((1.0,), 4.0)
-        obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0)]
+        obs = [Observation.interval(0, {}, 2.0, 3.0)]
         m = HazardModel(ks, [(0.5, 0.0)])
         design = CensoredDesign(ks, obs)
         with warnings.catch_warnings(record=True) as caught:
@@ -539,8 +534,8 @@ class TestCensoredDesign:
         # a bracket with no hazard at w: its mass is clamped on both sides,
         # as nll clamps it
         ks = KnotSet((1.0,), 4.0)
-        obs = [Observation.interval(FeaturePath(0, {}), 2.0, 3.0),
-               Observation.interval(FeaturePath(0, {}), 0.5, 1.5)]
+        obs = [Observation.interval(0, {}, 2.0, 3.0),
+               Observation.interval(0, {}, 0.5, 1.5)]
         design = CensoredDesign(ks, obs)
         w, dw = np.array([0.5, 0.0]), np.array([0.1, 0.3])
         want = design.nll(w + dw, floored=True) - design.nll(w, floored=True)
@@ -580,18 +575,17 @@ class TestCensoredDesign:
     def test_design_rejects_inconsistent_dimensions(self):
         ks = KnotSet((), 4.0)
         obs = [
-            Observation.right_censored(FeaturePath(1, {}), 2.0),
-            Observation.right_censored(FeaturePath(2, {}), 2.0),
+            Observation.right_censored(1, {}, 2.0),
+            Observation.right_censored(2, {}, 2.0),
         ]
         with pytest.raises(ValueError):
             CensoredDesign(ks, obs)
 
     def test_design_rejects_observations_past_the_horizon(self):
         ks = KnotSet((1.0,), 4.0)
-        p = FeaturePath(0, {})
-        for o in (Observation.right_censored(p, 4.5), Observation.interval(p, 2.0, 4.5)):
+        for o in (Observation.right_censored(0, {}, 4.5), Observation.interval(0, {}, 2.0, 4.5)):
             with pytest.raises(ValueError, match=r"outside knot range \[0, 4.0\]"):
-                CensoredDesign(ks, [Observation.right_censored(p, 1.0), o])
+                CensoredDesign(ks, [Observation.right_censored(0, {}, 1.0), o])
 
     def test_nll_dataset_refuses_other_dimensions(self):
         # a design evaluates a model of its knot set at m.W bitwise as
@@ -613,8 +607,8 @@ class TestCensoredDesign:
         # which a zero weight on its feature would turn into a NaN head
         # term: the design refuses it when built, without a NumPy warning
         ks = KnotSet((1.0,), 1.5e308)
-        obs = [Observation.right_censored(FeaturePath(1, {0: ((0.0, 1e10),)}), 1.5e308),
-               Observation.interval(FeaturePath(1, {}), 0.0, 1.0)]
+        obs = [Observation.right_censored(1, {0: ((0.0, 1e10),)}, 1.5e308),
+               Observation.interval(1, {}, 0.0, 1.0)]
         m = HazardModel(ks, [[0.2, 0.2], [0.0, 0.0]])
         overflow = r"an exposure \(a feature value times a time span\) overflows"
         with warnings.catch_warnings():
@@ -625,7 +619,7 @@ class TestCensoredDesign:
                 nll_dataset(m, obs)
             # an overflowing bracket exposure is refused the same way
             with pytest.raises(NumericalError, match=overflow):
-                CensoredDesign(ks, [Observation.interval(obs[0].path, 0.0, 1.5e308)])
+                CensoredDesign(ks, [Observation.interval(obs[0].d, obs[0].entries, 0.0, 1.5e308)])
         # a NaN coefficient is refused too, where a zero bracket would not mask it
         plain = CensoredDesign(ks, obs[1:])
         with pytest.raises(NumericalError, match="total NLL is NaN"):
@@ -638,8 +632,9 @@ class TestCensoredDesign:
         # is +0.0, the gradient and curvature of the brackets zero
         rng = np.random.default_rng(18)
         ks = KnotSet((1.0, 2.5), 4.0)
-        path = FeaturePath(2, {0: ((0.5, 1.5),), 1: ((0.0, 2.0), (3.0, 0.5))})
-        design = CensoredDesign(ks, [Observation.right_censored(path, t) for t in (1.2, 3.0, 4.0)])
+        entries = {0: ((0.5, 1.5),), 1: ((0.0, 2.0), (3.0, 0.5))}
+        obs = [Observation.right_censored(2, entries, t) for t in (1.2, 3.0, 4.0)]
+        design = CensoredDesign(ks, obs)
         assert design.V.shape == (0, 9)
         w, dw = rng.uniform(0.0, 1.0, design.shape), rng.uniform(-0.1, 0.1, design.shape)
         u = design.head_exposure
@@ -673,16 +668,16 @@ def censored_times(draw):
     obs = []
     for _ in range(draw(st.integers(1, 300))):
         if all_right or draw(st.booleans()):
-            obs.append(Observation.right_censored(FeaturePath(0, {}), draw(times)))
+            obs.append(Observation.right_censored(0, {}, draw(times)))
         else:
             left = draw(st.one_of(st.just(0.0), times))
-            obs.append(Observation.interval(FeaturePath(0, {}), left, left + draw(times)))
+            obs.append(Observation.interval(0, {}, left, left + draw(times)))
     return obs
 
 
 def fresh_copies(observations):
     """The same records built anew: equal, but not the same objects."""
-    return [replace(o, path=FeaturePath(o.path.d, o.path.entries)) for o in observations]
+    return [replace(o) for o in observations]
 
 
 def assert_matches_the_loop(observations):
@@ -790,7 +785,7 @@ class TestRunTable:
     def test_design_on_reused_records_equals_a_fresh_one(self):
         _, obs = generate(replace(default_scenario(3), n=400))
         rng = np.random.default_rng(3)
-        obs += [replace(o, path=random_path(rng, 40, 9.0)) for o in obs[:100]]
+        obs += [replace(o, entries=random_path(rng, 40, 9.0)) for o in obs[:100]]
         knots = build_knot_set(obs)
         CensoredDesign(knots, obs)
         warm = CensoredDesign(knots, obs)
@@ -837,8 +832,9 @@ class TestWalkedRecords:
             write_observations(tmp_path / "obs.jsonl", obs, d=spec.d, horizon=spec.horizon)
             obs, _ = read_observations(tmp_path / "obs.jsonl")
         elif source == "constructors":
-            obs = [Observation.interval(o.path, o.left, o.right, o.id) if o.kind == "interval"
-                   else Observation.right_censored(o.path, o.right, o.id) for o in obs]
+            obs = [Observation.interval(o.d, o.entries, o.left, o.right, o.id)
+                   if o.kind == "interval"
+                   else Observation.right_censored(o.d, o.entries, o.right, o.id) for o in obs]
         before = [sys.getsizeof(o.__dict__) for o in obs]
         _run_table(obs)
         assert block_of(obs) is not None
@@ -859,18 +855,18 @@ class TestWalkedRecords:
         value = nll_dataset(truth, obs)
         assert block_of(obs) is not None
         with pytest.raises(TypeError):
-            obs[0].path.entries[11] = ((0.0, 5.0),)
+            obs[0].entries[11] = ((0.0, 5.0),)
         assert nll_dataset(truth, obs) == value == nll_dataset(truth, fresh_copies(obs))
         twin = pickle.loads(pickle.dumps(obs[0]))
         assert twin == obs[0] and twin._runs is None
         with pytest.raises(TypeError):
-            twin.path.entries[11] = ((0.0, 5.0),)
+            twin.entries[11] = ((0.0, 5.0),)
 
 
 class TestPooledEventRate:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(censored_times())
-    @example([Observation.right_censored(FeaturePath(0, {}), t) for t in (0.5, 3.0, 7.25)])
+    @example([Observation.right_censored(0, {}, t) for t in (0.5, 3.0, 7.25)])
     def test_run_table_arrays_match_the_loop_bitwise(self, obs):
         # the start's rate, from the arrays of the one pass over the
         # observations, adds the exposures in input order; the design keeps
@@ -888,8 +884,8 @@ class TestPooledEventRate:
     def test_a_right_censoring_time_near_the_float_maximum_does_not_overflow(self):
         # the midpoint is taken of interval records only: 0.5 * (1.5e308 +
         # 1.5e308) overflowed for the right-censored site, then was discarded
-        obs = [Observation.right_censored(FeaturePath(1, {}), 1.5e308),
-               Observation.interval(FeaturePath(1, {0: ((0.0, 2.0),)}), 1.0, 3.0)]
+        obs = [Observation.right_censored(1, {}, 1.5e308),
+               Observation.interval(1, {0: ((0.0, 2.0),)}, 1.0, 3.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             design = CensoredDesign(KnotSet((1.0,), 1.5e308), obs)
@@ -898,8 +894,8 @@ class TestPooledEventRate:
     def test_a_total_exposure_past_the_float_maximum_is_refused_without_a_warning(self):
         # no time overflows, but the running sum of two 1e308 censoring
         # times does: the rate is 0.0 and the design's refusal the only output
-        obs = [Observation.right_censored(FeaturePath(0, {}), 1e308)] * 2
-        obs.append(Observation.interval(FeaturePath(0, {}), 1.0, 2.0))
+        obs = [Observation.right_censored(0, {}, 1e308)] * 2
+        obs.append(Observation.interval(0, {}, 1.0, 2.0))
         _, _, left, right, is_interval = _run_table(obs)
         overflow = r"an exposure \(a feature value times a time span\) overflows"
         with warnings.catch_warnings():

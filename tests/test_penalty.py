@@ -124,6 +124,18 @@ class TestFusedLassoProx:
         with pytest.raises(ValueError):
             fused_lasso_prox(np.array([1.0, 2.0]), -0.5)
 
+    @pytest.mark.parametrize("weight", [True, False, "1.0"])
+    def test_a_weight_that_is_a_bool_or_a_string_is_refused(self, weight):
+        # True was read as 1.0: [1, 0, 3] came back as [1, 1, 2]
+        with pytest.raises(ValueError, match=f"weight must be a number, got {weight!r}"):
+            fused_lasso_prox([1.0, 0.0, 3.0], weight)
+
+    def test_numpy_and_integer_weights_are_read_as_floats(self):
+        y = np.array([1.0, 0.0, 3.0])
+        want = fused_lasso_prox(y, 1.0)
+        for weight in (1, np.int64(1), np.float32(1.0)):
+            assert fused_lasso_prox(y, weight).tobytes() == want.tobytes()
+
     def test_huge_weight_gives_mean(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

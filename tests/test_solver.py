@@ -17,7 +17,6 @@ import tvhazard.solver
 from tvhazard import (
     CampaignSpec,
     CensoredDesign,
-    FeaturePath,
     FitResult,
     HazardModel,
     KnotSet,
@@ -57,13 +56,12 @@ def sim_observations(rng, d=3, n=60, horizon=6.0):
             if rng.random() < 0.5:
                 t = float(rng.uniform(0.0, horizon - 1.0))
                 entries[j] = ((t, float(rng.uniform(0.2, 1.5))),)
-        p = FeaturePath(d, entries)
         if rng.random() < 0.55:
             l = float(rng.uniform(0.2, horizon - 0.6))
             r = min(l + float(rng.uniform(0.3, 1.5)), horizon)
-            obs.append(Observation.interval(p, l, r))
+            obs.append(Observation.interval(d, entries, l, r))
         else:
-            obs.append(Observation.right_censored(p, float(rng.uniform(0.5, horizon))))
+            obs.append(Observation.right_censored(d, entries, float(rng.uniform(0.5, horizon))))
     return obs
 
 
@@ -321,10 +319,10 @@ class TestFullBatch:
         # cap; on the limit problem they certify, and the returned model's
         # objective is the limit's up to rounding
         sites = [
-            Observation.interval(FeaturePath(1, {0: ((0.0, 1.0),)}), 0, 1),
-            Observation.interval(FeaturePath(1, {}), 1, 2),
-            Observation.right_censored(FeaturePath(1, {}), 3),
-            Observation.interval(FeaturePath(1, {}), 0, 2),
+            Observation.interval(1, {0: ((0.0, 1.0),)}, 0, 1),
+            Observation.interval(1, {}, 1, 2),
+            Observation.right_censored(1, {}, 3),
+            Observation.interval(1, {}, 0, 2),
         ]
         penalty = PenaltyConfig(gamma=gamma, monotone=monotone)
         with warnings.catch_warnings():

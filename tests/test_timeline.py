@@ -1,4 +1,4 @@
-"""Knot grids, step-function rows, feature paths, and exact integration."""
+"""Knot grids, step-function rows, records and their feature paths, and exact integration."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tvhazard import (
     CensoredDesign,
-    FeaturePath,
     HazardModel,
     KnotSet,
     Observation,
@@ -133,32 +132,35 @@ class TestStepFunction:
             _row_from_json(ks, row)
 
 
-def exposures(path, knots):
+def exposures(d, entries, knots):
     """The design's exposure of every coefficient row on every knot
-    interval for one observation of ``path``, right-censored at the horizon."""
-    design = CensoredDesign(knots, [Observation.right_censored(path, knots.horizon)])
+    interval for one record of path ``entries``, right-censored at the horizon."""
+    design = CensoredDesign(knots, [Observation.right_censored(d, entries, knots.horizon)])
     return design._u_colsum.reshape(design.shape)
 
 
-class TestFeaturePath:
+def site(d, entries):
+    """A right-censored record of path ``entries``: the path rule's subject."""
+    return Observation.right_censored(d, entries, 1.0)
+
+
+class TestObservationPath:
     def test_value_is_zero_before_first_change(self):
-        p = FeaturePath(3, {1: ((2.0, 5.0),)})
-        U = exposures(p, KnotSet((1.0, 2.0), 4.0))
+        U = exposures(3, {1: ((2.0, 5.0),)}, KnotSet((1.0, 2.0), 4.0))
         assert U[2].tolist() == [0.0, 0.0, 10.0]
         assert not U[1].any() and not U[3].any()
 
     def test_latest_change_wins(self):
-        p = FeaturePath(1, {0: ((1.0, 1.0), (4.0, 0.25), (6.0, 0.0))})
-        U = exposures(p, KnotSet((1.0, 4.0, 6.0), 8.0))
+        U = exposures(1, {0: ((1.0, 1.0), (4.0, 0.25), (6.0, 0.0))}, KnotSet((1.0, 4.0, 6.0), 8.0))
         assert U[1].tolist() == [0.0, 3.0, 0.5, 0.0]
 
     def test_out_of_range_feature_raises(self):
         with pytest.raises(ValueError, match="outside"):
-            FeaturePath(2, {2: ((0.0, 1.0),)})
+            site(2, {2: ((0.0, 1.0),)})
         with pytest.raises(ValueError, match="outside"):
-            FeaturePath(2, {-1: ((0.0, 1.0),)})
+            site(2, {-1: ((0.0, 1.0),)})
         with pytest.raises(ValueError, match="d must be nonnegative"):
-            FeaturePath(-1, {})
+            site(-1, {})
 
     @pytest.mark.parametrize(
         "d, entries, match",
@@ -173,12 +175,12 @@ class TestFeaturePath:
     def test_non_integers_are_refused_not_truncated(self, d, entries, match):
         # int() read d=2.5 as 2, feature 1.7 as 1 and True as 1
         with pytest.raises(ValueError, match=match):
-            FeaturePath(d, entries)
+            site(d, entries)
 
     def test_numpy_integers_become_ints(self):
-        p = FeaturePath(np.int64(3), {np.uint8(1): ((0.0, 1.0),)})
-        assert type(p.d) is int and p.d == 3
-        assert [type(j) for j in p.entries] == [int] and list(p.entries) == [1]
+        o = site(np.int64(3), {np.uint8(1): ((0.0, 1.0),)})
+        assert type(o.d) is int and o.d == 3
+        assert [type(j) for j in o.entries] == [int] and list(o.entries) == [1]
 
     @pytest.mark.parametrize(
         "changes, match",
@@ -199,7 +201,7 @@ class TestFeaturePath:
     )
     def test_rejects_bad_changes(self, changes, match):
         with pytest.raises(ValueError, match=match):
-            FeaturePath(1, {0: changes})
+            site(1, {0: changes})
 
     @pytest.mark.parametrize(
         "changes, match",
@@ -215,27 +217,50 @@ class TestFeaturePath:
     def test_strings_and_booleans_are_refused(self, changes, match):
         # float() read "0" as 0.0 and True as 1.0
         with pytest.raises(ValueError, match=match):
-            FeaturePath(1, {0: changes})
+            site(1, {0: changes})
 
     def test_reals_become_floats(self):
-        p = FeaturePath(1, {0: ((np.int64(0), np.float32(0.5)), (1, 2))})
-        assert p == FeaturePath(1, {0: ((0.0, 0.5), (1.0, 2.0))})
-        assert all(type(x) is float for change in p.entries[0] for x in change)
+        o = site(1, {0: ((np.int64(0), np.float32(0.5)), (1, 2))})
+        assert o == site(1, {0: ((0.0, 0.5), (1.0, 2.0))})
+        assert all(type(x) is float for change in o.entries[0] for x in change)
 
     def test_change_times_collects_all_features(self):
         # the oracle the scalar likelihood and knot_set_per_path cut paths at
-        p = FeaturePath(4, {0: ((1.0, 1.0),), 3: ((0.5, 2.0), (1.0, 0.0))})
-        assert change_times(p) == (0.5, 1.0)
+        o = site(4, {0: ((1.0, 1.0),), 3: ((0.5, 2.0), (1.0, 0.0))})
+        assert change_times(o.entries) == (0.5, 1.0)
+
+    def test_a_record_that_is_not_a_path_is_refused_when_built(self):
+        # a path object of its own let Observation("not a path", "right",
+        # 1.0, 1.0) through; only its first use, build_knot_set([o]), raised
+        # AttributeError: 'str' object has no attribute 'd'
+        with pytest.raises(ValueError, match="d must be an integer, got 'not a path'"):
+            Observation("not a path", {}, "right", 1.0, 1.0)
+        with pytest.raises(ValueError, match="d must be an integer, got 1.5"):
+            Observation.interval(1.5, {}, 0.0, 1.0)
+
+    def test_the_path_is_checked_before_the_censoring(self):
+        with pytest.raises(ValueError, match="change value -1.0 for feature 0 is negative"):
+            Observation.interval(1, {0: ((0.0, -1.0),)}, 2.0, 1.0)
+        with pytest.raises(ValueError, match="interval censoring needs"):
+            Observation.interval(1, {0: ((0.0, 1.0),)}, 2.0, 1.0)
+
+    def test_entries_are_read_only_and_drop_empty_features(self):
+        entries = {0: [(0.0, 1.0)], 2: []}
+        o = site(3, entries)
+        assert dict(o.entries) == {0: ((0.0, 1.0),)}
+        with pytest.raises(TypeError):
+            o.entries[1] = ((0.0, 2.0),)
+        entries[1] = ((0.0, 2.0),)
+        assert 1 not in o.entries
 
 
 class TestObservation:
     def test_interval_requires_ordered_bracket(self):
-        p = FeaturePath(1, {})
         with pytest.raises(ValueError):
-            Observation.interval(p, 2.0, 2.0)
+            Observation.interval(1, {}, 2.0, 2.0)
         with pytest.raises(ValueError):
-            Observation.interval(p, -1.0, 2.0)
-        o = Observation.interval(p, 0.0, 2.0)
+            Observation.interval(1, {}, -1.0, 2.0)
+        o = Observation.interval(1, {}, 0.0, 2.0)
         assert (o.left, o.right, o.kind) == (0.0, 2.0, "interval")
 
     @pytest.mark.parametrize(
@@ -250,7 +275,7 @@ class TestObservation:
     )
     def test_rejects_unknown_kind_and_non_finite_times(self, kind, left, right, match):
         with pytest.raises(ValueError, match=match):
-            Observation(FeaturePath(1, {}), kind, left, right)
+            Observation(1, {}, kind, left, right)
 
     @pytest.mark.parametrize(
         "left, right, match",
@@ -265,25 +290,24 @@ class TestObservation:
     def test_strings_and_booleans_are_refused(self, left, right, match):
         # float() read "1.5" as 1.5 and True as 1.0
         with pytest.raises(ValueError, match=match):
-            Observation.interval(FeaturePath(1, {}), left, right)
+            Observation.interval(1, {}, left, right)
 
     @pytest.mark.parametrize("at", ["2", True])
     def test_a_right_censoring_time_that_is_a_string_or_boolean_is_refused(self, at):
         with pytest.raises(ValueError, match=f"right must be a number, got {at!r}"):
-            Observation.right_censored(FeaturePath(1, {}), at)
+            Observation.right_censored(1, {}, at)
 
     @pytest.mark.parametrize("uid", [5, None, b"site"])
     def test_id_must_be_a_string(self, uid):
         # the reader's str() turned id=5 into '5' and id=None into 'None',
         # so the record no longer equalled itself after a write and read
         with pytest.raises(ValueError, match=f"id must be a str, got {uid!r}"):
-            Observation.right_censored(FeaturePath(1, {}), 2.0, id=uid)
+            Observation.right_censored(1, {}, 2.0, id=uid)
 
     def test_right_censoring_needs_positive_time(self):
-        p = FeaturePath(1, {})
         with pytest.raises(ValueError):
-            Observation.right_censored(p, 0.0)
-        o = Observation.right_censored(p, 3.5)
+            Observation.right_censored(1, {}, 0.0)
+        o = Observation.right_censored(1, {}, 3.5)
         assert o.kind == "right"
         assert o.right == 3.5
 
@@ -305,12 +329,12 @@ def observation_sets(draw):
     obs = []
     for _ in range(draw(st.integers(1, 6))):
         changes = sorted(set(draw(st.lists(times, max_size=3))))
-        p = FeaturePath(1, {0: tuple((t, 1.0) for t in changes)})
+        entries = {0: tuple((t, 1.0) for t in changes)}
         a, b = sorted((draw(times), draw(times)))
         if a < b and draw(st.booleans()):
-            obs.append(Observation.interval(p, a, b))
+            obs.append(Observation.interval(1, entries, a, b))
         elif b > 0:
-            obs.append(Observation.right_censored(p, b))
+            obs.append(Observation.right_censored(1, entries, b))
     return obs, horizon
 
 
@@ -336,9 +360,9 @@ def shared_time_sets(draw):
             entries[0][0] = (entries[0][0][0], 0.0)
         a, b = sorted((draw(near_end_times(horizon)), draw(near_end_times(horizon))))
         if a < b and draw(st.booleans()):
-            obs.append(Observation.interval(FeaturePath(d, entries), a, b))
+            obs.append(Observation.interval(d, entries, a, b))
         elif b > 0:
-            obs.append(Observation.right_censored(FeaturePath(d, entries), b))
+            obs.append(Observation.right_censored(d, entries, b))
     return obs, horizon
 
 
@@ -357,16 +381,15 @@ class TestBuildKnotSet:
         assert got.horizon.hex() == want.horizon.hex()
 
     def test_single_right_censoring(self):
-        p = FeaturePath(1, {})
-        ks = build_knot_set([Observation.right_censored(p, 5.0)])
+        ks = build_knot_set([Observation.right_censored(1, {}, 5.0)])
         assert ks.times == ()  # 5.0 is the horizon, not an interior knot
         assert ks.horizon == 5.0
 
     def test_union_of_brackets_and_changes(self):
-        p = FeaturePath(1, {0: ((1.5, 1.0),)})
+        entries = {0: ((1.5, 1.0),)}
         obs = [
-            Observation.interval(p, 1.0, 2.0),
-            Observation.right_censored(p, 3.0),
+            Observation.interval(1, entries, 1.0, 2.0),
+            Observation.right_censored(1, entries, 3.0),
         ]
         ks = build_knot_set(obs)
         assert ks.times == (1.0, 1.5, 2.0)
@@ -374,8 +397,8 @@ class TestBuildKnotSet:
     def test_boundary_coincident_knots_dropped(self):
         # censoring boundaries and change times at either end of the window
         # would only add intervals of zero width
-        p = FeaturePath(1, {0: ((0.0, 1.0), (2.0, 0.5))})
-        obs = [Observation.interval(p, 0.0, 1.0), Observation.right_censored(p, 2.0)]
+        entries = {0: ((0.0, 1.0), (2.0, 0.5))}
+        obs = [Observation.interval(1, entries, 0.0, 1.0), Observation.right_censored(1, entries, 2.0)]
         ks = build_knot_set(obs, horizon=2.0)
         assert ks.times == (1.0,)
         assert tuple(ks.boundaries()) == (0.0, 1.0, 2.0)
@@ -383,43 +406,41 @@ class TestBuildKnotSet:
     def test_rejects_no_observations_and_a_boundary_past_the_horizon(self):
         with pytest.raises(ValueError, match="empty dataset"):
             build_knot_set([])
-        obs = [Observation.right_censored(FeaturePath(1, {}), 5.0)]
+        obs = [Observation.right_censored(1, {}, 5.0)]
         with pytest.raises(ValueError, match="censoring boundary 5.0 beyond horizon 4.0"):
             build_knot_set(obs, horizon=4.0)
 
     def test_refuses_records_of_mixed_dimension(self):
-        obs = [Observation.right_censored(FeaturePath(1, {}), 2.0),
-               Observation.right_censored(FeaturePath(2, {}), 3.0)]
+        obs = [Observation.right_censored(1, {}, 2.0),
+               Observation.right_censored(2, {}, 3.0)]
         with pytest.raises(ValueError, match="dimension mismatch: paths with d=1 and d=2"):
             build_knot_set(obs)
 
     @pytest.mark.parametrize("horizon", ["9", True])
     def test_a_horizon_that_is_not_a_number_is_refused(self, horizon):
         # "9" failed the boundary comparison with a TypeError
-        obs = [Observation.right_censored(FeaturePath(1, {}), 0.5)]
+        obs = [Observation.right_censored(1, {}, 0.5)]
         with pytest.raises(ValueError, match=f"horizon must be a number, got {horizon!r}"):
             build_knot_set(obs, horizon=horizon)
 
     def test_changes_beyond_horizon_dropped(self):
-        p = FeaturePath(1, {0: ((1.0, 1.0), (9.0, 0.0))})
-        obs = [Observation.right_censored(p, 4.0)]
+        obs = [Observation.right_censored(1, {0: ((1.0, 1.0), (9.0, 0.0))}, 4.0)]
         ks = build_knot_set(obs, horizon=4.0)
         assert ks.times == (1.0,)
 
     def test_near_duplicates_merge(self):
-        p = FeaturePath(1, {0: ((2.0 + 1e-12, 1.0),)})
-        obs = [Observation.interval(p, 1.0, 2.0), Observation.right_censored(p, 3.0)]
+        entries = {0: ((2.0 + 1e-12, 1.0),)}
+        obs = [Observation.interval(1, entries, 1.0, 2.0), Observation.right_censored(1, entries, 3.0)]
         ks = build_knot_set(obs)
         assert ks.times == (1.0, 2.0)
 
     def test_knot_count_scales_with_distinct_times(self):
         rng = np.random.default_rng(3)
-        p = FeaturePath(1, {})
         obs = []
         raw = []
         for _ in range(40):
             l, r = np.sort(rng.uniform(0.1, 9.9, size=2))
-            obs.append(Observation.interval(p, l, r))
+            obs.append(Observation.interval(1, {}, l, r))
             raw += [l, r]
         ks = build_knot_set(obs, horizon=10.0)
         assert ks.times == tuple(merge_times(raw))
@@ -436,7 +457,7 @@ class TestBuildKnotSet:
         assert np.all(np.diff(B) > MERGE_TOL) or (ks.times == () and ks.horizon <= MERGE_TOL)
         # nothing is lost: every candidate time merged into a boundary
         for o in obs:
-            for t in (o.left, o.right, *change_times(o.path)):
+            for t in (o.left, o.right, *change_times(o.entries)):
                 if t <= ks.horizon:
                     assert np.abs(B - t).min() <= MERGE_TOL
 
@@ -444,13 +465,11 @@ class TestBuildKnotSet:
 class TestMergeTimes:
     # the knot set merges the censoring boundaries and change times
     def test_sorts_and_dedupes(self):
-        p = FeaturePath(1, {})
-        obs = [Observation.interval(p, l, r) for l, r in ((3.0, 4.0), (1.0, 2.0), (1.0, 3.0))]
+        obs = [Observation.interval(1, {}, l, r) for l, r in ((3.0, 4.0), (1.0, 2.0), (1.0, 3.0))]
         assert build_knot_set(obs, horizon=5.0).times == (1.0, 2.0, 3.0, 4.0)
 
     def test_tolerance_keeps_first_representative(self):
-        p = FeaturePath(1, {})
-        obs = [Observation.interval(p, 1.0 + 5e-10, 2.0), Observation.interval(p, 1.0, 3.0)]
+        obs = [Observation.interval(1, {}, 1.0 + 5e-10, 2.0), Observation.interval(1, {}, 1.0, 3.0)]
         assert build_knot_set(obs, horizon=5.0).times == (1.0, 2.0, 3.0)
 
 
@@ -482,14 +501,14 @@ class TestIntegration:
             k = rng.integers(0, 5)
             ts = merge_times(np.sort(rng.uniform(0, ks.horizon, size=k)).tolist(), tol=1e-6)
             vals = rng.uniform(0, 2, size=len(ts))
-            p = FeaturePath(1, {0: tuple(zip(ts, vals))} if len(ts) else {})
+            entries = {0: tuple(zip(ts, vals))} if len(ts) else {}
             a, b = np.sort(rng.uniform(0, ks.horizon, size=2))
             pts = [t for t in list(ks.times) + list(ts) if a < t < b]
             ref, err = scipy.integrate.quad(
-                lambda t: f[ks.interval_index(t)] * level_at(p, 0, t), a, b,
+                lambda t: f[ks.interval_index(t)] * level_at(entries, 0, t), a, b,
                 points=sorted(pts), limit=200,
             )
-            got = integrate_step_product(ks, f, p, 0, a, b)
+            got = integrate_step_product(ks, f, entries, 0, a, b)
             assert got == pytest.approx(ref, abs=max(1e-9, 10 * err))
 
     def test_bounds_validated(self):
